@@ -187,6 +187,11 @@ def _cmd_flow(args) -> int:
     return 0
 
 
+def _describe(exc: Exception) -> str:
+    """The message followed by any notes added on the way up (e.g. the frame)."""
+    return "; ".join([str(exc), *getattr(exc, "__notes__", ())])
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {"run": _cmd_run, "metrics": _cmd_metrics,
@@ -194,13 +199,13 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+        print(f"configuration error: {_describe(exc)}", file=sys.stderr)
         return 2
     except DivergenceError as exc:
-        print(f"numerical divergence: {exc}", file=sys.stderr)
+        print(f"numerical divergence: {_describe(exc)}", file=sys.stderr)
         return 3
     except (FileFormatError, OSError) as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
+        print(f"i/o error: {_describe(exc)}", file=sys.stderr)
         return 4
 
 

@@ -73,7 +73,8 @@ def run_experiment(cfg: ExperimentConfig,
         try:
             lr.append(degrade(hr[t], dspec, assignment, frame=t))
         except Exception as exc:
-            raise type(exc)(f"frame {t}: {exc}") from exc
+            exc.add_note(f"frame {t}")
+            raise
     up = [upsample(o, assignment) for o in lr]
 
     flows = known_motion_flows(cfg, hr) if cfg.known_motion else None

@@ -2,8 +2,10 @@
 
 Provides the space-invariant blur (with Neumann / symmetric boundary
 extension and a true transpose), the high-pass regularizer stencil, dense
-backward warping with its scatter transpose, and the composed forward
-observation operator (blur followed by mesh averaging).
+backward warping with its scatter transpose, the composed forward
+observation operator (blur followed by mesh averaging), and
+``ObservationModel``, the array-level form of the reconstruction cost that
+applies blur and stencil in the DCT domain.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy import ndimage, signal
+from scipy import fft, ndimage
 
 from .grid import GridImage
 from .mesh import PixelAssignment, apply_hd
@@ -41,8 +43,7 @@ class Kernel:
         s = taps.sum()
         if abs(s - 1.0) > _KERNEL_SUM_TOL:
             raise ValueError(f"kernel taps must sum to 1 within {_KERNEL_SUM_TOL}, got {s!r}")
-        if not np.allclose(taps, taps[::-1, ::-1], rtol=0.0,
-                           atol=1e-12 * max(1.0, np.abs(taps).max())):
+        if not _mirrors(taps, taps[::-1, ::-1]):
             raise ValueError("kernel must be symmetric under 180-degree rotation")
         taps.flags.writeable = False
         object.__setattr__(self, "taps", taps)
@@ -68,6 +69,22 @@ class Kernel:
         return col, row
 
 
+def _mirrors(taps: np.ndarray, flipped: np.ndarray) -> bool:
+    return np.allclose(taps, flipped, rtol=0.0,
+                       atol=1e-12 * max(1.0, np.abs(taps).max()))
+
+
+def require_axis_symmetric(k: Kernel) -> None:
+    """Refuse masks that are not mirror-symmetric in each axis.
+
+    Only those are diagonalized by the DCT under the reflecting boundary,
+    which ``ObservationModel`` relies on.
+    """
+    if not (_mirrors(k.taps, k.taps[::-1, :]) and _mirrors(k.taps, k.taps[:, ::-1])):
+        raise ValueError("kernel must be symmetric in each axis (mirror-symmetric "
+                         "rows and columns) for the DCT-domain reconstruction")
+
+
 def gaussian_kernel(size: int, sigma: float) -> Kernel:
     """Isotropic Gaussian mask on integer offsets, normalized to unit sum."""
     if size < 1 or size % 2 == 0:
@@ -80,12 +97,12 @@ def gaussian_kernel(size: int, sigma: float) -> Kernel:
     return Kernel(taps / taps.sum())
 
 
-def _check_kernel_fit(img: GridImage, k: Kernel) -> None:
-    limit = 2 * min(img.width, img.height) - 1
+def _check_kernel_fit(width: int, height: int, k: Kernel) -> None:
+    limit = 2 * min(width, height) - 1
     if k.size > limit:
         raise ValueError(
             f"kernel size {k.size} exceeds limit {limit} for a "
-            f"{img.width}x{img.height} image")
+            f"{width}x{height} image")
 
 
 def convolve_neumann(img: GridImage, k: Kernel) -> GridImage:
@@ -96,7 +113,7 @@ def convolve_neumann(img: GridImage, k: Kernel) -> GridImage:
     operator self-adjoint for quadrant-symmetric masks. Separable masks take
     an exactly equivalent two-pass route.
     """
-    _check_kernel_fit(img, k)
+    _check_kernel_fit(img.width, img.height, k)
     factors = k._separable_factors
     if factors is not None:
         col, row = factors
@@ -115,20 +132,20 @@ def blur_adjoint(img: GridImage, k: Kernel) -> GridImage:
     this coincides with the forward operator; the equality is checked in the
     test suite, not assumed here.
     """
-    _check_kernel_fit(img, k)
+    _check_kernel_fit(img.width, img.height, k)
     p = k.size // 2
     if p == 0:
         return GridImage(img.data * k.taps[0, 0])
     h, w = img.height, img.width
+    padded = np.zeros((h + 2 * p, w + 2 * p))
+    padded[p:p + h, p:p + w] = img.data
     factors = k._separable_factors
     if factors is not None:
         col, row = factors
-        padded = np.zeros((h + 2 * p, w + 2 * p))
-        padded[p:p + h, p:p + w] = img.data
         full = ndimage.correlate1d(padded, col[::-1], axis=0, mode="constant")
         full = ndimage.correlate1d(full, row[::-1], axis=1, mode="constant")
     else:
-        full = signal.convolve(img.data, k.taps, mode="full", method="direct")
+        full = ndimage.correlate(padded, k.taps[::-1, ::-1], mode="constant")
     rows = full[p:p + h, :].copy()
     rows[0:p, :] += full[p - 1::-1, :]
     rows[h - p:h, :] += full[2 * p + h - 1:p + h - 1:-1, :]
@@ -206,6 +223,66 @@ def forward_observe(x: GridImage, assignment: PixelAssignment, k: Kernel) -> Gri
 def adjoint_observe(y: GridImage, assignment: PixelAssignment, k: Kernel) -> GridImage:
     """Transpose of ``forward_observe`` (the projection is self-adjoint)."""
     return blur_adjoint(apply_hd(y, assignment), k)
+
+
+def _dct_cosines(n: int, p: int) -> np.ndarray:
+    """cos(pi k m / n) for frequencies k = 0..n-1 and offsets m = -p..p."""
+    return np.cos(np.pi * np.outer(np.arange(n), np.arange(-p, p + 1)) / n)
+
+
+def _stencil_eigenvalues(n: int) -> np.ndarray:
+    """DCT-II eigenvalues of the 1-D [-1, 2, -1] stencil under reflection."""
+    return 2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)
+
+
+class ObservationModel:
+    """The reconstruction cost ``||y - P B x||^2 + alpha ||S x||^2`` (misfit
+    over assigned pixels) and its gradient, on plain (height, width) arrays.
+
+    A mask symmetric in each axis under the reflecting boundary, and likewise
+    the 5-point stencil, is diagonalized exactly by the orthonormal 2-D
+    DCT-II (Martucci 1994; Ng, Chan & Tang 1999). B, B' and S'S are therefore
+    elementwise weights between transforms, and ``||S x||`` follows from the
+    coefficients by Parseval. P is one bincount and one gather.
+    """
+
+    def __init__(self, assignment: PixelAssignment, kernel: Kernel, alpha: float):
+        require_axis_symmetric(kernel)
+        h, w = assignment.height, assignment.width
+        _check_kernel_fit(w, h, kernel)
+        p = kernel.size // 2
+        self._blur = _dct_cosines(h, p) @ kernel.taps @ _dct_cosines(w, p).T
+        stencil = _stencil_eigenvalues(h)[:, None] + _stencil_eigenvalues(w)[None, :]
+        self._smooth = alpha * stencil * stencil
+        pe = assignment.pixel_to_element.ravel()
+        self._pixels = np.flatnonzero(pe >= 0)
+        self._elements = pe[self._pixels]
+        counts = assignment.element_counts
+        self._inv_counts = np.divide(1.0, counts, out=np.zeros(counts.shape),
+                                     where=counts > 0)
+
+    def _project(self, values: np.ndarray) -> np.ndarray:
+        """P on the assigned pixels: each value becomes its element's mean."""
+        sums = np.bincount(self._elements, weights=values,
+                           minlength=self._inv_counts.size)
+        return (sums * self._inv_counts)[self._elements]
+
+    def terms(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """Cost at x, plus the DCT of x and the residual ``P B x - y`` on the
+        assigned pixels, which ``half_gradient`` reuses."""
+        coeffs = fft.dctn(x, norm="ortho")
+        blurred = fft.idctn(self._blur * coeffs, norm="ortho").ravel()
+        residual = self._project(blurred[self._pixels]) - y.ravel()[self._pixels]
+        cost = float(residual @ residual) + float((self._smooth * coeffs * coeffs).sum())
+        return cost, coeffs, residual
+
+    def half_gradient(self, coeffs: np.ndarray, residual: np.ndarray) -> np.ndarray:
+        """``B' P r + alpha S' S x`` from the intermediates of ``terms``."""
+        projected = np.zeros(self._blur.size)
+        projected[self._pixels] = self._project(residual)
+        projected = fft.dctn(projected.reshape(self._blur.shape), norm="ortho")
+        return fft.idctn(self._blur * projected
+                         + self._smooth * coeffs, norm="ortho")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ model (correct):
 
 where B is the blur, P the mesh-averaging projection and S the high-pass
 stencil. Pixels outside the mesh are reset to zero after every iteration.
+The cost and gradient come from ``operators.ObservationModel``, which
+applies B and S'S in the DCT domain.
 """
 from __future__ import annotations
 
@@ -20,9 +22,9 @@ import numpy as np
 from .errors import DivergenceError, MeshError
 from .flow import FlowField, FlowParams, horn_schunck
 from .grid import GridImage
-from .mesh import FemImage, PixelAssignment, apply_hd, build_pixel_assignment, upsample
-from .operators import (Kernel, blur_adjoint, convolve_neumann, laplacian_apply,
-                        warp_image)
+from .mesh import FemImage, PixelAssignment, build_pixel_assignment, upsample
+from .operators import (Kernel, ObservationModel, convolve_neumann,
+                        require_axis_symmetric, warp_image)
 
 _DIVERGENCE_FACTOR = 10.0
 
@@ -50,6 +52,7 @@ class SrrConfig:
             raise ValueError(f"grid must be at least 3x3, got {w}x{h}")
         if self.kernel is None:
             raise ValueError("an explicit blur kernel is required")
+        require_axis_symmetric(self.kernel)
 
 
 @dataclass(frozen=True)
@@ -81,37 +84,19 @@ def srr_init(y_up0: GridImage, cfg: SrrConfig) -> SrrState:
                     frame_index=0, last_cost=float("nan"))
 
 
-def _cost_terms(x: np.ndarray, y: np.ndarray, assignment: PixelAssignment,
-                kernel: Kernel, alpha: float
-                ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Cost at x plus the intermediates reused by the gradient."""
-    xi = GridImage(x)
-    predicted = apply_hd(convolve_neumann(xi, kernel), assignment).data
-    residual = np.where(assignment.inside_mask(), predicted - y, 0.0)
-    cost = float((residual * residual).sum())
-    if alpha > 0:
-        s = laplacian_apply(xi).data
-        cost += alpha * float((s * s).sum())
-    else:
-        s = None
-    return cost, residual, s
-
-
 def srr_cost(x: GridImage, y_up: GridImage, assignment: PixelAssignment,
              kernel: Kernel, alpha: float) -> float:
     """Data misfit over assigned pixels plus the smoothness penalty."""
-    cost, _, _ = _cost_terms(x.data, y_up.data, assignment, kernel, alpha)
+    cost, _, _ = ObservationModel(assignment, kernel, alpha).terms(x.data, y_up.data)
     return cost
 
 
 def srr_cost_gradient(x: GridImage, y_up: GridImage, assignment: PixelAssignment,
                       kernel: Kernel, alpha: float) -> GridImage:
     """Analytic gradient of ``srr_cost`` with respect to x."""
-    _, residual, s = _cost_terms(x.data, y_up.data, assignment, kernel, alpha)
-    g = blur_adjoint(apply_hd(GridImage(residual), assignment), kernel).data
-    if alpha > 0:
-        g = g + alpha * laplacian_apply(GridImage(s)).data
-    return GridImage(2.0 * g)
+    model = ObservationModel(assignment, kernel, alpha)
+    _, coeffs, residual = model.terms(x.data, y_up.data)
+    return GridImage(2.0 * model.half_gradient(coeffs, residual))
 
 
 def srr_step(state: SrrState, y_up_t: GridImage, flow_t: FlowField,
@@ -122,8 +107,8 @@ def srr_step(state: SrrState, y_up_t: GridImage, flow_t: FlowField,
     ``flow_t`` must register the previous frame onto the current one, i.e.
     ``warp_image(x_hat, flow_t)`` tracks frame t. When ``cost_history`` is
     given it receives the cost before every iteration and the final cost
-    (k_iters + 1 entries). Raises DivergenceError on non-finite intermediates
-    or when the cost exceeds 10x its initial value.
+    (k_iters + 1 entries). Raises DivergenceError when a cost is non-finite
+    or exceeds 10x its initial value.
     """
     w, h = cfg.grid
     if (y_up_t.width, y_up_t.height) != (w, h):
@@ -131,40 +116,29 @@ def srr_step(state: SrrState, y_up_t: GridImage, flow_t: FlowField,
     if (assignment.width, assignment.height) != (w, h):
         raise MeshError("pixel assignment does not match configured grid")
     frame = state.frame_index
+    model = ObservationModel(assignment, cfg.kernel, cfg.alpha_srr)
     outside = ~assignment.inside_mask()
     x = warp_image(state.x_hat, flow_t).data.copy()
     x[outside] = 0.0
     y = y_up_t.data
-    alpha = cfg.alpha_srr
     initial = None
-    cost = float("nan")
-    for it in range(cfg.k_iters):
-        try:
-            cost, residual, s = _cost_terms(x, y, assignment, cfg.kernel, alpha)
-            if cost_history is not None:
-                cost_history.append(cost)
-            if initial is None:
-                initial = cost
-            elif initial > 0 and cost > _DIVERGENCE_FACTOR * initial:
-                raise DivergenceError(
-                    f"cost grew beyond {_DIVERGENCE_FACTOR}x its initial value "
-                    f"({cost:.3e} vs {initial:.3e}); reduce the step size",
-                    iteration=it, frame=frame)
-            g = blur_adjoint(apply_hd(GridImage(residual), assignment), cfg.kernel).data
-            if alpha > 0:
-                g = g + alpha * laplacian_apply(GridImage(s)).data
-            x = x - cfg.mu * g
-            x[outside] = 0.0
-        except ValueError as exc:
-            raise DivergenceError(f"non-finite intermediate: {exc}",
-                                  iteration=it, frame=frame) from exc
-    try:
-        cost, _, _ = _cost_terms(x, y, assignment, cfg.kernel, alpha)
-    except ValueError as exc:
-        raise DivergenceError(f"non-finite result: {exc}",
-                              iteration=cfg.k_iters, frame=frame) from exc
-    if cost_history is not None:
-        cost_history.append(cost)
+    for it in range(cfg.k_iters + 1):
+        cost, coeffs, residual = model.terms(x, y)
+        if not np.isfinite(cost):
+            raise DivergenceError(f"non-finite cost {cost}", iteration=it, frame=frame)
+        if cost_history is not None:
+            cost_history.append(cost)
+        if it == cfg.k_iters:
+            break
+        if initial is None:
+            initial = cost
+        elif initial > 0 and cost > _DIVERGENCE_FACTOR * initial:
+            raise DivergenceError(
+                f"cost grew beyond {_DIVERGENCE_FACTOR}x its initial value "
+                f"({cost:.3e} vs {initial:.3e}); reduce the step size",
+                iteration=it, frame=frame)
+        x -= cfg.mu * model.half_gradient(coeffs, residual)
+        x[outside] = 0.0
     return SrrState(x_hat=GridImage(x), frame_index=frame + 1, last_cost=cost)
 
 
@@ -208,7 +182,8 @@ def run_sequence(observations: list[FemImage], cfg: SrrConfig,
         except DivergenceError:
             raise
         except Exception as exc:
-            raise type(exc)(f"frame {t}: {exc}") from exc
+            exc.add_note(f"frame {t}")
+            raise
         if cost_histories is not None:
             cost_histories.append(history)
         results.append(state.x_hat)
@@ -223,15 +198,17 @@ def estimate_operator_norm(assignment: PixelAssignment, kernel: Kernel,
     The cost is non-increasing over the correction iterations whenever
     mu times this value stays below 1.
     """
+    if (assignment.width, assignment.height) != (width, height):
+        raise MeshError("pixel assignment does not match the requested grid")
+    model = ObservationModel(assignment, kernel, alpha)
+    zeros = np.zeros((height, width))
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((height, width))
     x /= np.linalg.norm(x)
     lam = 0.0
     for _ in range(iterations):
-        xi = GridImage(x)
-        y = blur_adjoint(apply_hd(convolve_neumann(xi, kernel), assignment), kernel).data
-        if alpha > 0:
-            y = y + alpha * laplacian_apply(laplacian_apply(xi)).data
+        _, coeffs, residual = model.terms(x, zeros)
+        y = model.half_gradient(coeffs, residual)
         lam = float(np.linalg.norm(y))
         if lam == 0:
             return 0.0

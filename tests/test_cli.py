@@ -76,6 +76,18 @@ class TestRunCommand:
         monkeypatch.setenv("MESH_SRR_THREADS", "zero")
         assert main(["run", "--set", "scene.frames=1"]) == 2
 
+    def test_error_message_carries_frame_note(self, small_run_args, monkeypatch, capsys):
+        import meshsrr.experiment as exp
+        from meshsrr.errors import FileFormatError
+
+        def broken(x_hr, d, assignment, frame=0):
+            raise FileFormatError("synthetic failure")
+
+        monkeypatch.setattr(exp, "degrade", broken)
+        args, _ = small_run_args
+        assert main(args + ["--motion", "known"]) == 4
+        assert "i/o error: synthetic failure; frame 0" in capsys.readouterr().err
+
 
 class TestResampleCommand:
     def test_up_then_down_round_trip(self, tmp_path):

@@ -98,3 +98,24 @@ class TestRunExperiment:
         monkeypatch.setattr(exp, "degrade", flaky)
         with pytest.raises(ValueError, match="frame 2"):
             run_experiment(tiny_cfg())
+
+    def test_degrade_error_keeps_type_and_attributes(self, monkeypatch):
+        import meshsrr.experiment as exp
+
+        class PairError(Exception):
+            def __init__(self, code, detail):
+                super().__init__(f"{code}: {detail}")
+                self.code, self.detail = code, detail
+
+        original = exp.degrade
+
+        def flaky(x_hr, d, assignment, frame=0):
+            if frame == 2:
+                raise PairError(5, "synthetic")
+            return original(x_hr, d, assignment, frame)
+
+        monkeypatch.setattr(exp, "degrade", flaky)
+        with pytest.raises(PairError) as err:
+            run_experiment(tiny_cfg())
+        assert (err.value.code, err.value.detail) == (5, "synthetic")
+        assert err.value.__notes__ == ["frame 2"]

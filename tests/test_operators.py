@@ -1,16 +1,23 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from meshsrr.flow import FlowField
 from meshsrr.grid import GridImage
-from meshsrr.mesh import build_pixel_assignment
-from meshsrr.operators import (Kernel, adjoint_observe, blur_adjoint,
-                               blur_operator, convolve_neumann, forward_observe,
-                               gaussian_kernel, laplacian_apply,
+from meshsrr.mesh import FemMesh, build_pixel_assignment
+from meshsrr.operators import (Kernel, ObservationModel, adjoint_observe,
+                               blur_adjoint, blur_operator, convolve_neumann,
+                               forward_observe, gaussian_kernel, laplacian_apply,
                                laplacian_operator, mesh_projection_operator,
                                observation_operator, warp_adjoint, warp_image,
                                warp_operator)
-from meshsrr.phantoms import disc_mesh
+from meshsrr.phantoms import COARSE, FINE, disc_mesh
+from meshsrr.srr import SrrConfig
 
 from oracles import (brute_force_convolve, dense_blur_matrix,
                      dense_laplacian_matrix, dense_projection_matrix,
@@ -301,3 +308,98 @@ class TestLinearOpSuite:
             warnings.simplefilter("ignore")
             out = apply_hd(GridImage(x), asg)
         assert np.abs(out.data - (dense @ x.ravel()).reshape(8, 8)).max() <= 1e-12
+
+
+def pixel_mesh(width: int, height: int) -> FemMesh:
+    """Two triangles per pixel square. Each pixel center lies on the shared
+    diagonal and goes to the lower-index triangle, so the mesh projection is
+    the identity and ``P B x`` exposes the bare blur."""
+    xs = np.linspace(-1.0, 1.0, width + 1)
+    ys = np.linspace(-1.0, 1.0, height + 1)
+    nodes = np.array([(x, y) for y in ys for x in xs])
+    elements = []
+    for j in range(height):
+        for i in range(width):
+            a = j * (width + 1) + i
+            b, c, d = a + 1, a + width + 2, a + width + 1
+            elements += [[a, b, c], [a, c, d]]
+    return FemMesh(nodes, np.array(elements))
+
+
+class TestObservationModel:
+    """The DCT-domain model against the spatial compositions it replaces."""
+
+    @pytest.mark.parametrize("width,height", [(17, 24), (24, 17)])
+    @pytest.mark.parametrize("size", [1, 5, "largest"])
+    def test_forward_blur_matches_convolve_neumann(self, width, height, size):
+        size = 2 * min(width, height) - 1 if size == "largest" else size
+        k = gaussian_kernel(size, 0.3 * size + 0.5)
+        asg = build_pixel_assignment(pixel_mesh(width, height), width, height)
+        assert asg.inside_mask().all() and asg.element_counts.max() == 1
+        x = np.random.default_rng(size).standard_normal((height, width))
+        _, _, residual = ObservationModel(asg, k, 0.3).terms(x, np.zeros_like(x))
+        expected = convolve_neumann(GridImage(x), k).data
+        assert np.abs(residual.reshape(height, width) - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("width,height", [(17, 24), (24, 17)])
+    @pytest.mark.parametrize("density", [FINE, COARSE])
+    @pytest.mark.parametrize("size", [5, "largest"])
+    def test_matches_spatial_composition(self, width, height, density, size):
+        size = 2 * min(width, height) - 1 if size == "largest" else size
+        k = gaussian_kernel(size, 0.3 * size + 0.5)
+        alpha = 0.3
+        rng = np.random.default_rng(width * 100 + size)
+        x = rng.standard_normal((height, width))
+        y = rng.standard_normal((height, width))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            asg = build_pixel_assignment(disc_mesh(density), width, height)
+            model = ObservationModel(asg, k, alpha)
+            inside = asg.inside_mask()
+            cost, coeffs, residual = model.terms(x, y)
+
+            # P B x on the assigned pixels (y = 0 leaves the bare prediction).
+            _, _, predicted = model.terms(x, np.zeros_like(y))
+            pbx = forward_observe(GridImage(x), asg, k).data
+            assert np.abs(predicted - pbx[inside]).max() <= 1e-12
+            assert np.abs(pbx[~inside]).max() == 0.0
+
+            spatial_r = np.where(inside, pbx - y, 0.0)
+            assert np.abs(residual - spatial_r[inside]).max() <= 1e-12
+            s = laplacian_apply(GridImage(x)).data
+            spatial_cost = float((spatial_r ** 2).sum() + alpha * (s ** 2).sum())
+            assert cost == pytest.approx(spatial_cost, rel=1e-12)
+
+            # Gradient: B' P r + alpha S' S x.
+            ss = laplacian_apply(GridImage(s)).data
+            expected = (adjoint_observe(GridImage(spatial_r), asg, k).data
+                        + alpha * ss)
+            got = model.half_gradient(coeffs, residual)
+            assert np.abs(got - expected).max() <= 1e-12
+
+            # S' S x alone: a zero residual leaves only the smoothness term.
+            alone = model.half_gradient(coeffs, np.zeros_like(residual))
+            assert np.abs(alone - alpha * ss).max() <= 1e-12
+
+    def test_kernel_must_be_symmetric_in_each_axis(self, square_mesh):
+        asg = build_pixel_assignment(square_mesh, 9, 9)
+        with pytest.raises(ValueError, match="each axis"):
+            ObservationModel(asg, rotated_anisotropic_kernel(), 0.1)
+        with pytest.raises(ValueError, match="each axis"):
+            SrrConfig(grid=(9, 9), kernel=rotated_anisotropic_kernel())
+
+    def test_oversized_kernel_rejected(self, square_mesh):
+        asg = build_pixel_assignment(square_mesh, 4, 6)
+        with pytest.raises(ValueError, match="exceeds"):
+            ObservationModel(asg, gaussian_kernel(9, 2.0), 0.1)
+
+
+def test_import_does_not_load_scipy_signal():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH", "")) if p)
+    probe = "import sys, meshsrr; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from meshsrr.errors import DivergenceError
 from meshsrr.flow import FlowField, FlowParams
 from meshsrr.grid import GridImage
 from meshsrr.mesh import FemImage, build_pixel_assignment, upsample
-from meshsrr.operators import forward_observe, gaussian_kernel
+from meshsrr.operators import ObservationModel, forward_observe, gaussian_kernel
 from meshsrr.phantoms import COARSE, disc_mesh
 from meshsrr.srr import (SrrConfig, estimate_operator_norm, run_sequence,
                          srr_cost, srr_cost_gradient, srr_init, srr_step)
@@ -148,6 +150,29 @@ class TestStep:
             srr_step(srr_init(y, cfg), y, FlowField.zeros(8, 8), cfg, asg)
         assert err.value.iteration is not None
 
+    def test_non_finite_cost_is_divergence(self):
+        _, asg, kernel = make_problem()
+        cfg = cfg_for(8, kernel, k_iters=5, alpha=0.1)
+        huge = srr_init_raw(GridImage.full(8, 8, 1e200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(DivergenceError, match="non-finite") as err:
+                srr_step(huge, GridImage.zeros(8, 8), FlowField.zeros(8, 8), cfg, asg)
+        assert err.value.iteration == 0 and err.value.frame == 0
+
+    def test_other_value_errors_propagate_unchanged(self, monkeypatch):
+        _, asg, kernel = make_problem()
+        cfg = cfg_for(8, kernel, k_iters=5, alpha=0.1)
+        y = GridImage(np.random.default_rng(21).standard_normal((8, 8)))
+
+        def broken(self, coeffs, residual):
+            raise ValueError("not a divergence")
+
+        monkeypatch.setattr(ObservationModel, "half_gradient", broken)
+        with pytest.raises(ValueError, match="not a divergence") as err:
+            srr_step(srr_init(y, cfg), y, FlowField.zeros(8, 8), cfg, asg)
+        assert not isinstance(err.value, DivergenceError)
+
     def test_matches_dense_reference_descent(self):
         """Final cost agrees with an explicit dense-matrix gradient descent."""
         n = 16
@@ -250,6 +275,30 @@ class TestRunSequence:
         b = FemImage(one_triangle_mesh, [1.0])
         with pytest.raises(Exception, match="mesh"):
             run_sequence([a, b], cfg, FlowParams())
+
+    def test_step_error_keeps_type_and_gains_frame_note(self, square_mesh, monkeypatch):
+        import meshsrr.srr as srr
+
+        class PairError(Exception):
+            def __init__(self, code, detail):
+                super().__init__(f"{code}: {detail}")
+                self.code, self.detail = code, detail
+
+        original = srr.srr_step
+
+        def flaky(state, *args, **kwargs):
+            if state.frame_index == 1:
+                raise PairError(7, "synthetic")
+            return original(state, *args, **kwargs)
+
+        monkeypatch.setattr(srr, "srr_step", flaky)
+        cfg = cfg_for(8, gaussian_kernel(3, 1.0), k_iters=2)
+        obs = FemImage(square_mesh, [1.0, 2.0])
+        with pytest.raises(PairError, match="frame 1") as err:
+            run_sequence([obs] * 3, cfg, FlowParams(),
+                         known_flows=[FlowField.zeros(8, 8)] * 2)
+        assert (err.value.code, err.value.detail) == (7, "synthetic")
+        assert err.value.__notes__ == ["frame 1"]
 
     def test_empty_sequence_rejected(self):
         kernel = gaussian_kernel(3, 1.0)
