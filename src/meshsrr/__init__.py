@@ -15,9 +15,8 @@ from .mesh import (FemImage, FemMesh, OUTSIDE, PixelAssignment, apply_hd,
                    build_pixel_assignment, downsample, upsample)
 from .metrics import (BinaryMask, FrameMetrics, MetricsReport, binarize, boundary,
                       evaluate_pair, evaluate_sequence, hausdorff, masd, overlap)
-from .operators import (Kernel, LinearOp, ObservationModel, adjoint_observe,
-                        blur_adjoint, convolve_neumann, forward_observe,
-                        gaussian_kernel, laplacian_apply, warp_adjoint, warp_image)
+from .operators import (Kernel, ObservationModel, convolve_neumann,
+                        gaussian_kernel, warp_adjoint, warp_image)
 from .phantoms import (COARSE, FINE, LUNG, T_SHAPE, DegradeSpec, SceneSpec,
                        degrade, disc_mesh, render_lung, render_scene,
                        render_tshape, tshape_centers)

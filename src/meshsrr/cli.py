@@ -7,14 +7,11 @@ Subcommands:
   flow      register a pair of grid images and dump the flow field
 
 Exit codes: 0 success, 2 configuration error, 3 numerical divergence,
-4 file or format error. The MESH_SRR_THREADS environment variable bounds the
-number of worker threads the pipeline may spawn (all current operators run
-sequentially, so any positive bound is honored).
+4 file or format error.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -28,20 +25,6 @@ from .fileio import (read_fem_image, read_grid_image, read_mesh, write_flow,
 from .flow import FlowParams, horn_schunck
 from .mesh import build_pixel_assignment, downsample, upsample
 from .metrics import evaluate_sequence
-
-
-def thread_cap() -> int:
-    """Upper bound on worker threads, from MESH_SRR_THREADS (default 1)."""
-    raw = os.environ.get("MESH_SRR_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"MESH_SRR_THREADS must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ConfigError(f"MESH_SRR_THREADS must be >= 1, got {cap}")
-    return cap
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,7 +79,7 @@ def _load_run_config(args) -> ExperimentConfig:
     if args.config:
         try:
             text = Path(args.config).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise FileFormatError(f"{args.config}: {exc}") from exc
         base = parse_config(text, base=base)
     if args.set:
@@ -116,7 +99,6 @@ def _cmd_run(args) -> int:
     if args.print_defaults:
         sys.stdout.write(default_config_text())
         return 0
-    thread_cap()
     cfg = _load_run_config(args)
     out_root = Path(args.output) if args.output else (
         Path(cfg.output_dir) if cfg.output_dir else None)

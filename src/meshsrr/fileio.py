@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import FileFormatError, MeshError
 from .flow import FlowField
 from .grid import GridImage
 from .mesh import FemImage, FemMesh
@@ -18,7 +18,7 @@ PGM_MAXVAL = 65535
 def _lines(path: Path) -> list[str]:
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
     return text.splitlines()
 
@@ -60,7 +60,10 @@ def read_mesh(path) -> FemMesh:
     nodes = np.array([_parse_floats(body[i], 2, path, 3 + i) for i in range(n_nodes)])
     elements = np.array([_parse_ints(body[n_nodes + i], 3, path, 3 + n_nodes + i)
                          for i in range(n_elements)], dtype=np.int64)
-    return FemMesh(nodes, elements)
+    try:
+        return FemMesh(nodes, elements)
+    except MeshError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def write_mesh(mesh: FemMesh, path) -> None:
@@ -95,7 +98,10 @@ def write_values(values: np.ndarray, path) -> None:
 
 
 def read_fem_image(mesh: FemMesh, path) -> FemImage:
-    return FemImage(mesh, read_values(path))
+    try:
+        return FemImage(mesh, read_values(path))
+    except MeshError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def read_flow(path) -> FlowField:
@@ -187,6 +193,8 @@ def read_pgm16_raw(path) -> np.ndarray:
         w, h, maxval = (int(f) for f in fields)
     except ValueError as exc:
         raise FileFormatError(f"{path}: bad header fields {fields}") from exc
+    if w < 1 or h < 1:
+        raise FileFormatError(f"{path}: width and height must be >= 1, got {w}x{h}")
     if maxval != PGM_MAXVAL:
         raise FileFormatError(f"{path}: expected maxval {PGM_MAXVAL}, got {maxval}")
     data = np.frombuffer(blob[pos:pos + 2 * w * h], dtype=">u2")
@@ -204,7 +212,7 @@ def read_grid_image(path) -> GridImage:
     if not sidecar.exists():
         return GridImage(raster)
     offset = scale = None
-    for lineno, line in enumerate(sidecar.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_lines(sidecar), start=1):
         if not line.strip():
             continue
         key, _, value = line.partition("=")

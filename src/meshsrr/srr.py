@@ -23,8 +23,7 @@ from .errors import DivergenceError, MeshError
 from .flow import FlowField, FlowParams, horn_schunck
 from .grid import GridImage
 from .mesh import FemImage, PixelAssignment, build_pixel_assignment, upsample
-from .operators import (Kernel, ObservationModel, convolve_neumann,
-                        require_axis_symmetric, warp_image)
+from .operators import Kernel, ObservationModel, convolve_neumann, warp_image
 
 _DIVERGENCE_FACTOR = 10.0
 
@@ -52,7 +51,6 @@ class SrrConfig:
             raise ValueError(f"grid must be at least 3x3, got {w}x{h}")
         if self.kernel is None:
             raise ValueError("an explicit blur kernel is required")
-        require_axis_symmetric(self.kernel)
 
 
 @dataclass(frozen=True)

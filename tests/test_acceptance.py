@@ -17,12 +17,8 @@ from meshsrr.flow import FlowParams, horn_schunck
 from meshsrr.grid import GridImage
 from meshsrr.mesh import apply_hd, build_pixel_assignment
 from meshsrr.metrics import boundary, hausdorff, masd, overlap
-from meshsrr.operators import (adjoint_observe, blur_adjoint, blur_operator,
-                               convolve_neumann, forward_observe,
-                               gaussian_kernel, laplacian_apply,
-                               laplacian_operator, mesh_projection_operator,
-                               observation_operator, warp_adjoint, warp_image,
-                               warp_operator)
+from meshsrr.operators import (ObservationModel, convolve_neumann,
+                               gaussian_kernel, warp_adjoint, warp_image)
 from meshsrr.phantoms import COARSE, FINE, disc_mesh
 from meshsrr.srr import srr_cost, srr_cost_gradient
 
@@ -30,7 +26,8 @@ from oracles import (brute_force_hausdorff, brute_force_masd,
                      dense_blur_matrix, dense_laplacian_matrix,
                      dense_projection_matrix, dense_warp_matrix,
                      random_mask_pair)
-from test_operators import rotated_anisotropic_kernel, random_flow
+from test_operators import (nonseparable_kernel, observe, observe_adjoint,
+                            random_flow, stencil_normal)
 from test_metrics import mask_from_pixels
 
 
@@ -76,28 +73,41 @@ def test_criterion_1_operator_adjoint_suite(square_mesh_session):
                       "on grids up to 32x32 (tol 1e-8 relative)"):
         t0 = time.perf_counter()
         rng = np.random.default_rng(42)
+        k_obs = gaussian_kernel(5, 1.5)
+
+        def project(asg):
+            f = lambda x: apply_hd(GridImage(x), asg).data
+            return f, f
+
+        def blur(k):
+            f = lambda x: convolve_neumann(GridImage(x), k).data
+            return f, f
+
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for n in (8, 16, 32):
                 asg_square = build_pixel_assignment(square_mesh_session, n, n)
                 asg_disc = build_pixel_assignment(disc_mesh(COARSE), n, n)
-                ops = [
-                    mesh_projection_operator(asg_square),
-                    mesh_projection_operator(asg_disc),
-                    blur_operator(gaussian_kernel(min(9, 2 * n - 1), 2.0)),
-                    blur_operator(rotated_anisotropic_kernel()),
-                    laplacian_operator(),
-                    warp_operator(random_flow(rng, n, n)),
-                    observation_operator(asg_disc, gaussian_kernel(5, 1.5)),
-                ]
-                for op in ops:
+                flow = random_flow(rng, n, n)
+                ops = {
+                    "projection square": project(asg_square),
+                    "projection disc": project(asg_disc),
+                    "blur": blur(gaussian_kernel(min(9, 2 * n - 1), 2.0)),
+                    "blur non-separable": blur(nonseparable_kernel()),
+                    "stencil S'S": (lambda x: stencil_normal(asg_square, x),) * 2,
+                    "warp": (lambda x: warp_image(GridImage(x), flow).data,
+                             lambda y: warp_adjoint(GridImage(y), flow).data),
+                    "observation": (lambda x: observe(asg_disc, k_obs, x),
+                                    lambda y: observe_adjoint(asg_disc, k_obs, y)),
+                }
+                for name, (apply, adjoint) in ops.items():
                     for _ in range(20):
-                        x = GridImage(rng.standard_normal((n, n)))
-                        y = GridImage(rng.standard_normal((n, n)))
-                        lhs = float((op.apply(x).data * y.data).sum())
-                        rhs = float((x.data * op.adjoint_apply(y).data).sum())
-                        bound = 1e-8 * np.linalg.norm(x.data) * np.linalg.norm(y.data)
-                        assert abs(lhs - rhs) <= bound, (op.descriptor, n)
+                        x = rng.standard_normal((n, n))
+                        y = rng.standard_normal((n, n))
+                        lhs = float((apply(x) * y).sum())
+                        rhs = float((x * adjoint(y)).sum())
+                        bound = 1e-8 * np.linalg.norm(x) * np.linalg.norm(y)
+                        assert abs(lhs - rhs) <= bound, (name, n)
         elapsed = time.perf_counter() - t0
         assert elapsed < 5.0, f"adjoint suite took {elapsed:.2f}s"
 
@@ -109,31 +119,37 @@ def test_criterion_2_dense_matrix_equivalence(square_mesh_session):
         n = 8
         rng = np.random.default_rng(7)
         x = rng.standard_normal((n, n))
+        y = rng.standard_normal((n, n))
         xi = GridImage(x)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             checks = []
             for k in (gaussian_kernel(3, 1.0), gaussian_kernel(5, 1.5),
-                      rotated_anisotropic_kernel()):
+                      nonseparable_kernel()):
                 B = dense_blur_matrix(k.taps, n, n)
                 checks.append((convolve_neumann(xi, k).data, B @ x.ravel()))
-                checks.append((blur_adjoint(xi, k).data, B.T @ x.ravel()))
+                checks.append((convolve_neumann(xi, k).data, B.T @ x.ravel()))
             S = dense_laplacian_matrix(n, n)
-            checks.append((laplacian_apply(xi).data, S @ x.ravel()))
             flow = random_flow(rng, n, n)
             G = dense_warp_matrix(flow, n, n)
             checks.append((warp_image(xi, flow).data, G @ x.ravel()))
             checks.append((warp_adjoint(xi, flow).data, G.T @ x.ravel()))
+            alpha = 0.3
             for mesh in (square_mesh_session, disc_mesh(COARSE)):
                 asg = build_pixel_assignment(mesh, n, n)
+                inside = asg.inside_mask().ravel()
                 P = dense_projection_matrix(asg)
                 k = gaussian_kernel(3, 1.0)
                 B = dense_blur_matrix(k.taps, n, n)
                 checks.append((apply_hd(xi, asg).data, P @ x.ravel()))
-                checks.append((forward_observe(xi, asg, k).data,
-                               P @ (B @ x.ravel())))
-                checks.append((adjoint_observe(xi, asg, k).data,
-                               B.T @ (P @ x.ravel())))
+                model = ObservationModel(asg, k, alpha)
+                _, coeffs, residual = model.terms(x, y)
+                r = np.where(inside, P @ (B @ x.ravel()) - y.ravel(), 0.0)
+                checks.append((residual, r[inside]))
+                checks.append((model.half_gradient(coeffs, residual),
+                               B.T @ (P.T @ r) + alpha * (S.T @ (S @ x.ravel()))))
+                checks.append((model.half_gradient(coeffs, np.zeros_like(residual)),
+                               alpha * (S.T @ (S @ x.ravel()))))
             for got, want in checks:
                 assert np.abs(got.ravel() - want.ravel()).max() <= 1e-12
         elapsed = time.perf_counter() - t0

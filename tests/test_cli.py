@@ -72,9 +72,11 @@ class TestRunCommand:
         for pa, pb in zip(files_a, files_b):
             assert pa.read_bytes() == pb.read_bytes(), pa.name
 
-    def test_thread_cap_env_validated(self, monkeypatch, capsys):
-        monkeypatch.setenv("MESH_SRR_THREADS", "zero")
-        assert main(["run", "--set", "scene.frames=1"]) == 2
+    def test_undecodable_config_file_exits_4(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"[scene]\nframes = 3\xff\n")
+        assert main(["run", "-c", str(cfg)]) == 4
+        assert "bad.cfg" in capsys.readouterr().err
 
     def test_error_message_carries_frame_note(self, small_run_args, monkeypatch, capsys):
         import meshsrr.experiment as exp
@@ -110,6 +112,31 @@ class TestResampleCommand:
         back = read_values(down_path)
         # One 16-bit quantization through the graymap plus averaging.
         assert np.abs(back - vals).max() <= 2e-4
+
+    @pytest.mark.parametrize("body", [
+        b"FEMESH 1\n3 1\n0 0\n1 0\n0 1\xff\n0 1 2\n",   # not UTF-8
+        b"FEMESH 1\n3 1\n0 0\n1 0\n0 1\n0 2 1\n",        # clockwise element
+        b"FEMESH 1\n3 1\n0 0\n1 0\n2e-1 0\n0 1 2\n",     # degenerate element
+    ], ids=["non-utf8", "clockwise", "degenerate"])
+    def test_bad_mesh_file_exits_4(self, tmp_path, capsys, body):
+        mesh_path = tmp_path / "mesh.txt"
+        mesh_path.write_bytes(body)
+        vals_path = tmp_path / "v.txt"
+        write_values(np.zeros(1), vals_path)
+        assert main(["resample", "up", "--mesh", str(mesh_path),
+                     "--values", str(vals_path), "--grid", "8",
+                     "-o", str(tmp_path / "x.pgm")]) == 4
+        assert "mesh.txt" in capsys.readouterr().err
+
+    def test_value_count_mismatch_exits_4(self, tmp_path, capsys):
+        mesh_path = tmp_path / "mesh.txt"
+        write_mesh(disc_mesh(COARSE), mesh_path)
+        vals_path = tmp_path / "v.txt"
+        write_values(np.zeros(3), vals_path)
+        assert main(["resample", "up", "--mesh", str(mesh_path),
+                     "--values", str(vals_path), "--grid", "8",
+                     "-o", str(tmp_path / "x.pgm")]) == 4
+        assert "v.txt" in capsys.readouterr().err
 
     def test_missing_arguments_exit_2(self, tmp_path):
         mesh_path = tmp_path / "mesh.txt"
@@ -154,6 +181,14 @@ class TestMetricsCommand:
         out = capsys.readouterr().out
         assert out.startswith("frame,overlap,hausdorff,masd")
         assert out.strip().split("\n")[-1] == "avg,1,0,0"
+
+    def test_undecodable_sidecar_exits_4(self, tmp_path):
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        write_pgm16(GridImage.full(4, 4, 1.0), ref / "a.pgm")
+        (ref / "a.scale.txt").write_bytes(b"offset = 0\xff\nscale = 1\n")
+        assert main(["metrics", "--reference", str(ref),
+                     "--candidate", str(ref)]) == 4
 
     def test_count_mismatch_exits_4(self, tmp_path):
         ref = tmp_path / "ref"

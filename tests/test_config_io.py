@@ -173,6 +173,16 @@ class TestPgm16:
         write_pgm16(img, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("raster", [
+        b"P5\n0 0\n65535\n",
+        b"P5 -1 -2 65535\n\x00\x01\x00\x02",
+    ], ids=["zero-size", "negative-size"])
+    def test_nonpositive_size_rejected(self, tmp_path, raster):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(raster)
+        with pytest.raises(FileFormatError, match="width and height"):
+            read_pgm16_raw(path)
+
     def test_emit_images_sequence(self, tmp_path):
         from meshsrr.fileio import emit_images
         rng = np.random.default_rng(4)

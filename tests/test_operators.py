@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -9,13 +10,9 @@ import pytest
 
 from meshsrr.flow import FlowField
 from meshsrr.grid import GridImage
-from meshsrr.mesh import FemMesh, build_pixel_assignment
-from meshsrr.operators import (Kernel, ObservationModel, adjoint_observe,
-                               blur_adjoint, blur_operator, convolve_neumann,
-                               forward_observe, gaussian_kernel, laplacian_apply,
-                               laplacian_operator, mesh_projection_operator,
-                               observation_operator, warp_adjoint, warp_image,
-                               warp_operator)
+from meshsrr.mesh import FemMesh, apply_hd, build_pixel_assignment
+from meshsrr.operators import (Kernel, ObservationModel, convolve_neumann,
+                               gaussian_kernel, warp_adjoint, warp_image)
 from meshsrr.phantoms import COARSE, FINE, disc_mesh
 from meshsrr.srr import SrrConfig
 
@@ -24,19 +21,52 @@ from oracles import (brute_force_convolve, dense_blur_matrix,
                      dense_warp_matrix)
 
 
-def rotated_anisotropic_kernel(size=5, sigma=1.2, cross=0.6) -> Kernel:
-    """180-degree symmetric but not quadrant-symmetric mask, so its adjoint
-    differs from the forward operator."""
+def rotated_anisotropic_taps(size=5, sigma=1.2, cross=0.6) -> np.ndarray:
+    """Unit-sum mask symmetric under 180-degree rotation but not in each
+    axis, which ``Kernel`` refuses."""
     half = size // 2
     u = np.arange(-half, half + 1, dtype=float)
     U, V = np.meshgrid(u, u, indexing="ij")
     taps = np.exp(-(U ** 2 + V ** 2 + cross * U * V) / (2 * sigma ** 2))
+    return taps / taps.sum()
+
+
+def nonseparable_kernel(size=5, sigma=1.2, weight=0.5) -> Kernel:
+    """Mask symmetric in each axis whose taps are not an outer product
+    (rank 2), so the blur is not a pair of 1-D passes."""
+    half = size // 2
+    u = np.arange(-half, half + 1, dtype=float)
+    U, V = np.meshgrid(u, u, indexing="ij")
+    taps = np.exp(-(U ** 2 + V ** 2) / (2 * sigma ** 2)) * (1.0 + weight * U ** 2 * V ** 2)
     return Kernel(taps / taps.sum())
 
 
 def random_flow(rng, w, h, scale=1.5) -> FlowField:
     return FlowField(scale * rng.standard_normal((h, w)),
                      scale * rng.standard_normal((h, w)))
+
+
+def observe(asg, k: Kernel, x: np.ndarray) -> np.ndarray:
+    """P B x on the whole grid (zero off the mesh), from the model's
+    residual against y = 0."""
+    _, _, residual = ObservationModel(asg, k, 0.0).terms(x, np.zeros_like(x))
+    out = np.zeros_like(x)
+    out[asg.inside_mask()] = residual
+    return out
+
+
+def observe_adjoint(asg, k: Kernel, z: np.ndarray) -> np.ndarray:
+    """B' P z: the model's half gradient with z as the residual and no
+    smoothness term."""
+    model = ObservationModel(asg, k, 0.0)
+    return model.half_gradient(np.zeros_like(z), z[asg.inside_mask()])
+
+
+def stencil_normal(asg, x: np.ndarray) -> np.ndarray:
+    """S' S x: the model's half gradient with alpha = 1 and a zero residual."""
+    model = ObservationModel(asg, gaussian_kernel(1, 1.0), 1.0)
+    _, coeffs, residual = model.terms(x, np.zeros_like(x))
+    return model.half_gradient(coeffs, np.zeros_like(residual))
 
 
 class TestKernel:
@@ -77,7 +107,7 @@ class TestKernel:
 class TestConvolveNeumann:
     def test_constant_preserved(self):
         img = GridImage.full(9, 7, 3.25)
-        for k in (gaussian_kernel(5, 2.0), rotated_anisotropic_kernel()):
+        for k in (gaussian_kernel(5, 2.0), nonseparable_kernel()):
             out = convolve_neumann(img, k)
             assert np.abs(out.data - 3.25).max() <= 1e-12
 
@@ -95,22 +125,25 @@ class TestConvolveNeumann:
         assert np.abs(out.data - expected).max() <= 1e-9
 
     def test_separable_path_matches_brute_force(self):
+        """A Gaussian, whose taps are an outer product of 1-D masks."""
         rng = np.random.default_rng(1)
         img = GridImage(rng.standard_normal((10, 12)))
         k = gaussian_kernel(7, 1.7)
-        assert k._separable_factors is not None
         out = convolve_neumann(img, k)
         expected = brute_force_convolve(img.data, k.taps)
         assert np.abs(out.data - expected).max() <= 1e-9
 
     def test_nonseparable_path_matches_brute_force(self):
+        """A mask symmetric in each axis that is not an outer product."""
         rng = np.random.default_rng(2)
-        img = GridImage(rng.standard_normal((9, 9)))
-        k = rotated_anisotropic_kernel()
-        assert k._separable_factors is None
+        img = GridImage(rng.standard_normal((9, 11)))
+        k = nonseparable_kernel()
+        assert np.linalg.matrix_rank(k.taps) > 1
         out = convolve_neumann(img, k)
         expected = brute_force_convolve(img.data, k.taps)
         assert np.abs(out.data - expected).max() <= 1e-12
+        dense = dense_blur_matrix(k.taps, 11, 9)
+        assert np.abs(out.data.ravel() - dense @ img.data.ravel()).max() <= 1e-12
 
     def test_oversized_kernel_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -121,71 +154,94 @@ class TestConvolveNeumann:
         out = convolve_neumann(img, gaussian_kernel(7, 2.0))
         assert np.abs(out.data - 1.0).max() <= 1e-12
 
+    @pytest.mark.parametrize("width,height", [(4, 4), (4, 6), (7, 5)])
+    def test_largest_kernel_matches_dense_matrix(self, width, height):
+        size = 2 * min(width, height) - 1
+        rng = np.random.default_rng(width * 10 + height)
+        x = rng.standard_normal((height, width))
+        for k in (gaussian_kernel(size, 2.0), nonseparable_kernel(size)):
+            dense = dense_blur_matrix(k.taps, width, height)
+            out = convolve_neumann(GridImage(x), k)
+            assert np.abs(out.data.ravel() - dense @ x.ravel()).max() <= 1e-12
+
 
 class TestBlurAdjoint:
-    def test_identity_kernel(self):
-        rng = np.random.default_rng(3)
-        img = GridImage(rng.standard_normal((5, 5)))
-        out = blur_adjoint(img, gaussian_kernel(1, 1.0))
-        assert np.array_equal(out.data, img.data)
+    """B' = B: a mask symmetric in each axis makes the blur its own
+    transpose, so ``convolve_neumann`` also serves as the adjoint."""
 
     def test_adjoint_identity_random_probes(self):
         rng = np.random.default_rng(4)
-        for k in (gaussian_kernel(5, 1.3), rotated_anisotropic_kernel()):
-            for _ in range(10):
-                x = GridImage(rng.standard_normal((16, 16)))
-                y = GridImage(rng.standard_normal((16, 16)))
-                lhs = float((convolve_neumann(x, k).data * y.data).sum())
-                rhs = float((x.data * blur_adjoint(y, k).data).sum())
-                assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(x.data) * np.linalg.norm(y.data)
+        for k in (gaussian_kernel(5, 1.3), nonseparable_kernel()):
+            for shape in ((16, 16), (11, 16)):
+                for _ in range(10):
+                    x = GridImage(rng.standard_normal(shape))
+                    y = GridImage(rng.standard_normal(shape))
+                    lhs = float((convolve_neumann(x, k).data * y.data).sum())
+                    rhs = float((x.data * convolve_neumann(y, k).data).sum())
+                    assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(x.data) * np.linalg.norm(y.data)
 
     def test_dense_transpose_small_grid(self):
         rng = np.random.default_rng(5)
-        for k in (gaussian_kernel(3, 1.0), rotated_anisotropic_kernel()):
-            dense = dense_blur_matrix(k.taps, 6, 6)
-            z = rng.standard_normal((6, 6))
-            expected = (dense.T @ z.ravel()).reshape(6, 6)
-            out = blur_adjoint(GridImage(z), k)
-            assert np.abs(out.data - expected).max() <= 1e-12
+        for k in (gaussian_kernel(3, 1.0), nonseparable_kernel()):
+            for w, h in ((6, 6), (7, 5)):
+                dense = dense_blur_matrix(k.taps, w, h)
+                z = rng.standard_normal((h, w))
+                expected = (dense.T @ z.ravel()).reshape(h, w)
+                out = convolve_neumann(GridImage(z), k)
+                assert np.abs(out.data - expected).max() <= 1e-12
 
     def test_symmetric_kernel_adjoint_equals_forward(self):
-        rng = np.random.default_rng(6)
-        img = GridImage(rng.standard_normal((12, 10)))
-        k = gaussian_kernel(5, 2.0)
-        fwd = convolve_neumann(img, k)
-        adj = blur_adjoint(img, k)
-        assert np.abs(fwd.data - adj.data).max() <= 1e-12
+        """The dense oracle itself is symmetric for such masks."""
+        for k in (gaussian_kernel(5, 2.0), nonseparable_kernel(),
+                  gaussian_kernel(19, 4.0)):
+            dense = dense_blur_matrix(k.taps, 12, 10)
+            assert np.abs(dense - dense.T).max() <= 1e-15
 
 
 class TestLaplacian:
-    def test_constant_in_null_space(self):
-        out = laplacian_apply(GridImage.full(6, 6, 9.0))
-        assert np.abs(out.data).max() <= 1e-12
+    """The 5-point stencil S enters the cost only as S'S, which the
+    observation model applies in the DCT domain."""
 
-    def test_impulse_stencil(self):
-        img = np.zeros((7, 7))
-        img[3, 3] = 1.0
-        out = laplacian_apply(GridImage(img)).data
-        assert out[3, 3] == 4.0
-        assert out[2, 3] == -1.0 and out[4, 3] == -1.0
-        assert out[3, 2] == -1.0 and out[3, 4] == -1.0
+    def test_constant_in_null_space(self, square_mesh):
+        asg = build_pixel_assignment(square_mesh, 6, 6)
+        out = stencil_normal(asg, np.full((6, 6), 9.0))
+        assert np.abs(out).max() <= 1e-12
 
-    def test_matches_dense_matrix(self):
+    def test_impulse_stencil(self, square_mesh):
+        asg = build_pixel_assignment(square_mesh, 9, 9)
+        img = np.zeros((9, 9))
+        img[4, 4] = 1.0
+        out = stencil_normal(asg, img)
+        # S'S = S^2 away from the border: the 13-point biharmonic stencil.
+        expected = np.zeros((9, 9))
+        expected[2:7, 2:7] = [[0, 0, 1, 0, 0],
+                              [0, 2, -8, 2, 0],
+                              [1, -8, 20, -8, 1],
+                              [0, 2, -8, 2, 0],
+                              [0, 0, 1, 0, 0]]
+        assert np.abs(out - expected).max() <= 1e-12
+
+    def test_matches_dense_matrix(self, square_mesh):
         rng = np.random.default_rng(7)
-        x = rng.standard_normal((8, 8))
-        dense = dense_laplacian_matrix(8, 8)
-        out = laplacian_apply(GridImage(x))
-        assert np.abs(out.data - (dense @ x.ravel()).reshape(8, 8)).max() <= 1e-12
+        for w, h in ((8, 8), (7, 9)):
+            asg = build_pixel_assignment(square_mesh, w, h)
+            x = rng.standard_normal((h, w))
+            dense = dense_laplacian_matrix(w, h)
+            out = stencil_normal(asg, x)
+            assert np.abs(out.ravel() - dense.T @ (dense @ x.ravel())).max() <= 1e-12
 
-    def test_output_sums_to_zero(self):
+    def test_output_sums_to_zero(self, square_mesh):
         rng = np.random.default_rng(8)
+        asg = build_pixel_assignment(square_mesh, 5, 9)
         x = rng.standard_normal((9, 5))
-        out = laplacian_apply(GridImage(x))
-        assert abs(out.data.sum()) <= 1e-9 * np.abs(x).sum()
+        out = stencil_normal(asg, x)
+        assert abs(out.sum()) <= 1e-9 * np.abs(x).sum()
 
     def test_undersized_image_rejected(self):
+        """The stencil needs three pixels per axis; the solver config is
+        where smaller grids are refused."""
         with pytest.raises(ValueError, match="3x3"):
-            laplacian_apply(GridImage.zeros(2, 5))
+            SrrConfig(grid=(2, 5), kernel=gaussian_kernel(1, 1.0))
 
 
 class TestWarp:
@@ -245,16 +301,17 @@ class TestWarp:
 
 
 class TestForwardObserve:
+    """P B x, read from the observation model's residual against y = 0."""
+
     def test_identity_kernel_single_element_mean(self, one_triangle_mesh):
         asg = build_pixel_assignment(one_triangle_mesh, 2, 1)
-        img = GridImage(np.array([[2.0, 6.0]]))
-        out = forward_observe(img, asg, gaussian_kernel(1, 1.0))
-        assert np.allclose(out.data, 4.0, rtol=0, atol=1e-15)
+        out = observe(asg, gaussian_kernel(1, 1.0), np.array([[2.0, 6.0]]))
+        assert np.allclose(out, 4.0, rtol=0, atol=1e-15)
 
     def test_constant_input(self, square_mesh):
         asg = build_pixel_assignment(square_mesh, 8, 8)
-        out = forward_observe(GridImage.full(8, 8, 1.5), asg, gaussian_kernel(5, 2.0))
-        assert np.abs(out.data - 1.5).max() <= 1e-12
+        out = observe(asg, gaussian_kernel(5, 2.0), np.full((8, 8), 1.5))
+        assert np.abs(out - 1.5).max() <= 1e-12
 
     def test_matches_dense_composition(self, square_mesh):
         rng = np.random.default_rng(14)
@@ -262,30 +319,43 @@ class TestForwardObserve:
         k = gaussian_kernel(5, 1.5)
         dense = dense_projection_matrix(asg) @ dense_blur_matrix(k.taps, 16, 16)
         x = rng.standard_normal((16, 16))
-        out = forward_observe(GridImage(x), asg, k)
-        assert np.abs(out.data - (dense @ x.ravel()).reshape(16, 16)).max() <= 1e-12
+        out = observe(asg, k, x)
+        assert np.abs(out - (dense @ x.ravel()).reshape(16, 16)).max() <= 1e-12
 
 
 class TestLinearOpSuite:
+    """Adjoint probes over every linear operator the package applies."""
+
     def test_all_operators_pass_adjoint_probes(self, square_mesh):
         rng = np.random.default_rng(15)
         asg = build_pixel_assignment(square_mesh, 12, 12)
-        ops = [
-            blur_operator(gaussian_kernel(5, 1.4)),
-            blur_operator(rotated_anisotropic_kernel()),
-            mesh_projection_operator(asg),
-            laplacian_operator(),
-            warp_operator(random_flow(rng, 12, 12)),
-            observation_operator(asg, gaussian_kernel(3, 1.0)),
-        ]
-        for op in ops:
+        flow = random_flow(rng, 12, 12)
+
+        def blur(k):
+            return lambda x: convolve_neumann(GridImage(x), k).data
+
+        def project(x):
+            return apply_hd(GridImage(x), asg).data
+
+        k3 = gaussian_kernel(3, 1.0)
+        ops = {
+            "blur 5x5": (blur(gaussian_kernel(5, 1.4)),) * 2,
+            "blur non-separable": (blur(nonseparable_kernel()),) * 2,
+            "mesh projection": (project, project),
+            "stencil S'S": (lambda x: stencil_normal(asg, x),) * 2,
+            "warp": (lambda x: warp_image(GridImage(x), flow).data,
+                     lambda y: warp_adjoint(GridImage(y), flow).data),
+            "observation": (lambda x: observe(asg, k3, x),
+                            lambda y: observe_adjoint(asg, k3, y)),
+        }
+        for name, (apply, adjoint) in ops.items():
             for _ in range(20):
-                x = GridImage(rng.standard_normal((12, 12)))
-                y = GridImage(rng.standard_normal((12, 12)))
-                lhs = float((op.apply(x).data * y.data).sum())
-                rhs = float((x.data * op.adjoint_apply(y).data).sum())
-                bound = 1e-8 * np.linalg.norm(x.data) * np.linalg.norm(y.data)
-                assert abs(lhs - rhs) <= bound, op.descriptor
+                x = rng.standard_normal((12, 12))
+                y = rng.standard_normal((12, 12))
+                lhs = float((apply(x) * y).sum())
+                rhs = float((x * adjoint(y)).sum())
+                bound = 1e-8 * np.linalg.norm(x) * np.linalg.norm(y)
+                assert abs(lhs - rhs) <= bound, name
 
     def test_adjoint_observe_matches_dense(self, square_mesh):
         rng = np.random.default_rng(16)
@@ -293,15 +363,13 @@ class TestLinearOpSuite:
         k = gaussian_kernel(3, 1.0)
         dense = dense_projection_matrix(asg) @ dense_blur_matrix(k.taps, 8, 8)
         z = rng.standard_normal((8, 8))
-        out = adjoint_observe(GridImage(z), asg, k)
-        assert np.abs(out.data - (dense.T @ z.ravel()).reshape(8, 8)).max() <= 1e-12
+        out = observe_adjoint(asg, k, z)
+        assert np.abs(out - (dense.T @ z.ravel()).reshape(8, 8)).max() <= 1e-12
 
     def test_projection_dense_on_disc_mesh(self):
         mesh = disc_mesh("COARSE")
         asg = build_pixel_assignment(mesh, 8, 8)
         rng = np.random.default_rng(17)
-        from meshsrr.mesh import apply_hd
-        import warnings
         dense = dense_projection_matrix(asg)
         x = rng.standard_normal((8, 8))
         with warnings.catch_warnings():
@@ -326,8 +394,14 @@ def pixel_mesh(width: int, height: int) -> FemMesh:
     return FemMesh(nodes, np.array(elements))
 
 
+@functools.lru_cache(maxsize=4)
+def _dense_blur(size: int, width: int, height: int) -> np.ndarray:
+    """Dense B of the Gaussian the model tests use, built once per shape."""
+    return dense_blur_matrix(gaussian_kernel(size, 0.3 * size + 0.5).taps, width, height)
+
+
 class TestObservationModel:
-    """The DCT-domain model against the spatial compositions it replaces."""
+    """The DCT-domain model against the dense-matrix oracles."""
 
     @pytest.mark.parametrize("width,height", [(17, 24), (24, 17)])
     @pytest.mark.parametrize("size", [1, 5, "largest"])
@@ -345,6 +419,7 @@ class TestObservationModel:
     @pytest.mark.parametrize("density", [FINE, COARSE])
     @pytest.mark.parametrize("size", [5, "largest"])
     def test_matches_spatial_composition(self, width, height, density, size):
+        """Cost, residual and gradient against P, B and S as dense matrices."""
         size = 2 * min(width, height) - 1 if size == "largest" else size
         k = gaussian_kernel(size, 0.3 * size + 0.5)
         alpha = 0.3
@@ -354,39 +429,40 @@ class TestObservationModel:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             asg = build_pixel_assignment(disc_mesh(density), width, height)
-            model = ObservationModel(asg, k, alpha)
-            inside = asg.inside_mask()
-            cost, coeffs, residual = model.terms(x, y)
+        model = ObservationModel(asg, k, alpha)
+        inside = asg.inside_mask().ravel()
+        B = _dense_blur(size, width, height)
+        P = dense_projection_matrix(asg)
+        S = dense_laplacian_matrix(width, height)
+        cost, coeffs, residual = model.terms(x, y)
 
-            # P B x on the assigned pixels (y = 0 leaves the bare prediction).
-            _, _, predicted = model.terms(x, np.zeros_like(y))
-            pbx = forward_observe(GridImage(x), asg, k).data
-            assert np.abs(predicted - pbx[inside]).max() <= 1e-12
-            assert np.abs(pbx[~inside]).max() == 0.0
+        # P B x on the assigned pixels (y = 0 leaves the bare prediction).
+        pbx = P @ (B @ x.ravel())
+        _, _, predicted = model.terms(x, np.zeros_like(y))
+        assert np.abs(predicted - pbx[inside]).max() <= 1e-12
 
-            spatial_r = np.where(inside, pbx - y, 0.0)
-            assert np.abs(residual - spatial_r[inside]).max() <= 1e-12
-            s = laplacian_apply(GridImage(x)).data
-            spatial_cost = float((spatial_r ** 2).sum() + alpha * (s ** 2).sum())
-            assert cost == pytest.approx(spatial_cost, rel=1e-12)
+        r = np.where(inside, pbx - y.ravel(), 0.0)
+        assert np.abs(residual - r[inside]).max() <= 1e-12
+        sx = S @ x.ravel()
+        assert cost == pytest.approx(float(r @ r + alpha * sx @ sx), rel=1e-12)
 
-            # Gradient: B' P r + alpha S' S x.
-            ss = laplacian_apply(GridImage(s)).data
-            expected = (adjoint_observe(GridImage(spatial_r), asg, k).data
-                        + alpha * ss)
-            got = model.half_gradient(coeffs, residual)
-            assert np.abs(got - expected).max() <= 1e-12
+        # Gradient: B' P' (P B x - y) + alpha S' S x.
+        sts = S.T @ sx
+        got = model.half_gradient(coeffs, residual)
+        assert np.abs(got.ravel() - (B.T @ (P.T @ r) + alpha * sts)).max() <= 1e-12
 
-            # S' S x alone: a zero residual leaves only the smoothness term.
-            alone = model.half_gradient(coeffs, np.zeros_like(residual))
-            assert np.abs(alone - alpha * ss).max() <= 1e-12
+        # S' S x alone: a zero residual leaves only the smoothness term.
+        alone = model.half_gradient(coeffs, np.zeros_like(residual))
+        assert np.abs(alone.ravel() - alpha * sts).max() <= 1e-12
 
-    def test_kernel_must_be_symmetric_in_each_axis(self, square_mesh):
-        asg = build_pixel_assignment(square_mesh, 9, 9)
+    def test_kernel_must_be_symmetric_in_each_axis(self):
+        """The DCT diagonalization needs masks symmetric in each axis;
+        ``Kernel`` itself refuses any other, so no model or config can
+        be handed one."""
+        taps = rotated_anisotropic_taps()
+        assert np.allclose(taps, taps[::-1, ::-1])
         with pytest.raises(ValueError, match="each axis"):
-            ObservationModel(asg, rotated_anisotropic_kernel(), 0.1)
-        with pytest.raises(ValueError, match="each axis"):
-            SrrConfig(grid=(9, 9), kernel=rotated_anisotropic_kernel())
+            Kernel(taps)
 
     def test_oversized_kernel_rejected(self, square_mesh):
         asg = build_pixel_assignment(square_mesh, 4, 6)
