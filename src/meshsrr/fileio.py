@@ -52,17 +52,18 @@ def read_mesh(path) -> FemMesh:
     if len(lines) < 2:
         raise FileFormatError(f"{path}:2: missing node/element counts")
     n_nodes, n_elements = _parse_ints(lines[1], 2, path, 2)
-    need = 2 + n_nodes + n_elements
+    if n_nodes < 0 or n_elements < 0:
+        raise FileFormatError(f"{path}:2: counts must be >= 0, got {n_nodes} {n_elements}")
     body = [ln for ln in lines[2:] if ln.strip()]
     if len(body) != n_nodes + n_elements:
         raise FileFormatError(
             f"{path}: expected {n_nodes + n_elements} data lines, got {len(body)}")
     nodes = np.array([_parse_floats(body[i], 2, path, 3 + i) for i in range(n_nodes)])
-    elements = np.array([_parse_ints(body[n_nodes + i], 3, path, 3 + n_nodes + i)
-                         for i in range(n_elements)], dtype=np.int64)
     try:
+        elements = np.array([_parse_ints(body[n_nodes + i], 3, path, 3 + n_nodes + i)
+                             for i in range(n_elements)], dtype=np.int64)
         return FemMesh(nodes, elements)
-    except MeshError as exc:
+    except (MeshError, OverflowError) as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
@@ -113,11 +114,16 @@ def read_flow(path) -> FlowField:
     if len(lines) < 2:
         raise FileFormatError(f"{path}:2: missing dimensions")
     w, h = _parse_ints(lines[1], 2, path, 2)
+    if w < 1 or h < 1:
+        raise FileFormatError(f"{path}:2: width and height must be >= 1, got {w}x{h}")
     body = [ln for ln in lines[2:] if ln.strip()]
     if len(body) != w * h:
         raise FileFormatError(f"{path}: expected {w * h} flow lines, got {len(body)}")
     uv = np.array([_parse_floats(body[i], 2, path, 3 + i) for i in range(w * h)])
-    return FlowField(uv[:, 0].reshape(h, w), uv[:, 1].reshape(h, w))
+    try:
+        return FlowField(uv[:, 0].reshape(h, w), uv[:, 1].reshape(h, w))
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def write_flow(flow: FlowField, path) -> None:
@@ -197,9 +203,9 @@ def read_pgm16_raw(path) -> np.ndarray:
         raise FileFormatError(f"{path}: width and height must be >= 1, got {w}x{h}")
     if maxval != PGM_MAXVAL:
         raise FileFormatError(f"{path}: expected maxval {PGM_MAXVAL}, got {maxval}")
-    data = np.frombuffer(blob[pos:pos + 2 * w * h], dtype=">u2")
-    if data.shape[0] != w * h:
+    if len(blob) - pos < 2 * w * h:
         raise FileFormatError(f"{path}: truncated pixel data")
+    data = np.frombuffer(blob[pos:pos + 2 * w * h], dtype=">u2")
     return data.reshape(h, w).astype(np.uint16)
 
 
@@ -229,4 +235,8 @@ def read_grid_image(path) -> GridImage:
             raise FileFormatError(f"{sidecar}:{lineno}: unknown key {key!r}")
     if offset is None or scale is None or not math.isfinite(offset + scale):
         raise FileFormatError(f"{sidecar}: missing offset or scale")
-    return GridImage(offset + raster * scale)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return GridImage(offset + raster * scale)
+    except ValueError as exc:
+        raise FileFormatError(f"{sidecar}: {exc}") from exc

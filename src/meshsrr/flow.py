@@ -10,6 +10,8 @@ against the textbook energy
 
 and each pyramid level is solved by red-black Gauss-Seidel sweeps, which
 perform exact per-pixel minimization and therefore never increase the energy.
+A half-sweep computes only its own color, in the floating-point order of a
+full-grid update, so that saving leaves the flows bit-identical.
 """
 from __future__ import annotations
 
@@ -130,15 +132,6 @@ def build_pyramid(img: GridImage, levels: int, spacing: float) -> list[GridImage
     return out
 
 
-def _neighbor_sums(f: np.ndarray) -> np.ndarray:
-    s = np.zeros_like(f)
-    s[1:, :] += f[:-1, :]
-    s[:-1, :] += f[1:, :]
-    s[:, 1:] += f[:, :-1]
-    s[:, :-1] += f[:, 1:]
-    return s
-
-
 def _neighbor_counts(h: int, w: int) -> np.ndarray:
     n = np.full((h, w), 4.0)
     n[0, :] -= 1
@@ -167,26 +160,39 @@ def solve_linearized_flow(ix: np.ndarray, iy: np.ndarray, c: np.ndarray,
     Each half-sweep minimizes the energy exactly over one checkerboard color,
     so the recorded energies are non-increasing. ``energies`` (when given)
     receives the value before the first sweep and after every full sweep.
+
+    Only the active color is computed: its two strided sub-lattices, (even,
+    even) with (odd, odd) or (even, odd) with (odd, even), read neighbor sums
+    ``((up + down) + left) + right`` from shifted views of one zero-padded
+    ``u``/``v`` buffer, in the order of the full-grid update.
     """
     h, w = ix.shape
-    u = u0.copy()
-    v = v0.copy()
+    uv = np.zeros((2, h + 2, w + 2))
+    uv[0, 1:-1, 1:-1] = u0
+    uv[1, 1:-1, 1:-1] = v0
     n = _neighbor_counts(h, w)
     denom = lam * n + ix * ix + iy * iy
-    jj, ii = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    colors = ((ii + jj) % 2 == 0, (ii + jj) % 2 == 1)
+    lattices = []
+    for r, s in ((0, 0), (1, 1), (0, 1), (1, 0)):
+        def shifted(dr, ds):
+            return uv[:, 1 + r + dr:h + 1 + dr:2, 1 + s + ds:w + 1 + ds:2]
+        sub = (slice(r, None, 2), slice(s, None, 2))
+        grad = np.stack([ix[sub], iy[sub]])
+        lattices.append((shifted(0, 0), shifted(-1, 0), shifted(1, 0),
+                         shifted(0, -1), shifted(0, 1), grad[0], grad[1], grad,
+                         c[sub].copy(), n[sub].copy(), denom[sub].copy()))
+    u = uv[0, 1:-1, 1:-1]
+    v = uv[1, 1:-1, 1:-1]
     if energies is not None:
         energies.append(flow_energy(ix, iy, c, u, v, lam))
     for _ in range(iterations):
-        for color in colors:
-            ubar = _neighbor_sums(u) / n
-            vbar = _neighbor_sums(v) / n
-            d = ix * ubar + iy * vbar + c
-            u[color] = (ubar - ix * d / denom)[color]
-            v[color] = (vbar - iy * d / denom)[color]
+        for center, up, down, left, right, ixs, iys, grad, cs, ns, dens in lattices:
+            bar = (((up + down) + left) + right) / ns
+            d = ixs * bar[0] + iys * bar[1] + cs
+            center[...] = bar - grad * d / dens
         if energies is not None:
             energies.append(flow_energy(ix, iy, c, u, v, lam))
-    return u, v
+    return u.copy(), v.copy()
 
 
 _DERIV = np.array([-0.5, 0.0, 0.5])

@@ -94,10 +94,16 @@ def boundary(mask: BinaryMask) -> np.ndarray:
 
 
 def _directed_min_d2(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """Squared distance from each point of pa to its nearest point of pb."""
-    dx = pa[:, 0][:, None] - pb[:, 0][None, :]
-    dy = pa[:, 1][:, None] - pb[:, 1][None, :]
-    return (dx * dx + dy * dy).min(axis=1)
+    """Squared distance from each point of pa to its nearest point of pb.
+
+    A k-d tree finds the nearest point and ``dx * dx + dy * dy`` is taken as an
+    all-pairs minimum would; importing it here keeps ``import meshsrr`` cheap.
+    """
+    from scipy.spatial import cKDTree
+    _, nearest = cKDTree(pb).query(pa)
+    dx = pa[:, 0] - pb[nearest, 0]
+    dy = pa[:, 1] - pb[nearest, 1]
+    return dx * dx + dy * dy
 
 
 def _boundaries(a: BinaryMask, b: BinaryMask, what: str) -> tuple[np.ndarray, np.ndarray]:

@@ -152,3 +152,58 @@ def random_mask_pair(rng: np.random.Generator, max_side: int = 32):
         b = rng.random((h, w)) < rng.uniform(0.05, 0.6)
         if a.any() and b.any():
             return BinaryMask(a), BinaryMask(b)
+
+
+def _neighbor_sums(f: np.ndarray) -> np.ndarray:
+    s = np.zeros_like(f)
+    s[1:, :] += f[:-1, :]
+    s[:-1, :] += f[1:, :]
+    s[:, 1:] += f[:, :-1]
+    s[:, :-1] += f[:, 1:]
+    return s
+
+
+def _neighbor_counts(h: int, w: int) -> np.ndarray:
+    n = np.full((h, w), 4.0)
+    n[0, :] -= 1
+    n[-1, :] -= 1
+    n[:, 0] -= 1
+    n[:, -1] -= 1
+    return n
+
+
+def _flow_energy(ix: np.ndarray, iy: np.ndarray, c: np.ndarray,
+                u: np.ndarray, v: np.ndarray, lam: float) -> float:
+    """Discrete energy of the linearized data term plus smoothness."""
+    data = float(((ix * u + iy * v + c) ** 2).sum())
+    smooth = float(((u[1:, :] - u[:-1, :]) ** 2).sum() + ((u[:, 1:] - u[:, :-1]) ** 2).sum()
+                   + ((v[1:, :] - v[:-1, :]) ** 2).sum() + ((v[:, 1:] - v[:, :-1]) ** 2).sum())
+    return data + lam * smooth
+
+
+def full_grid_red_black_flow(ix: np.ndarray, iy: np.ndarray, c: np.ndarray,
+                             u0: np.ndarray, v0: np.ndarray, lam: float,
+                             iterations: int,
+                             energies: list[float] | None = None
+                             ) -> tuple[np.ndarray, np.ndarray]:
+    """Red-black Gauss-Seidel over the whole grid with boolean color masks:
+    every half-sweep computes both colors and keeps the active one."""
+    h, w = ix.shape
+    u = u0.copy()
+    v = v0.copy()
+    n = _neighbor_counts(h, w)
+    denom = lam * n + ix * ix + iy * iy
+    jj, ii = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    colors = ((ii + jj) % 2 == 0, (ii + jj) % 2 == 1)
+    if energies is not None:
+        energies.append(_flow_energy(ix, iy, c, u, v, lam))
+    for _ in range(iterations):
+        for color in colors:
+            ubar = _neighbor_sums(u) / n
+            vbar = _neighbor_sums(v) / n
+            d = ix * ubar + iy * vbar + c
+            u[color] = (ubar - ix * d / denom)[color]
+            v[color] = (vbar - iy * d / denom)[color]
+        if energies is not None:
+            energies.append(_flow_energy(ix, iy, c, u, v, lam))
+    return u, v

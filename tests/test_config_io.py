@@ -107,6 +107,20 @@ class TestMeshFiles(object):
         with pytest.raises(Exception, match="rescale"):
             read_mesh(p)
 
+    @pytest.mark.parametrize("text", ["FEMESH 1\n-1 1\n", "FEMESH 1\n3 -3\n"],
+                             ids=["negative-nodes", "negative-elements"])
+    def test_negative_counts_rejected(self, tmp_path, text):
+        p = tmp_path / "neg.txt"
+        p.write_text(text)
+        with pytest.raises(FileFormatError, match="counts must be >= 0"):
+            read_mesh(p)
+
+    def test_node_index_beyond_int64_rejected(self, tmp_path):
+        p = tmp_path / "huge.txt"
+        p.write_text("FEMESH 1\n3 1\n-1 -1\n1 -1\n0 1\n0 1 99999999999999999999999\n")
+        with pytest.raises(FileFormatError):
+            read_mesh(p)
+
     def test_values_round_trip(self, tmp_path):
         path = tmp_path / "v.txt"
         vals = np.array([1.5, -2.25, 1e-17])
@@ -134,6 +148,24 @@ class TestFlowFiles:
         p = tmp_path / "bad.flow"
         p.write_text("FLO 1\n2 2\n")
         with pytest.raises(FileFormatError, match="FLOW"):
+            read_flow(p)
+
+    def test_negative_dimensions_rejected(self, tmp_path):
+        p = tmp_path / "neg.flow"
+        p.write_text("FLOW 1\n-1 -1\n0 0\n")
+        with pytest.raises(FileFormatError, match="width and height"):
+            read_flow(p)
+
+    def test_zero_dimension_rejected(self, tmp_path):
+        p = tmp_path / "zero.flow"
+        p.write_text("FLOW 1\n0 5\n")
+        with pytest.raises(FileFormatError, match="width and height"):
+            read_flow(p)
+
+    def test_non_finite_component_rejected(self, tmp_path):
+        p = tmp_path / "nan.flow"
+        p.write_text("FLOW 1\n1 1\nnan 0\n")
+        with pytest.raises(FileFormatError, match="non-finite"):
             read_flow(p)
 
 
@@ -182,6 +214,19 @@ class TestPgm16:
         path.write_bytes(raster)
         with pytest.raises(FileFormatError, match="width and height"):
             read_pgm16_raw(path)
+
+    def test_odd_length_pixel_data_is_truncated(self, tmp_path):
+        path = tmp_path / "odd.pgm"
+        path.write_bytes(b"P5\n1 3 65535\n\x00\x00\x00\x00\x00")
+        with pytest.raises(FileFormatError, match="truncated"):
+            read_pgm16_raw(path)
+
+    def test_sidecar_overflowing_to_infinity_rejected(self, tmp_path):
+        path = tmp_path / "big.pgm"
+        path.write_bytes(b"P5\n1 1\n65535\n\xff\xff")
+        path.with_suffix(".scale.txt").write_text("offset = 0\nscale = 1e308\n")
+        with pytest.raises(FileFormatError, match="non-finite"):
+            read_grid_image(path)
 
     def test_emit_images_sequence(self, tmp_path):
         from meshsrr.fileio import emit_images

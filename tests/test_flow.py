@@ -6,6 +6,8 @@ from meshsrr.flow import (FlowField, FlowParams, build_pyramid, compose_flows,
 from meshsrr.grid import GridImage
 from meshsrr.operators import warp_image
 
+from oracles import full_grid_red_black_flow
+
 
 def gaussian_blob(n, cx, cy, sigma_px=7.0):
     xs = np.arange(n)
@@ -121,6 +123,47 @@ class TestEnergyMonotonicity:
         c = 2.0 * np.ones((4, 4))
         u = np.zeros((4, 4))
         assert flow_energy(ix, iy, c, u, u, 1.0) == pytest.approx(64.0)
+
+
+class TestFullGridOracle:
+    """The active-color solver against the full-grid masked update, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2), (7, 4), (4, 7),
+                                       (100, 100)], ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("lam", [0.05, 1.0, 15.0])
+    def test_solver_bit_identical(self, shape, lam):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        ix, iy, c, u0, v0 = (rng.standard_normal(shape) for _ in range(5))
+        got_e, ref_e = [], []
+        # A 1x1 grid has no neighbors: both solvers divide 0 by 0 and agree on NaN.
+        nan = shape == (1, 1)
+        with np.errstate(invalid="ignore" if nan else "raise"):
+            got = solve_linearized_flow(ix, iy, c, u0, v0, lam, 25, got_e)
+            ref = full_grid_red_black_flow(ix, iy, c, u0, v0, lam, 25, ref_e)
+        for a, b in ((got[0], ref[0]), (got[1], ref[1]), (got_e, ref_e)):
+            assert np.array_equal(a, b, equal_nan=nan)
+        assert np.isnan(got[0]).all() == nan
+        assert len(got_e) == 26
+
+    def test_inputs_untouched(self):
+        rng = np.random.default_rng(5)
+        ix, iy, c, u0, v0 = (rng.standard_normal((6, 5)) for _ in range(5))
+        keep = u0.copy(), v0.copy()
+        u, v = solve_linearized_flow(ix, iy, c, u0, v0, 1.0, 3)
+        assert np.array_equal(u0, keep[0]) and np.array_equal(v0, keep[1])
+        assert u.flags.c_contiguous and v.flags.c_contiguous
+
+    def test_horn_schunck_on_clean_lung_frames(self, monkeypatch):
+        from meshsrr import flow
+        from meshsrr.config import preset
+        from meshsrr.phantoms import render_scene
+        cfg = preset("ex2a")
+        prev, nxt = (render_scene(cfg.scene, t, 100, 100) for t in (1, 0))
+        got = horn_schunck(prev, nxt, cfg.flow)
+        monkeypatch.setattr(flow, "solve_linearized_flow", full_grid_red_black_flow)
+        ref = horn_schunck(prev, nxt, cfg.flow)
+        assert np.abs(got.u).max() > 0.01
+        assert np.array_equal(got.u, ref.u) and np.array_equal(got.v, ref.v)
 
 
 class TestComposeFlows:

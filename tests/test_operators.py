@@ -470,12 +470,22 @@ class TestObservationModel:
             ObservationModel(asg, gaussian_kernel(9, 2.0), 0.1)
 
 
-def test_import_does_not_load_scipy_signal():
+def _import_loads(module: str) -> bool:
+    """Whether ``import meshsrr`` in a fresh interpreter loads ``module``."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH", "")) if p)
-    probe = "import sys, meshsrr; print('scipy.signal' in sys.modules)"
+    probe = f"import sys, meshsrr; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return out.strip() == "True"
+
+
+def test_import_does_not_load_scipy_signal():
+    assert not _import_loads("scipy.signal")
+
+
+def test_import_does_not_load_scipy_spatial():
+    # metrics imports it inside _directed_min_d2: it costs 0.12-0.17 s of start-up.
+    assert not _import_loads("scipy.spatial")
