@@ -9,7 +9,8 @@ from .experiment import ExperimentResult, run_experiment
 from .fileio import (emit_images, read_fem_image, read_flow, read_grid_image,
                      read_mesh, read_values, write_flow, write_mesh,
                      write_pgm16, write_values)
-from .flow import FlowField, FlowParams, build_pyramid, compose_flows, horn_schunck
+from .flow import (FlowField, FlowParams, build_pyramid, horn_schunck,
+                   horn_schunck_sequence)
 from .grid import GridImage
 from .mesh import (FemImage, FemMesh, OUTSIDE, PixelAssignment, apply_hd,
                    build_pixel_assignment, downsample, upsample)

@@ -98,31 +98,32 @@ def _parse_choice(options):
     return parse
 
 
-# (section, key) -> (parser, setter taking (cfg_dict, value))
+# (section, key) -> (parser, field); [scene] and [flow] keys set fields of
+# the SceneSpec and FlowParams parts, the others fields of ExperimentConfig.
 _SCHEMA = {
-    ("scene", "kind"): _parse_choice((T_SHAPE, LUNG)),
-    ("scene", "frames"): int,
-    ("scene", "background"): float,
-    ("scene", "inclusion"): float,
-    ("scene", "motion_variance"): float,
-    ("scene", "motion_bound"): float,
-    ("scene", "seed"): int,
-    ("degrade", "mesh"): _parse_choice((FINE, COARSE)),
-    ("degrade", "snr_db"): float,
-    ("degrade", "seed"): int,
-    ("srr", "mu"): float,
-    ("srr", "k_iters"): int,
-    ("srr", "alpha"): float,
-    ("srr", "grid"): int,
-    ("srr", "kernel_size"): int,
-    ("srr", "kernel_sigma"): float,
-    ("flow", "lambda"): float,
-    ("flow", "pyramid_levels"): int,
-    ("flow", "pyramid_spacing"): float,
-    ("flow", "iterations_per_level"): int,
-    ("flow", "warps_per_level"): int,
-    ("run", "output_dir"): str.strip,
-    ("run", "known_motion"): _parse_bool,
+    ("scene", "kind"): (_parse_choice((T_SHAPE, LUNG)), "kind"),
+    ("scene", "frames"): (int, "frames"),
+    ("scene", "background"): (float, "background"),
+    ("scene", "inclusion"): (float, "inclusion"),
+    ("scene", "motion_variance"): (float, "motion_variance"),
+    ("scene", "motion_bound"): (float, "motion_bound"),
+    ("scene", "seed"): (int, "rng_seed"),
+    ("degrade", "mesh"): (_parse_choice((FINE, COARSE)), "mesh_density"),
+    ("degrade", "snr_db"): (float, "snr_db"),
+    ("degrade", "seed"): (int, "degrade_seed"),
+    ("srr", "mu"): (float, "mu"),
+    ("srr", "k_iters"): (int, "k_iters"),
+    ("srr", "alpha"): (float, "alpha_srr"),
+    ("srr", "grid"): (int, "grid"),
+    ("srr", "kernel_size"): (int, "kernel_size"),
+    ("srr", "kernel_sigma"): (float, "kernel_sigma"),
+    ("flow", "lambda"): (float, "lam"),
+    ("flow", "pyramid_levels"): (int, "pyramid_levels"),
+    ("flow", "pyramid_spacing"): (float, "pyramid_spacing"),
+    ("flow", "iterations_per_level"): (int, "iterations_per_level"),
+    ("flow", "warps_per_level"): (int, "warps_per_level"),
+    ("run", "output_dir"): (str.strip, "output_dir"),
+    ("run", "known_motion"): (_parse_bool, "known_motion"),
 }
 
 
@@ -193,11 +194,10 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
             raise ConfigError(f"line {lineno}: key outside any [section]")
         key, _, value = line.partition("=")
         key = key.strip()
-        parser = _SCHEMA.get((section, key))
-        if parser is None:
+        if (section, key) not in _SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{section}]")
         try:
-            values[(section, key)] = parser(value.strip())
+            values[(section, key)] = _SCHEMA[(section, key)][0](value.strip())
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
         except ValueError as exc:
@@ -206,42 +206,12 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
 
 
 def _apply(base: ExperimentConfig, values: dict) -> ExperimentConfig:
-    def get(section, key, fallback):
-        return values.get((section, key), fallback)
-
+    parts: dict[str, dict] = {"scene": {}, "flow": {}, "": {}}
+    for (section, key), value in values.items():
+        parts[section if section in parts else ""][_SCHEMA[(section, key)][1]] = value
     try:
-        scene = SceneSpec(
-            kind=get("scene", "kind", base.scene.kind),
-            frames=get("scene", "frames", base.scene.frames),
-            background=get("scene", "background", base.scene.background),
-            inclusion=get("scene", "inclusion", base.scene.inclusion),
-            motion_variance=get("scene", "motion_variance", base.scene.motion_variance),
-            motion_bound=get("scene", "motion_bound", base.scene.motion_bound),
-            rng_seed=get("scene", "seed", base.scene.rng_seed),
-        )
-        flow = FlowParams(
-            lam=get("flow", "lambda", base.flow.lam),
-            pyramid_levels=get("flow", "pyramid_levels", base.flow.pyramid_levels),
-            pyramid_spacing=get("flow", "pyramid_spacing", base.flow.pyramid_spacing),
-            iterations_per_level=get("flow", "iterations_per_level",
-                                     base.flow.iterations_per_level),
-            warps_per_level=get("flow", "warps_per_level", base.flow.warps_per_level),
-        )
-        return ExperimentConfig(
-            scene=scene,
-            mesh_density=get("degrade", "mesh", base.mesh_density),
-            snr_db=get("degrade", "snr_db", base.snr_db),
-            degrade_seed=get("degrade", "seed", base.degrade_seed),
-            mu=get("srr", "mu", base.mu),
-            k_iters=get("srr", "k_iters", base.k_iters),
-            alpha_srr=get("srr", "alpha", base.alpha_srr),
-            grid=get("srr", "grid", base.grid),
-            kernel_size=get("srr", "kernel_size", base.kernel_size),
-            kernel_sigma=get("srr", "kernel_sigma", base.kernel_sigma),
-            flow=flow,
-            output_dir=get("run", "output_dir", base.output_dir),
-            known_motion=get("run", "known_motion", base.known_motion),
-        )
+        return replace(base, scene=replace(base.scene, **parts["scene"]),
+                       flow=replace(base.flow, **parts["flow"]), **parts[""])
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .config import ExperimentConfig
 from .fileio import emit_images, write_mesh, write_values
-from .flow import FlowField, horn_schunck
+from .flow import FlowField, horn_schunck_sequence
 from .grid import GridImage
 from .mesh import FemImage, build_pixel_assignment, upsample
 from .metrics import MetricsReport, evaluate_sequence
@@ -45,8 +45,7 @@ def known_motion_flows(cfg: ExperimentConfig,
             dx, dy = (centers[t - 1] - centers[t]) * (n / 2.0)
             flows.append(FlowField.constant(n, n, dx, dy))
         return flows
-    return [horn_schunck(hr_frames[t], hr_frames[t - 1], cfg.flow)
-            for t in range(1, cfg.scene.frames)]
+    return horn_schunck_sequence(hr_frames, cfg.flow)
 
 
 def run_experiment(cfg: ExperimentConfig,

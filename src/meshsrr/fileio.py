@@ -23,22 +23,23 @@ def _lines(path: Path) -> list[str]:
     return text.splitlines()
 
 
-def _parse_floats(line: str, n: int, path: Path, lineno: int) -> list[float]:
+def _header_and_body(path: Path, header: str, what: str) -> tuple[str, list[str]]:
+    """The line after the ``header`` line and the non-blank lines after it."""
+    lines = _lines(path)
+    if not lines or lines[0].strip() != header:
+        raise FileFormatError(f"{path}:1: expected header '{header}'")
+    if len(lines) < 2:
+        raise FileFormatError(f"{path}:2: missing {what}")
+    return lines[1], [ln for ln in lines[2:] if ln.strip()]
+
+
+def _parse(kind, line: str, n: int, path: Path, lineno: int) -> list:
+    """Exactly ``n`` whitespace-separated fields, each converted by ``kind``."""
     parts = line.split()
     if len(parts) != n:
         raise FileFormatError(f"{path}:{lineno}: expected {n} fields, got {len(parts)}")
     try:
-        return [float(p) for p in parts]
-    except ValueError as exc:
-        raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
-
-
-def _parse_ints(line: str, n: int, path: Path, lineno: int) -> list[int]:
-    parts = line.split()
-    if len(parts) != n:
-        raise FileFormatError(f"{path}:{lineno}: expected {n} fields, got {len(parts)}")
-    try:
-        return [int(p) for p in parts]
+        return [kind(p) for p in parts]
     except ValueError as exc:
         raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
 
@@ -46,21 +47,16 @@ def _parse_ints(line: str, n: int, path: Path, lineno: int) -> list[int]:
 def read_mesh(path) -> FemMesh:
     """Read a mesh file: header ``FEMESH 1``, counts, node lines, element lines."""
     path = Path(path)
-    lines = _lines(path)
-    if not lines or lines[0].strip() != "FEMESH 1":
-        raise FileFormatError(f"{path}:1: expected header 'FEMESH 1'")
-    if len(lines) < 2:
-        raise FileFormatError(f"{path}:2: missing node/element counts")
-    n_nodes, n_elements = _parse_ints(lines[1], 2, path, 2)
+    counts, body = _header_and_body(path, "FEMESH 1", "node/element counts")
+    n_nodes, n_elements = _parse(int, counts, 2, path, 2)
     if n_nodes < 0 or n_elements < 0:
         raise FileFormatError(f"{path}:2: counts must be >= 0, got {n_nodes} {n_elements}")
-    body = [ln for ln in lines[2:] if ln.strip()]
     if len(body) != n_nodes + n_elements:
         raise FileFormatError(
             f"{path}: expected {n_nodes + n_elements} data lines, got {len(body)}")
-    nodes = np.array([_parse_floats(body[i], 2, path, 3 + i) for i in range(n_nodes)])
+    nodes = np.array([_parse(float, body[i], 2, path, 3 + i) for i in range(n_nodes)])
     try:
-        elements = np.array([_parse_ints(body[n_nodes + i], 3, path, 3 + n_nodes + i)
+        elements = np.array([_parse(int, body[n_nodes + i], 3, path, 3 + n_nodes + i)
                              for i in range(n_elements)], dtype=np.int64)
         return FemMesh(nodes, elements)
     except (MeshError, OverflowError) as exc:
@@ -78,16 +74,11 @@ def write_mesh(mesh: FemMesh, path) -> None:
 def read_values(path) -> np.ndarray:
     """Read an element-value file: header ``FEMVALS 1``, count, one value per line."""
     path = Path(path)
-    lines = _lines(path)
-    if not lines or lines[0].strip() != "FEMVALS 1":
-        raise FileFormatError(f"{path}:1: expected header 'FEMVALS 1'")
-    if len(lines) < 2:
-        raise FileFormatError(f"{path}:2: missing value count")
-    (count,) = _parse_ints(lines[1], 1, path, 2)
-    body = [ln for ln in lines[2:] if ln.strip()]
+    counts, body = _header_and_body(path, "FEMVALS 1", "value count")
+    (count,) = _parse(int, counts, 1, path, 2)
     if len(body) != count:
         raise FileFormatError(f"{path}: expected {count} values, got {len(body)}")
-    return np.array([_parse_floats(body[i], 1, path, 3 + i)[0] for i in range(count)])
+    return np.array([_parse(float, body[i], 1, path, 3 + i)[0] for i in range(count)])
 
 
 def write_values(values: np.ndarray, path) -> None:
@@ -108,18 +99,13 @@ def read_fem_image(mesh: FemMesh, path) -> FemImage:
 def read_flow(path) -> FlowField:
     """Read a flow dump: header ``FLOW 1``, dims, per-pixel ``u v`` lines."""
     path = Path(path)
-    lines = _lines(path)
-    if not lines or lines[0].strip() != "FLOW 1":
-        raise FileFormatError(f"{path}:1: expected header 'FLOW 1'")
-    if len(lines) < 2:
-        raise FileFormatError(f"{path}:2: missing dimensions")
-    w, h = _parse_ints(lines[1], 2, path, 2)
+    dims, body = _header_and_body(path, "FLOW 1", "dimensions")
+    w, h = _parse(int, dims, 2, path, 2)
     if w < 1 or h < 1:
         raise FileFormatError(f"{path}:2: width and height must be >= 1, got {w}x{h}")
-    body = [ln for ln in lines[2:] if ln.strip()]
     if len(body) != w * h:
         raise FileFormatError(f"{path}: expected {w * h} flow lines, got {len(body)}")
-    uv = np.array([_parse_floats(body[i], 2, path, 3 + i) for i in range(w * h)])
+    uv = np.array([_parse(float, body[i], 2, path, 3 + i) for i in range(w * h)])
     try:
         return FlowField(uv[:, 0].reshape(h, w), uv[:, 1].reshape(h, w))
     except ValueError as exc:

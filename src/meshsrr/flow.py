@@ -12,6 +12,9 @@ and each pyramid level is solved by red-black Gauss-Seidel sweeps, which
 perform exact per-pixel minimization and therefore never increase the energy.
 A half-sweep computes only its own color, in the floating-point order of a
 full-grid update, so that saving leaves the flows bit-identical.
+
+``horn_schunck_sequence`` registers each distinct consecutive pair once, with
+independent pairs stacked along a leading axis to share every solver call.
 """
 from __future__ import annotations
 
@@ -25,6 +28,8 @@ from .grid import GridImage, require_same_shape
 from .operators import convolve_neumann, gaussian_kernel, _bilinear_gather
 
 _MIN_TOP_SIZE = 8
+# Finest-level pixels per stacked solve (4 pairs at 100x100); coarse levels gain most.
+_STACK_PIXELS = 40_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,8 +97,9 @@ class FlowParams:
 
 
 def _resample(data: np.ndarray, new_w: int, new_h: int) -> np.ndarray:
-    """Bilinear resize with center-aligned sampling and clamped borders."""
-    h, w = data.shape
+    """Bilinear resize of the last two axes with center-aligned sampling and
+    clamped borders."""
+    h, w = data.shape[-2:]
     sx = (np.arange(new_w) + 0.5) * (w / new_w) - 0.5
     sy = (np.arange(new_h) + 0.5) * (h / new_h) - 0.5
     SX, SY = np.meshgrid(sx, sy)
@@ -145,8 +151,7 @@ def flow_energy(ix: np.ndarray, iy: np.ndarray, c: np.ndarray,
                 u: np.ndarray, v: np.ndarray, lam: float) -> float:
     """Discrete energy of the linearized data term plus smoothness."""
     data = float(((ix * u + iy * v + c) ** 2).sum())
-    smooth = float(((u[1:, :] - u[:-1, :]) ** 2).sum() + ((u[:, 1:] - u[:, :-1]) ** 2).sum()
-                   + ((v[1:, :] - v[:-1, :]) ** 2).sum() + ((v[:, 1:] - v[:, :-1]) ** 2).sum())
+    smooth = sum(float((np.diff(f, axis=axis) ** 2).sum()) for f in (u, v) for axis in (-2, -1))
     return data + lam * smooth
 
 
@@ -165,24 +170,27 @@ def solve_linearized_flow(ix: np.ndarray, iy: np.ndarray, c: np.ndarray,
     even) with (odd, odd) or (even, odd) with (odd, even), read neighbor sums
     ``((up + down) + left) + right`` from shifted views of one zero-padded
     ``u``/``v`` buffer, in the order of the full-grid update.
+
+    Leading axes hold independent problems solved in the same sweeps; the
+    energies are then summed over them.
     """
-    h, w = ix.shape
-    uv = np.zeros((2, h + 2, w + 2))
-    uv[0, 1:-1, 1:-1] = u0
-    uv[1, 1:-1, 1:-1] = v0
+    h, w = ix.shape[-2:]
+    uv = np.zeros((2, *ix.shape[:-2], h + 2, w + 2))
+    uv[0, ..., 1:-1, 1:-1] = u0
+    uv[1, ..., 1:-1, 1:-1] = v0
     n = _neighbor_counts(h, w)
     denom = lam * n + ix * ix + iy * iy
     lattices = []
     for r, s in ((0, 0), (1, 1), (0, 1), (1, 0)):
         def shifted(dr, ds):
-            return uv[:, 1 + r + dr:h + 1 + dr:2, 1 + s + ds:w + 1 + ds:2]
-        sub = (slice(r, None, 2), slice(s, None, 2))
+            return uv[..., 1 + r + dr:h + 1 + dr:2, 1 + s + ds:w + 1 + ds:2]
+        sub = (..., slice(r, None, 2), slice(s, None, 2))
         grad = np.stack([ix[sub], iy[sub]])
         lattices.append((shifted(0, 0), shifted(-1, 0), shifted(1, 0),
                          shifted(0, -1), shifted(0, 1), grad[0], grad[1], grad,
                          c[sub].copy(), n[sub].copy(), denom[sub].copy()))
-    u = uv[0, 1:-1, 1:-1]
-    v = uv[1, 1:-1, 1:-1]
+    u = uv[0, ..., 1:-1, 1:-1]
+    v = uv[1, ..., 1:-1, 1:-1]
     if energies is not None:
         energies.append(flow_energy(ix, iy, c, u, v, lam))
     for _ in range(iterations):
@@ -200,10 +208,10 @@ _DERIV = np.array([-0.5, 0.0, 0.5])
 
 def _derivatives(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Central differences averaged over the (reference, warped) pair."""
-    ix = 0.5 * (ndimage.correlate1d(a, _DERIV, axis=1, mode="reflect")
-                + ndimage.correlate1d(b, _DERIV, axis=1, mode="reflect"))
-    iy = 0.5 * (ndimage.correlate1d(a, _DERIV, axis=0, mode="reflect")
-                + ndimage.correlate1d(b, _DERIV, axis=0, mode="reflect"))
+    ix = 0.5 * (ndimage.correlate1d(a, _DERIV, axis=-1, mode="reflect")
+                + ndimage.correlate1d(b, _DERIV, axis=-1, mode="reflect"))
+    iy = 0.5 * (ndimage.correlate1d(a, _DERIV, axis=-2, mode="reflect")
+                + ndimage.correlate1d(b, _DERIV, axis=-2, mode="reflect"))
     it = b - a
     return ix, iy, it
 
@@ -216,63 +224,72 @@ def _global_translation_step(ix: np.ndarray, iy: np.ndarray, c: np.ndarray,
     A constant increment leaves the smoothness term untouched and the
     least-squares choice can only lower the data term, so this step never
     raises the energy while letting large smoothness weights recover global
-    translations in few sweeps.
+    translations in few sweeps. Leading axes hold independent problems,
+    each with its own constant; one whose system is singular keeps its
+    ``u`` and ``v`` as they are.
     """
+    pixels = (-2, -1)
     r0 = ix * u + iy * v + c
-    sxx = float((ix * ix).sum())
-    sxy = float((ix * iy).sum())
-    syy = float((iy * iy).sum())
+    sxx = (ix * ix).sum(axis=pixels)
+    sxy = (ix * iy).sum(axis=pixels)
+    syy = (iy * iy).sum(axis=pixels)
     det = sxx * syy - sxy * sxy
-    if det <= 1e-12 * max(1.0, sxx + syy) ** 2:
+    skip = det <= 1e-12 * np.maximum(1.0, sxx + syy) ** 2
+    if skip.all():
         return u, v
-    bx = -float((ix * r0).sum())
-    by = -float((iy * r0).sum())
-    du = (syy * bx - sxy * by) / det
-    dv = (sxx * by - sxy * bx) / det
-    return u + du, v + dv
+    det = np.where(skip, 1.0, det)
+    bx = -(ix * r0).sum(axis=pixels)
+    by = -(iy * r0).sum(axis=pixels)
+    du = ((syy * bx - sxy * by) / det)[..., None, None]
+    dv = ((sxx * by - sxy * bx) / det)[..., None, None]
+    skip = skip[..., None, None]
+    return np.where(skip, u, u + du), np.where(skip, v, v + dv)
 
 
-def horn_schunck(prev: GridImage, nxt: GridImage, params: FlowParams) -> FlowField:
-    """Estimate the dense displacement field from ``prev`` to ``nxt``.
-
-    Coarse-to-fine: flow is upscaled between levels, ``nxt`` is re-warped at
-    each warp iteration, and the linearized problem is solved in terms of the
-    total flow. Levels whose top of the pyramid would fall below 8x8 are
-    dropped with a warning.
-    """
-    require_same_shape(prev, nxt, "flow input images")
-    if min(prev.width, prev.height) < 2:
+def _pyramid_levels(width: int, height: int, params: FlowParams) -> int:
+    """Levels to use, dropping with a warning those whose top is below 8x8."""
+    if min(width, height) < 2:
         raise ValueError("flow estimation needs at least a 2x2 image")
-    lo = min(prev.data.min(), nxt.data.min())
-    hi = max(prev.data.max(), nxt.data.max())
-    if hi - lo <= 0:
-        return FlowField.zeros(prev.width, prev.height)
-    a_img = GridImage((prev.data - lo) / (hi - lo))
-    b_img = GridImage((nxt.data - lo) / (hi - lo))
-
     levels = params.pyramid_levels
-    sizes = _pyramid_sizes(prev.width, prev.height, levels, params.pyramid_spacing)
+    sizes = _pyramid_sizes(width, height, levels, params.pyramid_spacing)
     while len(sizes) > 1 and min(sizes[-1]) < _MIN_TOP_SIZE:
         sizes = sizes[:-1]
     if len(sizes) < levels:
         warnings.warn(
             f"pyramid reduced from {levels} to {len(sizes)} level(s) so the top "
-            f"stays at least {_MIN_TOP_SIZE} pixels on a side", stacklevel=2)
-        levels = len(sizes)
+            f"stays at least {_MIN_TOP_SIZE} pixels on a side", stacklevel=3)
+    return len(sizes)
 
-    pa = build_pyramid(a_img, levels, params.pyramid_spacing)
-    pb = build_pyramid(b_img, levels, params.pyramid_spacing)
 
-    top = pa[-1]
-    u = np.zeros((top.height, top.width))
-    v = np.zeros((top.height, top.width))
+def _pyramid_stack(data: np.ndarray, levels: int, spacing: float) -> list[np.ndarray]:
+    """``build_pyramid`` of every image along the leading axes, stacked per level."""
+    pyramids = [build_pyramid(GridImage(x), levels, spacing)
+                for x in data.reshape(-1, *data.shape[-2:])]
+    return [np.stack([p.data for p in level]).reshape(*data.shape[:-2], *level[0].data.shape)
+            for level in zip(*pyramids)]
+
+
+def _coarse_to_fine(prev: np.ndarray, nxt: np.ndarray, params: FlowParams,
+                    levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flow ``(u, v)`` from ``prev`` to ``nxt`` for the pair of images in the
+    last two axes, and for each such pair along any leading axes. Equal
+    inputs give exact zeros without a solve."""
+    if np.array_equal(prev, nxt):
+        return np.zeros(prev.shape), np.zeros(prev.shape)
+    lo = np.minimum(prev.min(axis=(-2, -1), keepdims=True), nxt.min(axis=(-2, -1), keepdims=True))
+    hi = np.maximum(prev.max(axis=(-2, -1), keepdims=True), nxt.max(axis=(-2, -1), keepdims=True))
+    pa = _pyramid_stack((prev - lo) / (hi - lo), levels, params.pyramid_spacing)
+    pb = _pyramid_stack((nxt - lo) / (hi - lo), levels, params.pyramid_spacing)
+
+    u = np.zeros(pa[-1].shape)
+    v = np.zeros(pa[-1].shape)
     for level in range(levels - 1, -1, -1):
-        a = pa[level].data
-        b = pb[level].data
-        h, w = a.shape
-        if u.shape != (h, w):
-            u = _resample(u, w, h) * (w / u.shape[1])
-            v = _resample(v, w, h) * (h / v.shape[0])
+        a = pa[level]
+        b = pb[level]
+        h, w = a.shape[-2:]
+        if u.shape[-2:] != (h, w):
+            u = _resample(u, w, h) * (w / u.shape[-1])
+            v = _resample(v, w, h) * (h / v.shape[-2])
         jj, ii = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
         for _ in range(params.warps_per_level):
             warped = _bilinear_gather(b, ii + u, jj + v)
@@ -281,20 +298,50 @@ def horn_schunck(prev: GridImage, nxt: GridImage, params: FlowParams) -> FlowFie
             u, v = _global_translation_step(ix, iy, c, u, v)
             u, v = solve_linearized_flow(ix, iy, c, u, v, params.lam,
                                          params.iterations_per_level)
-    return FlowField(u, v)
+    return u, v
 
 
-def compose_flows(f_ab: FlowField, f_bc: FlowField) -> FlowField:
-    """Chain two fields: f_ac(p) = f_bc(p) + f_ab(p + f_bc(p)).
+def horn_schunck(prev: GridImage, nxt: GridImage, params: FlowParams) -> FlowField:
+    """Estimate the dense displacement field from ``prev`` to ``nxt``.
 
-    ``f_ab`` is sampled bilinearly with clamped borders, matching the warp
-    operator, so warping by the composite equals warping twice.
+    Coarse-to-fine: flow is upscaled between levels, ``nxt`` is re-warped at
+    each warp iteration, and the linearized problem is solved in terms of the
+    total flow. Levels whose top of the pyramid would fall below 8x8 are
+    dropped with a warning. Equal images give the exact zero field.
     """
-    if (f_ab.height, f_ab.width) != (f_bc.height, f_bc.width):
-        raise ValueError("flow fields have mismatched shapes")
-    h, w = f_bc.height, f_bc.width
-    jj, ii = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    sx = ii + f_bc.u
-    sy = jj + f_bc.v
-    return FlowField(f_bc.u + _bilinear_gather(f_ab.u, sx, sy),
-                     f_bc.v + _bilinear_gather(f_ab.v, sx, sy))
+    require_same_shape(prev, nxt, "flow input images")
+    levels = _pyramid_levels(prev.width, prev.height, params)
+    return FlowField(*_coarse_to_fine(prev.data, nxt.data, params, levels))
+
+
+def horn_schunck_sequence(frames: list[GridImage], params: FlowParams) -> list[FlowField]:
+    """Flows ``horn_schunck(frames[t], frames[t - 1], params)`` for t >= 1.
+
+    Each distinct pair of frames is solved once, pairs of equal frames get
+    the exact zero field, and the remaining pairs run through the solver
+    stacked, in groups whose finest level holds at most ``_STACK_PIXELS``
+    pixels. The flows are bit-identical to the pairwise calls; a pyramid
+    reduction is warned about once.
+    """
+    if len(frames) < 2:
+        return []
+    first = frames[0]
+    for frame in frames[1:]:
+        require_same_shape(first, frame, "flow input images")
+    levels = _pyramid_levels(first.width, first.height, params)
+    ids: list[int] = []  # index of the first frame equal to each frame
+    for t, frame in enumerate(frames):
+        ids.append(next((k for k in dict.fromkeys(ids)
+                         if np.array_equal(frames[k].data, frame.data)), t))
+    keys = [(ids[t], ids[t - 1]) for t in range(1, len(frames))]
+    pairs = [key for key in dict.fromkeys(keys) if key[0] != key[1]]
+    group = max(1, _STACK_PIXELS // (first.width * first.height))
+    solved = {}
+    for start in range(0, len(pairs), group):
+        chunk = pairs[start:start + group]
+        u, v = _coarse_to_fine(np.stack([frames[p].data for p, _ in chunk]),
+                               np.stack([frames[n].data for _, n in chunk]),
+                               params, levels)
+        solved.update((key, FlowField(uk, vk)) for key, uk, vk in zip(chunk, u, v))
+    zero = FlowField.zeros(first.width, first.height)
+    return [solved.get(key, zero) for key in keys]

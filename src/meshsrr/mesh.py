@@ -54,20 +54,16 @@ class FemMesh:
             raise MeshError("node coordinates must lie in [-1, 1]^2; rescale the mesh before loading")
         if elements.min() < 0 or elements.max() >= nodes.shape[0]:
             raise MeshError("element node index out of range")
-        a = nodes[elements[:, 0]]
-        b = nodes[elements[:, 1]]
-        c = nodes[elements[:, 2]]
-        areas = 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                       - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+        nodes.flags.writeable = False
+        elements.flags.writeable = False
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "elements", elements)
+        areas = self.signed_areas()
         if np.any(areas <= _AREA_EPS):
             bad = int(np.flatnonzero(areas <= _AREA_EPS)[0])
             raise MeshError(
                 f"element {bad} is degenerate or clockwise (signed area {areas[bad]:.3e}); "
                 "elements must be counter-clockwise with positive area")
-        nodes.flags.writeable = False
-        elements.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "elements", elements)
 
     @property
     def n_nodes(self) -> int:

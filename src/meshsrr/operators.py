@@ -97,20 +97,25 @@ def convolve_neumann(img: GridImage, k: Kernel) -> GridImage:
     return GridImage(fft.idctn(eig * fft.dctn(img.data, norm="ortho"), norm="ortho"))
 
 
-def _bilinear_gather(data: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
-    """Sample ``data`` at (sx, sy) with bilinear interpolation, clamping
-    out-of-range coordinates to the border pixels."""
-    h, w = data.shape
+def _bilinear_corners(h: int, w: int, sx: np.ndarray, sy: np.ndarray) -> tuple:
+    """Corner indices ``x0, y0, x1, y1`` and weights ``fx, fy`` of bilinear
+    samples at (sx, sy) on an (h, w) grid, coordinates clamped to the border."""
     sx = np.clip(sx, 0.0, w - 1.0)
     sy = np.clip(sy, 0.0, h - 1.0)
     x0 = np.floor(sx).astype(np.int64)
     y0 = np.floor(sy).astype(np.int64)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = sx - x0
-    fy = sy - y0
-    top = (1.0 - fx) * data[y0, x0] + fx * data[y0, x1]
-    bot = (1.0 - fx) * data[y1, x0] + fx * data[y1, x1]
+    return x0, y0, np.minimum(x0 + 1, w - 1), np.minimum(y0 + 1, h - 1), sx - x0, sy - y0
+
+
+def _bilinear_gather(data: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
+    """Sample ``data`` at (sx, sy) with bilinear interpolation, clamping
+    out-of-range coordinates to the border pixels. Leading axes of ``data``
+    hold independent images; the coordinates broadcast against them."""
+    h, w = data.shape[-2:]
+    x0, y0, x1, y1, fx, fy = _bilinear_corners(h, w, sx, sy)
+    lead = tuple(i[..., None, None] for i in np.indices(data.shape[:-2], sparse=True))
+    top = (1.0 - fx) * data[(*lead, y0, x0)] + fx * data[(*lead, y0, x1)]
+    bot = (1.0 - fx) * data[(*lead, y1, x0)] + fx * data[(*lead, y1, x1)]
     return (1.0 - fy) * top + fy * bot
 
 
@@ -130,14 +135,8 @@ def warp_adjoint(img: GridImage, flow) -> GridImage:
             f"flow {flow.width}x{flow.height} does not match image {img.width}x{img.height}")
     h, w = img.height, img.width
     jj, ii = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    sx = np.clip(ii + flow.u, 0.0, w - 1.0).ravel()
-    sy = np.clip(jj + flow.v, 0.0, h - 1.0).ravel()
-    x0 = np.floor(sx).astype(np.int64)
-    y0 = np.floor(sy).astype(np.int64)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = sx - x0
-    fy = sy - y0
+    x0, y0, x1, y1, fx, fy = _bilinear_corners(h, w, (ii + flow.u).ravel(),
+                                               (jj + flow.v).ravel())
     vals = img.data.ravel()
     out = np.zeros((h, w))
     np.add.at(out, (y0, x0), (1.0 - fx) * (1.0 - fy) * vals)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, MeshError
-from .flow import FlowField, FlowParams, horn_schunck
+from .flow import FlowField, FlowParams, horn_schunck_sequence
 from .grid import GridImage
 from .mesh import FemImage, PixelAssignment, build_pixel_assignment, upsample
 from .operators import Kernel, ObservationModel, convolve_neumann, warp_image
@@ -149,7 +149,8 @@ def run_sequence(observations: list[FemImage], cfg: SrrConfig,
 
     All observations must share one mesh. Frame 0 is processed with zero
     flow; later frames use ``known_flows[t - 1]`` when provided, otherwise
-    the flow is estimated from consecutive upsampled images. Appends one
+    the flows are estimated up front from consecutive upsampled images
+    (they depend only on the observations). Appends one
     per-frame cost history to ``cost_histories`` when given.
     """
     if not observations:
@@ -165,15 +166,12 @@ def run_sequence(observations: list[FemImage], cfg: SrrConfig,
     if assignment is None:
         assignment = build_pixel_assignment(mesh, w, h)
     y_ups = [upsample(o, assignment) for o in observations]
+    if known_flows is None:
+        known_flows = horn_schunck_sequence(y_ups, flow_params)
+    flows = [FlowField.zeros(w, h), *known_flows]
     state = srr_init(y_ups[0], cfg)
     results: list[GridImage] = []
-    for t, y in enumerate(y_ups):
-        if t == 0:
-            flow = FlowField.zeros(w, h)
-        elif known_flows is not None:
-            flow = known_flows[t - 1]
-        else:
-            flow = horn_schunck(y_ups[t], y_ups[t - 1], flow_params)
+    for t, (y, flow) in enumerate(zip(y_ups, flows)):
         history: list[float] | None = [] if cost_histories is not None else None
         try:
             state = srr_step(state, y, flow, cfg, assignment, cost_history=history)

@@ -2,7 +2,8 @@
 
 Everything here is written against the operator definitions directly (index
 loops, explicit reflection maps, dense matrices) and deliberately avoids the
-code paths of the package under test.
+code paths of the package under test. The exceptions are test-only helpers
+built on the package: ``random_mask_pair`` and ``compose_flows``.
 """
 import numpy as np
 
@@ -152,6 +153,24 @@ def random_mask_pair(rng: np.random.Generator, max_side: int = 32):
         b = rng.random((h, w)) < rng.uniform(0.05, 0.6)
         if a.any() and b.any():
             return BinaryMask(a), BinaryMask(b)
+
+
+def compose_flows(f_ab, f_bc):
+    """Chain two fields: f_ac(p) = f_bc(p) + f_ab(p + f_bc(p)).
+
+    ``f_ab`` is sampled bilinearly with clamped borders, matching the warp
+    operator, so warping by the composite equals warping twice.
+    """
+    from meshsrr.flow import FlowField
+    from meshsrr.operators import _bilinear_gather
+    if (f_ab.height, f_ab.width) != (f_bc.height, f_bc.width):
+        raise ValueError("flow fields have mismatched shapes")
+    h, w = f_bc.height, f_bc.width
+    jj, ii = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    sx = ii + f_bc.u
+    sy = jj + f_bc.v
+    return FlowField(f_bc.u + _bilinear_gather(f_ab.u, sx, sy),
+                     f_bc.v + _bilinear_gather(f_ab.v, sx, sy))
 
 
 def _neighbor_sums(f: np.ndarray) -> np.ndarray:

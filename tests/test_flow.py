@@ -1,12 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from meshsrr.flow import (FlowField, FlowParams, build_pyramid, compose_flows,
-                          flow_energy, horn_schunck, solve_linearized_flow)
+from meshsrr.flow import (FlowField, FlowParams, build_pyramid, flow_energy,
+                          horn_schunck, horn_schunck_sequence,
+                          solve_linearized_flow)
 from meshsrr.grid import GridImage
 from meshsrr.operators import warp_image
 
-from oracles import full_grid_red_black_flow
+from oracles import compose_flows, full_grid_red_black_flow
 
 
 def gaussian_blob(n, cx, cy, sigma_px=7.0):
@@ -224,3 +227,169 @@ class TestComposeFlows:
         once = warp_image(img, compose_flows(f_ab, f_bc))
         # Bilinear interpolation does not commute exactly; agreement is close.
         assert np.abs(twice.data - once.data).max() <= 0.05
+
+
+def count_calls(monkeypatch, name):
+    """Wrap ``meshsrr.flow.<name>`` and return the list of its calls' args."""
+    from meshsrr import flow
+    calls = []
+    original = getattr(flow, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(flow, name, counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def lung_frames():
+    from meshsrr.config import preset
+    from meshsrr.phantoms import render_scene
+    cfg = preset("ex2a")
+    return cfg, [render_scene(cfg.scene, t, 100, 100) for t in range(cfg.scene.frames)]
+
+
+def pairwise(frames, params):
+    return [horn_schunck(frames[t], frames[t - 1], params) for t in range(1, len(frames))]
+
+
+def assert_same_flows(got, ref):
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert np.array_equal(g.u, r.u) and np.array_equal(g.v, r.v)
+
+
+class TestIdenticalPairShortcut:
+    def test_equal_frames_skip_the_solver(self, monkeypatch):
+        calls = count_calls(monkeypatch, "solve_linearized_flow")
+        img = GridImage(gaussian_blob(32, 12.0, 17.0))
+        f = horn_schunck(img, GridImage(img.data.copy()), FlowParams(pyramid_levels=2))
+        seq = horn_schunck_sequence([img] * 4, FlowParams(pyramid_levels=2))
+        for out in (f, *seq):
+            assert np.array_equal(out.u, np.zeros((32, 32)))
+            assert np.array_equal(out.v, np.zeros((32, 32)))
+            assert not np.signbit(out.u).any() and not np.signbit(out.v).any()
+        assert len(seq) == 3 and calls == []
+
+    def test_signed_zeros_count_as_equal(self):
+        a = gaussian_blob(16, 8, 8)
+        a[0, 0] = 0.0
+        b = a.copy()
+        b[0, 0] = -0.0
+        frames = [GridImage(a), GridImage(b)]
+        params = FlowParams(pyramid_levels=1, iterations_per_level=5)
+        assert_same_flows(horn_schunck_sequence(frames, params), pairwise(frames, params))
+        assert not horn_schunck_sequence(frames, params)[0].u.any()
+
+    def test_nearly_equal_frames_are_registered(self):
+        a = gaussian_blob(16, 8, 8)
+        b = a.copy()
+        b[5, 6] += 1e-6
+        frames = [GridImage(a), GridImage(b), GridImage(a)]
+        params = FlowParams(pyramid_levels=1, iterations_per_level=5)
+        got = horn_schunck_sequence(frames, params)
+        assert_same_flows(got, pairwise(frames, params))
+        assert np.abs(got[0].u).max() > 0.0 and np.abs(got[1].u).max() > 0.0
+
+    def test_reduction_warned_once_per_sequence(self):
+        frames = [GridImage(gaussian_blob(16, 8 + 0.5 * t, 8)) for t in range(4)]
+        with pytest.warns(UserWarning, match="pyramid reduced") as record:
+            horn_schunck_sequence(frames, FlowParams(pyramid_levels=4,
+                                                     iterations_per_level=5))
+        assert len(record) == 1
+
+
+class TestHornSchunckSequence:
+    def test_matches_pairwise_on_clean_lung_frames(self, lung_frames, monkeypatch):
+        cfg, frames = lung_frames
+        keep = [f.data.copy() for f in frames]
+        stacks = count_calls(monkeypatch, "_coarse_to_fine")
+        got = horn_schunck_sequence(frames, cfg.flow)
+        # 8 distinct non-identical pairs in stacks of 4, so two stacks; the
+        # repeats and the four identical pairs come back without a solve.
+        assert [args[0].shape for args in stacks] == [(4, 100, 100)] * 2
+        monkeypatch.undo()
+        assert_same_flows(got, pairwise(frames, cfg.flow))
+        assert all(np.array_equal(f.data, k) for f, k in zip(frames, keep))
+
+    def test_known_motion_flows_solves_distinct_pairs_once(self, lung_frames, monkeypatch):
+        from dataclasses import replace
+        from meshsrr.experiment import known_motion_flows
+        cfg, frames = lung_frames
+        stacks = count_calls(monkeypatch, "_coarse_to_fine")
+        flows = known_motion_flows(replace(cfg, grid=100), frames)
+        assert len(flows) == len(frames) - 1
+        assert sum(args[0].shape[0] for args in stacks) == 8
+
+    def test_matches_pairwise_on_noisy_frames_in_one_stack(self, monkeypatch):
+        from meshsrr.config import preset
+        from meshsrr.phantoms import render_scene
+        cfg = preset("ex2a")
+        rng = np.random.default_rng(17)
+        frames = [GridImage(render_scene(cfg.scene, t, 24, 24).data
+                            + 0.05 * rng.standard_normal((24, 24))) for t in range(7)]
+        # An identical pair (2, 2), a repeated pair (2, 1) and 8 distinct pairs.
+        frames = frames[:3] + [frames[2], frames[1], frames[2]] + frames[3:] + [frames[0]]
+        keep = [f.data.copy() for f in frames]
+        stacks = count_calls(monkeypatch, "_coarse_to_fine")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = horn_schunck_sequence(frames, cfg.flow)
+            assert [args[0].shape[0] for args in stacks] == [8]
+            monkeypatch.undo()
+            ref = pairwise(frames, cfg.flow)
+        assert_same_flows(got, ref)
+        assert np.abs(got[0].u).max() > 0.0
+        assert all(np.array_equal(f.data, k) for f, k in zip(frames, keep))
+
+    def test_short_sequences(self):
+        img = GridImage(gaussian_blob(16, 8, 8))
+        assert horn_schunck_sequence([], FlowParams()) == []
+        assert horn_schunck_sequence([img], FlowParams()) == []
+        with pytest.raises(ValueError, match="mismatched"):
+            horn_schunck_sequence([img, GridImage.zeros(16, 15)], FlowParams())
+
+
+class TestStackedSolver:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 4), (100, 100)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_matches_slices_and_oracle(self, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        ix, iy, c, u0, v0 = (rng.standard_normal((3, *shape)) for _ in range(5))
+        keep = [a.copy() for a in (ix, iy, c, u0, v0)]
+        nan = shape == (1, 1)
+        energies = []
+        with np.errstate(invalid="ignore" if nan else "raise"):
+            u, v = solve_linearized_flow(ix, iy, c, u0, v0, 1.0, 25, energies)
+            for k in range(3):
+                args = (ix[k], iy[k], c[k], u0[k], v0[k], 1.0, 25)
+                for ref in (solve_linearized_flow(*args), full_grid_red_black_flow(*args)):
+                    assert np.array_equal(u[k], ref[0], equal_nan=nan)
+                    assert np.array_equal(v[k], ref[1], equal_nan=nan)
+        assert u.flags.c_contiguous and v.flags.c_contiguous
+        assert u.shape == v.shape == (3, *shape) and len(energies) == 26
+        assert np.isnan(u).all() == nan
+        assert all(np.array_equal(a, k) for a, k in zip((ix, iy, c, u0, v0), keep))
+
+    def test_translation_step_is_per_pair(self):
+        from meshsrr.flow import _global_translation_step
+        rng = np.random.default_rng(8)
+        ix, iy, c, u, v = (rng.standard_normal((3, 6, 5)) for _ in range(5))
+        # Pair 0 has strong gradients, pair 1 weak but regular ones (each
+        # pair is tested against its own scale), pair 2 none at all.
+        ix[0] *= 1e3
+        iy[0] *= 1e3
+        ix[1] *= 1e-3
+        iy[1] *= 1e-3
+        ix[2] = 0.0
+        iy[2] = 0.0
+        u[2, 0, 0] = -0.0
+        su, sv = _global_translation_step(ix, iy, c, u, v)
+        for k in (0, 1):
+            ru, rv = _global_translation_step(ix[k], iy[k], c[k], u[k], v[k])
+            assert np.array_equal(su[k], ru) and np.array_equal(sv[k], rv)
+            assert not np.array_equal(su[k], u[k])
+        assert np.array_equal(su[2], u[2]) and np.array_equal(sv[2], v[2])
+        assert np.signbit(su[2, 0, 0])

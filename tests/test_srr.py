@@ -300,6 +300,36 @@ class TestRunSequence:
         assert (err.value.code, err.value.detail) == (7, "synthetic")
         assert err.value.__notes__ == ["frame 1"]
 
+    def test_estimated_flows_match_per_frame_registration(self):
+        from dataclasses import replace
+        from meshsrr.config import preset
+        from meshsrr.flow import horn_schunck
+        from meshsrr.phantoms import degrade, render_scene
+        cfg = replace(preset("ex2b"), grid=32, k_iters=10)
+        mesh = cfg.build_mesh()
+        asg = build_pixel_assignment(mesh, 32, 32)
+        obs = [degrade(render_scene(cfg.scene, t, 32, 32), cfg.degrade_spec(mesh), asg, frame=t)
+               for t in range(5)]
+        obs.insert(2, obs[1])
+        scfg = cfg.srr_config()
+        histories = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = run_sequence(obs, scfg, cfg.flow, assignment=asg, cost_histories=histories)
+            y_ups = [upsample(o, asg) for o in obs]
+            state = srr_init(y_ups[0], scfg)
+            ref, ref_histories, moved = [], [], 0.0
+            for t, y in enumerate(y_ups):
+                flow = (horn_schunck(y, y_ups[t - 1], cfg.flow) if t
+                        else FlowField.zeros(32, 32))
+                moved = max(moved, np.abs(flow.u).max())
+                ref_histories.append([])
+                state = srr_step(state, y, flow, scfg, asg, cost_history=ref_histories[-1])
+                ref.append(state.x_hat)
+        assert moved > 0.0
+        assert all(np.array_equal(a.data, b.data) for a, b in zip(got, ref))
+        assert histories == ref_histories and len(histories) == 6
+
     def test_empty_sequence_rejected(self):
         kernel = gaussian_kernel(3, 1.0)
         with pytest.raises(ValueError, match="empty"):
