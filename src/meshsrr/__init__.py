@@ -11,17 +11,17 @@ from .fileio import (emit_images, read_fem_image, read_flow, read_grid_image,
                      write_pgm16, write_values)
 from .flow import (FlowField, FlowParams, build_pyramid, horn_schunck,
                    horn_schunck_sequence)
-from .grid import GridImage
-from .mesh import (FemImage, FemMesh, OUTSIDE, PixelAssignment, apply_hd,
+from .grid import GridImage, pixel_centers
+from .mesh import (FemImage, FemMesh, OUTSIDE, PixelAssignment,
                    build_pixel_assignment, downsample, upsample)
 from .metrics import (BinaryMask, FrameMetrics, MetricsReport, binarize, boundary,
                       evaluate_pair, evaluate_sequence, hausdorff, masd, overlap)
 from .operators import (Kernel, ObservationModel, convolve_neumann,
-                        gaussian_kernel, warp_adjoint, warp_image)
+                        gaussian_kernel, warp_image)
 from .phantoms import (COARSE, FINE, LUNG, T_SHAPE, DegradeSpec, SceneSpec,
                        degrade, disc_mesh, render_lung, render_scene,
                        render_tshape, tshape_centers)
 from .srr import (SrrConfig, SrrState, estimate_operator_norm, run_sequence,
-                  srr_cost, srr_cost_gradient, srr_init, srr_step)
+                  srr_init, srr_step)
 
 __version__ = "0.1.0"

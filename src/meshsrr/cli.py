@@ -122,6 +122,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
+    if not 0.0 < args.fraction <= 1.0:
+        raise ConfigError(f"--fraction must be in (0, 1], got {args.fraction}")
     ref_dir = Path(args.reference)
     cand_dir = Path(args.candidate)
     refs = sorted(ref_dir.glob("*.pgm"))
@@ -133,7 +135,10 @@ def _cmd_metrics(args) -> int:
             f"image counts differ: {len(refs)} reference vs {len(cands)} candidate")
     truths = [read_grid_image(p) for p in refs]
     estimates = [read_grid_image(p) for p in cands]
-    report = evaluate_sequence(truths, estimates, fraction=args.fraction)
+    try:
+        report = evaluate_sequence(truths, estimates, fraction=args.fraction)
+    except ValueError as exc:  # mismatched grids or an empty binarized mask
+        raise FileFormatError(f"{ref_dir} vs {cand_dir}: {exc}") from exc
     if args.output:
         Path(args.output).write_text(report.to_csv())
     else:
@@ -144,8 +149,8 @@ def _cmd_metrics(args) -> int:
 def _cmd_resample(args) -> int:
     mesh = read_mesh(args.mesh)
     if args.direction == "up":
-        if not args.values or not args.grid:
-            raise ConfigError("resample up needs --values and --grid")
+        if not args.values or not args.grid or args.grid < 1:
+            raise ConfigError("resample up needs --values and a positive --grid")
         img = read_fem_image(mesh, args.values)
         assignment = build_pixel_assignment(mesh, args.grid, args.grid)
         write_pgm16(upsample(img, assignment), args.output)
@@ -159,13 +164,20 @@ def _cmd_resample(args) -> int:
 
 
 def _cmd_flow(args) -> int:
+    try:
+        params = FlowParams(lam=args.lam, pyramid_levels=args.levels,
+                            pyramid_spacing=args.spacing,
+                            iterations_per_level=args.iterations,
+                            warps_per_level=args.warps)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     target = read_grid_image(args.target)
     source = read_grid_image(args.source)
-    params = FlowParams(lam=args.lam, pyramid_levels=args.levels,
-                        pyramid_spacing=args.spacing,
-                        iterations_per_level=args.iterations,
-                        warps_per_level=args.warps)
-    write_flow(horn_schunck(target, source, params), args.output)
+    try:
+        flow = horn_schunck(target, source, params)
+    except ValueError as exc:  # mismatched or too small images
+        raise FileFormatError(f"{args.source}: {exc}") from exc
+    write_flow(flow, args.output)
     return 0
 
 

@@ -2,6 +2,7 @@
 bracketed sections, documented defaults, and the four named presets."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
@@ -44,11 +45,12 @@ class ExperimentConfig:
             raise ConfigError(f"grid must be at least 8, got {self.grid}")
         if self.mesh_density not in (FINE, COARSE):
             raise ConfigError(f"mesh must be FINE or COARSE, got {self.mesh_density!r}")
-        if self.kernel_size < 0 or (self.kernel_size > 0 and self.kernel_size % 2 == 0):
-            raise ConfigError(
-                f"kernel_size must be 0 (auto) or a positive odd number, got {self.kernel_size}")
-        if self.kernel_sigma < 0:
-            raise ConfigError("kernel_sigma must be 0 (auto) or positive")
+        if not math.isfinite(self.snr_db):
+            raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
+        try:
+            self.srr_config()  # step size, iterations, smoothness weight and blur
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def resolved_kernel(self) -> Kernel:
         size = self.kernel_size

@@ -68,9 +68,6 @@ class FlowField:
     def height(self) -> int:
         return self.u.shape[0]
 
-    def magnitude(self) -> np.ndarray:
-        return np.hypot(self.u, self.v)
-
 
 @dataclass(frozen=True)
 class FlowParams:
@@ -86,11 +83,11 @@ class FlowParams:
     warps_per_level: int = 3
 
     def __post_init__(self):
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise ValueError(f"lam must be positive, got {self.lam}")
         if self.pyramid_levels < 1:
             raise ValueError(f"pyramid_levels must be >= 1, got {self.pyramid_levels}")
-        if self.pyramid_spacing <= 1:
+        if not self.pyramid_spacing > 1:
             raise ValueError(f"pyramid_spacing must be > 1, got {self.pyramid_spacing}")
         if self.iterations_per_level < 1 or self.warps_per_level < 1:
             raise ValueError("iterations_per_level and warps_per_level must be >= 1")

@@ -11,8 +11,7 @@ class GridImage:
     """Scalar image on a regular width x height grid.
 
     Pixel (i, j) (column i, row j) is centered at
-    ``x_i = -1 + (i + 0.5) * 2 / width`` and
-    ``y_j = -1 + (j + 0.5) * 2 / height``.
+    ``(pixel_centers(width)[i], pixel_centers(height)[j])``.
     Values are stored row-major as ``data[j, i]``. The array is copied on
     construction, validated to be finite, and frozen, so instances are safe
     to share.
@@ -46,22 +45,11 @@ class GridImage:
     def height(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def pitch_x(self) -> float:
-        """Pixel spacing along x in normalized units."""
-        return 2.0 / self.width
 
-    @property
-    def pitch_y(self) -> float:
-        return 2.0 / self.height
-
-    def pixel_xs(self) -> np.ndarray:
-        """Column-center x coordinates, shape (width,)."""
-        return -1.0 + (np.arange(self.width) + 0.5) * self.pitch_x
-
-    def pixel_ys(self) -> np.ndarray:
-        """Row-center y coordinates, shape (height,)."""
-        return -1.0 + (np.arange(self.height) + 0.5) * self.pitch_y
+def pixel_centers(n: int) -> np.ndarray:
+    """Centers of ``n`` equal pixels spanning [-1, 1], in index order; the
+    one pixel-center rule of every grid in the package."""
+    return -1.0 + (np.arange(n) + 0.5) * (2.0 / n)
 
 
 def require_same_shape(a: GridImage, b: GridImage, what: str = "images") -> None:

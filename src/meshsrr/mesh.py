@@ -3,10 +3,10 @@ to uniform rasters.
 
 A mesh image stores one scalar per triangle of a fixed mesh over the
 normalized square [-1, 1]^2. ``build_pixel_assignment`` locates every raster
-pixel center inside the mesh once; ``upsample``, ``downsample`` and
-``apply_hd`` then realize sifting to the uniform grid, per-element averaging
-back to the mesh, and their composition (the mesh-averaging projection used
-by the observation model).
+pixel center inside the mesh once; ``upsample`` and ``downsample`` then
+realize sifting to the uniform grid and per-element averaging back to the
+mesh. Their composition, the mesh-averaging projection P, is applied by
+``operators.ObservationModel``.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeshError
-from .grid import GridImage
+from .grid import GridImage, pixel_centers
 
 # Marker for raster pixels whose center lies outside every element.
 OUTSIDE = -1
@@ -80,27 +80,6 @@ class FemMesh:
         return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
                       - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
 
-    def check_non_overlapping(self, samples: int = 4096, seed: int = 0,
-                              margin: float = 1e-9) -> None:
-        """Probabilistic check that element interiors do not intersect.
-
-        Draws random points over the mesh bounding box and raises MeshError
-        if any point lies strictly inside more than one element.
-        """
-        rng = np.random.default_rng(seed)
-        lo = self.nodes.min(axis=0)
-        hi = self.nodes.max(axis=0)
-        pts = lo + rng.random((samples, 2)) * (hi - lo)
-        hits = np.zeros(samples, dtype=np.int64)
-        for e in range(self.n_elements):
-            tri = self.nodes[self.elements[e]]
-            inside = _points_in_triangle(pts[:, 0], pts[:, 1], tri, -margin)
-            hits += inside
-        if np.any(hits > 1):
-            raise MeshError(
-                f"mesh elements overlap: {int((hits > 1).sum())} of {samples} "
-                "sampled points lie inside more than one element")
-
 
 @dataclass(frozen=True, eq=False)
 class FemImage:
@@ -124,10 +103,10 @@ class PixelAssignment:
     """Precomputed pixel-to-element map for one (mesh, grid) pair.
 
     ``pixel_to_element[j, i]`` holds the element index circumscribing pixel
-    (i, j), or OUTSIDE. ``element_pixels[e]`` lists the flattened (row-major)
-    indices of the member pixels of element e in ascending order, which fixes
-    the reduction order of every average. Instances are immutable and safe to
-    share across threads.
+    (i, j), or OUTSIDE, and ``element_counts[e]`` the number of member pixels
+    of element e. Element sums are ``bincount`` reductions over the pixels in
+    row-major order, which fixes the reduction order of every average.
+    Instances are immutable and safe to share across threads.
     """
 
     def __init__(self, mesh: FemMesh, pixel_to_element: np.ndarray):
@@ -136,31 +115,15 @@ class PixelAssignment:
         pe.flags.writeable = False
         self.pixel_to_element = pe
         self.height, self.width = pe.shape
-        flat = pe.ravel()
-        inside = flat >= 0
-        counts = np.bincount(flat[inside], minlength=mesh.n_elements)
-        counts.flags.writeable = False
-        self.element_counts = counts
-        order = np.argsort(flat, kind="stable")
-        order = order[flat[order] >= 0]
-        bounds = np.concatenate([[0], np.cumsum(counts)])
-        pixels = []
-        for e in range(mesh.n_elements):
-            idx = order[bounds[e]:bounds[e + 1]]
-            idx.flags.writeable = False
-            pixels.append(idx)
-        self.element_pixels = tuple(pixels)
-        self.outside_count = int((~inside).sum())
         self._inside = pe >= 0
         self._inside.flags.writeable = False
+        counts = np.bincount(pe[self._inside], minlength=mesh.n_elements)
+        counts.flags.writeable = False
+        self.element_counts = counts
 
     @property
     def n_elements(self) -> int:
         return self.mesh.n_elements
-
-    def empty_elements(self) -> np.ndarray:
-        """Indices of elements with no member pixel."""
-        return np.flatnonzero(self.element_counts == 0)
 
     def inside_mask(self) -> np.ndarray:
         """Boolean (height, width) mask of pixels assigned to some element."""
@@ -193,8 +156,8 @@ def build_pixel_assignment(mesh: FemMesh, width: int, height: int) -> PixelAssig
         raise ValueError(f"grid dimensions must be >= 1, got {width}x{height}")
     if mesh.n_elements == 0:
         raise MeshError("mesh has no elements")
-    xs = -1.0 + (np.arange(width) + 0.5) * (2.0 / width)
-    ys = -1.0 + (np.arange(height) + 0.5) * (2.0 / height)
+    xs = pixel_centers(width)
+    ys = pixel_centers(height)
     pix = np.full((height, width), OUTSIDE, dtype=np.int64)
     pad = POINT_IN_TRIANGLE_TOL + 1e-9
     for e in range(mesh.n_elements):
@@ -262,12 +225,3 @@ def downsample(img: GridImage, assignment: PixelAssignment) -> FemImage:
             f"{assignment.width}x{assignment.height}; their values are set to 0",
             stacklevel=2)
     return FemImage(assignment.mesh, values)
-
-
-def apply_hd(img: GridImage, assignment: PixelAssignment) -> GridImage:
-    """Mesh-averaging projection: downsample then upsample.
-
-    Every assigned pixel receives the mean over its element's member pixels;
-    OUTSIDE pixels become 0. The operator is idempotent and self-adjoint.
-    """
-    return upsample(downsample(img, assignment), assignment)

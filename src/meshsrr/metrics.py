@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridImage
+from .grid import GridImage, pixel_centers
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,10 +35,6 @@ class BinaryMask:
     @property
     def height(self) -> int:
         return self.bits.shape[0]
-
-    @property
-    def count(self) -> int:
-        return int(self.bits.sum())
 
 
 def binarize(img: GridImage, fraction: float = 0.25) -> BinaryMask:
@@ -88,9 +84,8 @@ def boundary(mask: BinaryMask) -> np.ndarray:
                 & padded[1:-1, :-2] & padded[1:-1, 2:])
     edge = b & ~interior
     js, iis = np.nonzero(edge)
-    xs = -1.0 + (iis + 0.5) * (2.0 / mask.width)
-    ys = -1.0 + (js + 0.5) * (2.0 / mask.height)
-    return np.column_stack([xs, ys])
+    return np.column_stack([pixel_centers(mask.width)[iis],
+                            pixel_centers(mask.height)[js]])
 
 
 def _directed_min_d2(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:

@@ -1,12 +1,11 @@
 """Linear image operators of the observation and regularization models.
 
 Provides the space-invariant blur (with Neumann / symmetric boundary
-extension), dense backward warping with its scatter transpose, and
-``ObservationModel``, the array-level form of the reconstruction cost. Masks
-are mirror-symmetric in each axis, so under the reflecting boundary every
-blur, like the 5-point stencil, is diagonalized by the 2-D DCT-II and is
-applied as elementwise weights between transforms; the blur is its own
-transpose.
+extension), dense bilinear backward warping, and ``ObservationModel``, the
+array-level form of the reconstruction cost. Masks are mirror-symmetric in
+each axis, so under the reflecting boundary every blur, like the 5-point
+stencil, is diagonalized by the 2-D DCT-II and is applied as elementwise
+weights between transforms; the blur is its own transpose.
 """
 from __future__ import annotations
 
@@ -54,7 +53,7 @@ def gaussian_kernel(size: int, sigma: float) -> Kernel:
     """Isotropic Gaussian mask on integer offsets, normalized to unit sum."""
     if size < 1 or size % 2 == 0:
         raise ValueError(f"kernel size must be a positive odd integer, got {size}")
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     half = size // 2
     u = np.arange(-half, half + 1, dtype=np.float64)
@@ -97,22 +96,17 @@ def convolve_neumann(img: GridImage, k: Kernel) -> GridImage:
     return GridImage(fft.idctn(eig * fft.dctn(img.data, norm="ortho"), norm="ortho"))
 
 
-def _bilinear_corners(h: int, w: int, sx: np.ndarray, sy: np.ndarray) -> tuple:
-    """Corner indices ``x0, y0, x1, y1`` and weights ``fx, fy`` of bilinear
-    samples at (sx, sy) on an (h, w) grid, coordinates clamped to the border."""
-    sx = np.clip(sx, 0.0, w - 1.0)
-    sy = np.clip(sy, 0.0, h - 1.0)
-    x0 = np.floor(sx).astype(np.int64)
-    y0 = np.floor(sy).astype(np.int64)
-    return x0, y0, np.minimum(x0 + 1, w - 1), np.minimum(y0 + 1, h - 1), sx - x0, sy - y0
-
-
 def _bilinear_gather(data: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
     """Sample ``data`` at (sx, sy) with bilinear interpolation, clamping
     out-of-range coordinates to the border pixels. Leading axes of ``data``
     hold independent images; the coordinates broadcast against them."""
     h, w = data.shape[-2:]
-    x0, y0, x1, y1, fx, fy = _bilinear_corners(h, w, sx, sy)
+    sx = np.clip(sx, 0.0, w - 1.0)
+    sy = np.clip(sy, 0.0, h - 1.0)
+    x0 = np.floor(sx).astype(np.int64)
+    y0 = np.floor(sy).astype(np.int64)
+    x1, y1 = np.minimum(x0 + 1, w - 1), np.minimum(y0 + 1, h - 1)
+    fx, fy = sx - x0, sy - y0
     lead = tuple(i[..., None, None] for i in np.indices(data.shape[:-2], sparse=True))
     top = (1.0 - fx) * data[(*lead, y0, x0)] + fx * data[(*lead, y0, x1)]
     bot = (1.0 - fx) * data[(*lead, y1, x0)] + fx * data[(*lead, y1, x1)]
@@ -126,24 +120,6 @@ def warp_image(img: GridImage, flow) -> GridImage:
             f"flow {flow.width}x{flow.height} does not match image {img.width}x{img.height}")
     jj, ii = np.meshgrid(np.arange(img.height), np.arange(img.width), indexing="ij")
     return GridImage(_bilinear_gather(img.data, ii + flow.u, jj + flow.v))
-
-
-def warp_adjoint(img: GridImage, flow) -> GridImage:
-    """Scatter transpose of ``warp_image`` with identical bilinear weights."""
-    if (flow.height, flow.width) != (img.height, img.width):
-        raise ValueError(
-            f"flow {flow.width}x{flow.height} does not match image {img.width}x{img.height}")
-    h, w = img.height, img.width
-    jj, ii = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    x0, y0, x1, y1, fx, fy = _bilinear_corners(h, w, (ii + flow.u).ravel(),
-                                               (jj + flow.v).ravel())
-    vals = img.data.ravel()
-    out = np.zeros((h, w))
-    np.add.at(out, (y0, x0), (1.0 - fx) * (1.0 - fy) * vals)
-    np.add.at(out, (y0, x1), fx * (1.0 - fy) * vals)
-    np.add.at(out, (y1, x0), (1.0 - fx) * fy * vals)
-    np.add.at(out, (y1, x1), fx * fy * vals)
-    return GridImage(out)
 
 
 def _stencil_eigenvalues(n: int) -> np.ndarray:

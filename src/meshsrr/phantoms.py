@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridImage
+from .grid import GridImage, pixel_centers
 from .mesh import FemImage, FemMesh, PixelAssignment, downsample, _check_match
 from .operators import Kernel, convolve_neumann
 
@@ -68,10 +68,12 @@ class SceneSpec:
             raise ValueError(f"unknown scene kind {self.kind!r}")
         if self.frames < 1:
             raise ValueError(f"frames must be >= 1, got {self.frames}")
+        if not (math.isfinite(self.background) and math.isfinite(self.inclusion)):
+            raise ValueError("background and inclusion values must be finite")
         if self.inclusion == self.background:
             raise ValueError("inclusion value must differ from background value")
-        if self.motion_variance < 0 or self.motion_bound < 0:
-            raise ValueError("motion variance and bound must be non-negative")
+        if not (0 <= self.motion_variance < math.inf and self.motion_bound >= 0):
+            raise ValueError("motion variance must be finite and >= 0, motion bound >= 0")
         if not 0 <= self.breath_amplitude < 1:
             raise ValueError(f"breath_amplitude must be in [0, 1), got {self.breath_amplitude}")
 
@@ -108,12 +110,6 @@ def tshape_centers(spec: SceneSpec) -> np.ndarray:
     return out
 
 
-def _pixel_grids(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
-    xs = -1.0 + (np.arange(width) + 0.5) * (2.0 / width)
-    ys = -1.0 + (np.arange(height) + 0.5) * (2.0 / height)
-    return np.meshgrid(xs, ys)
-
-
 def _rect(X, Y, x0, x1, y0, y1):
     return (X >= x0) & (X < x1) & (Y >= y0) & (Y < y1)
 
@@ -127,7 +123,7 @@ def render_tshape(spec: SceneSpec, t: int, width: int, height: int) -> GridImage
     """Disc-shaped body with a translating T inclusion at frame ``t``."""
     _check_frame(spec, t)
     cx, cy = tshape_centers(spec)[t]
-    X, Y = _pixel_grids(width, height)
+    X, Y = np.meshgrid(pixel_centers(width), pixel_centers(height))
     disc = X * X + Y * Y <= BODY_RADIUS * BODY_RADIUS
     stem = _rect(X, Y,
                  cx - spec.t_stem_width / 2, cx + spec.t_stem_width / 2,
@@ -155,7 +151,7 @@ def render_lung(spec: SceneSpec, t: int, width: int, height: int) -> GridImage:
     s = lung_scale(spec, t)
     a = spec.lung_semi_x * s
     b = spec.lung_semi_y * s
-    X, Y = _pixel_grids(width, height)
+    X, Y = np.meshgrid(pixel_centers(width), pixel_centers(height))
     disc = X * X + Y * Y <= BODY_RADIUS * BODY_RADIUS
     left = ((X + spec.lung_center_x) / a) ** 2 + ((Y - spec.lung_center_y) / b) ** 2 <= 1.0
     right = ((X - spec.lung_center_x) / a) ** 2 + ((Y - spec.lung_center_y) / b) ** 2 <= 1.0

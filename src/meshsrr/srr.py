@@ -40,12 +40,12 @@ class SrrConfig:
     kernel: Kernel = None
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if not 0 < self.mu < np.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
         if self.k_iters < 1:
             raise ValueError(f"k_iters must be >= 1, got {self.k_iters}")
-        if self.alpha_srr < 0:
-            raise ValueError(f"alpha_srr must be >= 0, got {self.alpha_srr}")
+        if not 0 <= self.alpha_srr < np.inf:
+            raise ValueError(f"alpha_srr must be >= 0 and finite, got {self.alpha_srr}")
         w, h = self.grid
         if w < 3 or h < 3:
             raise ValueError(f"grid must be at least 3x3, got {w}x{h}")
@@ -80,21 +80,6 @@ def srr_init(y_up0: GridImage, cfg: SrrConfig) -> SrrState:
             f"observation {y_up0.width}x{y_up0.height} does not match configured grid {w}x{h}")
     return SrrState(x_hat=convolve_neumann(y_up0, cfg.kernel),
                     frame_index=0, last_cost=float("nan"))
-
-
-def srr_cost(x: GridImage, y_up: GridImage, assignment: PixelAssignment,
-             kernel: Kernel, alpha: float) -> float:
-    """Data misfit over assigned pixels plus the smoothness penalty."""
-    cost, _, _ = ObservationModel(assignment, kernel, alpha).terms(x.data, y_up.data)
-    return cost
-
-
-def srr_cost_gradient(x: GridImage, y_up: GridImage, assignment: PixelAssignment,
-                      kernel: Kernel, alpha: float) -> GridImage:
-    """Analytic gradient of ``srr_cost`` with respect to x."""
-    model = ObservationModel(assignment, kernel, alpha)
-    _, coeffs, residual = model.terms(x.data, y_up.data)
-    return GridImage(2.0 * model.half_gradient(coeffs, residual))
 
 
 def srr_step(state: SrrState, y_up_t: GridImage, flow_t: FlowField,
@@ -187,19 +172,18 @@ def run_sequence(observations: list[FemImage], cfg: SrrConfig,
 
 
 def estimate_operator_norm(assignment: PixelAssignment, kernel: Kernel,
-                           alpha: float, width: int, height: int,
-                           iterations: int = 30, seed: int = 0) -> float:
-    """Largest eigenvalue of B' P B + alpha * S' S by power iteration.
+                           alpha: float, iterations: int = 30, seed: int = 0) -> float:
+    """Largest eigenvalue of B' P B + alpha * S' S on the assignment's grid,
+    by power iteration.
 
     The cost is non-increasing over the correction iterations whenever
     mu times this value stays below 1.
     """
-    if (assignment.width, assignment.height) != (width, height):
-        raise MeshError("pixel assignment does not match the requested grid")
     model = ObservationModel(assignment, kernel, alpha)
-    zeros = np.zeros((height, width))
+    shape = (assignment.height, assignment.width)
+    zeros = np.zeros(shape)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((height, width))
+    x = rng.standard_normal(shape)
     x /= np.linalg.norm(x)
     lam = 0.0
     for _ in range(iterations):

@@ -2,8 +2,11 @@
 
 Everything here is written against the operator definitions directly (index
 loops, explicit reflection maps, dense matrices) and deliberately avoids the
-code paths of the package under test. The exceptions are test-only helpers
-built on the package: ``random_mask_pair`` and ``compose_flows``.
+code paths of the package under test; the oracles read only its data (mesh
+nodes and elements, ``pixel_to_element``, flow components). The exceptions
+are test-only helpers built on the package: ``random_mask_pair`` (which
+returns ``BinaryMask`` pairs) and ``compose_flows`` (which samples through
+the warp's bilinear gather).
 """
 import numpy as np
 
@@ -89,9 +92,28 @@ def dense_projection_matrix(assignment) -> np.ndarray:
         e = pe[row]
         if e < 0:
             continue
-        members = assignment.element_pixels[e]
+        members = np.flatnonzero(pe == e)
         mat[row, members] = 1.0 / len(members)
     return mat
+
+
+def overlapping_points(mesh, samples: int = 4096, seed: int = 0,
+                       margin: float = 1e-9) -> int:
+    """How many of ``samples`` random points over the mesh bounding box lie
+    inside two or more elements, each by more than ``margin``: a
+    probabilistic overlap check that is 0 for a valid triangulation."""
+    rng = np.random.default_rng(seed)
+    lo = mesh.nodes.min(axis=0)
+    hi = mesh.nodes.max(axis=0)
+    px, py = (lo + rng.random((samples, 2)) * (hi - lo)).T
+    hits = np.zeros(samples, dtype=np.int64)
+    for tri in mesh.nodes[mesh.elements]:
+        inside = np.ones(samples, dtype=bool)
+        for k in range(3):
+            (ax, ay), (bx, by) = tri[k], tri[(k + 1) % 3]
+            inside &= (bx - ax) * (py - ay) - (by - ay) * (px - ax) > margin
+        hits += inside
+    return int((hits > 1).sum())
 
 
 def dense_warp_matrix(flow, width: int, height: int) -> np.ndarray:

@@ -15,19 +15,18 @@ from meshsrr.config import preset
 from meshsrr.experiment import run_experiment
 from meshsrr.flow import FlowParams, horn_schunck
 from meshsrr.grid import GridImage
-from meshsrr.mesh import apply_hd, build_pixel_assignment
+from meshsrr.mesh import build_pixel_assignment
 from meshsrr.metrics import boundary, hausdorff, masd, overlap
 from meshsrr.operators import (ObservationModel, convolve_neumann,
-                               gaussian_kernel, warp_adjoint, warp_image)
+                               gaussian_kernel, warp_image)
 from meshsrr.phantoms import COARSE, FINE, disc_mesh
-from meshsrr.srr import srr_cost, srr_cost_gradient
 
 from oracles import (brute_force_hausdorff, brute_force_masd,
                      dense_blur_matrix, dense_laplacian_matrix,
                      dense_projection_matrix, dense_warp_matrix,
                      random_mask_pair)
-from test_operators import (nonseparable_kernel, observe, observe_adjoint,
-                            random_flow, stencil_normal)
+from test_operators import (dense_warp_transpose, nonseparable_kernel, observe,
+                            observe_adjoint, project, random_flow, stencil_normal)
 from test_metrics import mask_from_pixels
 
 
@@ -75,10 +74,6 @@ def test_criterion_1_operator_adjoint_suite(square_mesh_session):
         rng = np.random.default_rng(42)
         k_obs = gaussian_kernel(5, 1.5)
 
-        def project(asg):
-            f = lambda x: apply_hd(GridImage(x), asg).data
-            return f, f
-
         def blur(k):
             f = lambda x: convolve_neumann(GridImage(x), k).data
             return f, f
@@ -90,13 +85,13 @@ def test_criterion_1_operator_adjoint_suite(square_mesh_session):
                 asg_disc = build_pixel_assignment(disc_mesh(COARSE), n, n)
                 flow = random_flow(rng, n, n)
                 ops = {
-                    "projection square": project(asg_square),
-                    "projection disc": project(asg_disc),
+                    "projection square": (lambda x: project(asg_square, x),) * 2,
+                    "projection disc": (lambda x: project(asg_disc, x),) * 2,
                     "blur": blur(gaussian_kernel(min(9, 2 * n - 1), 2.0)),
                     "blur non-separable": blur(nonseparable_kernel()),
                     "stencil S'S": (lambda x: stencil_normal(asg_square, x),) * 2,
                     "warp": (lambda x: warp_image(GridImage(x), flow).data,
-                             lambda y: warp_adjoint(GridImage(y), flow).data),
+                             dense_warp_transpose(flow)),
                     "observation": (lambda x: observe(asg_disc, k_obs, x),
                                     lambda y: observe_adjoint(asg_disc, k_obs, y)),
                 }
@@ -133,7 +128,10 @@ def test_criterion_2_dense_matrix_equivalence(square_mesh_session):
             flow = random_flow(rng, n, n)
             G = dense_warp_matrix(flow, n, n)
             checks.append((warp_image(xi, flow).data, G @ x.ravel()))
-            checks.append((warp_adjoint(xi, flow).data, G.T @ x.ravel()))
+            # The transpose of warp_image's own matrix, column by column.
+            W = np.column_stack([warp_image(GridImage(e.reshape(n, n)), flow).data.ravel()
+                                 for e in np.eye(n * n)])
+            checks.append((W.T @ x.ravel(), G.T @ x.ravel()))
             alpha = 0.3
             for mesh in (square_mesh_session, disc_mesh(COARSE)):
                 asg = build_pixel_assignment(mesh, n, n)
@@ -141,7 +139,7 @@ def test_criterion_2_dense_matrix_equivalence(square_mesh_session):
                 P = dense_projection_matrix(asg)
                 k = gaussian_kernel(3, 1.0)
                 B = dense_blur_matrix(k.taps, n, n)
-                checks.append((apply_hd(xi, asg).data, P @ x.ravel()))
+                checks.append((project(asg, x), P @ x.ravel()))
                 model = ObservationModel(asg, k, alpha)
                 _, coeffs, residual = model.terms(x, y)
                 r = np.where(inside, P @ (B @ x.ravel()) - y.ravel(), 0.0)
@@ -165,14 +163,14 @@ def test_criterion_3_projection_idempotent_self_adjoint():
             for density in (FINE, COARSE):
                 asg = build_pixel_assignment(disc_mesh(density), 64, 64)
                 for _ in range(5):
-                    x = GridImage(rng.standard_normal((64, 64)))
-                    y = GridImage(rng.standard_normal((64, 64)))
-                    once = apply_hd(x, asg)
-                    twice = apply_hd(once, asg)
-                    assert np.abs(twice.data - once.data).max() <= 1e-10
-                    lhs = float((apply_hd(x, asg).data * y.data).sum())
-                    rhs = float((x.data * apply_hd(y, asg).data).sum())
-                    bound = 1e-10 * np.linalg.norm(x.data) * np.linalg.norm(y.data)
+                    x = rng.standard_normal((64, 64))
+                    y = rng.standard_normal((64, 64))
+                    once = project(asg, x)
+                    twice = project(asg, once)
+                    assert np.abs(twice - once).max() <= 1e-10
+                    lhs = float((once * y).sum())
+                    rhs = float((x * project(asg, y)).sum())
+                    bound = 1e-10 * np.linalg.norm(x) * np.linalg.norm(y)
                     assert abs(lhs - rhs) <= bound
 
 
@@ -202,17 +200,17 @@ def test_criterion_5_gradient_check(square_mesh_session):
         eps = 1e-5
         for _ in range(10):
             x = rng.standard_normal((n, n))
-            y = GridImage(rng.standard_normal((n, n)))
+            y = rng.standard_normal((n, n))
             alpha = float(rng.uniform(0.0, 0.5))
-            g = srr_cost_gradient(GridImage(x), y, asg, kernel, alpha).data
+            model = ObservationModel(asg, kernel, alpha)
+            _, coeffs, residual = model.terms(x, y)
+            g = 2.0 * model.half_gradient(coeffs, residual)
             fd = np.zeros_like(x)
             for j in range(n):
                 for i in range(n):
                     xp = x.copy(); xp[j, i] += eps
                     xm = x.copy(); xm[j, i] -= eps
-                    fd[j, i] = (srr_cost(GridImage(xp), y, asg, kernel, alpha)
-                                - srr_cost(GridImage(xm), y, asg, kernel, alpha)
-                                ) / (2 * eps)
+                    fd[j, i] = (model.terms(xp, y)[0] - model.terms(xm, y)[0]) / (2 * eps)
             assert np.linalg.norm(fd - g) / np.linalg.norm(g) <= 1e-5
 
 

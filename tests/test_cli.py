@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,23 @@ class TestRunCommand:
         assert [p.name for p in files_a] == [p.name for p in files_b]
         for pa, pb in zip(files_a, files_b):
             assert pa.read_bytes() == pb.read_bytes(), pa.name
+
+    @pytest.mark.parametrize("setting", [
+        "srr.mu=-1", "srr.mu=nan", "srr.k_iters=0", "srr.alpha=-1",
+        "degrade.snr_db=inf", "degrade.snr_db=nan", "srr.kernel_sigma=nan",
+        "scene.motion_variance=nan",
+    ])
+    def test_bad_config_value_exits_2(self, setting, monkeypatch, capsys):
+        import meshsrr.cli as cli
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the experiment ran with a bad config value")
+
+        monkeypatch.setattr(cli, "run_experiment", unreachable)
+        argv = ["run", "--set", "srr.grid=16", "--set", "scene.frames=2",
+                "--motion", "known", "--set", setting]
+        assert main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_undecodable_config_file_exits_4(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -198,3 +217,37 @@ class TestMetricsCommand:
         write_pgm16(GridImage.full(4, 4, 1.0), ref / "a.pgm")
         assert main(["metrics", "--reference", str(ref),
                      "--candidate", str(cand)]) == 4
+
+
+@pytest.fixture
+def cli_inputs(tmp_path):
+    """A 16x16 image, a shorter one, an image that binarizes to an empty
+    mask, and a mesh with its values, each in its own file or directory."""
+    img = np.zeros((16, 16))
+    img[4:9, 5:11] = 2.0
+    for name, data in (("ref", img), ("empty", np.full((16, 16), -1.0))):
+        (tmp_path / name).mkdir()
+        write_pgm16(GridImage(data), tmp_path / name / "a.pgm")
+    write_pgm16(GridImage(img), tmp_path / "square.pgm")
+    write_pgm16(GridImage(img[:12]), tmp_path / "short.pgm")
+    write_mesh(disc_mesh(COARSE), tmp_path / "mesh.txt")
+    write_values(np.zeros(256), tmp_path / "v.txt")
+    return tmp_path
+
+
+@pytest.mark.parametrize("args,code", [
+    ("metrics --reference ref --candidate ref --fraction 2", 2),
+    ("flow --target square.pgm --source square.pgm --lam -1 -o o.flow", 2),
+    ("flow --target square.pgm --source square.pgm --levels 0 -o o.flow", 2),
+    ("resample up --mesh mesh.txt --values v.txt --grid -4 -o x.pgm", 2),
+    ("flow --target square.pgm --source short.pgm -o o.flow", 4),
+    ("metrics --reference ref --candidate empty", 4),
+], ids=["fraction", "lam", "levels", "grid", "flow-shapes", "empty-mask"])
+def test_argument_errors_exit_with_documented_code(cli_inputs, monkeypatch, capsys,
+                                                  args, code):
+    monkeypatch.chdir(cli_inputs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(args.split()) == code
+    prefix = "configuration error" if code == 2 else "i/o error"
+    assert capsys.readouterr().err.startswith(prefix)

@@ -3,11 +3,12 @@ import pytest
 
 from meshsrr.errors import MeshError
 from meshsrr.grid import GridImage
-from meshsrr.mesh import (FemImage, FemMesh, OUTSIDE, apply_hd,
+from meshsrr.mesh import (FemImage, FemMesh, OUTSIDE,
                           build_pixel_assignment, downsample, upsample)
 from meshsrr.phantoms import disc_mesh
 
-from oracles import brute_force_assignment
+from oracles import brute_force_assignment, overlapping_points
+from test_operators import project
 
 # Frozen from the brute-force point-in-triangle oracle on the diagonal-split
 # square with a 4x4 grid. Pixels on the shared diagonal go to element 0.
@@ -43,14 +44,13 @@ class TestFemMesh:
             FemMesh(nodes, np.array([[0, 1, 2]]))
 
     def test_overlap_check_passes_on_disc(self):
-        disc_mesh("COARSE").check_non_overlapping(samples=2000, seed=3)
+        assert overlapping_points(disc_mesh("COARSE"), samples=2000, seed=3) == 0
 
     def test_overlap_check_detects_overlapping_elements(self):
         nodes = np.array([[-1.0, -1.0], [1.0, -1.0], [0.0, 1.0], [-0.5, 0.9]])
         elements = np.array([[0, 1, 2], [0, 1, 3]])
         mesh = FemMesh(nodes, elements)
-        with pytest.raises(MeshError, match="overlap"):
-            mesh.check_non_overlapping(samples=2000, seed=3)
+        assert overlapping_points(mesh, samples=2000, seed=3) > 0
 
 
 class TestBuildPixelAssignment:
@@ -58,14 +58,15 @@ class TestBuildPixelAssignment:
         # 2x1 grid: both centers (+-0.5, 0) sit inside the one triangle.
         asg = build_pixel_assignment(one_triangle_mesh, 2, 1)
         assert (asg.pixel_to_element == 0).all()
-        assert asg.outside_count == 0
-        assert list(asg.element_pixels[0]) == [0, 1]
+        assert asg.inside_mask().all()
+        assert np.array_equal(asg.element_counts, [2])
 
     def test_diagonal_split_matches_frozen_oracle(self, square_mesh):
         asg = build_pixel_assignment(square_mesh, 4, 4)
         assert np.array_equal(asg.pixel_to_element, DIAG_4X4_MAP)
-        assert list(asg.element_pixels[0]) == DIAG_ELEM0_PIXELS
-        assert list(asg.element_pixels[1]) == DIAG_ELEM1_PIXELS
+        flat = asg.pixel_to_element.ravel()
+        assert list(np.flatnonzero(flat == 0)) == DIAG_ELEM0_PIXELS
+        assert list(np.flatnonzero(flat == 1)) == DIAG_ELEM1_PIXELS
         assert np.array_equal(asg.element_counts, [10, 6])
 
     def test_matches_brute_force_on_disc(self):
@@ -80,17 +81,15 @@ class TestBuildPixelAssignment:
         pe = asg.pixel_to_element
         assert pe[0, 0] == OUTSIDE and pe[0, -1] == OUTSIDE
         assert pe[-1, 0] == OUTSIDE and pe[-1, -1] == OUTSIDE
-        assert asg.outside_count > 0
+        assert not asg.inside_mask().all()
 
     def test_partition_property(self, square_mesh):
         asg = build_pixel_assignment(square_mesh, 7, 5)
-        total = sum(len(p) for p in asg.element_pixels)
-        assert total + asg.outside_count == 7 * 5
-        assert np.array_equal(asg.element_counts,
-                              [len(p) for p in asg.element_pixels])
-        flat = asg.pixel_to_element.ravel()
-        for e, pixels in enumerate(asg.element_pixels):
-            assert (flat[pixels] == e).all()
+        pe = asg.pixel_to_element
+        outside = int((pe == OUTSIDE).sum())
+        assert asg.element_counts.sum() + outside == 7 * 5
+        assert np.array_equal(asg.element_counts, [(pe == e).sum() for e in range(2)])
+        assert np.array_equal(asg.inside_mask(), pe != OUTSIDE)
 
     def test_zero_element_mesh_rejected(self, square_mesh):
         with pytest.raises(ValueError):
@@ -146,7 +145,7 @@ class TestDownsample:
                           [-1.0, 1.0], [-0.999, 1.0]])
         mesh = FemMesh(nodes, np.array([[0, 1, 2], [3, 0, 4]]))
         asg = build_pixel_assignment(mesh, 4, 4)
-        assert list(asg.empty_elements()) == [1]
+        assert list(np.flatnonzero(asg.element_counts == 0)) == [1]
         with pytest.warns(UserWarning, match="no pixel center"):
             fem = downsample(GridImage.full(4, 4, 5.0), asg)
         assert fem.values[1] == 0.0
@@ -158,30 +157,26 @@ class TestDownsample:
 
 
 class TestApplyHd:
+    """The mesh-averaging projection P that the observation model applies
+    (the composition of ``downsample`` and ``upsample``)."""
+
     def test_idempotent(self, square_mesh):
         asg = build_pixel_assignment(square_mesh, 8, 8)
         rng = np.random.default_rng(0)
-        x = GridImage(rng.standard_normal((8, 8)))
-        once = apply_hd(x, asg)
-        twice = apply_hd(once, asg)
-        assert np.abs(twice.data - once.data).max() <= 1e-12
+        x = rng.standard_normal((8, 8))
+        once = project(asg, x)
+        twice = project(asg, once)
+        assert np.abs(twice - once).max() <= 1e-12
 
     def test_constant_full_cover(self, square_mesh):
         asg = build_pixel_assignment(square_mesh, 8, 8)
-        out = apply_hd(GridImage.full(8, 8, 4.0), asg)
-        assert np.allclose(out.data, 4.0, rtol=0, atol=1e-12)
-
-    def test_round_trip_bit_equal(self, square_mesh):
-        asg = build_pixel_assignment(square_mesh, 8, 8)
-        rng = np.random.default_rng(1)
-        y_up = upsample(FemImage(square_mesh, rng.standard_normal(2)), asg)
-        assert np.array_equal(apply_hd(y_up, asg).data,
-                              upsample(downsample(y_up, asg), asg).data)
+        out = project(asg, np.full((8, 8), 4.0))
+        assert np.allclose(out, 4.0, rtol=0, atol=1e-12)
 
     def test_down_up_identity_on_fem_values(self):
         mesh = disc_mesh("COARSE")
         asg = build_pixel_assignment(mesh, 64, 64)
-        assert len(asg.empty_elements()) == 0
+        assert (asg.element_counts > 0).all()
         rng = np.random.default_rng(2)
         fem = FemImage(mesh, rng.standard_normal(mesh.n_elements))
         back = downsample(upsample(fem, asg), asg)
@@ -190,10 +185,10 @@ class TestApplyHd:
     def test_self_adjoint(self, square_mesh):
         asg = build_pixel_assignment(square_mesh, 8, 8)
         rng = np.random.default_rng(3)
-        x = GridImage(rng.standard_normal((8, 8)))
-        y = GridImage(rng.standard_normal((8, 8)))
-        lhs = float((apply_hd(x, asg).data * y.data).sum())
-        rhs = float((x.data * apply_hd(y, asg).data).sum())
-        nx = np.linalg.norm(x.data)
-        ny = np.linalg.norm(y.data)
+        x = rng.standard_normal((8, 8))
+        y = rng.standard_normal((8, 8))
+        lhs = float((project(asg, x) * y).sum())
+        rhs = float((x * project(asg, y)).sum())
+        nx = np.linalg.norm(x)
+        ny = np.linalg.norm(y)
         assert abs(lhs - rhs) <= 1e-10 * nx * ny

@@ -19,24 +19,24 @@ def mask_from_pixels(w, h, pixels):
 class TestBinarize:
     def test_constant_positive_all_set(self):
         m = binarize(GridImage.full(5, 5, 2.0))
-        assert m.count == 25
+        assert m.bits.sum() == 25
 
     def test_single_positive_pixel(self):
         img = np.zeros((4, 4))
         img[1, 2] = 1.0
         m = binarize(GridImage(img))
-        assert m.count == 1 and m.bits[1, 2]
+        assert m.bits.sum() == 1 and m.bits[1, 2]
 
     def test_threshold_arithmetic_two_levels(self):
         img = np.full((3, 3), 0.2)
         img[1, 1] = 1.0
         m = binarize(GridImage(img), fraction=0.25)
-        assert m.count == 1 and m.bits[1, 1]
+        assert m.bits.sum() == 1 and m.bits[1, 1]
 
     def test_nonpositive_max_warns_empty(self):
         with pytest.warns(UserWarning, match="empty"):
             m = binarize(GridImage.full(3, 3, -1.0))
-        assert m.count == 0
+        assert m.bits.sum() == 0
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):

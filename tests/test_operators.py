@@ -10,9 +10,9 @@ import pytest
 
 from meshsrr.flow import FlowField
 from meshsrr.grid import GridImage
-from meshsrr.mesh import FemMesh, apply_hd, build_pixel_assignment
+from meshsrr.mesh import FemMesh, build_pixel_assignment
 from meshsrr.operators import (Kernel, ObservationModel, convolve_neumann,
-                               gaussian_kernel, warp_adjoint, warp_image)
+                               gaussian_kernel, warp_image)
 from meshsrr.phantoms import COARSE, FINE, disc_mesh
 from meshsrr.srr import SrrConfig
 
@@ -53,6 +53,18 @@ def observe(asg, k: Kernel, x: np.ndarray) -> np.ndarray:
     out = np.zeros_like(x)
     out[asg.inside_mask()] = residual
     return out
+
+
+def project(asg, x: np.ndarray) -> np.ndarray:
+    """The mesh-averaging projection P x: ``observe`` with the 1x1 blur."""
+    return observe(asg, gaussian_kernel(1, 1.0), x)
+
+
+def dense_warp_transpose(flow):
+    """W' of the bilinear warp, as the transpose of its dense matrix."""
+    h, w = flow.height, flow.width
+    dense = dense_warp_matrix(flow, w, h)
+    return lambda y: (dense.T @ y.ravel()).reshape(h, w)
 
 
 def observe_adjoint(asg, k: Kernel, z: np.ndarray) -> np.ndarray:
@@ -275,30 +287,6 @@ class TestWarp:
         out = warp_image(GridImage(x), flow)
         assert np.abs(out.data - (dense @ x.ravel()).reshape(5, 5)).max() <= 1e-12
 
-    def test_adjoint_zero_flow_identity(self):
-        rng = np.random.default_rng(11)
-        img = GridImage(rng.standard_normal((5, 4)))
-        out = warp_adjoint(img, FlowField.zeros(4, 5))
-        assert np.array_equal(out.data, img.data)
-
-    def test_adjoint_identity_random_probes(self):
-        rng = np.random.default_rng(12)
-        for _ in range(10):
-            flow = random_flow(rng, 8, 8)
-            x = GridImage(rng.standard_normal((8, 8)))
-            y = GridImage(rng.standard_normal((8, 8)))
-            lhs = float((warp_image(x, flow).data * y.data).sum())
-            rhs = float((x.data * warp_adjoint(y, flow).data).sum())
-            assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(x.data) * np.linalg.norm(y.data)
-
-    def test_adjoint_matches_dense_transpose(self):
-        rng = np.random.default_rng(13)
-        flow = random_flow(rng, 5, 5)
-        z = rng.standard_normal((5, 5))
-        dense = dense_warp_matrix(flow, 5, 5)
-        out = warp_adjoint(GridImage(z), flow)
-        assert np.abs(out.data - (dense.T @ z.ravel()).reshape(5, 5)).max() <= 1e-12
-
 
 class TestForwardObserve:
     """P B x, read from the observation model's residual against y = 0."""
@@ -334,17 +322,14 @@ class TestLinearOpSuite:
         def blur(k):
             return lambda x: convolve_neumann(GridImage(x), k).data
 
-        def project(x):
-            return apply_hd(GridImage(x), asg).data
-
         k3 = gaussian_kernel(3, 1.0)
         ops = {
             "blur 5x5": (blur(gaussian_kernel(5, 1.4)),) * 2,
             "blur non-separable": (blur(nonseparable_kernel()),) * 2,
-            "mesh projection": (project, project),
+            "mesh projection": (lambda x: project(asg, x),) * 2,
             "stencil S'S": (lambda x: stencil_normal(asg, x),) * 2,
             "warp": (lambda x: warp_image(GridImage(x), flow).data,
-                     lambda y: warp_adjoint(GridImage(y), flow).data),
+                     dense_warp_transpose(flow)),
             "observation": (lambda x: observe(asg, k3, x),
                             lambda y: observe_adjoint(asg, k3, y)),
         }
@@ -372,10 +357,8 @@ class TestLinearOpSuite:
         rng = np.random.default_rng(17)
         dense = dense_projection_matrix(asg)
         x = rng.standard_normal((8, 8))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            out = apply_hd(GridImage(x), asg)
-        assert np.abs(out.data - (dense @ x.ravel()).reshape(8, 8)).max() <= 1e-12
+        out = project(asg, x)
+        assert np.abs(out - (dense @ x.ravel()).reshape(8, 8)).max() <= 1e-12
 
 
 def pixel_mesh(width: int, height: int) -> FemMesh:

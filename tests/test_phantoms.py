@@ -10,6 +10,8 @@ from meshsrr.phantoms import (COARSE, FINE, LUNG, T_SHAPE, DegradeSpec,
                               render_lung, render_tshape, ring_mesh,
                               tshape_centers)
 
+from oracles import overlapping_points
+
 # Frozen reference trace of the truncated-Gaussian walk for seed 11,
 # generated by an independently coded walk over raw Philox draws.
 WALK_SEED11 = np.array([
@@ -163,7 +165,7 @@ class TestDiscMesh:
         assert (disc_mesh(FINE).signed_areas() > 0).all()
 
     def test_non_overlapping(self):
-        disc_mesh(FINE).check_non_overlapping(samples=4000, seed=1)
+        assert overlapping_points(disc_mesh(FINE), samples=4000, seed=1) == 0
 
     def test_unknown_density_rejected(self):
         with pytest.raises(ValueError, match="density"):

@@ -6,14 +6,15 @@ import pytest
 from meshsrr.errors import DivergenceError
 from meshsrr.flow import FlowField, FlowParams
 from meshsrr.grid import GridImage
-from meshsrr.mesh import FemImage, apply_hd, build_pixel_assignment, upsample
-from meshsrr.operators import ObservationModel, convolve_neumann, gaussian_kernel
+from meshsrr.mesh import FemImage, build_pixel_assignment, upsample
+from meshsrr.operators import ObservationModel, gaussian_kernel
 from meshsrr.phantoms import COARSE, disc_mesh
 from meshsrr.srr import (SrrConfig, estimate_operator_norm, run_sequence,
-                         srr_cost, srr_cost_gradient, srr_init, srr_step)
+                         srr_init, srr_step)
 
 from oracles import (dense_blur_matrix, dense_laplacian_matrix,
                      dense_projection_matrix)
+from test_operators import observe
 
 
 def make_problem(n=8, kernel_size=3, sigma=1.0, square_mesh=None):
@@ -30,12 +31,24 @@ def cfg_for(n, kernel, mu=0.01, k_iters=100, alpha=0.01):
                      grid=(n, n), kernel=kernel)
 
 
+def cost(x: GridImage, y: GridImage, asg, kernel, alpha) -> float:
+    """The reconstruction cost at x, as ``srr_step`` evaluates it."""
+    return ObservationModel(asg, kernel, alpha).terms(x.data, y.data)[0]
+
+
+def cost_gradient(x: GridImage, y: GridImage, asg, kernel, alpha) -> np.ndarray:
+    """Twice the model's half gradient: the analytic gradient of ``cost``."""
+    model = ObservationModel(asg, kernel, alpha)
+    _, coeffs, residual = model.terms(x.data, y.data)
+    return 2.0 * model.half_gradient(coeffs, residual)
+
+
 class TestInit:
     def test_cost_nonnegative_after_init(self):
         _, asg, kernel = make_problem()
         y = GridImage(np.random.default_rng(0).standard_normal((8, 8)))
         state = srr_init(y, cfg_for(8, kernel))
-        assert srr_cost(state.x_hat, y, asg, kernel, 0.01) >= 0.0
+        assert cost(state.x_hat, y, asg, kernel, 0.01) >= 0.0
 
     def test_constant_observation_stays_constant(self):
         _, asg, kernel = make_problem()
@@ -52,7 +65,7 @@ class TestInit:
         y_obs = GridImage(np.abs(rng.standard_normal((8, 8))))
         inside = asg.inside_mask()
         expected = float((y_obs.data[inside] ** 2).sum())
-        assert srr_cost(state.x_hat, y_obs, asg, kernel, 0.0) == pytest.approx(expected)
+        assert cost(state.x_hat, y_obs, asg, kernel, 0.0) == pytest.approx(expected)
 
     def test_grid_mismatch_rejected(self):
         _, _, kernel = make_problem()
@@ -65,8 +78,8 @@ class TestCost:
         _, asg, kernel = make_problem()
         rng = np.random.default_rng(2)
         x = GridImage(rng.standard_normal((8, 8)))
-        y = apply_hd(convolve_neumann(x, kernel), asg)
-        assert srr_cost(x, y, asg, kernel, 0.0) <= 1e-20
+        y = GridImage(observe(asg, kernel, x.data))
+        assert cost(x, y, asg, kernel, 0.0) <= 1e-20
 
     def test_matches_dense_quadratic_form(self):
         _, asg, kernel = make_problem()
@@ -79,7 +92,7 @@ class TestCost:
         r = (y.ravel() - A @ x.ravel()) * inside
         alpha = 0.07
         expected = float(r @ r + alpha * (S @ x.ravel()) @ (S @ x.ravel()))
-        got = srr_cost(GridImage(x), GridImage(y), asg, kernel, alpha)
+        got = cost(GridImage(x), GridImage(y), asg, kernel, alpha)
         assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -91,15 +104,15 @@ class TestGradient:
         x = rng.standard_normal((8, 8))
         y = GridImage(rng.standard_normal((8, 8)))
         alpha = 0.05
-        g = srr_cost_gradient(GridImage(x), y, asg, kernel, alpha).data
+        g = cost_gradient(GridImage(x), y, asg, kernel, alpha)
         eps = 1e-5
         fd = np.zeros_like(x)
         for j in range(8):
             for i in range(8):
                 xp = x.copy(); xp[j, i] += eps
                 xm = x.copy(); xm[j, i] -= eps
-                fd[j, i] = (srr_cost(GridImage(xp), y, asg, kernel, alpha)
-                            - srr_cost(GridImage(xm), y, asg, kernel, alpha)) / (2 * eps)
+                fd[j, i] = (cost(GridImage(xp), y, asg, kernel, alpha)
+                            - cost(GridImage(xm), y, asg, kernel, alpha)) / (2 * eps)
         rel = np.linalg.norm(fd - g) / np.linalg.norm(g)
         assert rel <= 1e-5
 
@@ -110,7 +123,7 @@ class TestStep:
         rng = np.random.default_rng(4)
         x = GridImage(rng.standard_normal((8, 8)))
         cfg = cfg_for(8, kernel, k_iters=25, alpha=0.0)
-        y = apply_hd(convolve_neumann(x, kernel), asg)
+        y = GridImage(observe(asg, kernel, x.data))
         state = srr_step(srr_init_raw(x), y, FlowField.zeros(8, 8), cfg, asg)
         assert np.abs(state.x_hat.data - x.data).max() <= 1e-12
         assert state.frame_index == 1
@@ -130,7 +143,7 @@ class TestStep:
     def test_descent_under_power_method_bound(self):
         _, asg, kernel = make_problem()
         alpha = 0.3
-        lmax = estimate_operator_norm(asg, kernel, alpha, 8, 8)
+        lmax = estimate_operator_norm(asg, kernel, alpha)
         mu = 0.9 / lmax
         cfg = cfg_for(8, kernel, mu=mu, k_iters=60, alpha=alpha)
         rng = np.random.default_rng(6)
@@ -225,7 +238,7 @@ class TestStep:
         rng = np.random.default_rng(20)
         y = GridImage(rng.standard_normal((8, 8)))
         state = srr_step(srr_init(y, cfg), y, FlowField.zeros(8, 8), cfg, asg)
-        assert state.last_cost == srr_cost(state.x_hat, y, asg, kernel, cfg.alpha_srr)
+        assert state.last_cost == cost(state.x_hat, y, asg, kernel, cfg.alpha_srr)
         assert np.isfinite(state.last_cost)
 
 
