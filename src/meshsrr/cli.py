@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .config import (ExperimentConfig, PRESET_NAMES, default_config_text,
                      parse_config, preset)
-from .errors import ConfigError, DivergenceError, FileFormatError
+from .errors import ConfigError, DivergenceError, FileFormatError, MeshError
 from .experiment import run_experiment
 from .fileio import (read_fem_image, read_grid_image, read_mesh, write_flow,
                      write_pgm16, write_values)
@@ -100,14 +100,12 @@ def _cmd_run(args) -> int:
         sys.stdout.write(default_config_text())
         return 0
     cfg = _load_run_config(args)
-    out_root = Path(args.output) if args.output else (
-        Path(cfg.output_dir) if cfg.output_dir else None)
+    root = args.output or cfg.output_dir
     modes = {"both": (False, True), "estimated": (False,), "known": (True,)}[args.motion]
     for known in modes:
         label = "known" if known else "estimated"
-        run_cfg = replace(cfg, known_motion=known)
-        out = out_root / label if out_root is not None else None
-        result = run_experiment(run_cfg, output_dir=out)
+        out = str(Path(root) / label) if root else ""
+        result = run_experiment(replace(cfg, known_motion=known, output_dir=out))
         print(f"[{label} motion] frames={cfg.scene.frames} grid={cfg.grid} "
               f"elapsed={result.elapsed_seconds:.1f}s")
         print(f"  LR : overlap={result.lr_metrics.avg_overlap:.4f} "
@@ -116,7 +114,7 @@ def _cmd_run(args) -> int:
         print(f"  SRR: overlap={result.srr_metrics.avg_overlap:.4f} "
               f"hausdorff={result.srr_metrics.avg_hausdorff:.4f} "
               f"masd={result.srr_metrics.avg_masd:.5f}")
-        if out is not None:
+        if out:
             print(f"  artifacts: {out}")
     return 0
 
@@ -152,14 +150,20 @@ def _cmd_resample(args) -> int:
         if not args.values or not args.grid or args.grid < 1:
             raise ConfigError("resample up needs --values and a positive --grid")
         img = read_fem_image(mesh, args.values)
-        assignment = build_pixel_assignment(mesh, args.grid, args.grid)
-        write_pgm16(upsample(img, assignment), args.output)
+        width = height = args.grid
     else:
         if not args.image:
             raise ConfigError("resample down needs --image")
-        grid_img = read_grid_image(args.image)
-        assignment = build_pixel_assignment(mesh, grid_img.width, grid_img.height)
-        write_values(downsample(grid_img, assignment).values, args.output)
+        img = read_grid_image(args.image)
+        width, height = img.width, img.height
+    try:
+        assignment = build_pixel_assignment(mesh, width, height)
+    except MeshError as exc:  # overlapping elements
+        raise FileFormatError(f"{args.mesh}: {exc}") from exc
+    if args.direction == "up":
+        write_pgm16(upsample(img, assignment), args.output)
+    else:
+        write_values(downsample(img, assignment).values, args.output)
     return 0
 
 

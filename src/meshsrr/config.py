@@ -38,7 +38,7 @@ class ExperimentConfig:
     kernel_sigma: float = 0.0     # 0 means scale the reference sigma to the grid
     flow: FlowParams = FlowParams()
     output_dir: str = ""
-    known_motion: bool = False
+    known_motion: bool = False    # not a config key: mesh-srr run sets it from --motion
 
     def __post_init__(self):
         if self.grid < 8:
@@ -71,7 +71,7 @@ class ExperimentConfig:
 
     def srr_config(self) -> SrrConfig:
         return SrrConfig(mu=self.mu, k_iters=self.k_iters, alpha_srr=self.alpha_srr,
-                         grid=(self.grid, self.grid), kernel=self.resolved_kernel())
+                         kernel=self.resolved_kernel())
 
     def degrade_spec(self, mesh: FemMesh) -> DegradeSpec:
         return DegradeSpec(mesh=mesh, kernel=self.resolved_kernel(),
@@ -79,17 +79,6 @@ class ExperimentConfig:
 
 
 _DEFAULTS = ExperimentConfig()
-
-_BOOL_WORDS = {"true": True, "1": True, "yes": True,
-               "false": False, "0": False, "no": False}
-
-
-def _parse_bool(text: str) -> bool:
-    try:
-        return _BOOL_WORDS[text.strip().lower()]
-    except KeyError:
-        raise ConfigError(f"expected true/false, got {text!r}") from None
-
 
 def _parse_choice(options):
     def parse(text: str):
@@ -125,7 +114,6 @@ _SCHEMA = {
     ("flow", "iterations_per_level"): (int, "iterations_per_level"),
     ("flow", "warps_per_level"): (int, "warps_per_level"),
     ("run", "output_dir"): (str.strip, "output_dir"),
-    ("run", "known_motion"): (_parse_bool, "known_motion"),
 }
 
 
@@ -168,7 +156,6 @@ warps_per_level = {f.warps_per_level}
 
 [run]
 output_dir =                 # empty: no artifacts written
-known_motion = false         # use ground-truth motion instead of registration
 """
 
 

@@ -7,13 +7,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .config import ExperimentConfig
+from .errors import ConfigError
 from .fileio import emit_images, write_mesh, write_values
 from .flow import FlowField, horn_schunck_sequence
 from .grid import GridImage
 from .mesh import FemImage, build_pixel_assignment, upsample
 from .metrics import MetricsReport, evaluate_sequence
 from .phantoms import T_SHAPE, degrade, render_scene, tshape_centers
-from .srr import run_sequence
+from .srr import estimate_operator_norm, run_sequence
 
 
 @dataclass(frozen=True)
@@ -48,24 +49,28 @@ def known_motion_flows(cfg: ExperimentConfig,
     return horn_schunck_sequence(hr_frames, cfg.flow)
 
 
-def run_experiment(cfg: ExperimentConfig,
-                   output_dir: str | Path | None = None) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run one full experiment for the motion mode selected by the config.
 
-    Writes frames and metric tables under ``output_dir`` (or the config's
-    ``output_dir`` when set). On failure a partially written directory is
-    renamed with a ``.partial`` suffix before the error propagates.
+    Writes frames and metric tables under the config's ``output_dir`` when
+    set. A step size with ``mu * L >= 1``, L the largest eigenvalue of the
+    correction operator, is refused with ConfigError before any frame is
+    rendered. On failure a partially written directory is renamed with a
+    ``.partial`` suffix before the error propagates.
     """
     t0 = time.perf_counter()
-    out = Path(output_dir) if output_dir is not None else None
-    if out is None and cfg.output_dir:
-        out = Path(cfg.output_dir)
+    out = Path(cfg.output_dir) if cfg.output_dir else None
 
     n = cfg.grid
     scene = cfg.scene
-    hr = [render_scene(scene, t, n, n) for t in range(scene.frames)]
     mesh = cfg.build_mesh()
     assignment = build_pixel_assignment(mesh, n, n)
+    srr_cfg = cfg.srr_config()
+    mu_l = srr_cfg.mu * estimate_operator_norm(assignment, srr_cfg.kernel, srr_cfg.alpha_srr)
+    if not mu_l < 1.0:
+        raise ConfigError(f"step size mu = {srr_cfg.mu:g} gives mu * L = {mu_l:.4g}; "
+                          "it must be below 1 for the cost to decrease")
+    hr = [render_scene(scene, t, n, n) for t in range(scene.frames)]
     dspec = cfg.degrade_spec(mesh)
     lr: list[FemImage] = []
     for t in range(scene.frames):
@@ -76,11 +81,10 @@ def run_experiment(cfg: ExperimentConfig,
             raise
     up = [upsample(o, assignment) for o in lr]
 
-    flows = known_motion_flows(cfg, hr) if cfg.known_motion else None
-    histories: list[list[float]] = []
-    srr_frames = run_sequence(lr, cfg.srr_config(), cfg.flow,
-                              known_flows=flows, assignment=assignment,
-                              cost_histories=histories)
+    flows = (known_motion_flows(cfg, hr) if cfg.known_motion
+             else horn_schunck_sequence(up, cfg.flow))
+    states = run_sequence(up, flows, srr_cfg, assignment)
+    srr_frames = [s.x_hat for s in states]
 
     lr_metrics = evaluate_sequence(hr, up)
     srr_metrics = evaluate_sequence(hr, srr_frames)
@@ -99,7 +103,7 @@ def run_experiment(cfg: ExperimentConfig,
         hr_frames=tuple(hr),
         up_frames=tuple(up),
         srr_frames=tuple(srr_frames),
-        cost_histories=tuple(tuple(h) for h in histories),
+        cost_histories=tuple(s.costs for s in states),
         elapsed_seconds=time.perf_counter() - t0,
         output_dir=str(out) if out is not None else None,
     )

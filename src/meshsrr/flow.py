@@ -25,7 +25,7 @@ import numpy as np
 from scipy import ndimage
 
 from .grid import GridImage, require_same_shape
-from .operators import convolve_neumann, gaussian_kernel, _bilinear_gather
+from .operators import convolve_stack, gaussian_kernel, _bilinear_gather
 
 _MIN_TOP_SIZE = 8
 # Finest-level pixels per stacked solve (4 pairs at 100x100); coarse levels gain most.
@@ -115,23 +115,26 @@ def _pyramid_sizes(width: int, height: int, levels: int, spacing: float) -> list
     return sizes
 
 
-def build_pyramid(img: GridImage, levels: int, spacing: float) -> list[GridImage]:
-    """Coarse-to-fine pyramid: level 0 is the input, each next level is
-    Gaussian-smoothed (sigma = 0.8 * spacing) and bilinearly subsampled."""
+def build_pyramid(data: np.ndarray, levels: int, spacing: float) -> list[np.ndarray]:
+    """Coarse-to-fine pyramid of the images in the last two axes of ``data``
+    (leading axes hold independent images): level 0 is the input, each next
+    level is Gaussian-smoothed (sigma = 0.8 * spacing) and bilinearly
+    subsampled."""
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
     if spacing <= 1:
         raise ValueError(f"spacing must be > 1, got {spacing}")
     sigma = 0.8 * spacing
-    out = [img]
-    for nw, nh in _pyramid_sizes(img.width, img.height, levels, spacing)[1:]:
+    h, w = data.shape[-2:]
+    out = [data]
+    for nw, nh in _pyramid_sizes(w, h, levels, spacing)[1:]:
         prev = out[-1]
         size = 2 * int(np.ceil(2.5 * sigma)) + 1
-        size = min(size, 2 * min(prev.width, prev.height) - 1)
+        size = min(size, 2 * min(prev.shape[-2:]) - 1)
         if size % 2 == 0:
             size -= 1
-        smoothed = convolve_neumann(prev, gaussian_kernel(max(size, 1), sigma))
-        out.append(GridImage(_resample(smoothed.data, nw, nh)))
+        smoothed = convolve_stack(prev, gaussian_kernel(max(size, 1), sigma))
+        out.append(_resample(smoothed, nw, nh))
     return out
 
 
@@ -258,14 +261,6 @@ def _pyramid_levels(width: int, height: int, params: FlowParams) -> int:
     return len(sizes)
 
 
-def _pyramid_stack(data: np.ndarray, levels: int, spacing: float) -> list[np.ndarray]:
-    """``build_pyramid`` of every image along the leading axes, stacked per level."""
-    pyramids = [build_pyramid(GridImage(x), levels, spacing)
-                for x in data.reshape(-1, *data.shape[-2:])]
-    return [np.stack([p.data for p in level]).reshape(*data.shape[:-2], *level[0].data.shape)
-            for level in zip(*pyramids)]
-
-
 def _coarse_to_fine(prev: np.ndarray, nxt: np.ndarray, params: FlowParams,
                     levels: int) -> tuple[np.ndarray, np.ndarray]:
     """Flow ``(u, v)`` from ``prev`` to ``nxt`` for the pair of images in the
@@ -275,8 +270,8 @@ def _coarse_to_fine(prev: np.ndarray, nxt: np.ndarray, params: FlowParams,
         return np.zeros(prev.shape), np.zeros(prev.shape)
     lo = np.minimum(prev.min(axis=(-2, -1), keepdims=True), nxt.min(axis=(-2, -1), keepdims=True))
     hi = np.maximum(prev.max(axis=(-2, -1), keepdims=True), nxt.max(axis=(-2, -1), keepdims=True))
-    pa = _pyramid_stack((prev - lo) / (hi - lo), levels, params.pyramid_spacing)
-    pb = _pyramid_stack((nxt - lo) / (hi - lo), levels, params.pyramid_spacing)
+    pa = build_pyramid((prev - lo) / (hi - lo), levels, params.pyramid_spacing)
+    pb = build_pyramid((nxt - lo) / (hi - lo), levels, params.pyramid_spacing)
 
     u = np.zeros(pa[-1].shape)
     v = np.zeros(pa[-1].shape)

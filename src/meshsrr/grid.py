@@ -29,14 +29,6 @@ class GridImage:
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
-    @classmethod
-    def zeros(cls, width: int, height: int) -> "GridImage":
-        return cls(np.zeros((height, width)))
-
-    @classmethod
-    def full(cls, width: int, height: int, value: float) -> "GridImage":
-        return cls(np.full((height, width), float(value)))
-
     @property
     def width(self) -> int:
         return self.data.shape[1]

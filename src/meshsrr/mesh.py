@@ -23,7 +23,8 @@ OUTSIDE = -1
 
 # Tolerance for the sign-of-cross-product point-in-triangle test, in
 # normalized coordinates. Centers within this margin of an edge count as
-# inside, so centers on shared edges are claimed by the lowest-index element.
+# inside, so centers on shared edges are claimed by the lowest-index element;
+# only centers beyond it count as strictly inside when checking for overlaps.
 POINT_IN_TRIANGLE_TOL = 1e-12
 
 _AREA_EPS = 1e-14
@@ -130,20 +131,16 @@ class PixelAssignment:
         return self._inside
 
 
-def _points_in_triangle(px: np.ndarray, py: np.ndarray, tri: np.ndarray,
-                        tol: float) -> np.ndarray:
-    """Closed point-in-triangle test for CCW triangles.
-
-    A point is inside when all three edge cross products are >= tol
-    (tol is negative to admit points on the edges).
-    """
-    inside = np.ones(np.broadcast(px, py).shape, dtype=bool)
+def _cross_margin(px: np.ndarray, py: np.ndarray, tri: np.ndarray) -> np.ndarray:
+    """Smallest of the three edge cross products of a CCW triangle at the
+    points: >= 0 on the closed triangle, > 0 strictly inside."""
+    margin = None
     for k in range(3):
         ax, ay = tri[k]
         bx, by = tri[(k + 1) % 3]
         cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-        inside &= cross >= tol
-    return inside
+        margin = cross if margin is None else np.minimum(margin, cross)
+    return margin
 
 
 def build_pixel_assignment(mesh: FemMesh, width: int, height: int) -> PixelAssignment:
@@ -151,6 +148,7 @@ def build_pixel_assignment(mesh: FemMesh, width: int, height: int) -> PixelAssig
 
     Pixels on shared edges go to the lowest-index element whose closed
     triangle contains the center; pixels outside every element are OUTSIDE.
+    Raises MeshError when a center lies strictly inside two elements.
     """
     if width < 1 or height < 1:
         raise ValueError(f"grid dimensions must be >= 1, got {width}x{height}")
@@ -159,6 +157,7 @@ def build_pixel_assignment(mesh: FemMesh, width: int, height: int) -> PixelAssig
     xs = pixel_centers(width)
     ys = pixel_centers(height)
     pix = np.full((height, width), OUTSIDE, dtype=np.int64)
+    interior = np.zeros((height, width), dtype=bool)
     pad = POINT_IN_TRIANGLE_TOL + 1e-9
     for e in range(mesh.n_elements):
         tri = mesh.nodes[mesh.elements[e]]
@@ -168,12 +167,17 @@ def build_pixel_assignment(mesh: FemMesh, width: int, height: int) -> PixelAssig
         j1 = int(np.searchsorted(ys, tri[:, 1].max() + pad))
         if i0 >= i1 or j0 >= j1:
             continue
-        X = xs[i0:i1][None, :]
-        Y = ys[j0:j1][:, None]
-        inside = _points_in_triangle(X, Y, tri, -POINT_IN_TRIANGLE_TOL)
+        margin = _cross_margin(xs[i0:i1][None, :], ys[j0:j1][:, None], tri)
+        strict = margin > POINT_IN_TRIANGLE_TOL
+        seen = interior[j0:j1, i0:i1]
+        overlap = strict & seen
+        if overlap.any():
+            j, i = np.argwhere(overlap)[0]
+            raise MeshError(f"element {e} overlaps an earlier element: the pixel center "
+                            f"({xs[i0 + i]:.6g}, {ys[j0 + j]:.6g}) lies inside both")
+        seen |= strict
         block = pix[j0:j1, i0:i1]
-        claim = inside & (block == OUTSIDE)
-        block[claim] = e
+        block[(margin >= -POINT_IN_TRIANGLE_TOL) & (block == OUTSIDE)] = e
     return PixelAssignment(mesh, pix)
 
 

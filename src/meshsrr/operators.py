@@ -86,14 +86,21 @@ def convolve_neumann(img: GridImage, k: Kernel) -> GridImage:
 
     The extension reflects about the array edge without skipping the border
     sample (pad(-1) = pixel(0)), which preserves constants and, the mask
-    being symmetric in each axis, makes the operator self-adjoint. It is
-    applied as DCT-domain weights; a 1x1 mask is a plain scaling.
+    being symmetric in each axis, makes the operator self-adjoint.
     """
-    _check_kernel_fit(img.width, img.height, k)
+    return GridImage(convolve_stack(img.data, k))
+
+
+def convolve_stack(data: np.ndarray, k: Kernel) -> np.ndarray:
+    """``convolve_neumann`` of every image in the last two axes of ``data``,
+    applied as DCT-domain weights; a 1x1 mask is a plain scaling."""
+    h, w = data.shape[-2:]
+    _check_kernel_fit(w, h, k)
     if k.size == 1:
-        return GridImage(img.data * k.taps[0, 0])
-    eig = _blur_eigenvalues(k, img.height, img.width)
-    return GridImage(fft.idctn(eig * fft.dctn(img.data, norm="ortho"), norm="ortho"))
+        return data * k.taps[0, 0]
+    axes = (-2, -1)
+    coeffs = _blur_eigenvalues(k, h, w) * fft.dctn(data, axes=axes, norm="ortho")
+    return fft.idctn(coeffs, axes=axes, norm="ortho")
 
 
 def _bilinear_gather(data: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, MeshError
-from .flow import FlowField, FlowParams, horn_schunck_sequence
+from .flow import FlowField
 from .grid import GridImage
-from .mesh import FemImage, PixelAssignment, build_pixel_assignment, upsample
+from .mesh import PixelAssignment
 from .operators import Kernel, ObservationModel, convolve_neumann, warp_image
 
 _DIVERGENCE_FACTOR = 10.0
@@ -31,13 +31,12 @@ _DIVERGENCE_FACTOR = 10.0
 @dataclass(frozen=True)
 class SrrConfig:
     """Solver hyperparameters: step size, inner iterations per frame,
-    regularization weight, grid size and blur kernel."""
+    regularization weight and blur kernel."""
 
-    mu: float = 0.01
-    k_iters: int = 100
-    alpha_srr: float = 0.3
-    grid: tuple[int, int] = (200, 200)
-    kernel: Kernel = None
+    mu: float
+    k_iters: int
+    alpha_srr: float
+    kernel: Kernel
 
     def __post_init__(self):
         if not 0 < self.mu < np.inf:
@@ -46,24 +45,20 @@ class SrrConfig:
             raise ValueError(f"k_iters must be >= 1, got {self.k_iters}")
         if not 0 <= self.alpha_srr < np.inf:
             raise ValueError(f"alpha_srr must be >= 0 and finite, got {self.alpha_srr}")
-        w, h = self.grid
-        if w < 3 or h < 3:
-            raise ValueError(f"grid must be at least 3x3, got {w}x{h}")
-        if self.kernel is None:
-            raise ValueError("an explicit blur kernel is required")
 
 
 @dataclass(frozen=True)
 class SrrState:
     """Running estimate after processing ``frame_index`` frames.
 
-    ``last_cost`` is NaN until the first step; afterwards it equals the cost
-    of ``x_hat`` against the most recent frame.
+    ``costs`` holds the cost against the most recent frame before every
+    correction iteration and after the last one (k_iters + 1 entries); it
+    is empty until the first step.
     """
 
     x_hat: GridImage
     frame_index: int
-    last_cost: float
+    costs: tuple[float, ...]
 
 
 def srr_init(y_up0: GridImage, cfg: SrrConfig) -> SrrState:
@@ -74,101 +69,70 @@ def srr_init(y_up0: GridImage, cfg: SrrConfig) -> SrrState:
     observation noise that the fixed-step correction iterations would
     otherwise carry across many frames.
     """
-    w, h = cfg.grid
-    if (y_up0.width, y_up0.height) != (w, h):
-        raise ValueError(
-            f"observation {y_up0.width}x{y_up0.height} does not match configured grid {w}x{h}")
-    return SrrState(x_hat=convolve_neumann(y_up0, cfg.kernel),
-                    frame_index=0, last_cost=float("nan"))
+    return SrrState(x_hat=convolve_neumann(y_up0, cfg.kernel), frame_index=0, costs=())
 
 
 def srr_step(state: SrrState, y_up_t: GridImage, flow_t: FlowField,
-             cfg: SrrConfig, assignment: PixelAssignment,
-             cost_history: list[float] | None = None) -> SrrState:
+             cfg: SrrConfig, assignment: PixelAssignment) -> SrrState:
     """Process one frame: predict by warping, then K correction iterations.
 
     ``flow_t`` must register the previous frame onto the current one, i.e.
-    ``warp_image(x_hat, flow_t)`` tracks frame t. When ``cost_history`` is
-    given it receives the cost before every iteration and the final cost
-    (k_iters + 1 entries). Raises DivergenceError when a cost is non-finite
-    or exceeds 10x its initial value.
+    ``warp_image(x_hat, flow_t)`` tracks frame t. Raises DivergenceError
+    when a cost is non-finite or exceeds 10x its initial value.
     """
-    w, h = cfg.grid
-    if (y_up_t.width, y_up_t.height) != (w, h):
-        raise ValueError("observation does not match configured grid")
-    if (assignment.width, assignment.height) != (w, h):
-        raise MeshError("pixel assignment does not match configured grid")
+    if y_up_t.data.shape != assignment.pixel_to_element.shape:
+        raise MeshError(
+            f"observation {y_up_t.width}x{y_up_t.height} does not match the "
+            f"assignment grid {assignment.width}x{assignment.height}")
     frame = state.frame_index
     model = ObservationModel(assignment, cfg.kernel, cfg.alpha_srr)
     outside = ~assignment.inside_mask()
     x = warp_image(state.x_hat, flow_t).data.copy()
     x[outside] = 0.0
     y = y_up_t.data
-    initial = None
+    costs: list[float] = []
     for it in range(cfg.k_iters + 1):
         cost, coeffs, residual = model.terms(x, y)
         if not np.isfinite(cost):
             raise DivergenceError(f"non-finite cost {cost}", iteration=it, frame=frame)
-        if cost_history is not None:
-            cost_history.append(cost)
+        costs.append(cost)
         if it == cfg.k_iters:
             break
-        if initial is None:
-            initial = cost
-        elif initial > 0 and cost > _DIVERGENCE_FACTOR * initial:
+        if it > 0 and costs[0] > 0 and cost > _DIVERGENCE_FACTOR * costs[0]:
             raise DivergenceError(
                 f"cost grew beyond {_DIVERGENCE_FACTOR}x its initial value "
-                f"({cost:.3e} vs {initial:.3e}); reduce the step size",
+                f"({cost:.3e} vs {costs[0]:.3e}); reduce the step size",
                 iteration=it, frame=frame)
         x -= cfg.mu * model.half_gradient(coeffs, residual)
         x[outside] = 0.0
-    return SrrState(x_hat=GridImage(x), frame_index=frame + 1, last_cost=cost)
+    return SrrState(x_hat=GridImage(x), frame_index=frame + 1, costs=tuple(costs))
 
 
-def run_sequence(observations: list[FemImage], cfg: SrrConfig,
-                 flow_params: FlowParams,
-                 known_flows: list[FlowField] | None = None,
-                 assignment: PixelAssignment | None = None,
-                 cost_histories: list[list[float]] | None = None) -> list[GridImage]:
-    """Fold the recursion over a frame sequence and return every estimate.
+def run_sequence(y_ups: list[GridImage], flows: list[FlowField], cfg: SrrConfig,
+                 assignment: PixelAssignment) -> list[SrrState]:
+    """Fold the recursion over upsampled observations and return every state.
 
-    All observations must share one mesh. Frame 0 is processed with zero
-    flow; later frames use ``known_flows[t - 1]`` when provided, otherwise
-    the flows are estimated up front from consecutive upsampled images
-    (they depend only on the observations). Appends one
-    per-frame cost history to ``cost_histories`` when given.
+    Frame 0 is processed with zero flow and frame t >= 1 with
+    ``flows[t - 1]``, which registers frame t - 1 onto frame t. An error
+    raised by a step gains the note "frame t".
     """
-    if not observations:
+    if not y_ups:
         raise ValueError("observation sequence is empty")
-    mesh = observations[0].mesh
-    for t, o in enumerate(observations[1:], start=1):
-        if o.mesh is not mesh:
-            raise MeshError(f"observation {t} uses a different mesh; the mesh must be fixed")
-    if known_flows is not None and len(known_flows) != len(observations) - 1:
-        raise ValueError(
-            f"expected {len(observations) - 1} known flows, got {len(known_flows)}")
-    w, h = cfg.grid
-    if assignment is None:
-        assignment = build_pixel_assignment(mesh, w, h)
-    y_ups = [upsample(o, assignment) for o in observations]
-    if known_flows is None:
-        known_flows = horn_schunck_sequence(y_ups, flow_params)
-    flows = [FlowField.zeros(w, h), *known_flows]
+    if len(flows) != len(y_ups) - 1:
+        raise ValueError(f"expected {len(y_ups) - 1} flows, got {len(flows)}")
     state = srr_init(y_ups[0], cfg)
-    results: list[GridImage] = []
-    for t, (y, flow) in enumerate(zip(y_ups, flows)):
-        history: list[float] | None = [] if cost_histories is not None else None
+    states: list[SrrState] = []
+    zero = FlowField.zeros(assignment.width, assignment.height)
+    for t, (y, flow) in enumerate(zip(y_ups, [zero, *flows])):
         try:
-            state = srr_step(state, y, flow, cfg, assignment, cost_history=history)
+            state = srr_step(state, y, flow, cfg, assignment)
         except DivergenceError:
             raise
         except Exception as exc:
             exc.add_note(f"frame {t}")
             raise
-        if cost_histories is not None:
-            cost_histories.append(history)
-        results.append(state.x_hat)
-    return results
+        states.append(state)
+    return states
 
 
 def estimate_operator_norm(assignment: PixelAssignment, kernel: Kernel,

@@ -281,8 +281,8 @@ def test_criterion_10_deterministic_artifacts(tmp_path):
         cfg = replace(preset("ex1b"), grid=100)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            run_experiment(cfg, output_dir=tmp_path / "a")
-            run_experiment(cfg, output_dir=tmp_path / "b")
+            run_experiment(replace(cfg, output_dir=str(tmp_path / "a")))
+            run_experiment(replace(cfg, output_dir=str(tmp_path / "b")))
         files_a = sorted((tmp_path / "a").iterdir())
         files_b = sorted((tmp_path / "b").iterdir())
         assert [p.name for p in files_a] == [p.name for p in files_b]

@@ -91,6 +91,34 @@ class TestRunCommand:
         assert main(argv) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_known_motion_is_not_a_config_key(self, tmp_path, monkeypatch, capsys):
+        """--motion selects the motion mode; a config file cannot."""
+        import meshsrr.cli as cli
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the experiment ran with an unknown key")
+
+        monkeypatch.setattr(cli, "run_experiment", unreachable)
+        cfg = tmp_path / "known.cfg"
+        cfg.write_text("[run]\nknown_motion = true\n")
+        assert main(["run", "-c", str(cfg)]) == 2
+        assert "unknown key 'known_motion'" in capsys.readouterr().err
+
+    def test_step_size_refused_before_any_work(self, monkeypatch, capsys):
+        import meshsrr.experiment as exp
+        import meshsrr.srr as srr
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work started with a step size mu * L >= 1")
+
+        for module, name in ((exp, "render_scene"), (exp, "horn_schunck_sequence"),
+                             (srr, "srr_step")):
+            monkeypatch.setattr(module, name, unreachable)
+        argv = ["run", "--set", "srr.grid=16", "--set", "scene.frames=2",
+                "--motion", "estimated", "--set", "srr.mu=20"]
+        assert main(argv) == 2
+        assert "mu * L" in capsys.readouterr().err
+
     def test_undecodable_config_file_exits_4(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(b"[scene]\nframes = 3\xff\n")
@@ -146,6 +174,19 @@ class TestResampleCommand:
                      "--values", str(vals_path), "--grid", "8",
                      "-o", str(tmp_path / "x.pgm")]) == 4
         assert "mesh.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("direction", ["up", "down"])
+    def test_overlapping_elements_exit_4(self, tmp_path, capsys, direction):
+        # Element 1 lies inside element 0.
+        mesh_path = tmp_path / "mesh.txt"
+        mesh_path.write_text("FEMESH 1\n4 2\n-1 -1\n1 -1\n0 1\n0 0\n0 1 2\n0 1 3\n")
+        write_values(np.zeros(2), tmp_path / "v.txt")
+        write_pgm16(GridImage(np.zeros((8, 8))), tmp_path / "g.pgm")
+        source = (["--values", str(tmp_path / "v.txt"), "--grid", "8"] if direction == "up"
+                  else ["--image", str(tmp_path / "g.pgm")])
+        assert main(["resample", direction, "--mesh", str(mesh_path), *source,
+                     "-o", str(tmp_path / "out")]) == 4
+        assert "overlaps" in capsys.readouterr().err
 
     def test_value_count_mismatch_exits_4(self, tmp_path, capsys):
         mesh_path = tmp_path / "mesh.txt"
@@ -204,7 +245,7 @@ class TestMetricsCommand:
     def test_undecodable_sidecar_exits_4(self, tmp_path):
         ref = tmp_path / "ref"
         ref.mkdir()
-        write_pgm16(GridImage.full(4, 4, 1.0), ref / "a.pgm")
+        write_pgm16(GridImage(np.full((4, 4), 1.0)), ref / "a.pgm")
         (ref / "a.scale.txt").write_bytes(b"offset = 0\xff\nscale = 1\n")
         assert main(["metrics", "--reference", str(ref),
                      "--candidate", str(ref)]) == 4
@@ -214,7 +255,7 @@ class TestMetricsCommand:
         cand = tmp_path / "cand"
         ref.mkdir()
         cand.mkdir()
-        write_pgm16(GridImage.full(4, 4, 1.0), ref / "a.pgm")
+        write_pgm16(GridImage(np.full((4, 4), 1.0)), ref / "a.pgm")
         assert main(["metrics", "--reference", str(ref),
                      "--candidate", str(cand)]) == 4
 

@@ -53,12 +53,6 @@ class TestParseConfig:
         cfg = parse_config("\n# comment\n[scene]\nkind = LUNG  # inline\n\n")
         assert cfg.scene.kind == LUNG
 
-    def test_bool_parsing(self):
-        assert parse_config("[run]\nknown_motion = true\n").known_motion
-        assert not parse_config("[run]\nknown_motion = no\n").known_motion
-        with pytest.raises(ConfigError):
-            parse_config("[run]\nknown_motion = maybe\n")
-
 
 class TestPresets:
     def test_four_presets(self):
@@ -172,7 +166,7 @@ class TestFlowFiles:
 class TestPgm16:
     def test_constant_image_all_identical(self, tmp_path):
         path = tmp_path / "c.pgm"
-        write_pgm16(GridImage.full(6, 4, 3.5), path)
+        write_pgm16(GridImage(np.full((4, 6), 3.5)), path)
         raster = read_pgm16_raw(path)
         assert (raster == raster[0, 0]).all()
         back = read_grid_image(path)

@@ -55,7 +55,7 @@ class TestRunExperiment:
 
     def test_artifacts_written(self, tmp_path):
         out = tmp_path / "run"
-        result = run_experiment(tiny_cfg(), output_dir=out)
+        result = run_experiment(tiny_cfg(output_dir=str(out)))
         names = {p.name for p in out.iterdir()}
         assert "mesh.txt" in names
         assert {"hr_t000.pgm", "up_t000.pgm", "srr_t000.pgm",
@@ -81,7 +81,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(exp, "emit_images", boom)
         with pytest.raises(OSError):
-            run_experiment(tiny_cfg(), output_dir=out)
+            run_experiment(tiny_cfg(output_dir=str(out)))
         assert not out.exists()
         assert (tmp_path / "run.partial").exists()
 

@@ -46,20 +46,27 @@ class TestFlowParams:
 
 class TestBuildPyramid:
     def test_single_level_is_input(self):
-        img = GridImage(np.random.default_rng(0).standard_normal((16, 16)))
+        img = np.random.default_rng(0).standard_normal((16, 16))
         pyr = build_pyramid(img, 1, 2.0)
         assert len(pyr) == 1
-        assert np.array_equal(pyr[0].data, img.data)
+        assert np.array_equal(pyr[0], img)
 
     def test_sizes_halve(self):
-        img = GridImage.zeros(64, 64)
-        pyr = build_pyramid(img, 3, 2.0)
-        assert [(p.width, p.height) for p in pyr] == [(64, 64), (32, 32), (16, 16)]
+        pyr = build_pyramid(np.zeros((64, 64)), 3, 2.0)
+        assert [p.shape for p in pyr] == [(64, 64), (32, 32), (16, 16)]
 
     def test_constant_preserved_across_levels(self):
-        img = GridImage.full(32, 32, 2.5)
-        for level in build_pyramid(img, 3, 2.0):
-            assert np.abs(level.data - 2.5).max() <= 1e-12
+        for level in build_pyramid(np.full((32, 32), 2.5), 3, 2.0):
+            assert np.abs(level - 2.5).max() <= 1e-12
+
+    def test_stack_matches_each_image(self):
+        stack = np.random.default_rng(1).standard_normal((2, 3, 40, 30))
+        levels = build_pyramid(stack, 4, 2.0)
+        assert [p.shape for p in levels] == [(2, 3, 40, 30), (2, 3, 20, 15),
+                                             (2, 3, 10, 8), (2, 3, 5, 4)]
+        for idx in np.ndindex(2, 3):
+            for got, want in zip(levels, build_pyramid(stack[idx], 4, 2.0)):
+                assert np.array_equal(got[idx], want)
 
 
 class TestHornSchunck:
@@ -69,7 +76,7 @@ class TestHornSchunck:
         assert np.hypot(f.u, f.v).max() <= 1e-6
 
     def test_constant_images_zero_flow(self):
-        a = GridImage.full(32, 32, 1.0)
+        a = GridImage(np.full((32, 32), 1.0))
         f = horn_schunck(a, a, FlowParams())
         assert np.hypot(f.u, f.v).max() == 0.0
 
@@ -97,7 +104,7 @@ class TestHornSchunck:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            horn_schunck(GridImage.zeros(8, 8), GridImage.zeros(8, 9), FlowParams())
+            horn_schunck(GridImage(np.zeros((8, 8))), GridImage(np.zeros((9, 8))), FlowParams())
 
     def test_level_autoreduction_warns(self):
         img = GridImage(gaussian_blob(16, 8, 8))
@@ -349,7 +356,7 @@ class TestHornSchunckSequence:
         assert horn_schunck_sequence([], FlowParams()) == []
         assert horn_schunck_sequence([img], FlowParams()) == []
         with pytest.raises(ValueError, match="mismatched"):
-            horn_schunck_sequence([img, GridImage.zeros(16, 15)], FlowParams())
+            horn_schunck_sequence([img, GridImage(np.zeros((15, 16)))], FlowParams())
 
 
 class TestStackedSolver:

@@ -91,6 +91,12 @@ class TestBuildPixelAssignment:
         assert np.array_equal(asg.element_counts, [(pe == e).sum() for e in range(2)])
         assert np.array_equal(asg.inside_mask(), pe != OUTSIDE)
 
+    def test_overlapping_elements_rejected(self):
+        nodes = np.array([[-1.0, -1.0], [1.0, -1.0], [0.0, 1.0], [-0.5, 0.9]])
+        mesh = FemMesh(nodes, np.array([[0, 1, 2], [0, 1, 3]]))
+        with pytest.raises(MeshError, match="element 1 overlaps"):
+            build_pixel_assignment(mesh, 16, 16)
+
     def test_zero_element_mesh_rejected(self, square_mesh):
         with pytest.raises(ValueError):
             build_pixel_assignment(square_mesh, 0, 4)
@@ -129,7 +135,7 @@ class TestUpsample:
 class TestDownsample:
     def test_constant_grid(self, square_mesh):
         asg = build_pixel_assignment(square_mesh, 4, 4)
-        fem = downsample(GridImage.full(4, 4, 2.25), asg)
+        fem = downsample(GridImage(np.full((4, 4), 2.25)), asg)
         assert np.array_equal(fem.values, [2.25, 2.25])
 
     def test_means_match_frozen_oracle(self, square_mesh):
@@ -147,13 +153,13 @@ class TestDownsample:
         asg = build_pixel_assignment(mesh, 4, 4)
         assert list(np.flatnonzero(asg.element_counts == 0)) == [1]
         with pytest.warns(UserWarning, match="no pixel center"):
-            fem = downsample(GridImage.full(4, 4, 5.0), asg)
+            fem = downsample(GridImage(np.full((4, 4), 5.0)), asg)
         assert fem.values[1] == 0.0
 
     def test_dimension_mismatch_rejected(self, square_mesh):
         asg = build_pixel_assignment(square_mesh, 4, 4)
         with pytest.raises(MeshError, match="match"):
-            downsample(GridImage.zeros(5, 4), asg)
+            downsample(GridImage(np.zeros((4, 5))), asg)
 
 
 class TestApplyHd:

@@ -18,7 +18,7 @@ def mask_from_pixels(w, h, pixels):
 
 class TestBinarize:
     def test_constant_positive_all_set(self):
-        m = binarize(GridImage.full(5, 5, 2.0))
+        m = binarize(GridImage(np.full((5, 5), 2.0)))
         assert m.bits.sum() == 25
 
     def test_single_positive_pixel(self):
@@ -35,12 +35,12 @@ class TestBinarize:
 
     def test_nonpositive_max_warns_empty(self):
         with pytest.warns(UserWarning, match="empty"):
-            m = binarize(GridImage.full(3, 3, -1.0))
+            m = binarize(GridImage(np.full((3, 3), -1.0)))
         assert m.bits.sum() == 0
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):
-            binarize(GridImage.full(3, 3, 1.0), fraction=0.0)
+            binarize(GridImage(np.full((3, 3), 1.0)), fraction=0.0)
 
 
 class TestOverlap:
@@ -175,6 +175,6 @@ class TestReport:
         assert fm.overlap == 1.0 and fm.hausdorff == 0.0 and fm.masd == 0.0
 
     def test_evaluate_sequence_length_check(self):
-        g = GridImage.full(4, 4, 1.0)
+        g = GridImage(np.full((4, 4), 1.0))
         with pytest.raises(ValueError, match="lengths"):
             evaluate_sequence([g], [g, g])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from meshsrr.errors import DivergenceError
-from meshsrr.flow import FlowField, FlowParams
+from meshsrr.flow import FlowField
 from meshsrr.grid import GridImage
 from meshsrr.mesh import FemImage, build_pixel_assignment, upsample
 from meshsrr.operators import ObservationModel, gaussian_kernel
@@ -26,9 +26,8 @@ def make_problem(n=8, kernel_size=3, sigma=1.0, square_mesh=None):
     return mesh, asg, kernel
 
 
-def cfg_for(n, kernel, mu=0.01, k_iters=100, alpha=0.01):
-    return SrrConfig(mu=mu, k_iters=k_iters, alpha_srr=alpha,
-                     grid=(n, n), kernel=kernel)
+def cfg_for(kernel, mu=0.01, k_iters=100, alpha=0.01):
+    return SrrConfig(mu=mu, k_iters=k_iters, alpha_srr=alpha, kernel=kernel)
 
 
 def cost(x: GridImage, y: GridImage, asg, kernel, alpha) -> float:
@@ -47,19 +46,19 @@ class TestInit:
     def test_cost_nonnegative_after_init(self):
         _, asg, kernel = make_problem()
         y = GridImage(np.random.default_rng(0).standard_normal((8, 8)))
-        state = srr_init(y, cfg_for(8, kernel))
+        state = srr_init(y, cfg_for(kernel))
         assert cost(state.x_hat, y, asg, kernel, 0.01) >= 0.0
 
     def test_constant_observation_stays_constant(self):
         _, asg, kernel = make_problem()
-        state = srr_init(GridImage.full(8, 8, 2.0), cfg_for(8, kernel))
+        state = srr_init(GridImage(np.full((8, 8), 2.0)), cfg_for(kernel))
         assert np.abs(state.x_hat.data - 2.0).max() <= 1e-12
         assert state.frame_index == 0
 
     def test_zero_observation(self):
         _, asg, kernel = make_problem()
-        y = GridImage.zeros(8, 8)
-        state = srr_init(y, cfg_for(8, kernel))
+        y = GridImage(np.zeros((8, 8)))
+        state = srr_init(y, cfg_for(kernel))
         assert np.abs(state.x_hat.data).max() == 0.0
         rng = np.random.default_rng(1)
         y_obs = GridImage(np.abs(rng.standard_normal((8, 8))))
@@ -68,9 +67,11 @@ class TestInit:
         assert cost(state.x_hat, y_obs, asg, kernel, 0.0) == pytest.approx(expected)
 
     def test_grid_mismatch_rejected(self):
-        _, _, kernel = make_problem()
+        _, asg, kernel = make_problem()
+        y = GridImage(np.zeros((8, 9)))
+        cfg = cfg_for(kernel)
         with pytest.raises(ValueError, match="grid"):
-            srr_init(GridImage.zeros(9, 8), cfg_for(8, kernel))
+            srr_step(srr_init(y, cfg), y, FlowField.zeros(9, 8), cfg, asg)
 
 
 class TestCost:
@@ -122,7 +123,7 @@ class TestStep:
         _, asg, kernel = make_problem()
         rng = np.random.default_rng(4)
         x = GridImage(rng.standard_normal((8, 8)))
-        cfg = cfg_for(8, kernel, k_iters=25, alpha=0.0)
+        cfg = cfg_for(kernel, k_iters=25, alpha=0.0)
         y = GridImage(observe(asg, kernel, x.data))
         state = srr_step(srr_init_raw(x), y, FlowField.zeros(8, 8), cfg, asg)
         assert np.abs(state.x_hat.data - x.data).max() <= 1e-12
@@ -132,10 +133,8 @@ class TestStep:
         mesh, asg, kernel = make_problem()
         rng = np.random.default_rng(5)
         y = upsample(FemImage(mesh, rng.standard_normal(2)), asg)
-        cfg = cfg_for(8, kernel, mu=0.01, k_iters=100, alpha=0.0)
-        history = []
-        srr_step(srr_init(y, cfg), y, FlowField.zeros(8, 8), cfg, asg,
-                 cost_history=history)
+        cfg = cfg_for(kernel, mu=0.01, k_iters=100, alpha=0.0)
+        history = srr_step(srr_init(y, cfg), y, FlowField.zeros(8, 8), cfg, asg).costs
         assert len(history) == 101
         for before, after in zip(history, history[1:]):
             assert after <= before * (1 + 1e-12) + 1e-15
@@ -145,18 +144,16 @@ class TestStep:
         alpha = 0.3
         lmax = estimate_operator_norm(asg, kernel, alpha)
         mu = 0.9 / lmax
-        cfg = cfg_for(8, kernel, mu=mu, k_iters=60, alpha=alpha)
+        cfg = cfg_for(kernel, mu=mu, k_iters=60, alpha=alpha)
         rng = np.random.default_rng(6)
         y = GridImage(rng.standard_normal((8, 8)))
-        history = []
-        srr_step(srr_init(y, cfg), y, FlowField.zeros(8, 8), cfg, asg,
-                 cost_history=history)
+        history = srr_step(srr_init(y, cfg), y, FlowField.zeros(8, 8), cfg, asg).costs
         for before, after in zip(history, history[1:]):
             assert after <= before * (1 + 1e-12) + 1e-15
 
     def test_divergence_detected_for_huge_step(self):
         _, asg, kernel = make_problem()
-        cfg = cfg_for(8, kernel, mu=50.0, k_iters=200, alpha=0.5)
+        cfg = cfg_for(kernel, mu=50.0, k_iters=200, alpha=0.5)
         rng = np.random.default_rng(7)
         y = GridImage(rng.standard_normal((8, 8)))
         with pytest.raises(DivergenceError) as err:
@@ -165,17 +162,17 @@ class TestStep:
 
     def test_non_finite_cost_is_divergence(self):
         _, asg, kernel = make_problem()
-        cfg = cfg_for(8, kernel, k_iters=5, alpha=0.1)
-        huge = srr_init_raw(GridImage.full(8, 8, 1e200))
+        cfg = cfg_for(kernel, k_iters=5, alpha=0.1)
+        huge = srr_init_raw(GridImage(np.full((8, 8), 1e200)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(DivergenceError, match="non-finite") as err:
-                srr_step(huge, GridImage.zeros(8, 8), FlowField.zeros(8, 8), cfg, asg)
+                srr_step(huge, GridImage(np.zeros((8, 8))), FlowField.zeros(8, 8), cfg, asg)
         assert err.value.iteration == 0 and err.value.frame == 0
 
     def test_other_value_errors_propagate_unchanged(self, monkeypatch):
         _, asg, kernel = make_problem()
-        cfg = cfg_for(8, kernel, k_iters=5, alpha=0.1)
+        cfg = cfg_for(kernel, k_iters=5, alpha=0.1)
         y = GridImage(np.random.default_rng(21).standard_normal((8, 8)))
 
         def broken(self, coeffs, residual):
@@ -193,7 +190,7 @@ class TestStep:
         rng = np.random.default_rng(8)
         y = rng.standard_normal((n, n))
         alpha = 0.01
-        cfg = cfg_for(n, kernel, mu=0.01, k_iters=100, alpha=alpha)
+        cfg = cfg_for(kernel, mu=0.01, k_iters=100, alpha=alpha)
 
         A = dense_projection_matrix(asg) @ dense_blur_matrix(kernel.taps, n, n)
         S = dense_laplacian_matrix(n, n)
@@ -208,14 +205,14 @@ class TestStep:
 
         state = srr_step(srr_init(GridImage(y), cfg), GridImage(y),
                          FlowField.zeros(n, n), cfg, asg)
-        assert state.last_cost == pytest.approx(ref_cost, rel=1e-8)
+        assert state.costs[-1] == pytest.approx(ref_cost, rel=1e-8)
 
     def test_outside_pixels_reset_to_zero(self):
         mesh = disc_mesh(COARSE)
         n = 32
         asg = build_pixel_assignment(mesh, n, n)
         kernel = gaussian_kernel(5, 1.5)
-        cfg = cfg_for(n, kernel, k_iters=5, alpha=0.1)
+        cfg = cfg_for(kernel, k_iters=5, alpha=0.1)
         rng = np.random.default_rng(9)
         y = upsample(FemImage(mesh, rng.standard_normal(mesh.n_elements)), asg)
         state = srr_step(srr_init(y, cfg), y, FlowField.zeros(n, n), cfg, asg)
@@ -223,29 +220,30 @@ class TestStep:
 
     def test_determinism(self):
         _, asg, kernel = make_problem()
-        cfg = cfg_for(8, kernel, k_iters=30, alpha=0.2)
+        cfg = cfg_for(kernel, k_iters=30, alpha=0.2)
         rng = np.random.default_rng(10)
         y = GridImage(rng.standard_normal((8, 8)))
         flow = FlowField.constant(8, 8, 0.3, -0.2)
         a = srr_step(srr_init(y, cfg), y, flow, cfg, asg)
         b = srr_step(srr_init(y, cfg), y, flow, cfg, asg)
         assert np.array_equal(a.x_hat.data, b.x_hat.data)
-        assert a.last_cost == b.last_cost
+        assert a.costs == b.costs
 
     def test_last_cost_matches_cost_of_estimate(self):
         _, asg, kernel = make_problem()
-        cfg = cfg_for(8, kernel, k_iters=12, alpha=0.15)
+        cfg = cfg_for(kernel, k_iters=12, alpha=0.15)
         rng = np.random.default_rng(20)
         y = GridImage(rng.standard_normal((8, 8)))
         state = srr_step(srr_init(y, cfg), y, FlowField.zeros(8, 8), cfg, asg)
-        assert state.last_cost == cost(state.x_hat, y, asg, kernel, cfg.alpha_srr)
-        assert np.isfinite(state.last_cost)
+        assert len(state.costs) == cfg.k_iters + 1
+        assert state.costs[-1] == cost(state.x_hat, y, asg, kernel, cfg.alpha_srr)
+        assert np.isfinite(state.costs[-1])
 
 
 def srr_init_raw(x_hat: GridImage):
     """State with a verbatim estimate, bypassing the smoothing start."""
     from meshsrr.srr import SrrState
-    return SrrState(x_hat=x_hat, frame_index=0, last_cost=float("nan"))
+    return SrrState(x_hat=x_hat, frame_index=0, costs=())
 
 
 class TestRunSequence:
@@ -253,41 +251,32 @@ class TestRunSequence:
         n = 8
         asg = build_pixel_assignment(square_mesh, n, n)
         kernel = gaussian_kernel(3, 1.0)
-        cfg = cfg_for(n, kernel, k_iters=20, alpha=0.05)
+        cfg = cfg_for(kernel, k_iters=20, alpha=0.05)
         rng = np.random.default_rng(11)
-        obs = FemImage(square_mesh, rng.standard_normal(2))
-        result = run_sequence([obs], cfg, FlowParams())
-        y = upsample(obs, asg)
+        y = upsample(FemImage(square_mesh, rng.standard_normal(2)), asg)
+        result = run_sequence([y], [], cfg, asg)
         expected = srr_step(srr_init(y, cfg), y, FlowField.zeros(n, n), cfg, asg)
-        assert np.array_equal(result[0].data, expected.x_hat.data)
+        assert np.array_equal(result[0].x_hat.data, expected.x_hat.data)
+        assert result[0].costs == expected.costs
 
     def test_static_scene_cost_non_increasing_over_frames(self, square_mesh):
         n = 8
+        asg = build_pixel_assignment(square_mesh, n, n)
         kernel = gaussian_kernel(3, 1.0)
-        cfg = cfg_for(n, kernel, k_iters=30, alpha=0.0)
+        cfg = cfg_for(kernel, k_iters=30, alpha=0.0)
         rng = np.random.default_rng(12)
-        obs = FemImage(square_mesh, rng.standard_normal(2))
-        histories = []
-        run_sequence([obs] * 6, cfg, FlowParams(), cost_histories=histories)
-        finals = [h[-1] for h in histories]
+        y = upsample(FemImage(square_mesh, rng.standard_normal(2)), asg)
+        states = run_sequence([y] * 6, [FlowField.zeros(n, n)] * 5, cfg, asg)
+        finals = [s.costs[-1] for s in states]
         for before, after in zip(finals, finals[1:]):
             assert after <= before * (1 + 1e-12) + 1e-15
 
     def test_known_flows_length_check(self, square_mesh):
-        kernel = gaussian_kernel(3, 1.0)
-        cfg = cfg_for(8, kernel, k_iters=2)
-        obs = FemImage(square_mesh, [1.0, 2.0])
-        with pytest.raises(ValueError, match="known flows"):
-            run_sequence([obs, obs], cfg, FlowParams(),
-                         known_flows=[])
-
-    def test_mixed_meshes_rejected(self, square_mesh, one_triangle_mesh):
-        kernel = gaussian_kernel(3, 1.0)
-        cfg = cfg_for(8, kernel, k_iters=2)
-        a = FemImage(square_mesh, [1.0, 2.0])
-        b = FemImage(one_triangle_mesh, [1.0])
-        with pytest.raises(Exception, match="mesh"):
-            run_sequence([a, b], cfg, FlowParams())
+        asg = build_pixel_assignment(square_mesh, 8, 8)
+        cfg = cfg_for(gaussian_kernel(3, 1.0), k_iters=2)
+        y = upsample(FemImage(square_mesh, [1.0, 2.0]), asg)
+        with pytest.raises(ValueError, match="expected 1 flows, got 0"):
+            run_sequence([y, y], [], cfg, asg)
 
     def test_step_error_keeps_type_and_gains_frame_note(self, square_mesh, monkeypatch):
         import meshsrr.srr as srr
@@ -305,45 +294,43 @@ class TestRunSequence:
             return original(state, *args, **kwargs)
 
         monkeypatch.setattr(srr, "srr_step", flaky)
-        cfg = cfg_for(8, gaussian_kernel(3, 1.0), k_iters=2)
-        obs = FemImage(square_mesh, [1.0, 2.0])
+        asg = build_pixel_assignment(square_mesh, 8, 8)
+        cfg = cfg_for(gaussian_kernel(3, 1.0), k_iters=2)
+        y = upsample(FemImage(square_mesh, [1.0, 2.0]), asg)
         with pytest.raises(PairError, match="frame 1") as err:
-            run_sequence([obs] * 3, cfg, FlowParams(),
-                         known_flows=[FlowField.zeros(8, 8)] * 2)
+            run_sequence([y] * 3, [FlowField.zeros(8, 8)] * 2, cfg, asg)
         assert (err.value.code, err.value.detail) == (7, "synthetic")
         assert err.value.__notes__ == ["frame 1"]
 
     def test_estimated_flows_match_per_frame_registration(self):
+        """``run_experiment`` without known motion registers each upsampled
+        observation onto the one before it and folds ``srr_step`` over them."""
         from dataclasses import replace
         from meshsrr.config import preset
+        from meshsrr.experiment import run_experiment
         from meshsrr.flow import horn_schunck
-        from meshsrr.phantoms import degrade, render_scene
-        cfg = replace(preset("ex2b"), grid=32, k_iters=10)
-        mesh = cfg.build_mesh()
-        asg = build_pixel_assignment(mesh, 32, 32)
-        obs = [degrade(render_scene(cfg.scene, t, 32, 32), cfg.degrade_spec(mesh), asg, frame=t)
-               for t in range(5)]
-        obs.insert(2, obs[1])
+        cfg = replace(preset("ex2b"), grid=32, k_iters=10,
+                      scene=replace(preset("ex2b").scene, frames=5))
+        asg = build_pixel_assignment(cfg.build_mesh(), 32, 32)
         scfg = cfg.srr_config()
-        histories = []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            got = run_sequence(obs, scfg, cfg.flow, assignment=asg, cost_histories=histories)
-            y_ups = [upsample(o, asg) for o in obs]
+            result = run_experiment(cfg)
+            y_ups = result.up_frames
             state = srr_init(y_ups[0], scfg)
             ref, ref_histories, moved = [], [], 0.0
             for t, y in enumerate(y_ups):
                 flow = (horn_schunck(y, y_ups[t - 1], cfg.flow) if t
                         else FlowField.zeros(32, 32))
                 moved = max(moved, np.abs(flow.u).max())
-                ref_histories.append([])
-                state = srr_step(state, y, flow, scfg, asg, cost_history=ref_histories[-1])
+                state = srr_step(state, y, flow, scfg, asg)
                 ref.append(state.x_hat)
+                ref_histories.append(state.costs)
         assert moved > 0.0
-        assert all(np.array_equal(a.data, b.data) for a, b in zip(got, ref))
-        assert histories == ref_histories and len(histories) == 6
+        assert all(np.array_equal(a.data, b.data) for a, b in zip(result.srr_frames, ref))
+        assert list(result.cost_histories) == ref_histories and len(ref_histories) == 5
 
-    def test_empty_sequence_rejected(self):
-        kernel = gaussian_kernel(3, 1.0)
+    def test_empty_sequence_rejected(self, square_mesh):
+        asg = build_pixel_assignment(square_mesh, 8, 8)
         with pytest.raises(ValueError, match="empty"):
-            run_sequence([], cfg_for(8, kernel), FlowParams())
+            run_sequence([], [], cfg_for(gaussian_kernel(3, 1.0)), asg)
