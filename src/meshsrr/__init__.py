@@ -17,11 +17,10 @@ from .mesh import (FemImage, FemMesh, OUTSIDE, PixelAssignment,
 from .metrics import (BinaryMask, FrameMetrics, MetricsReport, binarize, boundary,
                       evaluate_pair, evaluate_sequence, hausdorff, masd, overlap)
 from .operators import (Kernel, ObservationModel, convolve_neumann,
-                        gaussian_kernel, warp_image)
+                        gaussian_kernel, operator_norm_bound, warp_image)
 from .phantoms import (COARSE, FINE, LUNG, T_SHAPE, DegradeSpec, SceneSpec,
                        degrade, disc_mesh, render_lung, render_scene,
                        render_tshape, tshape_centers)
-from .srr import (SrrConfig, SrrState, estimate_operator_norm, run_sequence,
-                  srr_init, srr_step)
+from .srr import SrrConfig, SrrState, run_sequence, srr_init, srr_step
 
 __version__ = "0.1.0"

@@ -13,8 +13,9 @@ from .flow import FlowField, horn_schunck_sequence
 from .grid import GridImage
 from .mesh import FemImage, build_pixel_assignment, upsample
 from .metrics import MetricsReport, evaluate_sequence
+from .operators import operator_norm_bound
 from .phantoms import T_SHAPE, degrade, render_scene, tshape_centers
-from .srr import estimate_operator_norm, run_sequence
+from .srr import run_sequence
 
 
 @dataclass(frozen=True)
@@ -53,10 +54,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run one full experiment for the motion mode selected by the config.
 
     Writes frames and metric tables under the config's ``output_dir`` when
-    set. A step size with ``mu * L >= 1``, L the largest eigenvalue of the
-    correction operator, is refused with ConfigError before any frame is
-    rendered. On failure a partially written directory is renamed with a
-    ``.partial`` suffix before the error propagates.
+    set. A step size with ``mu * L >= 1``, L an upper bound on the largest
+    eigenvalue of the correction operator, is refused with ConfigError before
+    any frame is rendered. On failure a partially written directory is
+    renamed with a ``.partial`` suffix before the error propagates.
     """
     t0 = time.perf_counter()
     out = Path(cfg.output_dir) if cfg.output_dir else None
@@ -66,7 +67,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     mesh = cfg.build_mesh()
     assignment = build_pixel_assignment(mesh, n, n)
     srr_cfg = cfg.srr_config()
-    mu_l = srr_cfg.mu * estimate_operator_norm(assignment, srr_cfg.kernel, srr_cfg.alpha_srr)
+    mu_l = srr_cfg.mu * operator_norm_bound(assignment, srr_cfg.kernel, srr_cfg.alpha_srr)
     if not mu_l < 1.0:
         raise ConfigError(f"step size mu = {srr_cfg.mu:g} gives mu * L = {mu_l:.4g}; "
                           "it must be below 1 for the cost to decrease")

@@ -8,13 +8,17 @@ against the textbook energy
     E(u, v) = sum((Ix*u + Iy*v + It)^2) + lam * sum over 4-neighbor edges
               ((u_p - u_q)^2 + (v_p - v_q)^2)
 
-and each pyramid level is solved by red-black Gauss-Seidel sweeps, which
-perform exact per-pixel minimization and therefore never increase the energy.
-A half-sweep computes only its own color, in the floating-point order of a
-full-grid update, so that saving leaves the flows bit-identical.
+and each warp of a pyramid level is solved by red-black Gauss-Seidel sweeps,
+which perform exact per-pixel minimization and therefore never increase the
+energy. A half-sweep computes only its own color, in the floating-point order
+of a full-grid update. The sweeps run in blocks of ``_SWEEP_BLOCK``, at most
+``iterations_per_level`` per warp: a pair stops once a block lowers its energy
+by at most ``_SWEEP_TOL`` times the new energy (Horn & Schunck iterate to
+convergence; on the fine levels the coarse ones have found the flow).
 
 ``horn_schunck_sequence`` registers each distinct consecutive pair once, with
-independent pairs stacked along a leading axis to share every solver call.
+independent pairs stacked along a leading axis to share every solver call;
+each level cuts the stack into chunks of at most ``_STACK_PIXELS`` pixels.
 """
 from __future__ import annotations
 
@@ -28,8 +32,13 @@ from .grid import GridImage, require_same_shape
 from .operators import convolve_stack, gaussian_kernel, _bilinear_gather
 
 _MIN_TOP_SIZE = 8
-# Finest-level pixels per stacked solve (4 pairs at 100x100); coarse levels gain most.
-_STACK_PIXELS = 40_000
+# Pixels per stacked solve at each level (1 pair at 100x100, 4 at 50x50):
+# stacking pays on the coarse levels only.
+_STACK_PIXELS = 10_000
+# Sweeps between energy checks, and the relative energy drop per block below
+# which a pair stops sweeping.
+_SWEEP_BLOCK = 5
+_SWEEP_TOL = 3e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +83,9 @@ class FlowParams:
     """Solver settings. ``lam`` weighs the smoothness term of the textbook
     energy; inputs are jointly rescaled to [0, 1] before estimation so the
     default is independent of image units. The strong default favors
-    near-rigid fields, which is what noisy tomographic sequences need."""
+    near-rigid fields, which is what noisy tomographic sequences need.
+    ``iterations_per_level`` is the most sweeps per warp; a pair stops
+    earlier once its energy stalls."""
 
     lam: float = 15.0
     pyramid_levels: int = 4
@@ -147,12 +158,20 @@ def _neighbor_counts(h: int, w: int) -> np.ndarray:
     return n
 
 
+def _pair_energies(ix: np.ndarray, iy: np.ndarray, c: np.ndarray,
+                   u: np.ndarray, v: np.ndarray, lam: float) -> np.ndarray:
+    """Energy of the problem in the last two axes, for each along the leading axes."""
+    pixels = (-2, -1)
+    data = ((ix * u + iy * v + c) ** 2).sum(axis=pixels)
+    smooth = sum((np.diff(f, axis=axis) ** 2).sum(axis=pixels) for f in (u, v) for axis in pixels)
+    return data + lam * smooth
+
+
 def flow_energy(ix: np.ndarray, iy: np.ndarray, c: np.ndarray,
                 u: np.ndarray, v: np.ndarray, lam: float) -> float:
-    """Discrete energy of the linearized data term plus smoothness."""
-    data = float(((ix * u + iy * v + c) ** 2).sum())
-    smooth = sum(float((np.diff(f, axis=axis) ** 2).sum()) for f in (u, v) for axis in (-2, -1))
-    return data + lam * smooth
+    """Discrete energy of the linearized data term plus smoothness, summed
+    over any leading axes."""
+    return float(_pair_energies(ix, iy, c, u, v, lam).sum())
 
 
 def solve_linearized_flow(ix: np.ndarray, iy: np.ndarray, c: np.ndarray,
@@ -201,6 +220,34 @@ def solve_linearized_flow(ix: np.ndarray, iy: np.ndarray, c: np.ndarray,
         if energies is not None:
             energies.append(flow_energy(ix, iy, c, u, v, lam))
     return u.copy(), v.copy()
+
+
+def _sweep_until_stalled(ix: np.ndarray, iy: np.ndarray, c: np.ndarray,
+                         u: np.ndarray, v: np.ndarray, lam: float, cap: int
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """``solve_linearized_flow`` on a stack of problems, in blocks of
+    ``_SWEEP_BLOCK`` sweeps and at most ``cap`` in all. A problem stops once a
+    block lowers its energy by at most ``_SWEEP_TOL`` times the new energy and
+    keeps its ``u`` and ``v``; the others go on in a smaller stack. Each
+    decision is per problem, so a problem's result does not depend on the
+    stack it came in."""
+    u, v = u.copy(), v.copy()
+    run = np.arange(len(u))
+    terms = (ix, iy, c)
+    energy = _pair_energies(*terms, u, v, lam)
+    for done in range(0, cap, _SWEEP_BLOCK):
+        ru, rv = solve_linearized_flow(*terms, u[run], v[run], lam,
+                                       min(_SWEEP_BLOCK, cap - done))
+        u[run], v[run] = ru, rv
+        new = _pair_energies(*terms, ru, rv, lam)
+        going = energy - new > _SWEEP_TOL * new
+        if not going.all():
+            run = run[going]
+            terms = tuple(t[going] for t in terms)
+            if not run.size:
+                break
+        energy = new[going]
+    return u, v
 
 
 _DERIV = np.array([-0.5, 0.0, 0.5])
@@ -263,15 +310,14 @@ def _pyramid_levels(width: int, height: int, params: FlowParams) -> int:
 
 def _coarse_to_fine(prev: np.ndarray, nxt: np.ndarray, params: FlowParams,
                     levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flow ``(u, v)`` from ``prev`` to ``nxt`` for the pair of images in the
-    last two axes, and for each such pair along any leading axes. Equal
-    inputs give exact zeros without a solve."""
-    if np.array_equal(prev, nxt):
-        return np.zeros(prev.shape), np.zeros(prev.shape)
+    """Flows ``(u, v)`` from ``prev[k]`` to ``nxt[k]`` for the pairs of images
+    along the leading axis, solved at each level in stacks of at most
+    ``_STACK_PIXELS`` pixels."""
     lo = np.minimum(prev.min(axis=(-2, -1), keepdims=True), nxt.min(axis=(-2, -1), keepdims=True))
     hi = np.maximum(prev.max(axis=(-2, -1), keepdims=True), nxt.max(axis=(-2, -1), keepdims=True))
     pa = build_pyramid((prev - lo) / (hi - lo), levels, params.pyramid_spacing)
     pb = build_pyramid((nxt - lo) / (hi - lo), levels, params.pyramid_spacing)
+    del prev, nxt  # the pyramids hold rescaled copies; free the caller's stacks
 
     u = np.zeros(pa[-1].shape)
     v = np.zeros(pa[-1].shape)
@@ -279,17 +325,23 @@ def _coarse_to_fine(prev: np.ndarray, nxt: np.ndarray, params: FlowParams,
         a = pa[level]
         b = pb[level]
         h, w = a.shape[-2:]
-        if u.shape[-2:] != (h, w):
-            u = _resample(u, w, h) * (w / u.shape[-1])
-            v = _resample(v, w, h) * (h / v.shape[-2])
         jj, ii = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-        for _ in range(params.warps_per_level):
-            warped = _bilinear_gather(b, ii + u, jj + v)
-            ix, iy, it = _derivatives(a, warped)
-            c = it - ix * u - iy * v
-            u, v = _global_translation_step(ix, iy, c, u, v)
-            u, v = solve_linearized_flow(ix, iy, c, u, v, params.lam,
-                                         params.iterations_per_level)
+        step = max(1, _STACK_PIXELS // (h * w))
+        coarse, u, v = (u, v), np.empty(a.shape), np.empty(a.shape)
+        for k in range(0, len(u), step):
+            part = slice(k, k + step)
+            uk, vk = (f[part] for f in coarse)
+            if uk.shape[-2:] != (h, w):
+                uk = _resample(uk, w, h) * (w / uk.shape[-1])
+                vk = _resample(vk, w, h) * (h / vk.shape[-2])
+            for _ in range(params.warps_per_level):
+                warped = _bilinear_gather(b[part], ii + uk, jj + vk)
+                ix, iy, it = _derivatives(a[part], warped)
+                c = it - ix * uk - iy * vk
+                uk, vk = _global_translation_step(ix, iy, c, uk, vk)
+                uk, vk = _sweep_until_stalled(ix, iy, c, uk, vk, params.lam,
+                                              params.iterations_per_level)
+            u[part], v[part] = uk, vk
     return u, v
 
 
@@ -301,9 +353,7 @@ def horn_schunck(prev: GridImage, nxt: GridImage, params: FlowParams) -> FlowFie
     total flow. Levels whose top of the pyramid would fall below 8x8 are
     dropped with a warning. Equal images give the exact zero field.
     """
-    require_same_shape(prev, nxt, "flow input images")
-    levels = _pyramid_levels(prev.width, prev.height, params)
-    return FlowField(*_coarse_to_fine(prev.data, nxt.data, params, levels))
+    return horn_schunck_sequence([nxt, prev], params)[0]
 
 
 def horn_schunck_sequence(frames: list[GridImage], params: FlowParams) -> list[FlowField]:
@@ -311,9 +361,8 @@ def horn_schunck_sequence(frames: list[GridImage], params: FlowParams) -> list[F
 
     Each distinct pair of frames is solved once, pairs of equal frames get
     the exact zero field, and the remaining pairs run through the solver
-    stacked, in groups whose finest level holds at most ``_STACK_PIXELS``
-    pixels. The flows are bit-identical to the pairwise calls; a pyramid
-    reduction is warned about once.
+    together, stacked per level. The flows are bit-identical to the pairwise
+    calls; a pyramid reduction is warned about once.
     """
     if len(frames) < 2:
         return []
@@ -327,13 +376,11 @@ def horn_schunck_sequence(frames: list[GridImage], params: FlowParams) -> list[F
                          if np.array_equal(frames[k].data, frame.data)), t))
     keys = [(ids[t], ids[t - 1]) for t in range(1, len(frames))]
     pairs = [key for key in dict.fromkeys(keys) if key[0] != key[1]]
-    group = max(1, _STACK_PIXELS // (first.width * first.height))
     solved = {}
-    for start in range(0, len(pairs), group):
-        chunk = pairs[start:start + group]
-        u, v = _coarse_to_fine(np.stack([frames[p].data for p, _ in chunk]),
-                               np.stack([frames[n].data for _, n in chunk]),
+    if pairs:
+        u, v = _coarse_to_fine(np.stack([frames[p].data for p, _ in pairs]),
+                               np.stack([frames[n].data for _, n in pairs]),
                                params, levels)
-        solved.update((key, FlowField(uk, vk)) for key, uk, vk in zip(chunk, u, v))
+        solved = {key: FlowField(uk, vk) for key, uk, vk in zip(pairs, u, v)}
     zero = FlowField.zeros(first.width, first.height)
     return [solved.get(key, zero) for key in keys]

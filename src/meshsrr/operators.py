@@ -180,3 +180,16 @@ class ObservationModel:
         projected = fft.dctn(projected.reshape(self._blur.shape), norm="ortho")
         return fft.idctn(self._blur * projected
                          + self._smooth * coeffs, norm="ortho")
+
+
+def operator_norm_bound(assignment: PixelAssignment, kernel: Kernel, alpha: float) -> float:
+    """Upper bound on the largest eigenvalue L of B' P B + alpha * S' S on the
+    assignment's grid.
+
+    P is an orthogonal projection (0 <= P <= I), so L is at most the largest
+    eigenvalue of B' B + alpha * S' S, which the DCT-II diagonalizes. The cost
+    is non-increasing over the correction iterations whenever mu times this
+    value stays below 1.
+    """
+    model = ObservationModel(assignment, kernel, alpha)
+    return float((model._blur * model._blur + model._smooth).max())

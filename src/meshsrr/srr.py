@@ -133,28 +133,3 @@ def run_sequence(y_ups: list[GridImage], flows: list[FlowField], cfg: SrrConfig,
             raise
         states.append(state)
     return states
-
-
-def estimate_operator_norm(assignment: PixelAssignment, kernel: Kernel,
-                           alpha: float, iterations: int = 30, seed: int = 0) -> float:
-    """Largest eigenvalue of B' P B + alpha * S' S on the assignment's grid,
-    by power iteration.
-
-    The cost is non-increasing over the correction iterations whenever
-    mu times this value stays below 1.
-    """
-    model = ObservationModel(assignment, kernel, alpha)
-    shape = (assignment.height, assignment.width)
-    zeros = np.zeros(shape)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(shape)
-    x /= np.linalg.norm(x)
-    lam = 0.0
-    for _ in range(iterations):
-        _, coeffs, residual = model.terms(x, zeros)
-        y = model.half_gradient(coeffs, residual)
-        lam = float(np.linalg.norm(y))
-        if lam == 0:
-            return 0.0
-        x = y / lam
-    return lam

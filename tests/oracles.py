@@ -5,8 +5,9 @@ loops, explicit reflection maps, dense matrices) and deliberately avoids the
 code paths of the package under test; the oracles read only its data (mesh
 nodes and elements, ``pixel_to_element``, flow components). The exceptions
 are test-only helpers built on the package: ``random_mask_pair`` (which
-returns ``BinaryMask`` pairs) and ``compose_flows`` (which samples through
-the warp's bilinear gather).
+returns ``BinaryMask`` pairs), ``compose_flows`` (which samples through
+the warp's bilinear gather) and ``power_iteration_norm`` (which applies the
+operator through ``ObservationModel``).
 """
 import numpy as np
 
@@ -197,10 +198,10 @@ def compose_flows(f_ab, f_bc):
 
 def _neighbor_sums(f: np.ndarray) -> np.ndarray:
     s = np.zeros_like(f)
-    s[1:, :] += f[:-1, :]
-    s[:-1, :] += f[1:, :]
-    s[:, 1:] += f[:, :-1]
-    s[:, :-1] += f[:, 1:]
+    s[..., 1:, :] += f[..., :-1, :]
+    s[..., :-1, :] += f[..., 1:, :]
+    s[..., :, 1:] += f[..., :, :-1]
+    s[..., :, :-1] += f[..., :, 1:]
     return s
 
 
@@ -217,8 +218,10 @@ def _flow_energy(ix: np.ndarray, iy: np.ndarray, c: np.ndarray,
                 u: np.ndarray, v: np.ndarray, lam: float) -> float:
     """Discrete energy of the linearized data term plus smoothness."""
     data = float(((ix * u + iy * v + c) ** 2).sum())
-    smooth = float(((u[1:, :] - u[:-1, :]) ** 2).sum() + ((u[:, 1:] - u[:, :-1]) ** 2).sum()
-                   + ((v[1:, :] - v[:-1, :]) ** 2).sum() + ((v[:, 1:] - v[:, :-1]) ** 2).sum())
+    smooth = float(((u[..., 1:, :] - u[..., :-1, :]) ** 2).sum()
+                   + ((u[..., 1:] - u[..., :-1]) ** 2).sum()
+                   + ((v[..., 1:, :] - v[..., :-1, :]) ** 2).sum()
+                   + ((v[..., 1:] - v[..., :-1]) ** 2).sum())
     return data + lam * smooth
 
 
@@ -228,8 +231,9 @@ def full_grid_red_black_flow(ix: np.ndarray, iy: np.ndarray, c: np.ndarray,
                              energies: list[float] | None = None
                              ) -> tuple[np.ndarray, np.ndarray]:
     """Red-black Gauss-Seidel over the whole grid with boolean color masks:
-    every half-sweep computes both colors and keeps the active one."""
-    h, w = ix.shape
+    every half-sweep computes both colors and keeps the active one. Leading
+    axes hold independent problems."""
+    h, w = ix.shape[-2:]
     u = u0.copy()
     v = v0.copy()
     n = _neighbor_counts(h, w)
@@ -243,8 +247,29 @@ def full_grid_red_black_flow(ix: np.ndarray, iy: np.ndarray, c: np.ndarray,
             ubar = _neighbor_sums(u) / n
             vbar = _neighbor_sums(v) / n
             d = ix * ubar + iy * vbar + c
-            u[color] = (ubar - ix * d / denom)[color]
-            v[color] = (vbar - iy * d / denom)[color]
+            u[..., color] = (ubar - ix * d / denom)[..., color]
+            v[..., color] = (vbar - iy * d / denom)[..., color]
         if energies is not None:
             energies.append(_flow_energy(ix, iy, c, u, v, lam))
     return u, v
+
+
+def power_iteration_norm(assignment, kernel, alpha: float, iterations: int = 30,
+                         seed: int = 0) -> float:
+    """Largest eigenvalue of B' P B + alpha * S' S on the assignment's grid by
+    power iteration, which approaches it from below."""
+    from meshsrr.operators import ObservationModel
+    model = ObservationModel(assignment, kernel, alpha)
+    shape = (assignment.height, assignment.width)
+    zeros = np.zeros(shape)
+    x = np.random.default_rng(seed).standard_normal(shape)
+    x /= np.linalg.norm(x)
+    lam = 0.0
+    for _ in range(iterations):
+        _, coeffs, residual = model.terms(x, zeros)
+        y = model.half_gradient(coeffs, residual)
+        lam = float(np.linalg.norm(y))
+        if lam == 0:
+            return 0.0
+        x = y / lam
+    return lam

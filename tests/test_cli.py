@@ -119,6 +119,32 @@ class TestRunCommand:
         assert main(argv) == 2
         assert "mu * L" in capsys.readouterr().err
 
+    def test_step_size_refused_by_the_bound(self, monkeypatch, capsys):
+        """A mu that 30 power iterations would pass but the bound refuses."""
+        from dataclasses import replace
+        import meshsrr.experiment as exp
+        from meshsrr.config import ExperimentConfig
+        from meshsrr.mesh import build_pixel_assignment
+        from meshsrr.operators import operator_norm_bound
+        from oracles import power_iteration_norm
+
+        cfg = replace(ExperimentConfig(), grid=32)
+        asg = build_pixel_assignment(cfg.build_mesh(), 32, 32)
+        kernel = cfg.resolved_kernel()
+        low = power_iteration_norm(asg, kernel, cfg.alpha_srr)
+        bound = operator_norm_bound(asg, kernel, cfg.alpha_srr)
+        mu = 0.5 * (1 / low + 1 / bound)
+        assert mu * low < 1 <= mu * bound
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work started with a step size mu * L >= 1")
+
+        monkeypatch.setattr(exp, "render_scene", unreachable)
+        argv = ["run", "--set", "srr.grid=32", "--set", "scene.frames=2",
+                "--motion", "known", "--set", f"srr.mu={mu!r}"]
+        assert main(argv) == 2
+        assert "mu * L" in capsys.readouterr().err
+
     def test_undecodable_config_file_exits_4(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(b"[scene]\nframes = 3\xff\n")

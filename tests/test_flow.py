@@ -77,7 +77,8 @@ class TestHornSchunck:
 
     def test_constant_images_zero_flow(self):
         a = GridImage(np.full((32, 32), 1.0))
-        f = horn_schunck(a, a, FlowParams())
+        with pytest.warns(UserWarning, match="pyramid reduced"):
+            f = horn_schunck(a, a, FlowParams())
         assert np.hypot(f.u, f.v).max() == 0.0
 
     def test_known_shift_recovered_over_support(self):
@@ -313,10 +314,18 @@ class TestHornSchunckSequence:
         cfg, frames = lung_frames
         keep = [f.data.copy() for f in frames]
         stacks = count_calls(monkeypatch, "_coarse_to_fine")
+        solves = count_calls(monkeypatch, "solve_linearized_flow")
         got = horn_schunck_sequence(frames, cfg.flow)
-        # 8 distinct non-identical pairs in stacks of 4, so two stacks; the
-        # repeats and the four identical pairs come back without a solve.
-        assert [args[0].shape for args in stacks] == [(4, 100, 100)] * 2
+        # The 8 distinct non-identical pairs go in together; the repeats and
+        # the four identical pairs come back without a solve. Each level cuts
+        # its stacks to 10 000 pixels: 1 pair at 100x100, 4 at 50x50, all 8
+        # at 25x25 and 12x12.
+        assert [args[0].shape for args in stacks] == [(8, 100, 100)]
+        largest = {}
+        for args in solves:
+            n, h, w = args[0].shape
+            largest[h, w] = max(largest.get((h, w), 0), n)
+        assert largest == {(12, 12): 8, (25, 25): 8, (50, 50): 4, (100, 100): 1}
         monkeypatch.undo()
         assert_same_flows(got, pairwise(frames, cfg.flow))
         assert all(np.array_equal(f.data, k) for f, k in zip(frames, keep))
@@ -400,3 +409,91 @@ class TestStackedSolver:
             assert not np.array_equal(su[k], u[k])
         assert np.array_equal(su[2], u[2]) and np.array_equal(sv[2], v[2])
         assert np.signbit(su[2, 0, 0])
+
+
+def record_solves(monkeypatch):
+    """Wrap ``meshsrr.flow.solve_linearized_flow`` and return, per call, the
+    stack shape, the sweep count and the energies it recorded."""
+    from meshsrr import flow
+    calls = []
+    original = flow.solve_linearized_flow
+
+    def recorded(ix, iy, c, u0, v0, lam, iterations):
+        energies = []
+        out = original(ix, iy, c, u0, v0, lam, iterations, energies)
+        calls.append((ix.shape, iterations, energies))
+        return out
+
+    monkeypatch.setattr(flow, "solve_linearized_flow", recorded)
+    return calls
+
+
+def linear_problems(seed, n=2, side=16):
+    rng = np.random.default_rng(seed)
+    ix, iy, c = (rng.standard_normal((n, side, side)) for _ in range(3))
+    return ix, iy, c, np.zeros((n, side, side)), np.zeros((n, side, side))
+
+
+class TestSweepStop:
+    def test_stack_matches_each_problem_alone(self, monkeypatch):
+        from meshsrr.flow import _SWEEP_BLOCK, _sweep_until_stalled
+        ix, iy, c, u0, v0 = linear_problems(11)
+        # Problem 0 starts converged, problem 1 from zero.
+        u0[0], v0[0] = solve_linearized_flow(ix[0], iy[0], c[0], u0[0], v0[0], 1.0, 3000)
+        keep = u0.copy(), v0.copy()
+        calls = record_solves(monkeypatch)
+        u, v = _sweep_until_stalled(ix, iy, c, u0, v0, 1.0, 400)
+        stacks = [shape[0] for shape, _, _ in calls]
+        assert stacks[0] == 2 and len(stacks) > 2 and set(stacks[1:]) == {1}
+        assert sum(sweeps for _, sweeps, _ in calls) < 400 + _SWEEP_BLOCK
+        assert np.array_equal(u0, keep[0]) and np.array_equal(v0, keep[1])
+        monkeypatch.undo()
+        for k in (0, 1):
+            one = slice(k, k + 1)
+            alone = _sweep_until_stalled(ix[one], iy[one], c[one], u0[one], v0[one], 1.0, 400)
+            assert np.array_equal(u[one], alone[0]) and np.array_equal(v[one], alone[1])
+
+    def test_zero_tolerance_is_the_fixed_count_solve(self, lung_frames, monkeypatch):
+        from meshsrr import flow
+        cfg, frames = lung_frames
+        monkeypatch.setattr(flow, "_SWEEP_TOL", 0.0)
+        calls = record_solves(monkeypatch)
+        got = horn_schunck_sequence(frames, cfg.flow)
+        # No problem stalled: each of the 8 pairs ran the full 100 sweeps on
+        # every warp of every level, in blocks of 5.
+        p = cfg.flow
+        assert {sweeps for _, sweeps, _ in calls} == {flow._SWEEP_BLOCK}
+        assert (sum(shape[0] * sweeps for shape, sweeps, _ in calls)
+                == 8 * p.pyramid_levels * p.warps_per_level * p.iterations_per_level)
+        monkeypatch.undo()
+
+        def fixed_count(ix, iy, c, u, v, lam, cap):
+            return solve_linearized_flow(ix, iy, c, u, v, lam, cap)
+
+        monkeypatch.setattr(flow, "_sweep_until_stalled", fixed_count)
+        ref = horn_schunck_sequence(frames, cfg.flow)
+        assert_same_flows(got, ref)
+
+    def test_energies_non_increasing_when_stopped_early(self, monkeypatch):
+        from meshsrr.flow import _sweep_until_stalled
+        ix, iy, c, u0, v0 = linear_problems(12, n=1)
+        calls = record_solves(monkeypatch)
+        _sweep_until_stalled(ix, iy, c, u0, v0, 1.0, 1000)
+        assert sum(sweeps for _, sweeps, _ in calls) < 1000
+        energies = [e for _, _, block in calls for e in block]
+        for before, after in zip(energies, energies[1:]):
+            assert after <= before * (1 + 1e-12) + 1e-12
+
+    def test_converged_problem_stops_after_one_block(self, monkeypatch):
+        from meshsrr.flow import _SWEEP_BLOCK, _sweep_until_stalled
+        ix, iy, c, u0, v0 = linear_problems(13, n=1)
+        u0, v0 = solve_linearized_flow(ix, iy, c, u0, v0, 1.0, 3000)
+        calls = record_solves(monkeypatch)
+        u, v = _sweep_until_stalled(ix, iy, c, u0, v0, 1.0, 100)
+        assert [(shape, sweeps) for shape, sweeps, _ in calls] == [(ix.shape, _SWEEP_BLOCK)]
+        ref = solve_linearized_flow(ix, iy, c, u0, v0, 1.0, _SWEEP_BLOCK)
+        assert np.array_equal(u, ref[0]) and np.array_equal(v, ref[1])
+        # A cap that is not a whole number of blocks is still the most sweeps.
+        calls.clear()
+        _sweep_until_stalled(ix, iy, c, u0, v0, 1.0, _SWEEP_BLOCK - 2)
+        assert [sweeps for _, sweeps, _ in calls] == [_SWEEP_BLOCK - 2]

@@ -7,13 +7,12 @@ from meshsrr.errors import DivergenceError
 from meshsrr.flow import FlowField
 from meshsrr.grid import GridImage
 from meshsrr.mesh import FemImage, build_pixel_assignment, upsample
-from meshsrr.operators import ObservationModel, gaussian_kernel
+from meshsrr.operators import ObservationModel, gaussian_kernel, operator_norm_bound
 from meshsrr.phantoms import COARSE, disc_mesh
-from meshsrr.srr import (SrrConfig, estimate_operator_norm, run_sequence,
-                         srr_init, srr_step)
+from meshsrr.srr import SrrConfig, run_sequence, srr_init, srr_step
 
 from oracles import (dense_blur_matrix, dense_laplacian_matrix,
-                     dense_projection_matrix)
+                     dense_projection_matrix, power_iteration_norm)
 from test_operators import observe
 
 
@@ -142,7 +141,7 @@ class TestStep:
     def test_descent_under_power_method_bound(self):
         _, asg, kernel = make_problem()
         alpha = 0.3
-        lmax = estimate_operator_norm(asg, kernel, alpha)
+        lmax = power_iteration_norm(asg, kernel, alpha)
         mu = 0.9 / lmax
         cfg = cfg_for(kernel, mu=mu, k_iters=60, alpha=alpha)
         rng = np.random.default_rng(6)
@@ -150,6 +149,19 @@ class TestStep:
         history = srr_step(srr_init(y, cfg), y, FlowField.zeros(8, 8), cfg, asg).costs
         for before, after in zip(history, history[1:]):
             assert after <= before * (1 + 1e-12) + 1e-15
+
+    @pytest.mark.parametrize("grid", [16, 32, 64])
+    @pytest.mark.parametrize("name", ["ex1b", "ex2b"])
+    def test_operator_norm_bound_is_tight(self, grid, name):
+        from dataclasses import replace
+        from meshsrr.config import preset
+        cfg = replace(preset(name), grid=grid)
+        asg = build_pixel_assignment(cfg.build_mesh(), grid, grid)
+        kernel = cfg.resolved_kernel()
+        bound = operator_norm_bound(asg, kernel, cfg.alpha_srr)
+        lmax = power_iteration_norm(asg, kernel, cfg.alpha_srr, iterations=600)
+        # Power iteration approaches L from below; slack only for rounding.
+        assert lmax * (1 - 1e-12) <= bound <= 1.005 * lmax
 
     def test_divergence_detected_for_huge_step(self):
         _, asg, kernel = make_problem()
