@@ -18,9 +18,9 @@ from .metrics import (BinaryMask, FrameMetrics, MetricsReport, binarize, boundar
                       evaluate_pair, evaluate_sequence, hausdorff, masd, overlap)
 from .operators import (Kernel, ObservationModel, convolve_neumann,
                         gaussian_kernel, operator_norm_bound, warp_image)
-from .phantoms import (COARSE, FINE, LUNG, T_SHAPE, DegradeSpec, SceneSpec,
-                       degrade, disc_mesh, render_lung, render_scene,
-                       render_tshape, tshape_centers)
+from .phantoms import (COARSE, FINE, LUNG, T_SHAPE, SceneSpec, degrade,
+                       disc_mesh, render_lung, render_scene, render_tshape,
+                       tshape_centers)
 from .srr import SrrConfig, SrrState, run_sequence, srr_init, srr_step
 
 __version__ = "0.1.0"

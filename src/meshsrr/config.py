@@ -2,14 +2,12 @@
 bracketed sections, documented defaults, and the four named presets."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 from .flow import FlowParams
-from .mesh import FemMesh
 from .operators import Kernel, gaussian_kernel
-from .phantoms import COARSE, FINE, LUNG, T_SHAPE, DegradeSpec, SceneSpec, disc_mesh
+from .phantoms import COARSE, FINE, LUNG, T_SHAPE, SceneSpec, snr_power_ratio
 from .srr import SrrConfig
 
 # The default blur is defined at this reference grid size and rescaled
@@ -45,9 +43,8 @@ class ExperimentConfig:
             raise ConfigError(f"grid must be at least 8, got {self.grid}")
         if self.mesh_density not in (FINE, COARSE):
             raise ConfigError(f"mesh must be FINE or COARSE, got {self.mesh_density!r}")
-        if not math.isfinite(self.snr_db):
-            raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
         try:
+            snr_power_ratio(self.snr_db)
             self.srr_config()  # step size, iterations, smoothness weight and blur
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -66,16 +63,9 @@ class ExperimentConfig:
             raise ConfigError(f"kernel size {size} does not fit a {self.grid}x{self.grid} grid")
         return gaussian_kernel(size, sigma)
 
-    def build_mesh(self) -> FemMesh:
-        return disc_mesh(self.mesh_density)
-
     def srr_config(self) -> SrrConfig:
         return SrrConfig(mu=self.mu, k_iters=self.k_iters, alpha_srr=self.alpha_srr,
                          kernel=self.resolved_kernel())
-
-    def degrade_spec(self, mesh: FemMesh) -> DegradeSpec:
-        return DegradeSpec(mesh=mesh, kernel=self.resolved_kernel(),
-                           snr_db=self.snr_db, rng_seed=self.degrade_seed)
 
 
 _DEFAULTS = ExperimentConfig()

@@ -14,7 +14,7 @@ from .grid import GridImage
 from .mesh import FemImage, build_pixel_assignment, upsample
 from .metrics import MetricsReport, evaluate_sequence
 from .operators import operator_norm_bound
-from .phantoms import T_SHAPE, degrade, render_scene, tshape_centers
+from .phantoms import T_SHAPE, degrade, disc_mesh, render_scene, tshape_centers
 from .srr import run_sequence
 
 
@@ -22,12 +22,10 @@ from .srr import run_sequence
 class ExperimentResult:
     lr_metrics: MetricsReport
     srr_metrics: MetricsReport
-    hr_frames: tuple[GridImage, ...]
     up_frames: tuple[GridImage, ...]
     srr_frames: tuple[GridImage, ...]
     cost_histories: tuple[tuple[float, ...], ...]
     elapsed_seconds: float
-    output_dir: str | None
 
 
 def known_motion_flows(cfg: ExperimentConfig,
@@ -64,7 +62,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     n = cfg.grid
     scene = cfg.scene
-    mesh = cfg.build_mesh()
+    mesh = disc_mesh(cfg.mesh_density)
     assignment = build_pixel_assignment(mesh, n, n)
     srr_cfg = cfg.srr_config()
     mu_l = srr_cfg.mu * operator_norm_bound(assignment, srr_cfg.kernel, srr_cfg.alpha_srr)
@@ -72,11 +70,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         raise ConfigError(f"step size mu = {srr_cfg.mu:g} gives mu * L = {mu_l:.4g}; "
                           "it must be below 1 for the cost to decrease")
     hr = [render_scene(scene, t, n, n) for t in range(scene.frames)]
-    dspec = cfg.degrade_spec(mesh)
     lr: list[FemImage] = []
     for t in range(scene.frames):
         try:
-            lr.append(degrade(hr[t], dspec, assignment, frame=t))
+            lr.append(degrade(hr[t], assignment, srr_cfg.kernel, cfg.snr_db,
+                              cfg.degrade_seed, frame=t))
         except Exception as exc:
             exc.add_note(f"frame {t}")
             raise
@@ -101,12 +99,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(
         lr_metrics=lr_metrics,
         srr_metrics=srr_metrics,
-        hr_frames=tuple(hr),
         up_frames=tuple(up),
         srr_frames=tuple(srr_frames),
         cost_histories=tuple(s.costs for s in states),
         elapsed_seconds=time.perf_counter() - t0,
-        output_dir=str(out) if out is not None else None,
     )
 
 

@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .grid import GridImage, require_same_shape
 from .operators import convolve_stack, gaussian_kernel, _bilinear_gather
@@ -250,15 +249,15 @@ def _sweep_until_stalled(ix: np.ndarray, iy: np.ndarray, c: np.ndarray,
     return u, v
 
 
-_DERIV = np.array([-0.5, 0.0, 0.5])
-
-
 def _derivatives(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Central differences averaged over the (reference, warped) pair."""
-    ix = 0.5 * (ndimage.correlate1d(a, _DERIV, axis=-1, mode="reflect")
-                + ndimage.correlate1d(b, _DERIV, axis=-1, mode="reflect"))
-    iy = 0.5 * (ndimage.correlate1d(a, _DERIV, axis=-2, mode="reflect")
-                + ndimage.correlate1d(b, _DERIV, axis=-2, mode="reflect"))
+    """Central differences, mirroring the border pixels, averaged over the
+    (reference, warped) pair."""
+    pad = [(0, 0)] * (a.ndim - 2) + [(1, 1), (1, 1)]
+    pa, pb = (np.pad(p, pad, mode="symmetric") for p in (a, b))
+    ix = 0.5 * ((pa[..., 1:-1, 2:] - pa[..., 1:-1, :-2]) * 0.5
+                + (pb[..., 1:-1, 2:] - pb[..., 1:-1, :-2]) * 0.5)
+    iy = 0.5 * ((pa[..., 2:, 1:-1] - pa[..., :-2, 1:-1]) * 0.5
+                + (pb[..., 2:, 1:-1] - pb[..., :-2, 1:-1]) * 0.5)
     it = b - a
     return ix, iy, it
 
@@ -304,7 +303,7 @@ def _pyramid_levels(width: int, height: int, params: FlowParams) -> int:
     if len(sizes) < levels:
         warnings.warn(
             f"pyramid reduced from {levels} to {len(sizes)} level(s) so the top "
-            f"stays at least {_MIN_TOP_SIZE} pixels on a side", stacklevel=3)
+            f"stays at least {_MIN_TOP_SIZE} pixels on a side", stacklevel=4)
     return len(sizes)
 
 
@@ -353,7 +352,7 @@ def horn_schunck(prev: GridImage, nxt: GridImage, params: FlowParams) -> FlowFie
     total flow. Levels whose top of the pyramid would fall below 8x8 are
     dropped with a warning. Equal images give the exact zero field.
     """
-    return horn_schunck_sequence([nxt, prev], params)[0]
+    return _flows([nxt, prev], params)[0]
 
 
 def horn_schunck_sequence(frames: list[GridImage], params: FlowParams) -> list[FlowField]:
@@ -364,6 +363,11 @@ def horn_schunck_sequence(frames: list[GridImage], params: FlowParams) -> list[F
     together, stacked per level. The flows are bit-identical to the pairwise
     calls; a pyramid reduction is warned about once.
     """
+    return _flows(frames, params)
+
+
+def _flows(frames: list[GridImage], params: FlowParams) -> list[FlowField]:
+    """Both entry points' body: a pyramid-reduction warning names their caller."""
     if len(frames) < 2:
         return []
     first = frames[0]

@@ -101,30 +101,34 @@ def _directed_min_d2(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     return dx * dx + dy * dy
 
 
-def _boundaries(a: BinaryMask, b: BinaryMask, what: str) -> tuple[np.ndarray, np.ndarray]:
+def _directed_d2(a: BinaryMask, b: BinaryMask) -> tuple[np.ndarray, np.ndarray]:
+    """Squared nearest-point distances from the boundary of ``a`` to that of
+    ``b`` and back, from one extraction of each boundary."""
     _check_same_grid(a, b)
     pa = boundary(a)
     pb = boundary(b)
     if pa.shape[0] == 0 or pb.shape[0] == 0:
-        raise ValueError(f"{what} is undefined for an empty mask boundary")
-    return pa, pb
+        raise ValueError("boundary distances are undefined for an empty mask boundary")
+    return _directed_min_d2(pa, pb), _directed_min_d2(pb, pa)
+
+
+def _hausdorff(d_ab: np.ndarray, d_ba: np.ndarray) -> float:
+    return float(np.sqrt(max(d_ab.max(), d_ba.max())))
+
+
+def _masd(d_ab: np.ndarray, d_ba: np.ndarray) -> float:
+    return float(0.5 * (np.mean(np.sqrt(d_ab)) + np.mean(np.sqrt(d_ba))))
 
 
 def hausdorff(a: BinaryMask, b: BinaryMask) -> float:
     """Symmetric Hausdorff distance between the two boundaries."""
-    pa, pb = _boundaries(a, b, "hausdorff distance")
-    d_ab = _directed_min_d2(pa, pb).max()
-    d_ba = _directed_min_d2(pb, pa).max()
-    return float(np.sqrt(max(d_ab, d_ba)))
+    return _hausdorff(*_directed_d2(a, b))
 
 
 def masd(a: BinaryMask, b: BinaryMask) -> float:
     """Mean absolute surface distance: the symmetric average of per-point
     minimal boundary distances."""
-    pa, pb = _boundaries(a, b, "mean absolute surface distance")
-    d_ab = np.mean(np.sqrt(_directed_min_d2(pa, pb)))
-    d_ba = np.mean(np.sqrt(_directed_min_d2(pb, pa)))
-    return float(0.5 * (d_ab + d_ba))
+    return _masd(*_directed_d2(a, b))
 
 
 @dataclass(frozen=True)
@@ -165,9 +169,9 @@ def evaluate_pair(truth: GridImage, estimate: GridImage,
     """Binarize both images at the same fraction and score the estimate."""
     tm = binarize(truth, fraction)
     em = binarize(estimate, fraction)
-    return FrameMetrics(overlap=overlap(em, tm),
-                        hausdorff=hausdorff(em, tm),
-                        masd=masd(em, tm))
+    share = overlap(em, tm)
+    d2 = _directed_d2(em, tm)
+    return FrameMetrics(overlap=share, hausdorff=_hausdorff(*d2), masd=_masd(*d2))
 
 
 def evaluate_sequence(truths, estimates, fraction: float = 0.25) -> MetricsReport:

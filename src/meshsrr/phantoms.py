@@ -3,9 +3,11 @@
 Scenes are rasterized with hard edges (no antialiasing) so every frame takes
 exactly the values {0, background, inclusion}. Rectangles use half-open
 bounds, which keeps the rasterized area of a translated shape constant.
-The degradation oracle stands in for a full tomographic reconstruction
-chain: blur, average onto the mesh, then add white Gaussian noise scaled to
-an exact signal-to-noise ratio over the element values.
+The shape geometry is fixed by module constants; ``SceneSpec`` holds only
+what the ``[scene]`` configuration section sets. The degradation oracle
+stands in for a full tomographic reconstruction chain: blur, average onto
+the mesh of the pixel assignment, then add white Gaussian noise scaled to an
+exact signal-to-noise ratio over the element values.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridImage, pixel_centers
-from .mesh import FemImage, FemMesh, PixelAssignment, downsample, _check_match
+from .mesh import FemImage, FemMesh, PixelAssignment, downsample
 from .operators import Kernel, convolve_neumann
 
 T_SHAPE = "T_SHAPE"
@@ -24,6 +26,19 @@ FINE = "FINE"
 COARSE = "COARSE"
 
 BODY_RADIUS = 1.0
+# Fixed scene geometry in normalized units; every object stays inside the body
+# disc. The lung ellipse area swings by +-BREATH_AMPLITUDE.
+T_STEM_WIDTH = 0.12
+T_STEM_HEIGHT = 0.5
+T_BAR_WIDTH = 0.5
+T_BAR_HEIGHT = 0.12
+LUNG_CENTER_X = 0.35
+LUNG_CENTER_Y = 0.10
+LUNG_SEMI_X = 0.25
+LUNG_SEMI_Y = 0.38
+SPINE_CENTER_Y = -0.60
+SPINE_RADIUS = 0.08
+BREATH_AMPLITUDE = 0.3
 
 # Distinct sub-stream tags for the counter-based generator, so motion and
 # per-frame noise draws never share a stream.
@@ -37,11 +52,12 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Scene description shared by both phantom kinds.
+    """The settable part of a scene: exactly the ``[scene]`` configuration keys.
 
     Motion applies to the T-shape walk only; lung breathing is driven by the
-    frame index. Shape dimensions are in normalized units and configurable,
-    with defaults chosen to keep every object inside the unit disc.
+    frame index. The shape geometry is fixed by the module constants. The
+    larger of the two values must be positive, since scoring binarizes each
+    frame at a fraction of its maximum.
     """
 
     kind: str = T_SHAPE
@@ -51,17 +67,6 @@ class SceneSpec:
     motion_variance: float = 0.3
     motion_bound: float = 0.15
     rng_seed: int = 11
-    t_stem_width: float = 0.12
-    t_stem_height: float = 0.5
-    t_bar_width: float = 0.5
-    t_bar_height: float = 0.12
-    lung_center_x: float = 0.35
-    lung_center_y: float = 0.10
-    lung_semi_x: float = 0.25
-    lung_semi_y: float = 0.38
-    spine_center_y: float = -0.60
-    spine_radius: float = 0.08
-    breath_amplitude: float = 0.3
 
     def __post_init__(self):
         if self.kind not in (T_SHAPE, LUNG):
@@ -72,24 +77,10 @@ class SceneSpec:
             raise ValueError("background and inclusion values must be finite")
         if self.inclusion == self.background:
             raise ValueError("inclusion value must differ from background value")
+        if not max(self.background, self.inclusion) > 0:
+            raise ValueError("the larger of background and inclusion must be positive")
         if not (0 <= self.motion_variance < math.inf and self.motion_bound >= 0):
             raise ValueError("motion variance must be finite and >= 0, motion bound >= 0")
-        if not 0 <= self.breath_amplitude < 1:
-            raise ValueError(f"breath_amplitude must be in [0, 1), got {self.breath_amplitude}")
-
-
-@dataclass(frozen=True)
-class DegradeSpec:
-    """Acquisition model: blur kernel, target mesh, and noise level in dB."""
-
-    mesh: FemMesh
-    kernel: Kernel
-    snr_db: float
-    rng_seed: int = 23
-
-    def __post_init__(self):
-        if not math.isfinite(self.snr_db):
-            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
 
 
 def tshape_centers(spec: SceneSpec) -> np.ndarray:
@@ -114,51 +105,51 @@ def _rect(X, Y, x0, x1, y0, y1):
     return (X >= x0) & (X < x1) & (Y >= y0) & (Y < y1)
 
 
-def _check_frame(spec: SceneSpec, t: int) -> None:
+def _compose(spec: SceneSpec, t: int, width: int, height: int, shape) -> GridImage:
+    """Frame ``t``: the inclusion where ``shape(X, Y)`` holds inside the body
+    disc, the background elsewhere in it, zero outside."""
     if not 0 <= t < spec.frames:
         raise ValueError(f"frame index {t} outside [0, {spec.frames})")
+    X, Y = np.meshgrid(pixel_centers(width), pixel_centers(height))
+    disc = X * X + Y * Y <= BODY_RADIUS * BODY_RADIUS
+    img = np.where(shape(X, Y) & disc, spec.inclusion, np.where(disc, spec.background, 0.0))
+    return GridImage(img)
 
 
 def render_tshape(spec: SceneSpec, t: int, width: int, height: int) -> GridImage:
     """Disc-shaped body with a translating T inclusion at frame ``t``."""
-    _check_frame(spec, t)
-    cx, cy = tshape_centers(spec)[t]
-    X, Y = np.meshgrid(pixel_centers(width), pixel_centers(height))
-    disc = X * X + Y * Y <= BODY_RADIUS * BODY_RADIUS
-    stem = _rect(X, Y,
-                 cx - spec.t_stem_width / 2, cx + spec.t_stem_width / 2,
-                 cy - spec.t_stem_height / 2, cy + spec.t_stem_height / 2)
-    bar = _rect(X, Y,
-                cx - spec.t_bar_width / 2, cx + spec.t_bar_width / 2,
-                cy + spec.t_stem_height / 2 - spec.t_bar_height,
-                cy + spec.t_stem_height / 2)
-    shape = (stem | bar) & disc
-    img = np.where(shape, spec.inclusion, np.where(disc, spec.background, 0.0))
-    return GridImage(img)
+    def t_shape(X, Y):
+        cx, cy = tshape_centers(spec)[t]
+        stem = _rect(X, Y,
+                     cx - T_STEM_WIDTH / 2, cx + T_STEM_WIDTH / 2,
+                     cy - T_STEM_HEIGHT / 2, cy + T_STEM_HEIGHT / 2)
+        bar = _rect(X, Y,
+                    cx - T_BAR_WIDTH / 2, cx + T_BAR_WIDTH / 2,
+                    cy + T_STEM_HEIGHT / 2 - T_BAR_HEIGHT,
+                    cy + T_STEM_HEIGHT / 2)
+        return stem | bar
+    return _compose(spec, t, width, height, t_shape)
 
 
 def lung_scale(spec: SceneSpec, t: int) -> float:
     """Isotropic semi-axis factor at frame ``t``; the ellipse area varies
-    sinusoidally by +-breath_amplitude over a period of frames / 2."""
+    sinusoidally by +-BREATH_AMPLITUDE over a period of frames / 2."""
     period = spec.frames / 2.0
     phase = 2.0 * math.pi * t / period if period > 0 else 0.0
-    return math.sqrt(1.0 + spec.breath_amplitude * math.sin(phase))
+    return math.sqrt(1.0 + BREATH_AMPLITUDE * math.sin(phase))
 
 
 def render_lung(spec: SceneSpec, t: int, width: int, height: int) -> GridImage:
     """Disc body with two mirrored breathing ellipses and a static spine circle."""
-    _check_frame(spec, t)
-    s = lung_scale(spec, t)
-    a = spec.lung_semi_x * s
-    b = spec.lung_semi_y * s
-    X, Y = np.meshgrid(pixel_centers(width), pixel_centers(height))
-    disc = X * X + Y * Y <= BODY_RADIUS * BODY_RADIUS
-    left = ((X + spec.lung_center_x) / a) ** 2 + ((Y - spec.lung_center_y) / b) ** 2 <= 1.0
-    right = ((X - spec.lung_center_x) / a) ** 2 + ((Y - spec.lung_center_y) / b) ** 2 <= 1.0
-    spine = X * X + (Y - spec.spine_center_y) ** 2 <= spec.spine_radius ** 2
-    shape = (left | right | spine) & disc
-    img = np.where(shape, spec.inclusion, np.where(disc, spec.background, 0.0))
-    return GridImage(img)
+    def lungs_and_spine(X, Y):
+        s = lung_scale(spec, t)
+        a = LUNG_SEMI_X * s
+        b = LUNG_SEMI_Y * s
+        left = ((X + LUNG_CENTER_X) / a) ** 2 + ((Y - LUNG_CENTER_Y) / b) ** 2 <= 1.0
+        right = ((X - LUNG_CENTER_X) / a) ** 2 + ((Y - LUNG_CENTER_Y) / b) ** 2 <= 1.0
+        spine = X * X + (Y - SPINE_CENTER_Y) ** 2 <= SPINE_RADIUS ** 2
+        return left | right | spine
+    return _compose(spec, t, width, height, lungs_and_spine)
 
 
 def render_scene(spec: SceneSpec, t: int, width: int, height: int) -> GridImage:
@@ -167,24 +158,36 @@ def render_scene(spec: SceneSpec, t: int, width: int, height: int) -> GridImage:
     return render_lung(spec, t, width, height)
 
 
-def degrade(x_hr: GridImage, d: DegradeSpec, assignment: PixelAssignment,
-            frame: int = 0) -> FemImage:
-    """Produce the observed mesh image for one frame: blur, average onto the
-    mesh, then add noise with an exact per-realization SNR over element
-    values. The noise stream is keyed by (seed, frame) so frames can be
-    generated in any order with identical results."""
-    _check_match(d.mesh, assignment)
-    clean = downsample(convolve_neumann(x_hr, d.kernel), assignment)
+def snr_power_ratio(snr_db: float) -> float:
+    """Signal-to-noise power ratio ``10 ** (snr_db / 10)``; ValueError unless
+    it is a positive finite float."""
+    try:
+        ratio = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(f"snr_db = {snr_db:g} gives no positive finite power ratio")
+    return ratio
+
+
+def degrade(x_hr: GridImage, assignment: PixelAssignment, kernel: Kernel,
+            snr_db: float, seed: int, frame: int = 0) -> FemImage:
+    """Produce the observed image on ``assignment.mesh`` for one frame: blur,
+    average onto the mesh, then add noise with an exact per-realization SNR
+    over element values. The noise stream is keyed by (seed, frame) so frames
+    can be generated in any order with identical results."""
+    ratio = snr_power_ratio(snr_db)
+    clean = downsample(convolve_neumann(x_hr, kernel), assignment)
     s = clean.values
-    rng = _rng(d.rng_seed, _NOISE_STREAM + frame)
+    rng = _rng(seed, _NOISE_STREAM + frame)
     e = rng.standard_normal(s.shape[0])
     ps = float(s @ s)
     pe = float(e @ e)
     if ps > 0.0 and pe > 0.0:
-        noise = e * math.sqrt(ps / (pe * 10.0 ** (d.snr_db / 10.0)))
+        noise = e * math.sqrt(ps / (pe * ratio))
     else:
         noise = np.zeros_like(s)
-    return FemImage(d.mesh, s + noise)
+    return FemImage(assignment.mesh, s + noise)
 
 
 def disc_mesh(density: str = FINE) -> FemMesh:

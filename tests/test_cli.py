@@ -78,6 +78,8 @@ class TestRunCommand:
         "srr.mu=-1", "srr.mu=nan", "srr.k_iters=0", "srr.alpha=-1",
         "degrade.snr_db=inf", "degrade.snr_db=nan", "srr.kernel_sigma=nan",
         "scene.motion_variance=nan",
+        "scene.background=-2 scene.inclusion=-1",
+        "degrade.snr_db=4000", "degrade.snr_db=-4000",
     ])
     def test_bad_config_value_exits_2(self, setting, monkeypatch, capsys):
         import meshsrr.cli as cli
@@ -87,7 +89,9 @@ class TestRunCommand:
 
         monkeypatch.setattr(cli, "run_experiment", unreachable)
         argv = ["run", "--set", "srr.grid=16", "--set", "scene.frames=2",
-                "--motion", "known", "--set", setting]
+                "--motion", "known"]
+        for item in setting.split():
+            argv += ["--set", item]
         assert main(argv) == 2
         assert "configuration error" in capsys.readouterr().err
 
@@ -129,7 +133,7 @@ class TestRunCommand:
         from oracles import power_iteration_norm
 
         cfg = replace(ExperimentConfig(), grid=32)
-        asg = build_pixel_assignment(cfg.build_mesh(), 32, 32)
+        asg = build_pixel_assignment(disc_mesh(cfg.mesh_density), 32, 32)
         kernel = cfg.resolved_kernel()
         low = power_iteration_norm(asg, kernel, cfg.alpha_srr)
         bound = operator_norm_bound(asg, kernel, cfg.alpha_srr)
@@ -155,7 +159,7 @@ class TestRunCommand:
         import meshsrr.experiment as exp
         from meshsrr.errors import FileFormatError
 
-        def broken(x_hr, d, assignment, frame=0):
+        def broken(*args, frame=0):
             raise FileFormatError("synthetic failure")
 
         monkeypatch.setattr(exp, "degrade", broken)

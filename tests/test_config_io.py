@@ -1,15 +1,17 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from meshsrr.config import (ExperimentConfig, REFERENCE_GRID, default_config_text,
-                            parse_config, preset)
+from meshsrr.config import (ExperimentConfig, REFERENCE_GRID, _SCHEMA,
+                            default_config_text, parse_config, preset)
 from meshsrr.errors import ConfigError, FileFormatError
 from meshsrr.fileio import (read_fem_image, read_flow, read_grid_image,
                             read_mesh, read_pgm16_raw, read_values, write_flow,
                             write_mesh, write_pgm16, write_values)
-from meshsrr.flow import FlowField
+from meshsrr.flow import FlowField, FlowParams
 from meshsrr.grid import GridImage
-from meshsrr.phantoms import COARSE, LUNG, T_SHAPE, disc_mesh
+from meshsrr.phantoms import COARSE, LUNG, T_SHAPE, SceneSpec, disc_mesh
 
 
 class TestParseConfig:
@@ -22,6 +24,11 @@ class TestParseConfig:
 
     def test_default_text_round_trips(self):
         assert parse_config(default_config_text()) == ExperimentConfig()
+
+    @pytest.mark.parametrize("section, part", [("scene", SceneSpec), ("flow", FlowParams)])
+    def test_every_field_is_set_by_a_key(self, section, part):
+        keyed = {name for (sec, _), (_, name) in _SCHEMA.items() if sec == section}
+        assert {f.name for f in fields(part)} == keyed
 
     def test_single_override(self):
         cfg = parse_config("[degrade]\nsnr_db = -5\n")

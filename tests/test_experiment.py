@@ -63,13 +63,13 @@ class TestRunExperiment:
         assert "metrics_lr.csv" in names and "metrics_srr.csv" in names
         csv = (out / "metrics_srr.csv").read_text()
         assert csv.startswith("frame,overlap,hausdorff,masd")
-        assert result.output_dir == str(out)
         assert len(result.srr_frames) == 3
         assert len(result.cost_histories) == 3
 
-    def test_no_output_dir_keeps_everything_in_memory(self):
+    def test_no_output_dir_keeps_everything_in_memory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         result = run_experiment(tiny_cfg())
-        assert result.output_dir is None
+        assert list(tmp_path.iterdir()) == []
         assert len(result.lr_metrics.frames) == 3
 
     def test_failure_marks_directory_partial(self, tmp_path, monkeypatch):
@@ -90,10 +90,10 @@ class TestRunExperiment:
 
         original = exp.degrade
 
-        def flaky(x_hr, d, assignment, frame=0):
+        def flaky(*args, frame=0):
             if frame == 2:
                 raise ValueError("synthetic failure")
-            return original(x_hr, d, assignment, frame)
+            return original(*args, frame=frame)
 
         monkeypatch.setattr(exp, "degrade", flaky)
         with pytest.raises(ValueError, match="frame 2"):
@@ -109,10 +109,10 @@ class TestRunExperiment:
 
         original = exp.degrade
 
-        def flaky(x_hr, d, assignment, frame=0):
+        def flaky(*args, frame=0):
             if frame == 2:
                 raise PairError(5, "synthetic")
-            return original(x_hr, d, assignment, frame)
+            return original(*args, frame=frame)
 
         monkeypatch.setattr(exp, "degrade", flaky)
         with pytest.raises(PairError) as err:

@@ -109,8 +109,9 @@ class TestHornSchunck:
 
     def test_level_autoreduction_warns(self):
         img = GridImage(gaussian_blob(16, 8, 8))
-        with pytest.warns(UserWarning, match="pyramid reduced"):
+        with pytest.warns(UserWarning, match="pyramid reduced") as record:
             horn_schunck(img, img, FlowParams(pyramid_levels=4))
+        assert record[0].filename == __file__
 
 
 class TestEnergyMonotonicity:
@@ -307,6 +308,7 @@ class TestIdenticalPairShortcut:
             horn_schunck_sequence(frames, FlowParams(pyramid_levels=4,
                                                      iterations_per_level=5))
         assert len(record) == 1
+        assert record[0].filename == __file__
 
 
 class TestHornSchunckSequence:

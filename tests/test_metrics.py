@@ -174,6 +174,24 @@ class TestReport:
         fm = evaluate_pair(g, g)
         assert fm.overlap == 1.0 and fm.hausdorff == 0.0 and fm.masd == 0.0
 
+    def test_evaluate_pair_extracts_each_boundary_once(self, monkeypatch):
+        import meshsrr.metrics as metrics
+        calls = []
+
+        def counted(mask):
+            calls.append(mask)
+            return boundary(mask)
+
+        monkeypatch.setattr(metrics, "boundary", counted)
+        truth = np.zeros((16, 16))
+        truth[5:10, 6:12] = 2.0
+        estimate = np.roll(truth, 2, axis=1)
+        fm = evaluate_pair(GridImage(truth), GridImage(estimate))
+        assert len(calls) == 2
+        em = binarize(GridImage(estimate))
+        tm = binarize(GridImage(truth))
+        assert (fm.hausdorff, fm.masd) == (hausdorff(em, tm), masd(em, tm))
+
     def test_evaluate_sequence_length_check(self):
         g = GridImage(np.full((4, 4), 1.0))
         with pytest.raises(ValueError, match="lengths"):

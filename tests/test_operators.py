@@ -465,3 +465,8 @@ def test_import_does_not_load_scipy_signal():
 def test_import_does_not_load_scipy_spatial():
     # metrics imports it inside _directed_min_d2: it costs 0.12-0.17 s of start-up.
     assert not _import_loads("scipy.spatial")
+
+
+def test_import_does_not_load_scipy_ndimage():
+    # flow takes its central differences by slicing a mirror-padded copy.
+    assert not _import_loads("scipy.ndimage")

@@ -5,10 +5,9 @@ import pytest
 
 from meshsrr.mesh import build_pixel_assignment, downsample
 from meshsrr.operators import convolve_neumann, gaussian_kernel
-from meshsrr.phantoms import (COARSE, FINE, LUNG, T_SHAPE, DegradeSpec,
-                              SceneSpec, degrade, disc_mesh, lung_scale,
-                              render_lung, render_tshape, ring_mesh,
-                              tshape_centers)
+from meshsrr.phantoms import (COARSE, FINE, LUNG, T_SHAPE, SceneSpec, degrade,
+                              disc_mesh, lung_scale, render_lung, render_tshape,
+                              ring_mesh, tshape_centers)
 
 from oracles import overlapping_points
 
@@ -36,6 +35,8 @@ class TestSceneSpec:
             SceneSpec(frames=0)
         with pytest.raises(ValueError):
             SceneSpec(background=1.0, inclusion=1.0)
+        with pytest.raises(ValueError, match="positive"):
+            SceneSpec(background=-2.0, inclusion=-1.0)
 
 
 class TestTshapeWalk:
@@ -183,16 +184,17 @@ class TestDegrade:
         self.kernel = gaussian_kernel(9, 3.0)
         self.hr = render_tshape(scene(rng_seed=2), 0, 64, 64)
 
+    def degrade(self, snr_db, seed, frame=0):
+        return degrade(self.hr, self.asg, self.kernel, snr_db, seed, frame)
+
     def test_noiseless_limit(self):
-        d = DegradeSpec(self.mesh, self.kernel, snr_db=300.0, rng_seed=1)
-        got = degrade(self.hr, d, self.asg)
+        got = self.degrade(300.0, 1)
         clean = downsample(convolve_neumann(self.hr, self.kernel), self.asg)
         assert np.abs(got.values - clean.values).max() <= 1e-9
 
     def test_snr_exact_per_realization(self):
         for snr in (-5.0, 10.0):
-            d = DegradeSpec(self.mesh, self.kernel, snr_db=snr, rng_seed=4)
-            got = degrade(self.hr, d, self.asg, frame=2)
+            got = self.degrade(snr, 4, frame=2)
             clean = downsample(convolve_neumann(self.hr, self.kernel), self.asg)
             noise = got.values - clean.values
             measured = 10 * math.log10((clean.values @ clean.values)
@@ -205,26 +207,29 @@ class TestDegrade:
         for snr in (-5.0, 10.0):
             ratios = []
             for seed in range(100):
-                d = DegradeSpec(self.mesh, self.kernel, snr_db=snr, rng_seed=seed)
-                got = degrade(self.hr, d, self.asg)
+                got = self.degrade(snr, seed)
                 noise = got.values - clean.values
                 ratios.append(10 * math.log10(ps / (noise @ noise)))
             assert np.mean(ratios) == pytest.approx(snr, abs=0.2)
 
     def test_deterministic_per_seed_and_frame(self):
-        d = DegradeSpec(self.mesh, self.kernel, snr_db=0.0, rng_seed=9)
-        a = degrade(self.hr, d, self.asg, frame=3)
-        b = degrade(self.hr, d, self.asg, frame=3)
+        a = self.degrade(0.0, 9, frame=3)
+        b = self.degrade(0.0, 9, frame=3)
         assert np.array_equal(a.values, b.values)
-        c = degrade(self.hr, d, self.asg, frame=4)
+        c = self.degrade(0.0, 9, frame=4)
         assert not np.array_equal(a.values, c.values)
 
     def test_noiseless_part_identical_across_seeds(self):
-        d1 = DegradeSpec(self.mesh, self.kernel, snr_db=5.0, rng_seed=1)
-        d2 = DegradeSpec(self.mesh, self.kernel, snr_db=5.0, rng_seed=2)
         clean = downsample(convolve_neumann(self.hr, self.kernel), self.asg)
-        n1 = degrade(self.hr, d1, self.asg).values - clean.values
-        n2 = degrade(self.hr, d2, self.asg).values - clean.values
+        n1 = self.degrade(5.0, 1).values - clean.values
+        n2 = self.degrade(5.0, 2).values - clean.values
         assert not np.array_equal(n1, n2)
         # Same power, different realization.
         assert n1 @ n1 == pytest.approx(n2 @ n2, rel=1e-12)
+
+    def test_snr_without_finite_power_ratio_refused(self):
+        # 10 ** (snr / 10) overflows above about 3082 dB and is 0.0 below
+        # about -3233 dB; inf and nan have no ratio either.
+        for snr in (4000.0, -4000.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="power ratio"):
+                self.degrade(snr, 1)

@@ -156,7 +156,7 @@ class TestStep:
         from dataclasses import replace
         from meshsrr.config import preset
         cfg = replace(preset(name), grid=grid)
-        asg = build_pixel_assignment(cfg.build_mesh(), grid, grid)
+        asg = build_pixel_assignment(disc_mesh(cfg.mesh_density), grid, grid)
         kernel = cfg.resolved_kernel()
         bound = operator_norm_bound(asg, kernel, cfg.alpha_srr)
         lmax = power_iteration_norm(asg, kernel, cfg.alpha_srr, iterations=600)
@@ -323,7 +323,7 @@ class TestRunSequence:
         from meshsrr.flow import horn_schunck
         cfg = replace(preset("ex2b"), grid=32, k_iters=10,
                       scene=replace(preset("ex2b").scene, frames=5))
-        asg = build_pixel_assignment(cfg.build_mesh(), 32, 32)
+        asg = build_pixel_assignment(disc_mesh(cfg.mesh_density), 32, 32)
         scfg = cfg.srr_config()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
