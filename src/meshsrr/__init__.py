@@ -17,7 +17,7 @@ from .mesh import (FemImage, FemMesh, OUTSIDE, PixelAssignment,
 from .metrics import (BinaryMask, FrameMetrics, MetricsReport, binarize, boundary,
                       evaluate_pair, evaluate_sequence, hausdorff, masd, overlap)
 from .operators import (Kernel, ObservationModel, convolve_neumann,
-                        gaussian_kernel, operator_norm_bound, warp_image)
+                        gaussian_kernel, warp_image)
 from .phantoms import (COARSE, FINE, LUNG, T_SHAPE, SceneSpec, degrade,
                        disc_mesh, render_lung, render_scene, render_tshape,
                        tshape_centers)

@@ -2,6 +2,7 @@
 bracketed sections, documented defaults, and the four named presets."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
@@ -45,9 +46,12 @@ class ExperimentConfig:
             raise ConfigError(f"mesh must be FINE or COARSE, got {self.mesh_density!r}")
         try:
             snr_power_ratio(self.snr_db)
-            self.srr_config()  # step size, iterations, smoothness weight and blur
+            self.resolved_kernel()
+            self.srr_config()  # step size and iterations
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if not 0 <= self.alpha_srr < math.inf:
+            raise ConfigError(f"alpha_srr must be >= 0 and finite, got {self.alpha_srr}")
 
     def resolved_kernel(self) -> Kernel:
         size = self.kernel_size
@@ -64,8 +68,7 @@ class ExperimentConfig:
         return gaussian_kernel(size, sigma)
 
     def srr_config(self) -> SrrConfig:
-        return SrrConfig(mu=self.mu, k_iters=self.k_iters, alpha_srr=self.alpha_srr,
-                         kernel=self.resolved_kernel())
+        return SrrConfig(mu=self.mu, k_iters=self.k_iters)
 
 
 _DEFAULTS = ExperimentConfig()

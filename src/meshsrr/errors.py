@@ -15,14 +15,3 @@ class FileFormatError(ValueError):
 
 class DivergenceError(RuntimeError):
     """Numerical divergence detected during reconstruction."""
-
-    def __init__(self, message: str, iteration: int | None = None,
-                 frame: int | None = None):
-        parts = [message]
-        if frame is not None:
-            parts.append(f"frame {frame}")
-        if iteration is not None:
-            parts.append(f"iteration {iteration}")
-        super().__init__(" @ ".join(parts))
-        self.iteration = iteration
-        self.frame = frame

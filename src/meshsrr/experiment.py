@@ -13,7 +13,7 @@ from .flow import FlowField, horn_schunck_sequence
 from .grid import GridImage
 from .mesh import FemImage, build_pixel_assignment, upsample
 from .metrics import MetricsReport, evaluate_sequence
-from .operators import operator_norm_bound
+from .operators import ObservationModel
 from .phantoms import T_SHAPE, degrade, disc_mesh, render_scene, tshape_centers
 from .srr import run_sequence
 
@@ -64,16 +64,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     scene = cfg.scene
     mesh = disc_mesh(cfg.mesh_density)
     assignment = build_pixel_assignment(mesh, n, n)
-    srr_cfg = cfg.srr_config()
-    mu_l = srr_cfg.mu * operator_norm_bound(assignment, srr_cfg.kernel, srr_cfg.alpha_srr)
+    kernel = cfg.resolved_kernel()
+    model = ObservationModel(assignment, kernel, cfg.alpha_srr)
+    mu_l = cfg.mu * model.norm_bound()
     if not mu_l < 1.0:
-        raise ConfigError(f"step size mu = {srr_cfg.mu:g} gives mu * L = {mu_l:.4g}; "
+        raise ConfigError(f"step size mu = {cfg.mu:g} gives mu * L = {mu_l:.4g}; "
                           "it must be below 1 for the cost to decrease")
     hr = [render_scene(scene, t, n, n) for t in range(scene.frames)]
     lr: list[FemImage] = []
     for t in range(scene.frames):
         try:
-            lr.append(degrade(hr[t], assignment, srr_cfg.kernel, cfg.snr_db,
+            lr.append(degrade(hr[t], assignment, kernel, cfg.snr_db,
                               cfg.degrade_seed, frame=t))
         except Exception as exc:
             exc.add_note(f"frame {t}")
@@ -82,7 +83,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     flows = (known_motion_flows(cfg, hr) if cfg.known_motion
              else horn_schunck_sequence(up, cfg.flow))
-    states = run_sequence(up, flows, srr_cfg, assignment)
+    states = run_sequence(up, flows, cfg.srr_config(), model)
     srr_frames = [s.x_hat for s in states]
 
     lr_metrics = evaluate_sequence(hr, up)

@@ -166,31 +166,20 @@ def _pair_energies(ix: np.ndarray, iy: np.ndarray, c: np.ndarray,
     return data + lam * smooth
 
 
-def flow_energy(ix: np.ndarray, iy: np.ndarray, c: np.ndarray,
-                u: np.ndarray, v: np.ndarray, lam: float) -> float:
-    """Discrete energy of the linearized data term plus smoothness, summed
-    over any leading axes."""
-    return float(_pair_energies(ix, iy, c, u, v, lam).sum())
-
-
 def solve_linearized_flow(ix: np.ndarray, iy: np.ndarray, c: np.ndarray,
                           u0: np.ndarray, v0: np.ndarray, lam: float,
-                          iterations: int,
-                          energies: list[float] | None = None
-                          ) -> tuple[np.ndarray, np.ndarray]:
+                          iterations: int) -> tuple[np.ndarray, np.ndarray]:
     """Red-black Gauss-Seidel solve of the linearized flow problem.
 
     Each half-sweep minimizes the energy exactly over one checkerboard color,
-    so the recorded energies are non-increasing. ``energies`` (when given)
-    receives the value before the first sweep and after every full sweep.
+    so the energy (``_pair_energies``) never increases from sweep to sweep.
 
     Only the active color is computed: its two strided sub-lattices, (even,
     even) with (odd, odd) or (even, odd) with (odd, even), read neighbor sums
     ``((up + down) + left) + right`` from shifted views of one zero-padded
     ``u``/``v`` buffer, in the order of the full-grid update.
 
-    Leading axes hold independent problems solved in the same sweeps; the
-    energies are then summed over them.
+    Leading axes hold independent problems solved in the same sweeps.
     """
     h, w = ix.shape[-2:]
     uv = np.zeros((2, *ix.shape[:-2], h + 2, w + 2))
@@ -209,15 +198,11 @@ def solve_linearized_flow(ix: np.ndarray, iy: np.ndarray, c: np.ndarray,
                          c[sub].copy(), n[sub].copy(), denom[sub].copy()))
     u = uv[0, ..., 1:-1, 1:-1]
     v = uv[1, ..., 1:-1, 1:-1]
-    if energies is not None:
-        energies.append(flow_energy(ix, iy, c, u, v, lam))
     for _ in range(iterations):
         for center, up, down, left, right, ixs, iys, grad, cs, ns, dens in lattices:
             bar = (((up + down) + left) + right) / ns
             d = ixs * bar[0] + iys * bar[1] + cs
             center[...] = bar - grad * d / dens
-        if energies is not None:
-            energies.append(flow_energy(ix, iy, c, u, v, lam))
     return u.copy(), v.copy()
 
 

@@ -2,10 +2,11 @@
 
 Provides the space-invariant blur (with Neumann / symmetric boundary
 extension), dense bilinear backward warping, and ``ObservationModel``, the
-array-level form of the reconstruction cost. Masks are mirror-symmetric in
-each axis, so under the reflecting boundary every blur, like the 5-point
-stencil, is diagonalized by the 2-D DCT-II and is applied as elementwise
-weights between transforms; the blur is its own transpose.
+array-level form of the reconstruction cost with its gradient and the
+step-size bound. Masks are mirror-symmetric in each axis, so under the
+reflecting boundary every blur, like the 5-point stencil, is diagonalized by
+the 2-D DCT-II and is applied as elementwise weights between transforms; the
+blur is its own transpose.
 """
 from __future__ import annotations
 
@@ -142,12 +143,17 @@ class ObservationModel:
     the 5-point stencil, is diagonalized exactly by the orthonormal 2-D
     DCT-II (Martucci 1994; Ng, Chan & Tang 1999). B, B' and S'S are therefore
     elementwise weights between transforms, and ``||S x||`` follows from the
-    coefficients by Parseval. P is one bincount and one gather.
+    coefficients by Parseval. P is one bincount and one gather. Built once
+    per (assignment, kernel, alpha); the solver also reads its ``kernel``,
+    grid ``shape`` and ``outside`` mask (pixels assigned to no element).
     """
 
     def __init__(self, assignment: PixelAssignment, kernel: Kernel, alpha: float):
         h, w = assignment.height, assignment.width
         _check_kernel_fit(w, h, kernel)
+        self.kernel = kernel
+        self.shape = (h, w)
+        self.outside = ~assignment.inside_mask()
         self._blur = _blur_eigenvalues(kernel, h, w)
         stencil = _stencil_eigenvalues(h)[:, None] + _stencil_eigenvalues(w)[None, :]
         self._smooth = alpha * stencil * stencil
@@ -181,15 +187,13 @@ class ObservationModel:
         return fft.idctn(self._blur * projected
                          + self._smooth * coeffs, norm="ortho")
 
+    def norm_bound(self) -> float:
+        """Upper bound on the largest eigenvalue L of B' P B + alpha * S' S.
 
-def operator_norm_bound(assignment: PixelAssignment, kernel: Kernel, alpha: float) -> float:
-    """Upper bound on the largest eigenvalue L of B' P B + alpha * S' S on the
-    assignment's grid.
+        P is an orthogonal projection (0 <= P <= I), so L is at most the
+        largest eigenvalue of B' B + alpha * S' S, which the DCT-II
+        diagonalizes. The cost is non-increasing over the correction
+        iterations whenever mu times this value stays below 1.
+        """
+        return float((self._blur * self._blur + self._smooth).max())
 
-    P is an orthogonal projection (0 <= P <= I), so L is at most the largest
-    eigenvalue of B' B + alpha * S' S, which the DCT-II diagonalizes. The cost
-    is non-increasing over the correction iterations whenever mu times this
-    value stays below 1.
-    """
-    model = ObservationModel(assignment, kernel, alpha)
-    return float((model._blur * model._blur + model._smooth).max())

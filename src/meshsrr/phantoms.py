@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .grid import GridImage, pixel_centers
 from .mesh import FemImage, FemMesh, PixelAssignment, downsample
-from .operators import Kernel, convolve_neumann
+from .operators import Kernel, convolve_stack
 
 T_SHAPE = "T_SHAPE"
 LUNG = "LUNG"
@@ -175,19 +176,28 @@ def degrade(x_hr: GridImage, assignment: PixelAssignment, kernel: Kernel,
     """Produce the observed image on ``assignment.mesh`` for one frame: blur,
     average onto the mesh, then add noise with an exact per-realization SNR
     over element values. The noise stream is keyed by (seed, frame) so frames
-    can be generated in any order with identical results."""
+    can be generated in any order with identical results. ConfigError when
+    the scene values or the SNR overflow double precision on the way."""
     ratio = snr_power_ratio(snr_db)
-    clean = downsample(convolve_neumann(x_hr, kernel), assignment)
-    s = clean.values
-    rng = _rng(seed, _NOISE_STREAM + frame)
-    e = rng.standard_normal(s.shape[0])
-    ps = float(s @ s)
-    pe = float(e @ e)
-    if ps > 0.0 and pe > 0.0:
-        noise = e * math.sqrt(ps / (pe * ratio))
-    else:
-        noise = np.zeros_like(s)
-    return FemImage(assignment.mesh, s + noise)
+    blurred = convolve_stack(x_hr.data, kernel)
+    if np.isfinite(blurred).all():
+        s = downsample(GridImage(blurred), assignment).values
+        rng = _rng(seed, _NOISE_STREAM + frame)
+        e = rng.standard_normal(s.shape[0])
+        # Numpy scalars, so that an overflow or a zero divisor gives a
+        # non-finite frame, which the check below refuses.
+        with np.errstate(all="ignore"):
+            ps = s @ s
+            pe = e @ e
+            if ps > 0.0 and pe > 0.0:
+                noise = e * np.sqrt(ps / (pe * ratio))
+            else:
+                noise = np.zeros_like(s)
+            observed = s + noise
+        if np.isfinite(observed).all():
+            return FemImage(assignment.mesh, observed)
+    raise ConfigError(f"scene values up to {np.abs(x_hr.data).max():g} at snr_db = "
+                      f"{snr_db:g} give a degraded frame that is not finite")
 
 
 def disc_mesh(density: str = FINE) -> FemMesh:

@@ -10,8 +10,9 @@ model (correct):
 
 where B is the blur, P the mesh-averaging projection and S the high-pass
 stencil. Pixels outside the mesh are reset to zero after every iteration.
-The cost and gradient come from ``operators.ObservationModel``, which
-applies B and S'S in the DCT domain.
+One ``operators.ObservationModel``, built once per run, holds B, P, S and
+alpha; ``srr_init``, ``srr_step`` and ``run_sequence`` take it with the
+step size and iteration count of ``SrrConfig``.
 """
 from __future__ import annotations
 
@@ -22,34 +23,28 @@ import numpy as np
 from .errors import DivergenceError, MeshError
 from .flow import FlowField
 from .grid import GridImage
-from .mesh import PixelAssignment
-from .operators import Kernel, ObservationModel, convolve_neumann, warp_image
+from .operators import ObservationModel, convolve_neumann, warp_image
 
 _DIVERGENCE_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
 class SrrConfig:
-    """Solver hyperparameters: step size, inner iterations per frame,
-    regularization weight and blur kernel."""
+    """Solver hyperparameters: step size and inner iterations per frame."""
 
     mu: float
     k_iters: int
-    alpha_srr: float
-    kernel: Kernel
 
     def __post_init__(self):
         if not 0 < self.mu < np.inf:
             raise ValueError(f"mu must be positive and finite, got {self.mu}")
         if self.k_iters < 1:
             raise ValueError(f"k_iters must be >= 1, got {self.k_iters}")
-        if not 0 <= self.alpha_srr < np.inf:
-            raise ValueError(f"alpha_srr must be >= 0 and finite, got {self.alpha_srr}")
 
 
 @dataclass(frozen=True)
 class SrrState:
-    """Running estimate after processing ``frame_index`` frames.
+    """Running estimate after a frame.
 
     ``costs`` holds the cost against the most recent frame before every
     correction iteration and after the last one (k_iters + 1 entries); it
@@ -57,11 +52,10 @@ class SrrState:
     """
 
     x_hat: GridImage
-    frame_index: int
     costs: tuple[float, ...]
 
 
-def srr_init(y_up0: GridImage, cfg: SrrConfig) -> SrrState:
+def srr_init(y_up0: GridImage, model: ObservationModel) -> SrrState:
     """Start from a blur-matched smoothing of the first observation.
 
     Applying the acquisition blur to the first upsampled observation keeps
@@ -69,47 +63,44 @@ def srr_init(y_up0: GridImage, cfg: SrrConfig) -> SrrState:
     observation noise that the fixed-step correction iterations would
     otherwise carry across many frames.
     """
-    return SrrState(x_hat=convolve_neumann(y_up0, cfg.kernel), frame_index=0, costs=())
+    return SrrState(x_hat=convolve_neumann(y_up0, model.kernel), costs=())
 
 
 def srr_step(state: SrrState, y_up_t: GridImage, flow_t: FlowField,
-             cfg: SrrConfig, assignment: PixelAssignment) -> SrrState:
+             cfg: SrrConfig, model: ObservationModel) -> SrrState:
     """Process one frame: predict by warping, then K correction iterations.
 
     ``flow_t`` must register the previous frame onto the current one, i.e.
-    ``warp_image(x_hat, flow_t)`` tracks frame t. Raises DivergenceError
-    when a cost is non-finite or exceeds 10x its initial value.
+    ``warp_image(x_hat, flow_t)`` tracks frame t. Raises DivergenceError,
+    naming the iteration, when a cost is non-finite or exceeds 10x its
+    initial value.
     """
-    if y_up_t.data.shape != assignment.pixel_to_element.shape:
-        raise MeshError(
-            f"observation {y_up_t.width}x{y_up_t.height} does not match the "
-            f"assignment grid {assignment.width}x{assignment.height}")
-    frame = state.frame_index
-    model = ObservationModel(assignment, cfg.kernel, cfg.alpha_srr)
-    outside = ~assignment.inside_mask()
+    if y_up_t.data.shape != model.shape:
+        h, w = model.shape
+        raise MeshError(f"observation {y_up_t.width}x{y_up_t.height} does not "
+                        f"match the model grid {w}x{h}")
     x = warp_image(state.x_hat, flow_t).data.copy()
-    x[outside] = 0.0
+    x[model.outside] = 0.0
     y = y_up_t.data
     costs: list[float] = []
     for it in range(cfg.k_iters + 1):
         cost, coeffs, residual = model.terms(x, y)
         if not np.isfinite(cost):
-            raise DivergenceError(f"non-finite cost {cost}", iteration=it, frame=frame)
+            raise DivergenceError(f"non-finite cost {cost} at iteration {it}")
         costs.append(cost)
         if it == cfg.k_iters:
             break
         if it > 0 and costs[0] > 0 and cost > _DIVERGENCE_FACTOR * costs[0]:
             raise DivergenceError(
-                f"cost grew beyond {_DIVERGENCE_FACTOR}x its initial value "
-                f"({cost:.3e} vs {costs[0]:.3e}); reduce the step size",
-                iteration=it, frame=frame)
+                f"cost grew beyond {_DIVERGENCE_FACTOR}x its initial value at "
+                f"iteration {it} ({cost:.3e} vs {costs[0]:.3e}); reduce the step size")
         x -= cfg.mu * model.half_gradient(coeffs, residual)
-        x[outside] = 0.0
-    return SrrState(x_hat=GridImage(x), frame_index=frame + 1, costs=tuple(costs))
+        x[model.outside] = 0.0
+    return SrrState(x_hat=GridImage(x), costs=tuple(costs))
 
 
 def run_sequence(y_ups: list[GridImage], flows: list[FlowField], cfg: SrrConfig,
-                 assignment: PixelAssignment) -> list[SrrState]:
+                 model: ObservationModel) -> list[SrrState]:
     """Fold the recursion over upsampled observations and return every state.
 
     Frame 0 is processed with zero flow and frame t >= 1 with
@@ -120,14 +111,12 @@ def run_sequence(y_ups: list[GridImage], flows: list[FlowField], cfg: SrrConfig,
         raise ValueError("observation sequence is empty")
     if len(flows) != len(y_ups) - 1:
         raise ValueError(f"expected {len(y_ups) - 1} flows, got {len(flows)}")
-    state = srr_init(y_ups[0], cfg)
+    state = srr_init(y_ups[0], model)
     states: list[SrrState] = []
-    zero = FlowField.zeros(assignment.width, assignment.height)
-    for t, (y, flow) in enumerate(zip(y_ups, [zero, *flows])):
+    h, w = model.shape
+    for t, (y, flow) in enumerate(zip(y_ups, [FlowField.zeros(w, h), *flows])):
         try:
-            state = srr_step(state, y, flow, cfg, assignment)
-        except DivergenceError:
-            raise
+            state = srr_step(state, y, flow, cfg, model)
         except Exception as exc:
             exc.add_note(f"frame {t}")
             raise

@@ -95,6 +95,26 @@ class TestRunCommand:
         assert main(argv) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", [
+        "degrade.snr_db=-3200",
+        "scene.background=1e300 scene.inclusion=2e300",
+        "scene.background=1e308 scene.inclusion=-1e308",
+    ])
+    def test_non_finite_degraded_frame_exits_2(self, setting, capsys):
+        """Values that pass the config checks but overflow on the way through
+        the blur, the mesh averaging or the noise scaling."""
+        argv = ["run", "--preset", "ex1a", "--set", "srr.grid=16",
+                "--set", "scene.frames=2", "--motion", "known"]
+        for item in setting.split():
+            argv += ["--set", item]
+        with warnings.catch_warnings():
+            # The fine mesh has elements without a pixel centre at grid 16.
+            warnings.filterwarnings("ignore", ".*contain no pixel center", UserWarning)
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert err.endswith("not finite; frame 0\n")
+
     def test_known_motion_is_not_a_config_key(self, tmp_path, monkeypatch, capsys):
         """--motion selects the motion mode; a config file cannot."""
         import meshsrr.cli as cli
@@ -129,14 +149,14 @@ class TestRunCommand:
         import meshsrr.experiment as exp
         from meshsrr.config import ExperimentConfig
         from meshsrr.mesh import build_pixel_assignment
-        from meshsrr.operators import operator_norm_bound
+        from meshsrr.operators import ObservationModel
         from oracles import power_iteration_norm
 
         cfg = replace(ExperimentConfig(), grid=32)
         asg = build_pixel_assignment(disc_mesh(cfg.mesh_density), 32, 32)
         kernel = cfg.resolved_kernel()
         low = power_iteration_norm(asg, kernel, cfg.alpha_srr)
-        bound = operator_norm_bound(asg, kernel, cfg.alpha_srr)
+        bound = ObservationModel(asg, kernel, cfg.alpha_srr).norm_bound()
         mu = 0.5 * (1 / low + 1 / bound)
         assert mu * low < 1 <= mu * bound
 

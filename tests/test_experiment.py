@@ -85,6 +85,21 @@ class TestRunExperiment:
         assert not out.exists()
         assert (tmp_path / "run.partial").exists()
 
+    def test_one_observation_model_per_run(self, monkeypatch):
+        import meshsrr.operators as operators
+
+        builds = []
+        original = operators.ObservationModel.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(operators.ObservationModel, "__init__", counted)
+        result = run_experiment(tiny_cfg(scene=replace(tiny_cfg().scene, frames=6)))
+        assert len(result.srr_frames) == 6
+        assert len(builds) == 1
+
     def test_degrade_error_carries_frame_context(self, monkeypatch):
         import meshsrr.experiment as exp
 

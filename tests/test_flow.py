@@ -3,13 +3,23 @@ import warnings
 import numpy as np
 import pytest
 
-from meshsrr.flow import (FlowField, FlowParams, build_pyramid, flow_energy,
+from meshsrr.flow import (FlowField, FlowParams, _pair_energies, build_pyramid,
                           horn_schunck, horn_schunck_sequence,
                           solve_linearized_flow)
 from meshsrr.grid import GridImage
 from meshsrr.operators import warp_image
 
-from oracles import compose_flows, full_grid_red_black_flow
+from oracles import _flow_energy, compose_flows, full_grid_red_black_flow
+
+
+def sweep_energies(ix, iy, c, u, v, lam, iterations):
+    """``iterations`` one-sweep solves in a row: the oracle energy before the
+    first sweep and after each one, and the final (u, v)."""
+    energies = [_flow_energy(ix, iy, c, u, v, lam)]
+    for _ in range(iterations):
+        u, v = solve_linearized_flow(ix, iy, c, u, v, lam, 1)
+        energies.append(_flow_energy(ix, iy, c, u, v, lam))
+    return energies, (u, v)
 
 
 def gaussian_blob(n, cx, cy, sigma_px=7.0):
@@ -123,9 +133,7 @@ class TestEnergyMonotonicity:
             c = rng.standard_normal((12, 12))
             u0 = rng.standard_normal((12, 12))
             v0 = rng.standard_normal((12, 12))
-            energies = []
-            solve_linearized_flow(ix, iy, c, u0, v0, lam=0.5, iterations=60,
-                                  energies=energies)
+            energies, _ = sweep_energies(ix, iy, c, u0, v0, 0.5, 60)
             for before, after in zip(energies, energies[1:]):
                 assert after <= before * (1 + 1e-12) + 1e-12
 
@@ -134,7 +142,8 @@ class TestEnergyMonotonicity:
         iy = np.zeros((4, 4))
         c = 2.0 * np.ones((4, 4))
         u = np.zeros((4, 4))
-        assert flow_energy(ix, iy, c, u, u, 1.0) == pytest.approx(64.0)
+        assert (_pair_energies(ix, iy, c, u, u, 1.0) == _flow_energy(ix, iy, c, u, u, 1.0)
+                == pytest.approx(64.0))
 
 
 class TestFullGridOracle:
@@ -146,13 +155,15 @@ class TestFullGridOracle:
     def test_solver_bit_identical(self, shape, lam):
         rng = np.random.default_rng(shape[0] * 1000 + shape[1])
         ix, iy, c, u0, v0 = (rng.standard_normal(shape) for _ in range(5))
-        got_e, ref_e = [], []
+        ref_e = []
         # A 1x1 grid has no neighbors: both solvers divide 0 by 0 and agree on NaN.
         nan = shape == (1, 1)
         with np.errstate(invalid="ignore" if nan else "raise"):
-            got = solve_linearized_flow(ix, iy, c, u0, v0, lam, 25, got_e)
+            got = solve_linearized_flow(ix, iy, c, u0, v0, lam, 25)
             ref = full_grid_red_black_flow(ix, iy, c, u0, v0, lam, 25, ref_e)
-        for a, b in ((got[0], ref[0]), (got[1], ref[1]), (got_e, ref_e)):
+            got_e, chained = sweep_energies(ix, iy, c, u0, v0, lam, 25)
+        for a, b in ((got[0], ref[0]), (got[1], ref[1]), (got_e, ref_e),
+                     (chained[0], got[0]), (chained[1], got[1])):
             assert np.array_equal(a, b, equal_nan=nan)
         assert np.isnan(got[0]).all() == nan
         assert len(got_e) == 26
@@ -378,16 +389,19 @@ class TestStackedSolver:
         ix, iy, c, u0, v0 = (rng.standard_normal((3, *shape)) for _ in range(5))
         keep = [a.copy() for a in (ix, iy, c, u0, v0)]
         nan = shape == (1, 1)
-        energies = []
         with np.errstate(invalid="ignore" if nan else "raise"):
-            u, v = solve_linearized_flow(ix, iy, c, u0, v0, 1.0, 25, energies)
+            u, v = solve_linearized_flow(ix, iy, c, u0, v0, 1.0, 25)
+            # 25 one-sweep calls are the 25-sweep call.
+            _, chained = sweep_energies(ix, iy, c, u0, v0, 1.0, 25)
+            assert np.array_equal(u, chained[0], equal_nan=nan)
+            assert np.array_equal(v, chained[1], equal_nan=nan)
             for k in range(3):
                 args = (ix[k], iy[k], c[k], u0[k], v0[k], 1.0, 25)
                 for ref in (solve_linearized_flow(*args), full_grid_red_black_flow(*args)):
                     assert np.array_equal(u[k], ref[0], equal_nan=nan)
                     assert np.array_equal(v[k], ref[1], equal_nan=nan)
         assert u.flags.c_contiguous and v.flags.c_contiguous
-        assert u.shape == v.shape == (3, *shape) and len(energies) == 26
+        assert u.shape == v.shape == (3, *shape)
         assert np.isnan(u).all() == nan
         assert all(np.array_equal(a, k) for a, k in zip((ix, iy, c, u0, v0), keep))
 
@@ -415,16 +429,14 @@ class TestStackedSolver:
 
 def record_solves(monkeypatch):
     """Wrap ``meshsrr.flow.solve_linearized_flow`` and return, per call, the
-    stack shape, the sweep count and the energies it recorded."""
+    stack shape, the sweep count and the arguments."""
     from meshsrr import flow
     calls = []
     original = flow.solve_linearized_flow
 
-    def recorded(ix, iy, c, u0, v0, lam, iterations):
-        energies = []
-        out = original(ix, iy, c, u0, v0, lam, iterations, energies)
-        calls.append((ix.shape, iterations, energies))
-        return out
+    def recorded(*args):
+        calls.append((args[0].shape, args[6], args))
+        return original(*args)
 
     monkeypatch.setattr(flow, "solve_linearized_flow", recorded)
     return calls
@@ -482,7 +494,7 @@ class TestSweepStop:
         calls = record_solves(monkeypatch)
         _sweep_until_stalled(ix, iy, c, u0, v0, 1.0, 1000)
         assert sum(sweeps for _, sweeps, _ in calls) < 1000
-        energies = [e for _, _, block in calls for e in block]
+        energies = [e for _, _, args in calls for e in sweep_energies(*args)[0]]
         for before, after in zip(energies, energies[1:]):
             assert after <= before * (1 + 1e-12) + 1e-12
 

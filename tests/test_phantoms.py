@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from meshsrr.errors import ConfigError
+from meshsrr.grid import GridImage
 from meshsrr.mesh import build_pixel_assignment, downsample
 from meshsrr.operators import convolve_neumann, gaussian_kernel
 from meshsrr.phantoms import (COARSE, FINE, LUNG, T_SHAPE, SceneSpec, degrade,
@@ -233,3 +235,11 @@ class TestDegrade:
         for snr in (4000.0, -4000.0, math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match="power ratio"):
                 self.degrade(snr, 1)
+
+    def test_underflowing_noise_divisor_refused(self, square_mesh):
+        # The noise draw of seed 4 on two elements has power 0.27, and
+        # 0.27 times the smallest subnormal power ratio rounds to 0.0.
+        asg = build_pixel_assignment(square_mesh, 8, 8)
+        x = GridImage(np.arange(64.0).reshape(8, 8))
+        with pytest.raises(ConfigError, match="not finite"):
+            degrade(x, asg, gaussian_kernel(3, 1.0), -3233.0, 4)

@@ -7,7 +7,7 @@ from meshsrr.errors import DivergenceError
 from meshsrr.flow import FlowField
 from meshsrr.grid import GridImage
 from meshsrr.mesh import FemImage, build_pixel_assignment, upsample
-from meshsrr.operators import ObservationModel, gaussian_kernel, operator_norm_bound
+from meshsrr.operators import ObservationModel, gaussian_kernel
 from meshsrr.phantoms import COARSE, disc_mesh
 from meshsrr.srr import SrrConfig, run_sequence, srr_init, srr_step
 
@@ -25,8 +25,8 @@ def make_problem(n=8, kernel_size=3, sigma=1.0, square_mesh=None):
     return mesh, asg, kernel
 
 
-def cfg_for(kernel, mu=0.01, k_iters=100, alpha=0.01):
-    return SrrConfig(mu=mu, k_iters=k_iters, alpha_srr=alpha, kernel=kernel)
+def cfg_for(mu=0.01, k_iters=100):
+    return SrrConfig(mu=mu, k_iters=k_iters)
 
 
 def cost(x: GridImage, y: GridImage, asg, kernel, alpha) -> float:
@@ -45,19 +45,19 @@ class TestInit:
     def test_cost_nonnegative_after_init(self):
         _, asg, kernel = make_problem()
         y = GridImage(np.random.default_rng(0).standard_normal((8, 8)))
-        state = srr_init(y, cfg_for(kernel))
+        state = srr_init(y, ObservationModel(asg, kernel, 0.01))
         assert cost(state.x_hat, y, asg, kernel, 0.01) >= 0.0
 
     def test_constant_observation_stays_constant(self):
         _, asg, kernel = make_problem()
-        state = srr_init(GridImage(np.full((8, 8), 2.0)), cfg_for(kernel))
+        state = srr_init(GridImage(np.full((8, 8), 2.0)), ObservationModel(asg, kernel, 0.01))
         assert np.abs(state.x_hat.data - 2.0).max() <= 1e-12
-        assert state.frame_index == 0
+        assert state.costs == ()
 
     def test_zero_observation(self):
         _, asg, kernel = make_problem()
         y = GridImage(np.zeros((8, 8)))
-        state = srr_init(y, cfg_for(kernel))
+        state = srr_init(y, ObservationModel(asg, kernel, 0.01))
         assert np.abs(state.x_hat.data).max() == 0.0
         rng = np.random.default_rng(1)
         y_obs = GridImage(np.abs(rng.standard_normal((8, 8))))
@@ -68,9 +68,9 @@ class TestInit:
     def test_grid_mismatch_rejected(self):
         _, asg, kernel = make_problem()
         y = GridImage(np.zeros((8, 9)))
-        cfg = cfg_for(kernel)
+        model = ObservationModel(asg, kernel, 0.01)
         with pytest.raises(ValueError, match="grid"):
-            srr_step(srr_init(y, cfg), y, FlowField.zeros(9, 8), cfg, asg)
+            srr_step(srr_init(y, model), y, FlowField.zeros(9, 8), cfg_for(), model)
 
 
 class TestCost:
@@ -122,18 +122,19 @@ class TestStep:
         _, asg, kernel = make_problem()
         rng = np.random.default_rng(4)
         x = GridImage(rng.standard_normal((8, 8)))
-        cfg = cfg_for(kernel, k_iters=25, alpha=0.0)
+        model = ObservationModel(asg, kernel, 0.0)
         y = GridImage(observe(asg, kernel, x.data))
-        state = srr_step(srr_init_raw(x), y, FlowField.zeros(8, 8), cfg, asg)
+        state = srr_step(srr_init_raw(x), y, FlowField.zeros(8, 8), cfg_for(k_iters=25), model)
         assert np.abs(state.x_hat.data - x.data).max() <= 1e-12
-        assert state.frame_index == 1
+        assert len(state.costs) == 26
 
     def test_cost_non_increasing_small_step(self):
         mesh, asg, kernel = make_problem()
         rng = np.random.default_rng(5)
         y = upsample(FemImage(mesh, rng.standard_normal(2)), asg)
-        cfg = cfg_for(kernel, mu=0.01, k_iters=100, alpha=0.0)
-        history = srr_step(srr_init(y, cfg), y, FlowField.zeros(8, 8), cfg, asg).costs
+        model = ObservationModel(asg, kernel, 0.0)
+        history = srr_step(srr_init(y, model), y, FlowField.zeros(8, 8),
+                           cfg_for(mu=0.01, k_iters=100), model).costs
         assert len(history) == 101
         for before, after in zip(history, history[1:]):
             assert after <= before * (1 + 1e-12) + 1e-15
@@ -143,10 +144,11 @@ class TestStep:
         alpha = 0.3
         lmax = power_iteration_norm(asg, kernel, alpha)
         mu = 0.9 / lmax
-        cfg = cfg_for(kernel, mu=mu, k_iters=60, alpha=alpha)
+        model = ObservationModel(asg, kernel, alpha)
         rng = np.random.default_rng(6)
         y = GridImage(rng.standard_normal((8, 8)))
-        history = srr_step(srr_init(y, cfg), y, FlowField.zeros(8, 8), cfg, asg).costs
+        history = srr_step(srr_init(y, model), y, FlowField.zeros(8, 8),
+                           cfg_for(mu=mu, k_iters=60), model).costs
         for before, after in zip(history, history[1:]):
             assert after <= before * (1 + 1e-12) + 1e-15
 
@@ -158,33 +160,40 @@ class TestStep:
         cfg = replace(preset(name), grid=grid)
         asg = build_pixel_assignment(disc_mesh(cfg.mesh_density), grid, grid)
         kernel = cfg.resolved_kernel()
-        bound = operator_norm_bound(asg, kernel, cfg.alpha_srr)
+        bound = ObservationModel(asg, kernel, cfg.alpha_srr).norm_bound()
         lmax = power_iteration_norm(asg, kernel, cfg.alpha_srr, iterations=600)
         # Power iteration approaches L from below; slack only for rounding.
         assert lmax * (1 - 1e-12) <= bound <= 1.005 * lmax
 
     def test_divergence_detected_for_huge_step(self):
         _, asg, kernel = make_problem()
-        cfg = cfg_for(kernel, mu=50.0, k_iters=200, alpha=0.5)
+        model = ObservationModel(asg, kernel, 0.5)
         rng = np.random.default_rng(7)
         y = GridImage(rng.standard_normal((8, 8)))
-        with pytest.raises(DivergenceError) as err:
-            srr_step(srr_init(y, cfg), y, FlowField.zeros(8, 8), cfg, asg)
-        assert err.value.iteration is not None
+        cfg = cfg_for(mu=50.0, k_iters=200)
+        grew = r"10.0x its initial value at iteration [1-9]"
+        with pytest.raises(DivergenceError, match=grew) as err:
+            srr_step(srr_init(y, model), y, FlowField.zeros(8, 8), cfg, model)
+        assert not hasattr(err.value, "__notes__")
+        # A zero frame stays at zero cost; the fold names the frame that diverged.
+        zero = GridImage(np.zeros((8, 8)))
+        with pytest.raises(DivergenceError, match=grew) as err:
+            run_sequence([zero, y], [FlowField.zeros(8, 8)], cfg, model)
+        assert err.value.__notes__ == ["frame 1"]
 
     def test_non_finite_cost_is_divergence(self):
         _, asg, kernel = make_problem()
-        cfg = cfg_for(kernel, k_iters=5, alpha=0.1)
+        model = ObservationModel(asg, kernel, 0.1)
         huge = srr_init_raw(GridImage(np.full((8, 8), 1e200)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            with pytest.raises(DivergenceError, match="non-finite") as err:
-                srr_step(huge, GridImage(np.zeros((8, 8))), FlowField.zeros(8, 8), cfg, asg)
-        assert err.value.iteration == 0 and err.value.frame == 0
+            with pytest.raises(DivergenceError, match="non-finite cost inf at iteration 0$"):
+                srr_step(huge, GridImage(np.zeros((8, 8))), FlowField.zeros(8, 8),
+                         cfg_for(k_iters=5), model)
 
     def test_other_value_errors_propagate_unchanged(self, monkeypatch):
         _, asg, kernel = make_problem()
-        cfg = cfg_for(kernel, k_iters=5, alpha=0.1)
+        model = ObservationModel(asg, kernel, 0.1)
         y = GridImage(np.random.default_rng(21).standard_normal((8, 8)))
 
         def broken(self, coeffs, residual):
@@ -192,7 +201,7 @@ class TestStep:
 
         monkeypatch.setattr(ObservationModel, "half_gradient", broken)
         with pytest.raises(ValueError, match="not a divergence") as err:
-            srr_step(srr_init(y, cfg), y, FlowField.zeros(8, 8), cfg, asg)
+            srr_step(srr_init(y, model), y, FlowField.zeros(8, 8), cfg_for(k_iters=5), model)
         assert not isinstance(err.value, DivergenceError)
 
     def test_matches_dense_reference_descent(self):
@@ -202,7 +211,8 @@ class TestStep:
         rng = np.random.default_rng(8)
         y = rng.standard_normal((n, n))
         alpha = 0.01
-        cfg = cfg_for(kernel, mu=0.01, k_iters=100, alpha=alpha)
+        cfg = cfg_for(mu=0.01, k_iters=100)
+        model = ObservationModel(asg, kernel, alpha)
 
         A = dense_projection_matrix(asg) @ dense_blur_matrix(kernel.taps, n, n)
         S = dense_laplacian_matrix(n, n)
@@ -215,8 +225,8 @@ class TestStep:
         r = y.ravel() - A @ xd
         ref_cost = float(r @ r + alpha * (S @ xd) @ (S @ xd))
 
-        state = srr_step(srr_init(GridImage(y), cfg), GridImage(y),
-                         FlowField.zeros(n, n), cfg, asg)
+        state = srr_step(srr_init(GridImage(y), model), GridImage(y),
+                         FlowField.zeros(n, n), cfg, model)
         assert state.costs[-1] == pytest.approx(ref_cost, rel=1e-8)
 
     def test_outside_pixels_reset_to_zero(self):
@@ -224,38 +234,40 @@ class TestStep:
         n = 32
         asg = build_pixel_assignment(mesh, n, n)
         kernel = gaussian_kernel(5, 1.5)
-        cfg = cfg_for(kernel, k_iters=5, alpha=0.1)
+        model = ObservationModel(asg, kernel, 0.1)
         rng = np.random.default_rng(9)
         y = upsample(FemImage(mesh, rng.standard_normal(mesh.n_elements)), asg)
-        state = srr_step(srr_init(y, cfg), y, FlowField.zeros(n, n), cfg, asg)
+        state = srr_step(srr_init(y, model), y, FlowField.zeros(n, n), cfg_for(k_iters=5), model)
         assert (state.x_hat.data[~asg.inside_mask()] == 0.0).all()
 
     def test_determinism(self):
         _, asg, kernel = make_problem()
-        cfg = cfg_for(kernel, k_iters=30, alpha=0.2)
+        cfg = cfg_for(k_iters=30)
+        model = ObservationModel(asg, kernel, 0.2)
         rng = np.random.default_rng(10)
         y = GridImage(rng.standard_normal((8, 8)))
         flow = FlowField.constant(8, 8, 0.3, -0.2)
-        a = srr_step(srr_init(y, cfg), y, flow, cfg, asg)
-        b = srr_step(srr_init(y, cfg), y, flow, cfg, asg)
+        a = srr_step(srr_init(y, model), y, flow, cfg, model)
+        b = srr_step(srr_init(y, model), y, flow, cfg, model)
         assert np.array_equal(a.x_hat.data, b.x_hat.data)
         assert a.costs == b.costs
 
     def test_last_cost_matches_cost_of_estimate(self):
         _, asg, kernel = make_problem()
-        cfg = cfg_for(kernel, k_iters=12, alpha=0.15)
+        cfg = cfg_for(k_iters=12)
+        model = ObservationModel(asg, kernel, 0.15)
         rng = np.random.default_rng(20)
         y = GridImage(rng.standard_normal((8, 8)))
-        state = srr_step(srr_init(y, cfg), y, FlowField.zeros(8, 8), cfg, asg)
+        state = srr_step(srr_init(y, model), y, FlowField.zeros(8, 8), cfg, model)
         assert len(state.costs) == cfg.k_iters + 1
-        assert state.costs[-1] == cost(state.x_hat, y, asg, kernel, cfg.alpha_srr)
+        assert state.costs[-1] == cost(state.x_hat, y, asg, kernel, 0.15)
         assert np.isfinite(state.costs[-1])
 
 
 def srr_init_raw(x_hat: GridImage):
     """State with a verbatim estimate, bypassing the smoothing start."""
     from meshsrr.srr import SrrState
-    return SrrState(x_hat=x_hat, frame_index=0, costs=())
+    return SrrState(x_hat=x_hat, costs=())
 
 
 class TestRunSequence:
@@ -263,11 +275,12 @@ class TestRunSequence:
         n = 8
         asg = build_pixel_assignment(square_mesh, n, n)
         kernel = gaussian_kernel(3, 1.0)
-        cfg = cfg_for(kernel, k_iters=20, alpha=0.05)
+        cfg = cfg_for(k_iters=20)
+        model = ObservationModel(asg, kernel, 0.05)
         rng = np.random.default_rng(11)
         y = upsample(FemImage(square_mesh, rng.standard_normal(2)), asg)
-        result = run_sequence([y], [], cfg, asg)
-        expected = srr_step(srr_init(y, cfg), y, FlowField.zeros(n, n), cfg, asg)
+        result = run_sequence([y], [], cfg, model)
+        expected = srr_step(srr_init(y, model), y, FlowField.zeros(n, n), cfg, model)
         assert np.array_equal(result[0].x_hat.data, expected.x_hat.data)
         assert result[0].costs == expected.costs
 
@@ -275,20 +288,20 @@ class TestRunSequence:
         n = 8
         asg = build_pixel_assignment(square_mesh, n, n)
         kernel = gaussian_kernel(3, 1.0)
-        cfg = cfg_for(kernel, k_iters=30, alpha=0.0)
+        model = ObservationModel(asg, kernel, 0.0)
         rng = np.random.default_rng(12)
         y = upsample(FemImage(square_mesh, rng.standard_normal(2)), asg)
-        states = run_sequence([y] * 6, [FlowField.zeros(n, n)] * 5, cfg, asg)
+        states = run_sequence([y] * 6, [FlowField.zeros(n, n)] * 5, cfg_for(k_iters=30), model)
         finals = [s.costs[-1] for s in states]
         for before, after in zip(finals, finals[1:]):
             assert after <= before * (1 + 1e-12) + 1e-15
 
     def test_known_flows_length_check(self, square_mesh):
         asg = build_pixel_assignment(square_mesh, 8, 8)
-        cfg = cfg_for(gaussian_kernel(3, 1.0), k_iters=2)
+        model = ObservationModel(asg, gaussian_kernel(3, 1.0), 0.01)
         y = upsample(FemImage(square_mesh, [1.0, 2.0]), asg)
         with pytest.raises(ValueError, match="expected 1 flows, got 0"):
-            run_sequence([y, y], [], cfg, asg)
+            run_sequence([y, y], [], cfg_for(k_iters=2), model)
 
     def test_step_error_keeps_type_and_gains_frame_note(self, square_mesh, monkeypatch):
         import meshsrr.srr as srr
@@ -299,18 +312,20 @@ class TestRunSequence:
                 self.code, self.detail = code, detail
 
         original = srr.srr_step
+        steps = []
 
-        def flaky(state, *args, **kwargs):
-            if state.frame_index == 1:
+        def flaky(*args, **kwargs):
+            steps.append(1)
+            if len(steps) == 2:
                 raise PairError(7, "synthetic")
-            return original(state, *args, **kwargs)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(srr, "srr_step", flaky)
         asg = build_pixel_assignment(square_mesh, 8, 8)
-        cfg = cfg_for(gaussian_kernel(3, 1.0), k_iters=2)
+        model = ObservationModel(asg, gaussian_kernel(3, 1.0), 0.01)
         y = upsample(FemImage(square_mesh, [1.0, 2.0]), asg)
         with pytest.raises(PairError, match="frame 1") as err:
-            run_sequence([y] * 3, [FlowField.zeros(8, 8)] * 2, cfg, asg)
+            run_sequence([y] * 3, [FlowField.zeros(8, 8)] * 2, cfg_for(k_iters=2), model)
         assert (err.value.code, err.value.detail) == (7, "synthetic")
         assert err.value.__notes__ == ["frame 1"]
 
@@ -325,17 +340,18 @@ class TestRunSequence:
                       scene=replace(preset("ex2b").scene, frames=5))
         asg = build_pixel_assignment(disc_mesh(cfg.mesh_density), 32, 32)
         scfg = cfg.srr_config()
+        model = ObservationModel(asg, cfg.resolved_kernel(), cfg.alpha_srr)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             result = run_experiment(cfg)
             y_ups = result.up_frames
-            state = srr_init(y_ups[0], scfg)
+            state = srr_init(y_ups[0], model)
             ref, ref_histories, moved = [], [], 0.0
             for t, y in enumerate(y_ups):
                 flow = (horn_schunck(y, y_ups[t - 1], cfg.flow) if t
                         else FlowField.zeros(32, 32))
                 moved = max(moved, np.abs(flow.u).max())
-                state = srr_step(state, y, flow, scfg, asg)
+                state = srr_step(state, y, flow, scfg, model)
                 ref.append(state.x_hat)
                 ref_histories.append(state.costs)
         assert moved > 0.0
@@ -343,6 +359,7 @@ class TestRunSequence:
         assert list(result.cost_histories) == ref_histories and len(ref_histories) == 5
 
     def test_empty_sequence_rejected(self, square_mesh):
-        asg = build_pixel_assignment(square_mesh, 8, 8)
+        model = ObservationModel(build_pixel_assignment(square_mesh, 8, 8),
+                                 gaussian_kernel(3, 1.0), 0.01)
         with pytest.raises(ValueError, match="empty"):
-            run_sequence([], [], cfg_for(gaussian_kernel(3, 1.0)), asg)
+            run_sequence([], [], cfg_for(), model)
