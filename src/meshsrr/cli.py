@@ -110,6 +110,8 @@ def _cmd_run(args) -> int:
         result = run_experiment(replace(cfg, known_motion=known, output_dir=out))
         print(f"[{label} motion] frames={cfg.scene.frames} grid={cfg.grid} "
               f"elapsed={result.elapsed_seconds:.1f}s")
+        print("  time: " + " ".join(f"{stage}={s:.2f}s"
+                                    for stage, s in result.stage_seconds.items()))
         print(f"  LR : overlap={result.lr_metrics.avg_overlap:.4f} "
               f"hausdorff={result.lr_metrics.avg_hausdorff:.4f} "
               f"masd={result.lr_metrics.avg_masd:.5f}")

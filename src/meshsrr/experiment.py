@@ -26,6 +26,7 @@ class ExperimentResult:
     srr_frames: tuple[GridImage, ...]
     cost_histories: tuple[tuple[float, ...], ...]
     elapsed_seconds: float
+    stage_seconds: dict[str, float]
 
 
 def known_motion_flows(cfg: ExperimentConfig,
@@ -54,10 +55,21 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     Writes frames and metric tables under the config's ``output_dir`` when
     set. A step size with ``mu * L >= 1``, L an upper bound on the largest
     eigenvalue of the correction operator, is refused with ConfigError before
-    any frame is rendered. On failure a partially written directory is
-    renamed with a ``.partial`` suffix before the error propagates.
+    any frame is rendered. A frame whose binarized image is empty cannot be
+    scored and is refused with ConfigError naming the sequence. On failure a
+    partially written directory is renamed with a ``.partial`` suffix before
+    the error propagates. ``stage_seconds`` holds the wall time of each
+    stage: assignment, render, degrade, flow, srr, metrics and write.
     """
-    t0 = time.perf_counter()
+    t0 = clock = time.perf_counter()
+    stages: dict[str, float] = {}
+
+    def lap(stage: str) -> None:
+        nonlocal clock
+        now = time.perf_counter()
+        stages[stage] = now - clock
+        clock = now
+
     out = Path(cfg.output_dir) if cfg.output_dir else None
 
     n = cfg.grid
@@ -70,7 +82,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if not mu_l < 1.0:
         raise ConfigError(f"step size mu = {cfg.mu:g} gives mu * L = {mu_l:.4g}; "
                           "it must be below 1 for the cost to decrease")
+    lap("assignment")
     hr = [render_scene(scene, t, n, n) for t in range(scene.frames)]
+    lap("render")
     lr: list[FemImage] = []
     for t in range(scene.frames):
         try:
@@ -80,14 +94,18 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             exc.add_note(f"frame {t}")
             raise
     up = [upsample(o, assignment) for o in lr]
+    lap("degrade")
 
     flows = (known_motion_flows(cfg, hr) if cfg.known_motion
              else horn_schunck_sequence(up, cfg.flow))
+    lap("flow")
     states = run_sequence(up, flows, cfg.srr_config(), model)
     srr_frames = [s.x_hat for s in states]
+    lap("srr")
 
-    lr_metrics = evaluate_sequence(hr, up)
-    srr_metrics = evaluate_sequence(hr, srr_frames)
+    lr_metrics = _score("LR", hr, up)
+    srr_metrics = _score("SRR", hr, srr_frames)
+    lap("metrics")
 
     if out is not None:
         try:
@@ -96,6 +114,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         except Exception:
             _mark_partial(out)
             raise
+    lap("write")
 
     return ExperimentResult(
         lr_metrics=lr_metrics,
@@ -104,7 +123,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         srr_frames=tuple(srr_frames),
         cost_histories=tuple(s.costs for s in states),
         elapsed_seconds=time.perf_counter() - t0,
+        stage_seconds=stages,
     )
+
+
+def _score(label: str, truths, estimates) -> MetricsReport:
+    try:
+        return evaluate_sequence(truths, estimates)
+    except ValueError as exc:  # an empty binarized frame has no boundary
+        raise ConfigError("; ".join([f"{label} sequence cannot be scored: {exc}",
+                                     *getattr(exc, "__notes__", ())])) from exc
 
 
 def _write_artifacts(out: Path, mesh, hr, lr, up, srr_frames,

@@ -175,7 +175,14 @@ def evaluate_pair(truth: GridImage, estimate: GridImage,
 
 
 def evaluate_sequence(truths, estimates, fraction: float = 0.25) -> MetricsReport:
+    """Score every frame; an error raised by a frame gains the note "frame t"."""
     if len(truths) != len(estimates):
         raise ValueError(f"sequence lengths differ: {len(truths)} vs {len(estimates)}")
-    return MetricsReport(tuple(evaluate_pair(t, e, fraction)
-                               for t, e in zip(truths, estimates)))
+    frames = []
+    for t, (truth, estimate) in enumerate(zip(truths, estimates)):
+        try:
+            frames.append(evaluate_pair(truth, estimate, fraction))
+        except Exception as exc:
+            exc.add_note(f"frame {t}")
+            raise
+    return MetricsReport(tuple(frames))

@@ -143,9 +143,12 @@ class ObservationModel:
     the 5-point stencil, is diagonalized exactly by the orthonormal 2-D
     DCT-II (Martucci 1994; Ng, Chan & Tang 1999). B, B' and S'S are therefore
     elementwise weights between transforms, and ``||S x||`` follows from the
-    coefficients by Parseval. P is one bincount and one gather. Built once
-    per (assignment, kernel, alpha); the solver also reads its ``kernel``,
-    grid ``shape`` and ``outside`` mask (pixels assigned to no element).
+    coefficients by Parseval. P being an orthogonal projection, the misfit
+    is ``sum_e n_e r_e^2 + ||y - P y||^2`` with ``r_e = mean_e(B x - y)`` over
+    the n_e pixels of element e, and ``P (P B x - y)`` is r lifted to pixels.
+    Built once per (assignment, kernel, alpha); the solver also reads its
+    ``kernel``, grid ``shape`` and float ``inside`` mask (1 on assigned
+    pixels, else 0).
     """
 
     def __init__(self, assignment: PixelAssignment, kernel: Kernel, alpha: float):
@@ -153,39 +156,50 @@ class ObservationModel:
         _check_kernel_fit(w, h, kernel)
         self.kernel = kernel
         self.shape = (h, w)
-        self.outside = ~assignment.inside_mask()
+        self.inside = assignment.inside_mask().astype(np.float64)
         self._blur = _blur_eigenvalues(kernel, h, w)
         stencil = _stencil_eigenvalues(h)[:, None] + _stencil_eigenvalues(w)[None, :]
         self._smooth = alpha * stencil * stencil
+        # Outside pixels go to one extra bin, whose count and mean are 0.
         pe = assignment.pixel_to_element.ravel()
-        self._pixels = np.flatnonzero(pe >= 0)
-        self._elements = pe[self._pixels]
-        counts = assignment.element_counts
-        self._inv_counts = np.divide(1.0, counts, out=np.zeros(counts.shape),
-                                     where=counts > 0)
+        self._bins = np.where(pe >= 0, pe, assignment.n_elements)
+        self._counts = np.append(assignment.element_counts, 0.0)
+        self._inv_counts = np.divide(1.0, self._counts, out=np.zeros_like(self._counts),
+                                     where=self._counts > 0)
 
-    def _project(self, values: np.ndarray) -> np.ndarray:
-        """P on the assigned pixels: each value becomes its element's mean."""
-        sums = np.bincount(self._elements, weights=values,
-                           minlength=self._inv_counts.size)
-        return (sums * self._inv_counts)[self._elements]
+    def _means(self, values: np.ndarray) -> np.ndarray:
+        """Element means of a (height, width) array, then 0 for the outside bin."""
+        return np.bincount(self._bins, values.ravel(), self._counts.size) * self._inv_counts
 
-    def terms(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """Cost at x, plus the DCT of x and the residual ``P B x - y`` on the
-        assigned pixels, which ``half_gradient`` reuses."""
+    def lift(self, values: np.ndarray) -> np.ndarray:
+        """Element values (outside bin last) on their pixels, 0 off the mesh."""
+        return values[self._bins].reshape(self.shape)
+
+    def reduce(self, y: np.ndarray) -> tuple[np.ndarray, float]:
+        """Element means of y and ``||y - P y||^2``: the per-frame part of a cost."""
+        means = self._means(y)
+        rest = (y - self.lift(means)) * self.inside
+        return means, float((rest * rest).sum())
+
+    def terms(self, x: np.ndarray, y_means: np.ndarray,
+              y_rest: float) -> tuple[float, np.ndarray, np.ndarray]:
+        """Cost at x against ``reduce(y)``, plus the DCT of ``alpha S' S x``
+        and the element residual r, which ``half_gradient`` reuses."""
         coeffs = fft.dctn(x, norm="ortho")
-        blurred = fft.idctn(self._blur * coeffs, norm="ortho").ravel()
-        residual = self._project(blurred[self._pixels]) - y.ravel()[self._pixels]
-        cost = float(residual @ residual) + float((self._smooth * coeffs * coeffs).sum())
-        return cost, coeffs, residual
+        blurred = fft.idctn(self._blur * coeffs, norm="ortho", overwrite_x=True)
+        residual = self._means(blurred) - y_means
+        smooth = self._smooth * coeffs
+        cost = (float(self._counts @ (residual * residual)) + y_rest
+                + float((smooth * coeffs).sum()))
+        return cost, smooth, residual
 
-    def half_gradient(self, coeffs: np.ndarray, residual: np.ndarray) -> np.ndarray:
-        """``B' P r + alpha S' S x`` from the intermediates of ``terms``."""
-        projected = np.zeros(self._blur.size)
-        projected[self._pixels] = self._project(residual)
-        projected = fft.dctn(projected.reshape(self._blur.shape), norm="ortho")
-        return fft.idctn(self._blur * projected
-                         + self._smooth * coeffs, norm="ortho")
+    def half_gradient(self, smooth: np.ndarray, residual: np.ndarray) -> np.ndarray:
+        """``B' P (P B x - y) + alpha S' S x`` from the intermediates of
+        ``terms``: the lifted residual is ``P B x - P y``."""
+        lifted = fft.dctn(self.lift(residual), norm="ortho", overwrite_x=True)
+        lifted *= self._blur
+        lifted += smooth
+        return fft.idctn(lifted, norm="ortho", overwrite_x=True)
 
     def norm_bound(self) -> float:
         """Upper bound on the largest eigenvalue L of B' P B + alpha * S' S.

@@ -10,6 +10,8 @@ model (correct):
 
 where B is the blur, P the mesh-averaging projection and S the high-pass
 stencil. Pixels outside the mesh are reset to zero after every iteration.
+The observation is reduced to element means once per frame, and each
+iteration then takes four DCTs and one mesh reduction (``ObservationModel``).
 One ``operators.ObservationModel``, built once per run, holds B, P, S and
 alpha; ``srr_init``, ``srr_step`` and ``run_sequence`` take it with the
 step size and iteration count of ``SrrConfig``.
@@ -79,12 +81,11 @@ def srr_step(state: SrrState, y_up_t: GridImage, flow_t: FlowField,
         h, w = model.shape
         raise MeshError(f"observation {y_up_t.width}x{y_up_t.height} does not "
                         f"match the model grid {w}x{h}")
-    x = warp_image(state.x_hat, flow_t).data.copy()
-    x[model.outside] = 0.0
-    y = y_up_t.data
+    x = warp_image(state.x_hat, flow_t).data * model.inside
+    y_means, y_rest = model.reduce(y_up_t.data)
     costs: list[float] = []
     for it in range(cfg.k_iters + 1):
-        cost, coeffs, residual = model.terms(x, y)
+        cost, smooth, residual = model.terms(x, y_means, y_rest)
         if not np.isfinite(cost):
             raise DivergenceError(f"non-finite cost {cost} at iteration {it}")
         costs.append(cost)
@@ -94,8 +95,8 @@ def srr_step(state: SrrState, y_up_t: GridImage, flow_t: FlowField,
             raise DivergenceError(
                 f"cost grew beyond {_DIVERGENCE_FACTOR}x its initial value at "
                 f"iteration {it} ({cost:.3e} vs {costs[0]:.3e}); reduce the step size")
-        x -= cfg.mu * model.half_gradient(coeffs, residual)
-        x[model.outside] = 0.0
+        x -= cfg.mu * model.half_gradient(smooth, residual)
+        x *= model.inside
     return SrrState(x_hat=GridImage(x), costs=tuple(costs))
 
 

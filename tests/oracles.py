@@ -6,10 +6,13 @@ code paths of the package under test; the oracles read only its data (mesh
 nodes and elements, ``pixel_to_element``, flow components). The exceptions
 are test-only helpers built on the package: ``random_mask_pair`` (which
 returns ``BinaryMask`` pairs), ``compose_flows`` (which samples through
-the warp's bilinear gather) and ``power_iteration_norm`` (which applies the
-operator through ``ObservationModel``).
+the warp's bilinear gather), ``power_iteration_norm`` (which applies the
+operator through ``ObservationModel``) and the pixel-level SRR reference
+(``PixelObservationModel``, ``pixel_run_sequence``), which shares the
+package's DCT eigenvalues, warp and initial smoothing.
 """
 import numpy as np
+from scipy import fft
 
 
 def reflect_index(t: int, n: int) -> int:
@@ -261,15 +264,80 @@ def power_iteration_norm(assignment, kernel, alpha: float, iterations: int = 30,
     from meshsrr.operators import ObservationModel
     model = ObservationModel(assignment, kernel, alpha)
     shape = (assignment.height, assignment.width)
-    zeros = np.zeros(shape)
+    target = model.reduce(np.zeros(shape))
     x = np.random.default_rng(seed).standard_normal(shape)
     x /= np.linalg.norm(x)
     lam = 0.0
     for _ in range(iterations):
-        _, coeffs, residual = model.terms(x, zeros)
-        y = model.half_gradient(coeffs, residual)
+        _, smooth, residual = model.terms(x, *target)
+        y = model.half_gradient(smooth, residual)
         lam = float(np.linalg.norm(y))
         if lam == 0:
             return 0.0
         x = y / lam
     return lam
+
+
+class PixelObservationModel:
+    """The SRR cost and gradient worked on pixels: the residual
+    ``P B x - y`` on the assigned pixels, with P applied as a bincount and a
+    gather both to B x and again to the residual in the gradient. It is the
+    reference for the element-level ``ObservationModel``."""
+
+    def __init__(self, assignment, kernel, alpha: float):
+        from meshsrr.operators import _blur_eigenvalues, _stencil_eigenvalues
+        h, w = assignment.height, assignment.width
+        self.outside = ~assignment.inside_mask()
+        self._blur = _blur_eigenvalues(kernel, h, w)
+        stencil = _stencil_eigenvalues(h)[:, None] + _stencil_eigenvalues(w)[None, :]
+        self._smooth = alpha * stencil * stencil
+        pe = assignment.pixel_to_element.ravel()
+        self._pixels = np.flatnonzero(pe >= 0)
+        self._elements = pe[self._pixels]
+        counts = assignment.element_counts
+        self._inv_counts = np.divide(1.0, counts, out=np.zeros(counts.shape),
+                                     where=counts > 0)
+
+    def _project(self, values: np.ndarray) -> np.ndarray:
+        sums = np.bincount(self._elements, weights=values,
+                           minlength=self._inv_counts.size)
+        return (sums * self._inv_counts)[self._elements]
+
+    def terms(self, x: np.ndarray, y: np.ndarray):
+        coeffs = fft.dctn(x, norm="ortho")
+        blurred = fft.idctn(self._blur * coeffs, norm="ortho").ravel()
+        residual = self._project(blurred[self._pixels]) - y.ravel()[self._pixels]
+        cost = float(residual @ residual) + float((self._smooth * coeffs * coeffs).sum())
+        return cost, coeffs, residual
+
+    def half_gradient(self, coeffs: np.ndarray, residual: np.ndarray) -> np.ndarray:
+        projected = np.zeros(self._blur.size)
+        projected[self._pixels] = self._project(residual)
+        projected = fft.dctn(projected.reshape(self._blur.shape), norm="ortho")
+        return fft.idctn(self._blur * projected + self._smooth * coeffs, norm="ortho")
+
+
+def pixel_run_sequence(y_ups, flows, cfg, assignment, kernel, alpha: float):
+    """``run_sequence`` on ``PixelObservationModel``, without the divergence
+    guards: the final estimate and cost history of every frame."""
+    from meshsrr.flow import FlowField
+    from meshsrr.grid import GridImage
+    from meshsrr.operators import convolve_neumann, warp_image
+    model = PixelObservationModel(assignment, kernel, alpha)
+    x_hat = convolve_neumann(y_ups[0], kernel)
+    zero = FlowField.zeros(assignment.width, assignment.height)
+    out = []
+    for y, flow in zip(y_ups, [zero, *flows]):
+        x = warp_image(x_hat, flow).data.copy()
+        x[model.outside] = 0.0
+        costs = []
+        for it in range(cfg.k_iters + 1):
+            cost, coeffs, residual = model.terms(x, y.data)
+            costs.append(cost)
+            if it == cfg.k_iters:
+                break
+            x -= cfg.mu * model.half_gradient(coeffs, residual)
+            x[model.outside] = 0.0
+        x_hat = GridImage(x)
+        out.append((x, tuple(costs)))
+    return out

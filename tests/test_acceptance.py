@@ -141,12 +141,12 @@ def test_criterion_2_dense_matrix_equivalence(square_mesh_session):
                 B = dense_blur_matrix(k.taps, n, n)
                 checks.append((project(asg, x), P @ x.ravel()))
                 model = ObservationModel(asg, k, alpha)
-                _, coeffs, residual = model.terms(x, y)
+                _, smooth, residual = model.terms(x, *model.reduce(y))
                 r = np.where(inside, P @ (B @ x.ravel()) - y.ravel(), 0.0)
-                checks.append((residual, r[inside]))
-                checks.append((model.half_gradient(coeffs, residual),
+                checks.append((model.lift(residual), P @ r))
+                checks.append((model.half_gradient(smooth, residual),
                                B.T @ (P.T @ r) + alpha * (S.T @ (S @ x.ravel()))))
-                checks.append((model.half_gradient(coeffs, np.zeros_like(residual)),
+                checks.append((model.half_gradient(smooth, np.zeros_like(residual)),
                                alpha * (S.T @ (S @ x.ravel()))))
             for got, want in checks:
                 assert np.abs(got.ravel() - want.ravel()).max() <= 1e-12
@@ -203,14 +203,16 @@ def test_criterion_5_gradient_check(square_mesh_session):
             y = rng.standard_normal((n, n))
             alpha = float(rng.uniform(0.0, 0.5))
             model = ObservationModel(asg, kernel, alpha)
-            _, coeffs, residual = model.terms(x, y)
-            g = 2.0 * model.half_gradient(coeffs, residual)
+            target = model.reduce(y)
+            _, smooth, residual = model.terms(x, *target)
+            g = 2.0 * model.half_gradient(smooth, residual)
             fd = np.zeros_like(x)
             for j in range(n):
                 for i in range(n):
                     xp = x.copy(); xp[j, i] += eps
                     xm = x.copy(); xm[j, i] -= eps
-                    fd[j, i] = (model.terms(xp, y)[0] - model.terms(xm, y)[0]) / (2 * eps)
+                    fd[j, i] = (model.terms(xp, *target)[0]
+                                - model.terms(xm, *target)[0]) / (2 * eps)
             assert np.linalg.norm(fd - g) / np.linalg.norm(g) <= 1e-5
 
 

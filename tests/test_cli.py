@@ -115,6 +115,27 @@ class TestRunCommand:
         assert err.startswith("configuration error: ")
         assert err.endswith("not finite; frame 0\n")
 
+    @pytest.mark.parametrize("motion", ["known", "estimated"])
+    def test_empty_binarized_frame_exits_2(self, motion, capsys):
+        """A scene whose estimates stay below zero leaves an empty 25%-of-max
+        mask, which has no boundary to measure."""
+        argv = ["run", "--preset", "ex2a", "--motion", motion,
+                "--set", "srr.grid=32", "--set", "scene.frames=2",
+                "--set", "scene.background=-5", "--set", "scene.inclusion=1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: SRR sequence cannot be scored: ")
+        assert err.endswith("empty mask boundary; frame 0\n")
+
+    def test_summary_prints_stage_times(self, small_run_args, capsys):
+        args, _ = small_run_args
+        assert main(args + ["--motion", "known"]) == 0
+        stdout = capsys.readouterr().out
+        assert ("  time: assignment=" in stdout and " srr=" in stdout
+                and " write=" in stdout)
+
     def test_known_motion_is_not_a_config_key(self, tmp_path, monkeypatch, capsys):
         """--motion selects the motion mode; a config file cannot."""
         import meshsrr.cli as cli

@@ -66,6 +66,21 @@ class TestRunExperiment:
         assert len(result.srr_frames) == 3
         assert len(result.cost_histories) == 3
 
+    def test_stage_times_sum_within_elapsed(self, tmp_path):
+        """Timing the stages leaves the artifacts byte-identical across reruns."""
+        runs = [run_experiment(tiny_cfg(output_dir=str(tmp_path / d))) for d in "ab"]
+        for result in runs:
+            stages = result.stage_seconds
+            assert list(stages) == ["assignment", "render", "degrade", "flow",
+                                    "srr", "metrics", "write"]
+            assert all(s >= 0.0 for s in stages.values())
+            assert sum(stages.values()) <= result.elapsed_seconds
+        files_a = sorted((tmp_path / "a").iterdir())
+        files_b = sorted((tmp_path / "b").iterdir())
+        assert [p.name for p in files_a] == [p.name for p in files_b]
+        for pa, pb in zip(files_a, files_b):
+            assert pa.read_bytes() == pb.read_bytes(), pa.name
+
     def test_no_output_dir_keeps_everything_in_memory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         result = run_experiment(tiny_cfg())

@@ -46,12 +46,11 @@ def random_flow(rng, w, h, scale=1.5) -> FlowField:
 
 
 def observe(asg, k: Kernel, x: np.ndarray) -> np.ndarray:
-    """P B x on the whole grid (zero off the mesh), from the model's
-    residual against y = 0."""
-    _, _, residual = ObservationModel(asg, k, 0.0).terms(x, np.zeros_like(x))
-    out = np.zeros_like(x)
-    out[asg.inside_mask()] = residual
-    return out
+    """P B x on the whole grid (zero off the mesh): the model's element
+    residual against y = 0, lifted to the pixels."""
+    model = ObservationModel(asg, k, 0.0)
+    _, _, residual = model.terms(x, *model.reduce(np.zeros_like(x)))
+    return model.lift(residual)
 
 
 def project(asg, x: np.ndarray) -> np.ndarray:
@@ -67,17 +66,17 @@ def dense_warp_transpose(flow):
 
 
 def observe_adjoint(asg, k: Kernel, z: np.ndarray) -> np.ndarray:
-    """B' P z: the model's half gradient with z as the residual and no
-    smoothness term."""
+    """B' P z: the model's half gradient with the element means of z as the
+    residual and no smoothness term."""
     model = ObservationModel(asg, k, 0.0)
-    return model.half_gradient(np.zeros_like(z), z[asg.inside_mask()])
+    return model.half_gradient(np.zeros_like(z), model.reduce(z)[0])
 
 
 def stencil_normal(asg, x: np.ndarray) -> np.ndarray:
     """S' S x: the model's half gradient with alpha = 1 and a zero residual."""
     model = ObservationModel(asg, gaussian_kernel(1, 1.0), 1.0)
-    _, coeffs, residual = model.terms(x, np.zeros_like(x))
-    return model.half_gradient(coeffs, np.zeros_like(residual))
+    _, smooth, residual = model.terms(x, *model.reduce(np.zeros_like(x)))
+    return model.half_gradient(smooth, np.zeros_like(residual))
 
 
 class TestKernel:
@@ -387,15 +386,17 @@ class TestObservationModel:
         asg = build_pixel_assignment(pixel_mesh(width, height), width, height)
         assert asg.inside_mask().all() and asg.element_counts.max() == 1
         x = np.random.default_rng(size).standard_normal((height, width))
-        _, _, residual = ObservationModel(asg, k, 0.3).terms(x, np.zeros_like(x))
+        model = ObservationModel(asg, k, 0.3)
+        _, _, residual = model.terms(x, *model.reduce(np.zeros_like(x)))
         expected = convolve_neumann(GridImage(x), k).data
-        assert np.abs(residual.reshape(height, width) - expected).max() <= 1e-12
+        assert np.abs(model.lift(residual) - expected).max() <= 1e-12
 
     @pytest.mark.parametrize("width,height", [(17, 24), (24, 17)])
     @pytest.mark.parametrize("density", [FINE, COARSE])
     @pytest.mark.parametrize("size", [5, "largest"])
     def test_matches_spatial_composition(self, width, height, density, size):
-        """Cost, residual and gradient against P, B and S as dense matrices."""
+        """Cost, residual and gradient against P, B and S as dense matrices,
+        with a random y that is not in the range of P."""
         size = 2 * min(width, height) - 1 if size == "largest" else size
         k = gaussian_kernel(size, 0.3 * size + 0.5)
         alpha = 0.3
@@ -410,25 +411,35 @@ class TestObservationModel:
         B = _dense_blur(size, width, height)
         P = dense_projection_matrix(asg)
         S = dense_laplacian_matrix(width, height)
-        cost, coeffs, residual = model.terms(x, y)
+        y_means, y_rest = model.reduce(y)
+        cost, smooth, residual = model.terms(x, y_means, y_rest)
 
-        # P B x on the assigned pixels (y = 0 leaves the bare prediction).
+        # P B x on the whole grid (y = 0 leaves the bare prediction).
         pbx = P @ (B @ x.ravel())
-        _, _, predicted = model.terms(x, np.zeros_like(y))
-        assert np.abs(predicted - pbx[inside]).max() <= 1e-12
+        _, _, predicted = model.terms(x, *model.reduce(np.zeros_like(y)))
+        assert np.abs(model.lift(predicted).ravel() - pbx).max() <= 1e-12
 
+        # The lifted element residual is P r = P B x - P y.
         r = np.where(inside, pbx - y.ravel(), 0.0)
-        assert np.abs(residual - r[inside]).max() <= 1e-12
+        assert np.abs(model.lift(residual).ravel() - P @ r).max() <= 1e-12
         sx = S @ x.ravel()
         assert cost == pytest.approx(float(r @ r + alpha * sx @ sx), rel=1e-12)
 
+        # The cost split: ||P r||^2 over the elements plus ||y - P y||^2.
+        pr = P @ r
+        off = np.where(inside, y.ravel() - P @ y.ravel(), 0.0)
+        counts = np.append(asg.element_counts, 0)
+        assert float(counts @ residual ** 2) == pytest.approx(float(pr @ pr), rel=1e-12)
+        assert y_rest == pytest.approx(float(off @ off), rel=1e-12)
+        assert np.abs(model.lift(y_means).ravel() - P @ y.ravel()).max() <= 1e-12
+
         # Gradient: B' P' (P B x - y) + alpha S' S x.
         sts = S.T @ sx
-        got = model.half_gradient(coeffs, residual)
+        got = model.half_gradient(smooth, residual)
         assert np.abs(got.ravel() - (B.T @ (P.T @ r) + alpha * sts)).max() <= 1e-12
 
         # S' S x alone: a zero residual leaves only the smoothness term.
-        alone = model.half_gradient(coeffs, np.zeros_like(residual))
+        alone = model.half_gradient(smooth, np.zeros_like(residual))
         assert np.abs(alone.ravel() - alpha * sts).max() <= 1e-12
 
     def test_kernel_must_be_symmetric_in_each_axis(self):

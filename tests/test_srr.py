@@ -12,7 +12,8 @@ from meshsrr.phantoms import COARSE, disc_mesh
 from meshsrr.srr import SrrConfig, run_sequence, srr_init, srr_step
 
 from oracles import (dense_blur_matrix, dense_laplacian_matrix,
-                     dense_projection_matrix, power_iteration_norm)
+                     dense_projection_matrix, pixel_run_sequence,
+                     power_iteration_norm)
 from test_operators import observe
 
 
@@ -31,14 +32,15 @@ def cfg_for(mu=0.01, k_iters=100):
 
 def cost(x: GridImage, y: GridImage, asg, kernel, alpha) -> float:
     """The reconstruction cost at x, as ``srr_step`` evaluates it."""
-    return ObservationModel(asg, kernel, alpha).terms(x.data, y.data)[0]
+    model = ObservationModel(asg, kernel, alpha)
+    return model.terms(x.data, *model.reduce(y.data))[0]
 
 
 def cost_gradient(x: GridImage, y: GridImage, asg, kernel, alpha) -> np.ndarray:
     """Twice the model's half gradient: the analytic gradient of ``cost``."""
     model = ObservationModel(asg, kernel, alpha)
-    _, coeffs, residual = model.terms(x.data, y.data)
-    return 2.0 * model.half_gradient(coeffs, residual)
+    _, smooth, residual = model.terms(x.data, *model.reduce(y.data))
+    return 2.0 * model.half_gradient(smooth, residual)
 
 
 class TestInit:
@@ -196,7 +198,7 @@ class TestStep:
         model = ObservationModel(asg, kernel, 0.1)
         y = GridImage(np.random.default_rng(21).standard_normal((8, 8)))
 
-        def broken(self, coeffs, residual):
+        def broken(self, smooth, residual):
             raise ValueError("not a divergence")
 
         monkeypatch.setattr(ObservationModel, "half_gradient", broken)
@@ -363,3 +365,70 @@ class TestRunSequence:
                                  gaussian_kernel(3, 1.0), 0.01)
         with pytest.raises(ValueError, match="empty"):
             run_sequence([], [], cfg_for(), model)
+
+
+class TestPixelReference:
+    """The element-level iteration against the pixel-level reference in
+    ``oracles``, which forms the residual ``P B x - y`` on every assigned
+    pixel and projects it a second time for the gradient."""
+
+    @pytest.mark.parametrize("known", [True, False], ids=["known", "estimated"])
+    @pytest.mark.parametrize("name", ["ex1b", "ex2a"])
+    def test_run_sequence_matches_pixel_reference(self, name, known):
+        from dataclasses import replace
+        from meshsrr.config import preset
+        from meshsrr.experiment import known_motion_flows, run_experiment
+        from meshsrr.flow import horn_schunck_sequence
+        from meshsrr.phantoms import render_scene
+        cfg = replace(preset(name), grid=32, known_motion=known)
+        asg = build_pixel_assignment(disc_mesh(cfg.mesh_density), 32, 32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = run_experiment(cfg)
+            up = list(result.up_frames)
+            flows = (known_motion_flows(cfg, [render_scene(cfg.scene, t, 32, 32)
+                                              for t in range(cfg.scene.frames)])
+                     if known else horn_schunck_sequence(up, cfg.flow))
+        ref = pixel_run_sequence(up, flows, cfg.srr_config(), asg,
+                                 cfg.resolved_kernel(), cfg.alpha_srr)
+        assert len(ref) == len(result.srr_frames) == cfg.scene.frames
+        for frame, history, (x, costs) in zip(result.srr_frames,
+                                              result.cost_histories, ref):
+            assert np.abs(frame.data - x).max() <= 1e-12
+            assert (np.abs(np.subtract(history, costs)) <= 1e-12 * np.abs(costs)).all()
+            assert len(history) == cfg.k_iters + 1
+
+
+class CountingFft:
+    """Stands in for ``scipy.fft`` in ``meshsrr.operators`` and counts the
+    DCTs and inverse DCTs taken."""
+
+    def __init__(self):
+        from scipy import fft
+        self._fft = fft
+        self.calls = 0
+
+    def dctn(self, *args, **kwargs):
+        self.calls += 1
+        return self._fft.dctn(*args, **kwargs)
+
+    def idctn(self, *args, **kwargs):
+        self.calls += 1
+        return self._fft.idctn(*args, **kwargs)
+
+
+@pytest.mark.parametrize("k_iters", [1, 7])
+def test_srr_step_takes_4k_plus_2_transforms(monkeypatch, k_iters):
+    """K corrections take K + 1 costs (2 transforms each) and K gradients
+    (2 each); any further transform in the loop shows here."""
+    import meshsrr.operators as operators
+    mesh = disc_mesh(COARSE)
+    asg = build_pixel_assignment(mesh, 32, 32)
+    model = ObservationModel(asg, gaussian_kernel(5, 1.5), 0.1)
+    y = upsample(FemImage(mesh, np.random.default_rng(23).standard_normal(mesh.n_elements)),
+                 asg)
+    state = srr_init(y, model)
+    counter = CountingFft()
+    monkeypatch.setattr(operators, "fft", counter)
+    srr_step(state, y, FlowField.constant(32, 32, 0.4, -0.3), cfg_for(k_iters=k_iters), model)
+    assert counter.calls == 4 * k_iters + 2
