@@ -69,8 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
     flw.add_argument("--levels", type=int, default=FlowParams().pyramid_levels)
     flw.add_argument("--spacing", type=float, default=FlowParams().pyramid_spacing)
     flw.add_argument("--iterations", type=int, default=FlowParams().iterations_per_level,
-                     help="most red-black sweeps per warp; a pair stops earlier "
-                          "once its energy stalls")
+                     help="most conjugate-gradient iterations per warp; a pair "
+                          "stops earlier once its relative residual is within 1e-3")
     flw.add_argument("--warps", type=int, default=FlowParams().warps_per_level)
     flw.add_argument("-o", "--output", required=True)
     return parser

@@ -8,13 +8,11 @@ against the textbook energy
     E(u, v) = sum((Ix*u + Iy*v + It)^2) + lam * sum over 4-neighbor edges
               ((u_p - u_q)^2 + (v_p - v_q)^2)
 
-and each warp of a pyramid level is solved by red-black Gauss-Seidel sweeps,
-which perform exact per-pixel minimization and therefore never increase the
-energy. A half-sweep computes only its own color, in the floating-point order
-of a full-grid update. The sweeps run in blocks of ``_SWEEP_BLOCK``, at most
-``iterations_per_level`` per warp: a pair stops once a block lowers its energy
-by at most ``_SWEEP_TOL`` times the new energy (Horn & Schunck iterate to
-convergence; on the fine levels the coarse ones have found the flow).
+and each warp of a pyramid level minimizes it by conjugate gradients
+(Concus, Golub & O'Leary 1976), preconditioned in the DCT-II basis, which
+diagonalizes the Neumann graph Laplacian (Martucci 1994). Horn & Schunck
+iterate to convergence: a pair stops once its relative residual is within
+``_CG_TOL``, or after ``iterations_per_level`` iterations.
 
 ``horn_schunck_sequence`` registers each distinct consecutive pair once, with
 independent pairs stacked along a leading axis to share every solver call;
@@ -26,18 +24,20 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
 
 from .grid import GridImage, require_same_shape
-from .operators import convolve_stack, gaussian_kernel, _bilinear_gather
+from .operators import convolve_stack, gaussian_kernel, _bilinear_gather, _stencil_eigenvalues
 
 _MIN_TOP_SIZE = 8
 # Pixels per stacked solve at each level (1 pair at 100x100, 4 at 50x50):
 # stacking pays on the coarse levels only.
 _STACK_PIXELS = 10_000
-# Sweeps between energy checks, and the relative energy drop per block below
-# which a pair stops sweeping.
-_SWEEP_BLOCK = 5
-_SWEEP_TOL = 3e-4
+# Relative residual ||b - A x|| / ||b|| at which a pair stops iterating.
+_CG_TOL = 1e-3
+# Largest smoothness weight: far beyond it, the rounding of lam * L (about
+# 1e-16 lam) swamps the data term of images rescaled to [0, 1].
+_LAM_MAX = 1e8
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,9 +82,10 @@ class FlowParams:
     """Solver settings. ``lam`` weighs the smoothness term of the textbook
     energy; inputs are jointly rescaled to [0, 1] before estimation so the
     default is independent of image units. The strong default favors
-    near-rigid fields, which is what noisy tomographic sequences need.
-    ``iterations_per_level`` is the most sweeps per warp; a pair stops
-    earlier once its energy stalls."""
+    near-rigid fields, which is what noisy tomographic sequences need; it
+    must be positive and at most ``_LAM_MAX``. ``iterations_per_level`` is
+    the most conjugate-gradient iterations per warp; a pair stops earlier
+    once its residual is within ``_CG_TOL``."""
 
     lam: float = 15.0
     pyramid_levels: int = 4
@@ -93,8 +94,8 @@ class FlowParams:
     warps_per_level: int = 3
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        if not 0 < self.lam <= _LAM_MAX:
+            raise ValueError(f"lam must be positive and at most {_LAM_MAX:g}, got {self.lam}")
         if self.pyramid_levels < 1:
             raise ValueError(f"pyramid_levels must be >= 1, got {self.pyramid_levels}")
         if not self.pyramid_spacing > 1:
@@ -148,90 +149,104 @@ def build_pyramid(data: np.ndarray, levels: int, spacing: float) -> list[np.ndar
     return out
 
 
-def _neighbor_counts(h: int, w: int) -> np.ndarray:
-    n = np.full((h, w), 4.0)
-    n[0, :] -= 1
-    n[-1, :] -= 1
-    n[:, 0] -= 1
-    n[:, -1] -= 1
-    return n
+def _laplacian(f: np.ndarray) -> np.ndarray:
+    """Neumann graph Laplacian of the 4-neighbor grid on the last two axes:
+    the sum over the neighbors q of p of ``f_p - f_q``."""
+    out = np.zeros_like(f)
+    dy = np.diff(f, axis=-2)
+    out[..., :-1, :] -= dy
+    out[..., 1:, :] += dy
+    dx = np.diff(f, axis=-1)
+    out[..., :-1] -= dx
+    out[..., 1:] += dx
+    return out
 
 
-def _pair_energies(ix: np.ndarray, iy: np.ndarray, c: np.ndarray,
-                   u: np.ndarray, v: np.ndarray, lam: float) -> np.ndarray:
-    """Energy of the problem in the last two axes, for each along the leading axes."""
-    pixels = (-2, -1)
-    data = ((ix * u + iy * v + c) ** 2).sum(axis=pixels)
-    smooth = sum((np.diff(f, axis=axis) ** 2).sum(axis=pixels) for f in (u, v) for axis in pixels)
-    return data + lam * smooth
+def _block_inverses(g: np.ndarray, lam: float) -> np.ndarray:
+    """The preconditioner for the (pairs, 2, h, w) gradients ``g``: per pair
+    and DCT frequency, the entries (00, 01, 11) of the inverse of
+
+        [mean(Ix^2) + lam e, mean(Ix Iy); mean(Ix Iy), mean(Iy^2) + lam e],
+
+    the normal matrix with each pixel's data block replaced by the pair's
+    mean, e being the Laplacian's eigenvalue. Only the zero frequency (e = 0)
+    can be singular, so it takes the pseudo-inverse: a block of constant
+    images is left at 0.
+    """
+    h, w = g.shape[-2:]
+    ix, iy = g[:, 0], g[:, 1]
+    mxx, mxy, myy = ((p * q).mean(axis=(-2, -1)) for p, q in ((ix, ix), (ix, iy), (iy, iy)))
+    e = lam * (_stencil_eigenvalues(h)[:, None] + _stencil_eigenvalues(w))
+    a = mxx[:, None, None] + e
+    d = myy[:, None, None] + e
+    b = mxy[:, None, None]
+    det = a * d - b * b
+    det[:, 0, 0] = 1.0
+    inv = np.stack([d, np.broadcast_to(-b, a.shape), a], axis=1) / det[:, None]
+    zero = np.linalg.pinv(np.stack([mxx, mxy, mxy, myy], axis=-1).reshape(-1, 2, 2), rcond=1e-12)
+    inv[:, :, 0, 0] = zero.reshape(-1, 4)[:, [0, 1, 3]]
+    return inv
 
 
 def solve_linearized_flow(ix: np.ndarray, iy: np.ndarray, c: np.ndarray,
                           u0: np.ndarray, v0: np.ndarray, lam: float,
                           iterations: int) -> tuple[np.ndarray, np.ndarray]:
-    """Red-black Gauss-Seidel solve of the linearized flow problem.
+    """Conjugate gradients from ``(u0, v0)`` on the normal equations of the
+    linearized energy,
 
-    Each half-sweep minimizes the energy exactly over one checkerboard color,
-    so the energy (``_pair_energies``) never increases from sweep to sweep.
+        [Ix^2 + lam L, Ix Iy; Ix Iy, Iy^2 + lam L] (u, v) = -(Ix c, Iy c),
 
-    Only the active color is computed: its two strided sub-lattices, (even,
-    even) with (odd, odd) or (even, odd) with (odd, even), read neighbor sums
-    ``((up + down) + left) + right`` from shifted views of one zero-padded
-    ``u``/``v`` buffer, in the order of the full-grid update.
+    L being the Neumann graph Laplacian, preconditioned by ``_block_inverses``
+    between one DCT of the stacked (u, v) and its inverse. At most
+    ``iterations`` iterations, each stepping to the energy minimum along its
+    direction, so the energy never increases.
 
-    Leading axes hold independent problems solved in the same sweeps.
+    Leading axes hold independent problems, each with its own CG scalars. A
+    problem stops once ``||r|| <= _CG_TOL * ||b||`` and keeps its ``u`` and
+    ``v`` (a start within tolerance costs no transform); the others go on in
+    a smaller stack, so a problem's result does not depend on its stack.
     """
     h, w = ix.shape[-2:]
-    uv = np.zeros((2, *ix.shape[:-2], h + 2, w + 2))
-    uv[0, ..., 1:-1, 1:-1] = u0
-    uv[1, ..., 1:-1, 1:-1] = v0
-    n = _neighbor_counts(h, w)
-    denom = lam * n + ix * ix + iy * iy
-    lattices = []
-    for r, s in ((0, 0), (1, 1), (0, 1), (1, 0)):
-        def shifted(dr, ds):
-            return uv[..., 1 + r + dr:h + 1 + dr:2, 1 + s + ds:w + 1 + ds:2]
-        sub = (..., slice(r, None, 2), slice(s, None, 2))
-        grad = np.stack([ix[sub], iy[sub]])
-        lattices.append((shifted(0, 0), shifted(-1, 0), shifted(1, 0),
-                         shifted(0, -1), shifted(0, 1), grad[0], grad[1], grad,
-                         c[sub].copy(), n[sub].copy(), denom[sub].copy()))
-    u = uv[0, ..., 1:-1, 1:-1]
-    v = uv[1, ..., 1:-1, 1:-1]
+    g = np.stack([ix, iy], axis=-3).reshape(-1, 2, h, w)
+    x = np.stack([u0, v0], axis=-3).reshape(-1, 2, h, w)
+
+    def normal(p):  # reads the current (possibly shrunk) g
+        q = _laplacian(p)
+        q *= lam
+        q += g * (g[:, :1] * p[:, :1] + g[:, 1:] * p[:, 1:])
+        return q
+
+    def dot(left, right):
+        return (left * right).sum(axis=(1, 2, 3))
+
+    b = -g * c.reshape(-1, 1, h, w)
+    r = b - normal(x)
+    bound = _CG_TOL ** 2 * dot(b, b)
+    inv = _block_inverses(g, lam)
+    run = np.arange(len(x))
+    xk = x  # the running stack; a copy once a problem stops
+    p = rz = None
     for _ in range(iterations):
-        for center, up, down, left, right, ixs, iys, grad, cs, ns, dens in lattices:
-            bar = (((up + down) + left) + right) / ns
-            d = ixs * bar[0] + iys * bar[1] + cs
-            center[...] = bar - grad * d / dens
-    return u.copy(), v.copy()
-
-
-def _sweep_until_stalled(ix: np.ndarray, iy: np.ndarray, c: np.ndarray,
-                         u: np.ndarray, v: np.ndarray, lam: float, cap: int
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """``solve_linearized_flow`` on a stack of problems, in blocks of
-    ``_SWEEP_BLOCK`` sweeps and at most ``cap`` in all. A problem stops once a
-    block lowers its energy by at most ``_SWEEP_TOL`` times the new energy and
-    keeps its ``u`` and ``v``; the others go on in a smaller stack. Each
-    decision is per problem, so a problem's result does not depend on the
-    stack it came in."""
-    u, v = u.copy(), v.copy()
-    run = np.arange(len(u))
-    terms = (ix, iy, c)
-    energy = _pair_energies(*terms, u, v, lam)
-    for done in range(0, cap, _SWEEP_BLOCK):
-        ru, rv = solve_linearized_flow(*terms, u[run], v[run], lam,
-                                       min(_SWEEP_BLOCK, cap - done))
-        u[run], v[run] = ru, rv
-        new = _pair_energies(*terms, ru, rv, lam)
-        going = energy - new > _SWEEP_TOL * new
-        if not going.all():
-            run = run[going]
-            terms = tuple(t[going] for t in terms)
+        live = dot(r, r) > bound
+        if not live.all():
+            x[run[~live]] = xk[~live]
+            run, g, inv, xk, r, bound = (a[live] for a in (run, g, inv, xk, r, bound))
+            if p is not None:
+                p, rz = p[live], rz[live]
             if not run.size:
                 break
-        energy = new[going]
-    return u, v
+        rh = fft.dctn(r, axes=(-2, -1), norm="ortho")
+        zh = inv[:, :2] * rh[:, :1] + inv[:, 1:] * rh[:, 1:]  # (i00 r0 + i01 r1, i01 r0 + i11 r1)
+        z = fft.idctn(zh, axes=(-2, -1), norm="ortho", overwrite_x=True)
+        rz, previous = dot(r, z), rz
+        p = z if previous is None else z + (rz / previous)[:, None, None, None] * p
+        q = normal(p)
+        alpha = (rz / dot(p, q))[:, None, None, None]
+        xk += alpha * p
+        r -= alpha * q
+    x[run] = xk
+    x = x.reshape(*ix.shape[:-2], 2, h, w)
+    return x[..., 0, :, :].copy(), x[..., 1, :, :].copy()
 
 
 def _derivatives(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -245,36 +260,6 @@ def _derivatives(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
                 + (pb[..., 2:, 1:-1] - pb[..., :-2, 1:-1]) * 0.5)
     it = b - a
     return ix, iy, it
-
-
-def _global_translation_step(ix: np.ndarray, iy: np.ndarray, c: np.ndarray,
-                             u: np.ndarray, v: np.ndarray
-                             ) -> tuple[np.ndarray, np.ndarray]:
-    """Add the constant field minimizing the linearized data term.
-
-    A constant increment leaves the smoothness term untouched and the
-    least-squares choice can only lower the data term, so this step never
-    raises the energy while letting large smoothness weights recover global
-    translations in few sweeps. Leading axes hold independent problems,
-    each with its own constant; one whose system is singular keeps its
-    ``u`` and ``v`` as they are.
-    """
-    pixels = (-2, -1)
-    r0 = ix * u + iy * v + c
-    sxx = (ix * ix).sum(axis=pixels)
-    sxy = (ix * iy).sum(axis=pixels)
-    syy = (iy * iy).sum(axis=pixels)
-    det = sxx * syy - sxy * sxy
-    skip = det <= 1e-12 * np.maximum(1.0, sxx + syy) ** 2
-    if skip.all():
-        return u, v
-    det = np.where(skip, 1.0, det)
-    bx = -(ix * r0).sum(axis=pixels)
-    by = -(iy * r0).sum(axis=pixels)
-    du = ((syy * bx - sxy * by) / det)[..., None, None]
-    dv = ((sxx * by - sxy * bx) / det)[..., None, None]
-    skip = skip[..., None, None]
-    return np.where(skip, u, u + du), np.where(skip, v, v + dv)
 
 
 def _pyramid_levels(width: int, height: int, params: FlowParams) -> int:
@@ -322,9 +307,8 @@ def _coarse_to_fine(prev: np.ndarray, nxt: np.ndarray, params: FlowParams,
                 warped = _bilinear_gather(b[part], ii + uk, jj + vk)
                 ix, iy, it = _derivatives(a[part], warped)
                 c = it - ix * uk - iy * vk
-                uk, vk = _global_translation_step(ix, iy, c, uk, vk)
-                uk, vk = _sweep_until_stalled(ix, iy, c, uk, vk, params.lam,
-                                              params.iterations_per_level)
+                uk, vk = solve_linearized_flow(ix, iy, c, uk, vk, params.lam,
+                                               params.iterations_per_level)
             u[part], v[part] = uk, vk
     return u, v
 

@@ -115,6 +115,15 @@ class TestRunCommand:
         assert err.startswith("configuration error: ")
         assert err.endswith("not finite; frame 0\n")
 
+    @pytest.mark.parametrize("lam", ["inf", "1e308"])
+    def test_unusable_flow_lambda_exits_2(self, lam, capsys):
+        argv = ["run", "--preset", "ex2a", "--motion", "estimated", "--set", "srr.grid=32",
+                "--set", "scene.frames=3", "--set", f"flow.lambda={lam}"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     @pytest.mark.parametrize("motion", ["known", "estimated"])
     def test_empty_binarized_frame_exits_2(self, motion, capsys):
         """A scene whose estimates stay below zero leaves an empty 25%-of-max
@@ -294,6 +303,20 @@ class TestFlowCommand:
         # target (blob at 17.5), so the field points back by two pixels.
         support = blob(17.5) > 0.2
         assert abs(f.u[support].mean() + 2.0) <= 0.3
+
+
+    @pytest.mark.parametrize("lam", ["inf", "1e308"])
+    def test_unusable_lam_exits_2(self, tmp_path, lam, capsys):
+        img = GridImage(np.arange(256.0).reshape(16, 16))
+        for name in ("a.pgm", "b.pgm"):
+            write_pgm16(img, tmp_path / name)
+        out = tmp_path / "f.flo"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["flow", "--target", str(tmp_path / "a.pgm"), "--source",
+                         str(tmp_path / "b.pgm"), "-o", str(out), "--lam", lam]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMetricsCommand:

@@ -1,25 +1,35 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import fft
 
-from meshsrr.flow import (FlowField, FlowParams, _pair_energies, build_pyramid,
-                          horn_schunck, horn_schunck_sequence,
-                          solve_linearized_flow)
+from meshsrr import flow
+from meshsrr.flow import (FlowField, FlowParams, build_pyramid, horn_schunck,
+                          horn_schunck_sequence, solve_linearized_flow)
 from meshsrr.grid import GridImage
 from meshsrr.operators import warp_image
 
-from oracles import _flow_energy, compose_flows, full_grid_red_black_flow
+from oracles import _flow_energy, compose_flows, dense_flow_solve
 
 
-def sweep_energies(ix, iy, c, u, v, lam, iterations):
-    """``iterations`` one-sweep solves in a row: the oracle energy before the
-    first sweep and after each one, and the final (u, v)."""
-    energies = [_flow_energy(ix, iy, c, u, v, lam)]
-    for _ in range(iterations):
-        u, v = solve_linearized_flow(ix, iy, c, u, v, lam, 1)
-        energies.append(_flow_energy(ix, iy, c, u, v, lam))
-    return energies, (u, v)
+def cg_energies(ix, iy, c, u0, v0, lam, iterations):
+    """The oracle energy of the CG iterates 0..``iterations`` from (u0, v0):
+    ``solve_linearized_flow`` with each cap in turn."""
+    return [_flow_energy(ix, iy, c, *solve_linearized_flow(ix, iy, c, u0, v0, lam, k), lam)
+            for k in range(iterations + 1)]
+
+
+def converged_params(params):
+    """``params`` with the cap that the reference solves run to."""
+    return replace(params, iterations_per_level=2000)
+
+
+def rms_distance(got, ref):
+    """Root-mean-square length of the per-pixel differences of two lists of flows."""
+    d = [(g.u - r.u) ** 2 + (g.v - r.v) ** 2 for g, r in zip(got, ref)]
+    return float(np.sqrt(np.mean(d)))
 
 
 def gaussian_blob(n, cx, cy, sigma_px=7.0):
@@ -52,6 +62,23 @@ class TestFlowParams:
             FlowParams(pyramid_levels=0)
         with pytest.raises(ValueError):
             FlowParams(pyramid_spacing=1.0)
+
+    @pytest.mark.parametrize("lam", [np.inf, np.nan, 1e308, -np.inf])
+    def test_lam_must_be_finite_and_bounded(self, lam):
+        with pytest.raises(ValueError, match="lam"):
+            FlowParams(lam=lam)
+
+    def test_largest_lam_keeps_the_solver_finite(self):
+        lam = FlowParams(lam=flow._LAM_MAX).lam
+        rng = np.random.default_rng(21)
+        ix, iy, c, u0, v0 = (rng.standard_normal((2, 9, 7)) for _ in range(5))
+        u, v = solve_linearized_flow(ix, iy, c, u0, v0, lam, 50)
+        assert np.isfinite(u).all() and np.isfinite(v).all()
+        prev, nxt = blob_pair((1.5, -1.0))
+        f = horn_schunck(prev, nxt, FlowParams(lam=lam))
+        # A near-rigid field: one translation, up to the warps' bias.
+        for comp, shift in ((f.u, 1.5), (f.v, -1.0)):
+            assert np.ptp(comp) <= 1e-6 and abs(comp.mean() - shift) <= 1e-3
 
 
 class TestBuildPyramid:
@@ -125,7 +152,7 @@ class TestHornSchunck:
 
 
 class TestEnergyMonotonicity:
-    def test_gauss_seidel_never_increases_energy(self):
+    def test_cg_iterates_never_increase_energy(self):
         rng = np.random.default_rng(1)
         for trial in range(3):
             ix = rng.standard_normal((12, 12))
@@ -133,7 +160,8 @@ class TestEnergyMonotonicity:
             c = rng.standard_normal((12, 12))
             u0 = rng.standard_normal((12, 12))
             v0 = rng.standard_normal((12, 12))
-            energies, _ = sweep_energies(ix, iy, c, u0, v0, 0.5, 60)
+            energies = cg_energies(ix, iy, c, u0, v0, 0.5, 40)
+            assert energies[-1] < 0.5 * energies[0]
             for before, after in zip(energies, energies[1:]):
                 assert after <= before * (1 + 1e-12) + 1e-12
 
@@ -142,31 +170,24 @@ class TestEnergyMonotonicity:
         iy = np.zeros((4, 4))
         c = 2.0 * np.ones((4, 4))
         u = np.zeros((4, 4))
-        assert (_pair_energies(ix, iy, c, u, u, 1.0) == _flow_energy(ix, iy, c, u, u, 1.0)
-                == pytest.approx(64.0))
+        assert _flow_energy(ix, iy, c, u, u, 1.0) == pytest.approx(64.0)
 
 
 class TestFullGridOracle:
-    """The active-color solver against the full-grid masked update, bit for bit."""
+    """The CG solver, converged to a relative residual of 1e-12, against a
+    direct solve of the assembled normal equations."""
 
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2), (7, 4), (4, 7),
+    @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (2, 2), (7, 4), (4, 7),
                                        (100, 100)], ids=lambda s: f"{s[0]}x{s[1]}")
     @pytest.mark.parametrize("lam", [0.05, 1.0, 15.0])
-    def test_solver_bit_identical(self, shape, lam):
+    def test_solver_bit_identical(self, shape, lam, monkeypatch):
+        monkeypatch.setattr(flow, "_CG_TOL", 1e-12)
         rng = np.random.default_rng(shape[0] * 1000 + shape[1])
         ix, iy, c, u0, v0 = (rng.standard_normal(shape) for _ in range(5))
-        ref_e = []
-        # A 1x1 grid has no neighbors: both solvers divide 0 by 0 and agree on NaN.
-        nan = shape == (1, 1)
-        with np.errstate(invalid="ignore" if nan else "raise"):
-            got = solve_linearized_flow(ix, iy, c, u0, v0, lam, 25)
-            ref = full_grid_red_black_flow(ix, iy, c, u0, v0, lam, 25, ref_e)
-            got_e, chained = sweep_energies(ix, iy, c, u0, v0, lam, 25)
-        for a, b in ((got[0], ref[0]), (got[1], ref[1]), (got_e, ref_e),
-                     (chained[0], got[0]), (chained[1], got[1])):
-            assert np.array_equal(a, b, equal_nan=nan)
-        assert np.isnan(got[0]).all() == nan
-        assert len(got_e) == 26
+        got = solve_linearized_flow(ix, iy, c, u0, v0, lam, 1000)
+        ref = dense_flow_solve(ix, iy, c, lam)
+        for a, b in zip(got, ref):
+            assert np.abs(a - b).max() <= 1e-8
 
     def test_inputs_untouched(self):
         rng = np.random.default_rng(5)
@@ -177,16 +198,15 @@ class TestFullGridOracle:
         assert u.flags.c_contiguous and v.flags.c_contiguous
 
     def test_horn_schunck_on_clean_lung_frames(self, monkeypatch):
-        from meshsrr import flow
         from meshsrr.config import preset
         from meshsrr.phantoms import render_scene
         cfg = preset("ex2a")
         prev, nxt = (render_scene(cfg.scene, t, 100, 100) for t in (1, 0))
         got = horn_schunck(prev, nxt, cfg.flow)
-        monkeypatch.setattr(flow, "solve_linearized_flow", full_grid_red_black_flow)
-        ref = horn_schunck(prev, nxt, cfg.flow)
+        monkeypatch.setattr(flow, "_CG_TOL", 1e-10)
+        ref = horn_schunck(prev, nxt, converged_params(cfg.flow))
         assert np.abs(got.u).max() > 0.01
-        assert np.array_equal(got.u, ref.u) and np.array_equal(got.v, ref.v)
+        assert rms_distance([got], [ref]) <= 1e-4
 
 
 class TestComposeFlows:
@@ -344,7 +364,6 @@ class TestHornSchunckSequence:
         assert all(np.array_equal(f.data, k) for f, k in zip(frames, keep))
 
     def test_known_motion_flows_solves_distinct_pairs_once(self, lung_frames, monkeypatch):
-        from dataclasses import replace
         from meshsrr.experiment import known_motion_flows
         cfg, frames = lung_frames
         stacks = count_calls(monkeypatch, "_coarse_to_fine")
@@ -384,62 +403,27 @@ class TestHornSchunckSequence:
 class TestStackedSolver:
     @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 4), (100, 100)],
                              ids=lambda s: f"{s[0]}x{s[1]}")
-    def test_matches_slices_and_oracle(self, shape):
+    def test_matches_slices_and_oracle(self, shape, monkeypatch):
         rng = np.random.default_rng(shape[0] * 100 + shape[1])
         ix, iy, c, u0, v0 = (rng.standard_normal((3, *shape)) for _ in range(5))
         keep = [a.copy() for a in (ix, iy, c, u0, v0)]
-        nan = shape == (1, 1)
-        with np.errstate(invalid="ignore" if nan else "raise"):
-            u, v = solve_linearized_flow(ix, iy, c, u0, v0, 1.0, 25)
-            # 25 one-sweep calls are the 25-sweep call.
-            _, chained = sweep_energies(ix, iy, c, u0, v0, 1.0, 25)
-            assert np.array_equal(u, chained[0], equal_nan=nan)
-            assert np.array_equal(v, chained[1], equal_nan=nan)
-            for k in range(3):
-                args = (ix[k], iy[k], c[k], u0[k], v0[k], 1.0, 25)
-                for ref in (solve_linearized_flow(*args), full_grid_red_black_flow(*args)):
-                    assert np.array_equal(u[k], ref[0], equal_nan=nan)
-                    assert np.array_equal(v[k], ref[1], equal_nan=nan)
+        monkeypatch.setattr(flow, "_CG_TOL", 1e-12)
+        u, v = solve_linearized_flow(ix, iy, c, u0, v0, 1.0, 1000)
+        for k in range(3):
+            args = (ix[k], iy[k], c[k])
+            alone = solve_linearized_flow(*args, u0[k], v0[k], 1.0, 1000)
+            assert np.array_equal(u[k], alone[0]) and np.array_equal(v[k], alone[1])
+            if shape == (1, 1):
+                # No edges: the normal matrix is singular, and every
+                # minimizer fits the data term exactly.
+                assert _flow_energy(*args, u[k], v[k], 1.0) <= 1e-20
+            else:
+                ref = dense_flow_solve(*args, 1.0)
+                assert np.abs(u[k] - ref[0]).max() <= 1e-8
+                assert np.abs(v[k] - ref[1]).max() <= 1e-8
         assert u.flags.c_contiguous and v.flags.c_contiguous
         assert u.shape == v.shape == (3, *shape)
-        assert np.isnan(u).all() == nan
         assert all(np.array_equal(a, k) for a, k in zip((ix, iy, c, u0, v0), keep))
-
-    def test_translation_step_is_per_pair(self):
-        from meshsrr.flow import _global_translation_step
-        rng = np.random.default_rng(8)
-        ix, iy, c, u, v = (rng.standard_normal((3, 6, 5)) for _ in range(5))
-        # Pair 0 has strong gradients, pair 1 weak but regular ones (each
-        # pair is tested against its own scale), pair 2 none at all.
-        ix[0] *= 1e3
-        iy[0] *= 1e3
-        ix[1] *= 1e-3
-        iy[1] *= 1e-3
-        ix[2] = 0.0
-        iy[2] = 0.0
-        u[2, 0, 0] = -0.0
-        su, sv = _global_translation_step(ix, iy, c, u, v)
-        for k in (0, 1):
-            ru, rv = _global_translation_step(ix[k], iy[k], c[k], u[k], v[k])
-            assert np.array_equal(su[k], ru) and np.array_equal(sv[k], rv)
-            assert not np.array_equal(su[k], u[k])
-        assert np.array_equal(su[2], u[2]) and np.array_equal(sv[2], v[2])
-        assert np.signbit(su[2, 0, 0])
-
-
-def record_solves(monkeypatch):
-    """Wrap ``meshsrr.flow.solve_linearized_flow`` and return, per call, the
-    stack shape, the sweep count and the arguments."""
-    from meshsrr import flow
-    calls = []
-    original = flow.solve_linearized_flow
-
-    def recorded(*args):
-        calls.append((args[0].shape, args[6], args))
-        return original(*args)
-
-    monkeypatch.setattr(flow, "solve_linearized_flow", recorded)
-    return calls
 
 
 def linear_problems(seed, n=2, side=16):
@@ -448,66 +432,81 @@ def linear_problems(seed, n=2, side=16):
     return ix, iy, c, np.zeros((n, side, side)), np.zeros((n, side, side))
 
 
-class TestSweepStop:
-    def test_stack_matches_each_problem_alone(self, monkeypatch):
-        from meshsrr.flow import _SWEEP_BLOCK, _sweep_until_stalled
+def count_transforms(monkeypatch):
+    """Replace ``meshsrr.flow.fft`` by a counting proxy; return its counts."""
+    counts = {"dctn": 0, "idctn": 0}
+
+    class Counting:
+        def dctn(self, *args, **kwargs):
+            counts["dctn"] += 1
+            return fft.dctn(*args, **kwargs)
+
+        def idctn(self, *args, **kwargs):
+            counts["idctn"] += 1
+            return fft.idctn(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "fft", Counting())
+    return counts
+
+
+class TestConjugateGradients:
+    def test_stack_matches_each_problem_alone(self):
         ix, iy, c, u0, v0 = linear_problems(11)
         # Problem 0 starts converged, problem 1 from zero.
-        u0[0], v0[0] = solve_linearized_flow(ix[0], iy[0], c[0], u0[0], v0[0], 1.0, 3000)
+        u0[0], v0[0] = solve_linearized_flow(ix[0], iy[0], c[0], u0[0], v0[0], 1.0, 100)
         keep = u0.copy(), v0.copy()
-        calls = record_solves(monkeypatch)
-        u, v = _sweep_until_stalled(ix, iy, c, u0, v0, 1.0, 400)
-        stacks = [shape[0] for shape, _, _ in calls]
-        assert stacks[0] == 2 and len(stacks) > 2 and set(stacks[1:]) == {1}
-        assert sum(sweeps for _, sweeps, _ in calls) < 400 + _SWEEP_BLOCK
+        u, v = solve_linearized_flow(ix, iy, c, u0, v0, 1.0, 100)
         assert np.array_equal(u0, keep[0]) and np.array_equal(v0, keep[1])
-        monkeypatch.undo()
+        assert np.array_equal(u[0], u0[0]) and not np.array_equal(u[1], u0[1])
         for k in (0, 1):
             one = slice(k, k + 1)
-            alone = _sweep_until_stalled(ix[one], iy[one], c[one], u0[one], v0[one], 1.0, 400)
+            alone = solve_linearized_flow(ix[one], iy[one], c[one], u0[one], v0[one], 1.0, 100)
             assert np.array_equal(u[one], alone[0]) and np.array_equal(v[one], alone[1])
 
-    def test_zero_tolerance_is_the_fixed_count_solve(self, lung_frames, monkeypatch):
-        from meshsrr import flow
-        cfg, frames = lung_frames
-        monkeypatch.setattr(flow, "_SWEEP_TOL", 0.0)
-        calls = record_solves(monkeypatch)
-        got = horn_schunck_sequence(frames, cfg.flow)
-        # No problem stalled: each of the 8 pairs ran the full 100 sweeps on
-        # every warp of every level, in blocks of 5.
-        p = cfg.flow
-        assert {sweeps for _, sweeps, _ in calls} == {flow._SWEEP_BLOCK}
-        assert (sum(shape[0] * sweeps for shape, sweeps, _ in calls)
-                == 8 * p.pyramid_levels * p.warps_per_level * p.iterations_per_level)
-        monkeypatch.undo()
-
-        def fixed_count(ix, iy, c, u, v, lam, cap):
-            return solve_linearized_flow(ix, iy, c, u, v, lam, cap)
-
-        monkeypatch.setattr(flow, "_sweep_until_stalled", fixed_count)
-        ref = horn_schunck_sequence(frames, cfg.flow)
-        assert_same_flows(got, ref)
-
-    def test_energies_non_increasing_when_stopped_early(self, monkeypatch):
-        from meshsrr.flow import _sweep_until_stalled
-        ix, iy, c, u0, v0 = linear_problems(12, n=1)
-        calls = record_solves(monkeypatch)
-        _sweep_until_stalled(ix, iy, c, u0, v0, 1.0, 1000)
-        assert sum(sweeps for _, sweeps, _ in calls) < 1000
-        energies = [e for _, _, args in calls for e in sweep_energies(*args)[0]]
-        for before, after in zip(energies, energies[1:]):
-            assert after <= before * (1 + 1e-12) + 1e-12
-
-    def test_converged_problem_stops_after_one_block(self, monkeypatch):
-        from meshsrr.flow import _SWEEP_BLOCK, _sweep_until_stalled
+    def test_start_within_tolerance_is_returned_unchanged(self, monkeypatch):
         ix, iy, c, u0, v0 = linear_problems(13, n=1)
-        u0, v0 = solve_linearized_flow(ix, iy, c, u0, v0, 1.0, 3000)
-        calls = record_solves(monkeypatch)
-        u, v = _sweep_until_stalled(ix, iy, c, u0, v0, 1.0, 100)
-        assert [(shape, sweeps) for shape, sweeps, _ in calls] == [(ix.shape, _SWEEP_BLOCK)]
-        ref = solve_linearized_flow(ix, iy, c, u0, v0, 1.0, _SWEEP_BLOCK)
-        assert np.array_equal(u, ref[0]) and np.array_equal(v, ref[1])
-        # A cap that is not a whole number of blocks is still the most sweeps.
-        calls.clear()
-        _sweep_until_stalled(ix, iy, c, u0, v0, 1.0, _SWEEP_BLOCK - 2)
-        assert [sweeps for _, sweeps, _ in calls] == [_SWEEP_BLOCK - 2]
+        monkeypatch.setattr(flow, "_CG_TOL", 1e-6)
+        u0, v0 = solve_linearized_flow(ix, iy, c, u0, v0, 1.0, 1000)
+        monkeypatch.undo()
+        u, v = solve_linearized_flow(ix, iy, c, u0, v0, 1.0, 100)
+        assert np.array_equal(u, u0) and np.array_equal(v, v0)
+
+    def test_cap_is_honoured(self, monkeypatch):
+        ix, iy, c, u0, v0 = linear_problems(12, n=1)
+        counts = count_transforms(monkeypatch)
+        iterates = []
+        for cap in range(1, 6):
+            counts.update(dctn=0)
+            iterates.append(solve_linearized_flow(ix, iy, c, u0, v0, 0.05, cap))
+            assert counts["dctn"] == cap
+        # Not within tolerance yet: every iteration moved the flow.
+        for a, b in zip(iterates, iterates[1:]):
+            assert not np.array_equal(a[0], b[0])
+
+    def test_transforms_per_iteration(self, monkeypatch):
+        ix, iy, c, u0, v0 = linear_problems(14)
+        counts = count_transforms(monkeypatch)
+        for cap in range(4):
+            counts.update(dctn=0, idctn=0)
+            solve_linearized_flow(ix, iy, c, u0, v0, 0.05, cap)
+            assert counts == {"dctn": cap, "idctn": cap}
+        u, v = solve_linearized_flow(ix, iy, c, u0, v0, 1.0, 1000)
+        counts.update(dctn=0, idctn=0)
+        solve_linearized_flow(ix, iy, c, u, v, 1.0, 1000)
+        assert counts == {"dctn": 0, "idctn": 0}
+
+    def test_global_translation_recovered(self):
+        prev, nxt = blob_pair((2.5, -1.5))
+        f = horn_schunck(prev, nxt, FlowParams(lam=15.0))
+        support = prev.data > 0.1
+        assert abs(f.u[support].mean() - 2.5) <= 0.05
+        assert abs(f.v[support].mean() + 1.5) <= 0.05
+
+    def test_known_motion_flows_converged(self, lung_frames, monkeypatch):
+        from meshsrr.experiment import known_motion_flows
+        cfg, frames = lung_frames
+        cfg = replace(cfg, grid=100)
+        got = known_motion_flows(cfg, frames)
+        monkeypatch.setattr(flow, "_CG_TOL", 1e-10)
+        ref = known_motion_flows(replace(cfg, flow=converged_params(cfg.flow)), frames)
+        assert rms_distance(got, ref) <= 1e-4
