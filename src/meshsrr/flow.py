@@ -27,7 +27,8 @@ import numpy as np
 from scipy import fft
 
 from .grid import GridImage, require_same_shape
-from .operators import convolve_stack, gaussian_kernel, _bilinear_gather, _stencil_eigenvalues
+from .operators import (convolve_stack, gaussian_kernel, _bilinear_gather, _laplacian,
+                        _stencil_eigenvalues)
 
 _MIN_TOP_SIZE = 8
 # Pixels per stacked solve at each level (1 pair at 100x100, 4 at 50x50):
@@ -149,19 +150,6 @@ def build_pyramid(data: np.ndarray, levels: int, spacing: float) -> list[np.ndar
     return out
 
 
-def _laplacian(f: np.ndarray) -> np.ndarray:
-    """Neumann graph Laplacian of the 4-neighbor grid on the last two axes:
-    the sum over the neighbors q of p of ``f_p - f_q``."""
-    out = np.zeros_like(f)
-    dy = np.diff(f, axis=-2)
-    out[..., :-1, :] -= dy
-    out[..., 1:, :] += dy
-    dx = np.diff(f, axis=-1)
-    out[..., :-1] -= dx
-    out[..., 1:] += dx
-    return out
-
-
 def _block_inverses(g: np.ndarray, lam: float) -> np.ndarray:
     """The preconditioner for the (pairs, 2, h, w) gradients ``g``: per pair
     and DCT frequency, the entries (00, 01, 11) of the inverse of
@@ -209,9 +197,10 @@ def solve_linearized_flow(ix: np.ndarray, iy: np.ndarray, c: np.ndarray,
     h, w = ix.shape[-2:]
     g = np.stack([ix, iy], axis=-3).reshape(-1, 2, h, w)
     x = np.stack([u0, v0], axis=-3).reshape(-1, 2, h, w)
+    work = np.empty_like(x)  # normal(p) is consumed before the next call
 
     def normal(p):  # reads the current (possibly shrunk) g
-        q = _laplacian(p)
+        q = _laplacian(p, out=work[:len(p)])
         q *= lam
         q += g * (g[:, :1] * p[:, :1] + g[:, 1:] * p[:, 1:])
         return q

@@ -1,19 +1,18 @@
 """Linear image operators of the observation and regularization models.
 
 Provides the space-invariant blur (with Neumann / symmetric boundary
-extension), dense bilinear backward warping, and ``ObservationModel``, the
-array-level form of the reconstruction cost with its gradient and the
-step-size bound. Masks are mirror-symmetric in each axis, so under the
-reflecting boundary every blur, like the 5-point stencil, is diagonalized by
-the 2-D DCT-II and is applied as elementwise weights between transforms; the
-blur is its own transpose.
+extension) as banded 1-D matrix products, the Neumann graph Laplacian,
+dense bilinear backward warping, and ``ObservationModel``, the array-level
+form of the reconstruction cost with its gradient and the step-size bound.
+Masks are mirror-symmetric in each axis, so the blur is its own transpose
+and, like the 5-point stencil, is diagonalized by the 2-D DCT-II, whose
+eigenvalues only the step-size bound reads.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
 
 from .grid import GridImage
 from .mesh import PixelAssignment
@@ -23,8 +22,8 @@ _KERNEL_SUM_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class Kernel:
-    """Odd-sized convolution mask, normalized to unit sum and mirror-symmetric
-    in each axis (rows and columns), which the DCT-domain blur relies on."""
+    """Odd-sized mask of finite taps, normalized to unit sum and mirror-symmetric
+    in each axis (rows and columns), which makes the blur its own transpose."""
 
     taps: np.ndarray
 
@@ -34,6 +33,8 @@ class Kernel:
             raise ValueError(f"kernel taps must be square, got shape {taps.shape}")
         if taps.shape[0] % 2 == 0:
             raise ValueError(f"kernel size must be odd, got {taps.shape[0]}")
+        if not np.isfinite(taps).all():
+            raise ValueError("kernel taps must be finite")
         s = taps.sum()
         if abs(s - 1.0) > _KERNEL_SUM_TOL:
             raise ValueError(f"kernel taps must sum to 1 within {_KERNEL_SUM_TOL}, got {s!r}")
@@ -54,32 +55,21 @@ def gaussian_kernel(size: int, sigma: float) -> Kernel:
     """Isotropic Gaussian mask on integer offsets, normalized to unit sum."""
     if size < 1 or size % 2 == 0:
         raise ValueError(f"kernel size must be a positive odd integer, got {size}")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    half = size // 2
-    u = np.arange(-half, half + 1, dtype=np.float64)
-    taps = np.exp(-(u[:, None] ** 2 + u[None, :] ** 2) / (2.0 * sigma ** 2))
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    with np.errstate(over="ignore"):  # a tiny sigma: (u / sigma)^2 = inf, tap exp(-inf) = 0
+        z = (np.arange(-(size // 2), size // 2 + 1, dtype=np.float64) / sigma) ** 2
+    taps = np.exp(-0.5 * (z[:, None] + z[None, :]))
     return Kernel(taps / taps.sum())
-
-
-def _check_kernel_fit(width: int, height: int, k: Kernel) -> None:
-    limit = 2 * min(width, height) - 1
-    if k.size > limit:
-        raise ValueError(
-            f"kernel size {k.size} exceeds limit {limit} for a "
-            f"{width}x{height} image")
-
-
-def _dct_cosines(n: int, p: int) -> np.ndarray:
-    """cos(pi k m / n) for frequencies k = 0..n-1 and offsets m = -p..p."""
-    return np.cos(np.pi * np.outer(np.arange(n), np.arange(-p, p + 1)) / n)
 
 
 def _blur_eigenvalues(k: Kernel, height: int, width: int) -> np.ndarray:
     """Orthonormal DCT-II eigenvalues of the reflecting-boundary blur on a
-    (height, width) grid (Martucci 1994; Ng, Chan & Tang 1999)."""
-    p = k.size // 2
-    return _dct_cosines(height, p) @ k.taps @ _dct_cosines(width, p).T
+    (height, width) grid (Martucci 1994; Ng, Chan & Tang 1999): the taps
+    against cos(pi f m / n) for frequencies f and offsets m = -p..p."""
+    m = np.arange(-(k.size // 2), k.size // 2 + 1)
+    cosines = [np.cos(np.pi * np.outer(np.arange(n), m) / n) for n in (height, width)]
+    return cosines[0] @ k.taps @ cosines[1].T
 
 
 def convolve_neumann(img: GridImage, k: Kernel) -> GridImage:
@@ -93,15 +83,78 @@ def convolve_neumann(img: GridImage, k: Kernel) -> GridImage:
 
 
 def convolve_stack(data: np.ndarray, k: Kernel) -> np.ndarray:
-    """``convolve_neumann`` of every image in the last two axes of ``data``,
-    applied as DCT-domain weights; a 1x1 mask is a plain scaling."""
-    h, w = data.shape[-2:]
-    _check_kernel_fit(w, h, k)
-    if k.size == 1:
-        return data * k.taps[0, 0]
-    axes = (-2, -1)
-    coeffs = _blur_eigenvalues(k, h, w) * fft.dctn(data, axes=axes, norm="ortho")
-    return fft.idctn(coeffs, axes=axes, norm="ortho")
+    """``convolve_neumann`` of every image in the last two axes of ``data``."""
+    return _BandedBlur(k, *data.shape[-2:]).apply(data)
+
+
+def _band_blocks(taps: np.ndarray, n: int) -> list[tuple[slice, slice, np.ndarray]]:
+    """The n x n matrix of 1-D correlation with the odd-length ``taps`` under
+    the reflecting boundary (row j holds taps[s + p] at column reflect(j + s),
+    so it is 0 beyond p = len(taps) // 2 of the diagonal) as (rows, columns,
+    block) for blocks of rows and the ``block + 2p`` columns they reach."""
+    p = taps.size // 2
+    rows = np.arange(n)[:, None]
+    cols = np.mod(rows + np.arange(-p, p + 1), 2 * n)
+    cols = np.where(cols < n, cols, 2 * n - 1 - cols)
+    mat = np.zeros((n, n))
+    np.add.at(mat, (np.broadcast_to(rows, cols.shape), cols), np.broadcast_to(taps, cols.shape))
+    step = max(p, 32)  # thinner blocks cost more in calls than they save
+    spans = [(slice(r, r + step), slice(max(r - p, 0), r + step + p)) for r in range(0, n, step)]
+    return [(r, c, mat[r, c]) for r, c in spans]
+
+
+class _BandedBlur:
+    """The reflecting-boundary blur of a mask on a (height, width) grid, built
+    once: ``sum_i A_i x C_i'`` over the singular terms of the taps above
+    ``np.linalg.matrix_rank``'s tolerance (one for a Gaussian), each A and C
+    a banded 1-D matrix from ``_band_blocks``. A 1x1 mask is a scaling."""
+
+    def __init__(self, k: Kernel, height: int, width: int):
+        if k.size > 2 * min(width, height) - 1:
+            raise ValueError(f"kernel size {k.size} exceeds limit {2 * min(width, height) - 1} "
+                             f"for a {width}x{height} image")
+        self.scale = k.taps[0, 0]
+        u, s, vt = np.linalg.svd(k.taps)
+        keep = s > s[0] * k.size * np.finfo(np.float64).eps
+        self.terms = [] if k.size == 1 else [
+            (_band_blocks(np.sqrt(si) * ui, height), _band_blocks(np.sqrt(si) * vi, width))
+            for si, ui, vi in zip(s[keep], u.T[keep], vt[keep])]
+
+    def apply(self, data: np.ndarray) -> np.ndarray:
+        """B of every image in the last two axes of ``data``."""
+        if not self.terms:
+            return data * self.scale
+        rowpass, out = np.empty(data.shape), []
+        for rows, cols in self.terms:
+            for dst, src, block in rows:
+                np.matmul(block, data[..., src, :], out=rowpass[..., dst, :])
+            out.append(np.empty(data.shape))
+            for dst, src, block in cols:
+                np.matmul(rowpass[..., src], block.T, out=out[-1][..., dst])
+        return sum(out[1:], out[0])
+
+
+def _laplacian(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The Neumann graph Laplacian S (the 5-point stencil under reflection)
+    on the last two axes: the sum over the 4 neighbors q of p of ``f_p - f_q``,
+    into ``out`` (C-contiguous) when given. Differences are taken on the flat
+    grid, where a row step is a shift by the width and row wraps are dropped."""
+    h, w = f.shape[-2:]
+    flat = f.reshape(*f.shape[:-2], h * w)
+    out = np.empty(f.shape) if out is None else out
+    if not out.flags.c_contiguous:
+        raise ValueError("the Laplacian writes only into a C-contiguous out")
+    acc = out.reshape(flat.shape)
+    diff = np.empty(flat.shape)
+    dy = np.subtract(flat[..., w:], flat[..., :-w], out=diff[..., w:])
+    np.negative(dy, out=acc[..., :-w])
+    acc[..., -w:] = 0.0
+    acc[..., w:] += dy
+    dx = np.subtract(flat[..., 1:], flat[..., :-1], out=diff[..., 1:])
+    dx[..., w - 1::w] = 0.0
+    acc[..., :-1] -= dx
+    acc[..., 1:] += dx
+    return out
 
 
 def _bilinear_gather(data: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
@@ -139,12 +192,10 @@ class ObservationModel:
     """The reconstruction cost ``||y - P B x||^2 + alpha ||S x||^2`` (misfit
     over assigned pixels) and its gradient, on plain (height, width) arrays.
 
-    A mask symmetric in each axis under the reflecting boundary, and likewise
-    the 5-point stencil, is diagonalized exactly by the orthonormal 2-D
-    DCT-II (Martucci 1994; Ng, Chan & Tang 1999). B, B' and S'S are therefore
-    elementwise weights between transforms, and ``||S x||`` follows from the
-    coefficients by Parseval. P being an orthogonal projection, the misfit
-    is ``sum_e n_e r_e^2 + ||y - P y||^2`` with ``r_e = mean_e(B x - y)`` over
+    B is the banded blur, its own transpose, and S the Laplacian, both in
+    pixel space: a cost takes one of each and a gradient one more of each.
+    P being an orthogonal projection, the misfit is
+    ``sum_e n_e r_e^2 + ||y - P y||^2`` with ``r_e = mean_e(B x - y)`` over
     the n_e pixels of element e, and ``P (P B x - y)`` is r lifted to pixels.
     Built once per (assignment, kernel, alpha); the solver also reads its
     ``kernel``, grid ``shape`` and float ``inside`` mask (1 on assigned
@@ -153,13 +204,11 @@ class ObservationModel:
 
     def __init__(self, assignment: PixelAssignment, kernel: Kernel, alpha: float):
         h, w = assignment.height, assignment.width
-        _check_kernel_fit(w, h, kernel)
         self.kernel = kernel
         self.shape = (h, w)
         self.inside = assignment.inside_mask().astype(np.float64)
-        self._blur = _blur_eigenvalues(kernel, h, w)
-        stencil = _stencil_eigenvalues(h)[:, None] + _stencil_eigenvalues(w)[None, :]
-        self._smooth = alpha * stencil * stencil
+        self.alpha = alpha
+        self._blur = _BandedBlur(kernel, h, w)
         # Outside pixels go to one extra bin, whose count and mean are 0.
         pe = assignment.pixel_to_element.ravel()
         self._bins = np.where(pe >= 0, pe, assignment.n_elements)
@@ -183,23 +232,20 @@ class ObservationModel:
 
     def terms(self, x: np.ndarray, y_means: np.ndarray,
               y_rest: float) -> tuple[float, np.ndarray, np.ndarray]:
-        """Cost at x against ``reduce(y)``, plus the DCT of ``alpha S' S x``
-        and the element residual r, which ``half_gradient`` reuses."""
-        coeffs = fft.dctn(x, norm="ortho")
-        blurred = fft.idctn(self._blur * coeffs, norm="ortho", overwrite_x=True)
-        residual = self._means(blurred) - y_means
-        smooth = self._smooth * coeffs
+        """Cost at x against ``reduce(y)``, plus ``S x`` and the element
+        residual r, which ``half_gradient`` reuses."""
+        residual = self._means(self._blur.apply(x)) - y_means
+        smooth = _laplacian(x)
         cost = (float(self._counts @ (residual * residual)) + y_rest
-                + float((smooth * coeffs).sum()))
+                + self.alpha * float(np.vdot(smooth, smooth)))
         return cost, smooth, residual
 
     def half_gradient(self, smooth: np.ndarray, residual: np.ndarray) -> np.ndarray:
         """``B' P (P B x - y) + alpha S' S x`` from the intermediates of
         ``terms``: the lifted residual is ``P B x - P y``."""
-        lifted = fft.dctn(self.lift(residual), norm="ortho", overwrite_x=True)
-        lifted *= self._blur
-        lifted += smooth
-        return fft.idctn(lifted, norm="ortho", overwrite_x=True)
+        grad = self._blur.apply(self.lift(residual))
+        grad += self.alpha * _laplacian(smooth)
+        return grad
 
     def norm_bound(self) -> float:
         """Upper bound on the largest eigenvalue L of B' P B + alpha * S' S.
@@ -209,5 +255,8 @@ class ObservationModel:
         diagonalizes. The cost is non-increasing over the correction
         iterations whenever mu times this value stays below 1.
         """
-        return float((self._blur * self._blur + self._smooth).max())
+        h, w = self.shape
+        stencil = _stencil_eigenvalues(h)[:, None] + _stencil_eigenvalues(w)
+        blur = _blur_eigenvalues(self.kernel, h, w)
+        return float((blur * blur + self.alpha * stencil * stencil).max())
 

@@ -11,7 +11,7 @@ model (correct):
 where B is the blur, P the mesh-averaging projection and S the high-pass
 stencil. Pixels outside the mesh are reset to zero after every iteration.
 The observation is reduced to element means once per frame, and each
-iteration then takes four DCTs and one mesh reduction (``ObservationModel``).
+iteration then takes two blurs, two Laplacians and one mesh reduction.
 One ``operators.ObservationModel``, built once per run, holds B, P, S and
 alpha; ``srr_init``, ``srr_step`` and ``run_sequence`` take it with the
 step size and iteration count of ``SrrConfig``.
@@ -95,7 +95,9 @@ def srr_step(state: SrrState, y_up_t: GridImage, flow_t: FlowField,
             raise DivergenceError(
                 f"cost grew beyond {_DIVERGENCE_FACTOR}x its initial value at "
                 f"iteration {it} ({cost:.3e} vs {costs[0]:.3e}); reduce the step size")
-        x -= cfg.mu * model.half_gradient(smooth, residual)
+        step = model.half_gradient(smooth, residual)
+        step *= cfg.mu
+        x -= step
         x *= model.inside
     return SrrState(x_hat=GridImage(x), costs=tuple(costs))
 

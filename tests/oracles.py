@@ -7,9 +7,11 @@ nodes and elements, ``pixel_to_element``, flow components). The exceptions
 are test-only helpers built on the package: ``random_mask_pair`` (which
 returns ``BinaryMask`` pairs), ``compose_flows`` (which samples through
 the warp's bilinear gather), ``power_iteration_norm`` (which applies the
-operator through ``ObservationModel``) and the pixel-level SRR reference
-(``PixelObservationModel``, ``pixel_run_sequence``), which shares the
-package's DCT eigenvalues, warp and initial smoothing.
+operator through ``ObservationModel``), ``dct_diagonal`` (the DCT-II form
+of the blur and the Laplacian, fed the package's eigenvalues) and the
+pixel-level SRR reference (``PixelObservationModel``,
+``pixel_run_sequence``), which shares those eigenvalues, the warp and the
+initial smoothing.
 """
 import numpy as np
 from scipy import fft
@@ -78,6 +80,16 @@ def dense_blur_matrix(taps: np.ndarray, width: int, height: int) -> np.ndarray:
                     ii = reflect_index(i + t, width)
                     mat[row, jj * width + ii] += taps[s + p, t + p]
     return mat
+
+
+def dct_diagonal(data: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
+    """An operator the orthonormal DCT-II diagonalizes, applied to the images
+    in the last two axes of ``data`` as weights between transforms: the
+    reflecting-boundary blur with ``_blur_eigenvalues``, the Laplacian with
+    the sum of two ``_stencil_eigenvalues``."""
+    axes = (-2, -1)
+    return fft.idctn(eigenvalues * fft.dctn(data, axes=axes, norm="ortho"),
+                     axes=axes, norm="ortho")
 
 
 def dense_laplacian_matrix(width: int, height: int) -> np.ndarray:

@@ -77,6 +77,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("setting", [
         "srr.mu=-1", "srr.mu=nan", "srr.k_iters=0", "srr.alpha=-1",
         "degrade.snr_db=inf", "degrade.snr_db=nan", "srr.kernel_sigma=nan",
+        "srr.kernel_sigma=inf",
         "scene.motion_variance=nan",
         "scene.background=-2 scene.inclusion=-1",
         "degrade.snr_db=4000", "degrade.snr_db=-4000",
@@ -114,6 +115,19 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ")
         assert err.endswith("not finite; frame 0\n")
+
+    @pytest.mark.parametrize("sigma", ["1e-300", "1e-160"])
+    def test_tiny_kernel_sigma_runs_without_warning(self, sigma, capsys):
+        """A sigma whose square underflows is the delta mask, not NaN taps."""
+        argv = ["run", "--preset", "ex1a", "--set", "srr.grid=16", "--set", "scene.frames=2",
+                "--motion", "known", "--set", "srr.kernel_size=15",
+                "--set", f"srr.kernel_sigma={sigma}"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # The fine mesh has elements without a pixel centre at grid 16.
+            warnings.filterwarnings("ignore", ".*contain no pixel center", UserWarning)
+            assert main(argv) == 0
+        assert "SRR: overlap=" in capsys.readouterr().out
 
     @pytest.mark.parametrize("lam", ["inf", "1e308"])
     def test_unusable_flow_lambda_exits_2(self, lam, capsys):

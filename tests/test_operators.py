@@ -11,11 +11,13 @@ import pytest
 from meshsrr.flow import FlowField
 from meshsrr.grid import GridImage
 from meshsrr.mesh import FemMesh, build_pixel_assignment
-from meshsrr.operators import (Kernel, ObservationModel, convolve_neumann,
-                               gaussian_kernel, warp_image)
+from meshsrr.operators import (Kernel, ObservationModel, _BandedBlur, _blur_eigenvalues,
+                               _band_blocks, _laplacian, _stencil_eigenvalues,
+                               convolve_neumann, convolve_stack, gaussian_kernel,
+                               warp_image)
 from meshsrr.phantoms import COARSE, FINE, disc_mesh
 
-from oracles import (brute_force_convolve, dense_blur_matrix,
+from oracles import (brute_force_convolve, dct_diagonal, dense_blur_matrix,
                      dense_laplacian_matrix, dense_projection_matrix,
                      dense_warp_matrix)
 
@@ -113,6 +115,28 @@ class TestKernel:
         with pytest.raises(ValueError, match="symmetric"):
             Kernel(taps)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_taps_rejected(self, bad):
+        """NaN passes the unit-sum check (``abs(nan - 1) > tol`` is False)."""
+        taps = np.full((3, 3), 1.0 / 8.0)
+        taps[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Kernel(taps)
+
+    @pytest.mark.parametrize("sigma", [np.inf, np.nan, -np.inf, -1.0])
+    def test_sigma_must_be_positive_and_finite(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            gaussian_kernel(15, sigma)
+
+    @pytest.mark.parametrize("sigma", [1e-160, 1e-300, 5e-324])
+    def test_tiny_sigma_is_the_delta_without_warning(self, sigma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = gaussian_kernel(15, sigma)
+        delta = np.zeros((15, 15))
+        delta[7, 7] = 1.0
+        assert np.array_equal(k.taps, delta)
+
 
 class TestConvolveNeumann:
     def test_constant_preserved(self):
@@ -175,6 +199,63 @@ class TestConvolveNeumann:
             assert np.abs(out.data.ravel() - dense @ x.ravel()).max() <= 1e-12
 
 
+def column_mask(taps: np.ndarray) -> np.ndarray:
+    """The square mask whose only non-zero column, the centre one, is
+    ``taps``: its blur on a width-1 grid is the 1-D correlation with them."""
+    mask = np.zeros((taps.size, taps.size))
+    mask[:, taps.size // 2] = taps
+    return mask
+
+
+class TestBandedBlur:
+    """The banded 1-D Neumann matrices against the index-loop oracles, and
+    the blur they build against the DCT-diagonal form."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 33, 70])
+    def test_band_blocks_are_the_dense_oracle(self, n):
+        """The blocks assemble to the 1-D matrix entry for entry: what they
+        leave out is exactly 0, and so is all of the band's outside."""
+        rng = np.random.default_rng(n)
+        for size in sorted({1, 3, min(61, 2 * n - 1), 2 * n - 1}):
+            taps = rng.standard_normal(size)
+            mat = np.zeros((n, n))
+            for rows, cols, block in _band_blocks(taps, n):
+                mat[rows, cols] = block
+            assert np.array_equal(mat, dense_blur_matrix(column_mask(taps), 1, n))
+            p = size // 2
+            assert not np.triu(mat, p + 1).any() and not np.tril(mat, -p - 1).any()
+
+    @pytest.mark.parametrize("height,width", [(7, 5), (24, 17), (33, 70)])
+    def test_rows_are_brute_force_convolution(self, height, width):
+        """The two 1-D matrices of a Gaussian compose to the direct 2-D sum."""
+        k = gaussian_kernel(2 * min(height, width) - 1, 3.0)
+        blur = _BandedBlur(k, height, width)
+        assert len(blur.terms) == 1
+        x = np.random.default_rng(height).standard_normal((height, width))
+        expected = brute_force_convolve(x, k.taps) if height < 30 else (
+            dense_blur_matrix(k.taps, width, height) @ x.ravel()).reshape(height, width)
+        assert np.abs(blur.apply(x) - expected).max() <= 1e-12
+
+    def test_singular_terms(self):
+        assert len(_BandedBlur(gaussian_kernel(61, 20.0), 200, 200).terms) == 1
+        assert len(_BandedBlur(nonseparable_kernel(), 9, 9).terms) == 2
+        assert _BandedBlur(gaussian_kernel(1, 1.0), 9, 9).terms == []
+
+    @pytest.mark.parametrize("height,width,size,separable", [
+        (h, w, size, separable)
+        for h, w in [(1, 1), (5, 7), (7, 5), (45, 70), (100, 64)]
+        for size in sorted({1, 5, 61, 2 * min(h, w) - 1})
+        for separable in (True, False)
+        if size <= 2 * min(h, w) - 1 and (separable or size > 1)])
+    def test_matches_dct_oracle(self, height, width, size, separable):
+        """Grids below and above one block, p below and above 32 rows,
+        the fit limit, and a (pairs, 2, h, w) stack."""
+        k = gaussian_kernel(size, 0.3 * size + 0.5) if separable else nonseparable_kernel(size)
+        data = np.random.default_rng(size).standard_normal((3, 2, height, width))
+        expected = dct_diagonal(data, _blur_eigenvalues(k, height, width))
+        assert np.abs(convolve_stack(data, k) - expected).max() <= 1e-12
+
+
 class TestBlurAdjoint:
     """B' = B: a mask symmetric in each axis makes the blur its own
     transpose, so ``convolve_neumann`` also serves as the adjoint."""
@@ -209,8 +290,24 @@ class TestBlurAdjoint:
 
 
 class TestLaplacian:
-    """The 5-point stencil S enters the cost only as S'S, which the
-    observation model applies in the DCT domain."""
+    """The Neumann graph Laplacian S, alone and as S'S in the observation
+    model's gradient."""
+
+    @pytest.mark.parametrize("height,width", [(1, 1), (1, 9), (9, 1), (2, 2), (7, 12)])
+    def test_matches_stencil_eigenvalues(self, height, width):
+        x = np.random.default_rng(height * 10 + width).standard_normal((3, 2, height, width))
+        eig = _stencil_eigenvalues(height)[:, None] + _stencil_eigenvalues(width)
+        assert np.abs(_laplacian(x) - dct_diagonal(x, eig)).max() <= 1e-12
+
+    def test_writes_into_out(self):
+        x = np.random.default_rng(6).standard_normal((2, 6, 5))
+        out = np.full_like(x, np.nan)
+        assert _laplacian(x, out=out) is out
+        assert np.array_equal(out, _laplacian(x))
+        dense = dense_laplacian_matrix(5, 6)
+        assert np.abs(out[1].ravel() - dense @ x[1].ravel()).max() <= 1e-12
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _laplacian(x[:, :, :3], out=out[:, :, :3])
 
     def test_constant_in_null_space(self, square_mesh):
         asg = build_pixel_assignment(square_mesh, 6, 6)
@@ -376,7 +473,7 @@ def _dense_blur(size: int, width: int, height: int) -> np.ndarray:
 
 
 class TestObservationModel:
-    """The DCT-domain model against the dense-matrix oracles."""
+    """The pixel-space model against the dense-matrix oracles."""
 
     @pytest.mark.parametrize("width,height", [(17, 24), (24, 17)])
     @pytest.mark.parametrize("size", [1, 5, "largest"])
@@ -443,7 +540,7 @@ class TestObservationModel:
         assert np.abs(alone.ravel() - alpha * sts).max() <= 1e-12
 
     def test_kernel_must_be_symmetric_in_each_axis(self):
-        """The DCT diagonalization needs masks symmetric in each axis;
+        """B' = B and the DCT step-size bound need masks symmetric in each axis;
         ``Kernel`` itself refuses any other, so no model or config can
         be handed one."""
         taps = rotated_anisotropic_taps()

@@ -399,28 +399,12 @@ class TestPixelReference:
             assert len(history) == cfg.k_iters + 1
 
 
-class CountingFft:
-    """Stands in for ``scipy.fft`` in ``meshsrr.operators`` and counts the
-    DCTs and inverse DCTs taken."""
-
-    def __init__(self):
-        from scipy import fft
-        self._fft = fft
-        self.calls = 0
-
-    def dctn(self, *args, **kwargs):
-        self.calls += 1
-        return self._fft.dctn(*args, **kwargs)
-
-    def idctn(self, *args, **kwargs):
-        self.calls += 1
-        return self._fft.idctn(*args, **kwargs)
-
-
 @pytest.mark.parametrize("k_iters", [1, 7])
-def test_srr_step_takes_4k_plus_2_transforms(monkeypatch, k_iters):
-    """K corrections take K + 1 costs (2 transforms each) and K gradients
-    (2 each); any further transform in the loop shows here."""
+def test_srr_step_takes_2k_plus_1_blurs_and_laplacians(monkeypatch, k_iters):
+    """K corrections take K + 1 costs and K gradients, one blur and one
+    Laplacian each, and no ``scipy.fft`` transform; any further operator
+    application in the loop shows here."""
+    import scipy.fft
     import meshsrr.operators as operators
     mesh = disc_mesh(COARSE)
     asg = build_pixel_assignment(mesh, 32, 32)
@@ -428,7 +412,19 @@ def test_srr_step_takes_4k_plus_2_transforms(monkeypatch, k_iters):
     y = upsample(FemImage(mesh, np.random.default_rng(23).standard_normal(mesh.n_elements)),
                  asg)
     state = srr_init(y, model)
-    counter = CountingFft()
-    monkeypatch.setattr(operators, "fft", counter)
+    calls = {"blur": 0, "laplacian": 0, "fft": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(operators._BandedBlur, "apply",
+                        counted("blur", operators._BandedBlur.apply))
+    monkeypatch.setattr(operators, "_laplacian", counted("laplacian", operators._laplacian))
+    for name in scipy.fft.__all__:
+        if callable(getattr(scipy.fft, name)):
+            monkeypatch.setattr(scipy.fft, name, counted("fft", getattr(scipy.fft, name)))
     srr_step(state, y, FlowField.constant(32, 32, 0.4, -0.3), cfg_for(k_iters=k_iters), model)
-    assert counter.calls == 4 * k_iters + 2
+    assert calls == {"blur": 2 * k_iters + 1, "laplacian": 2 * k_iters + 1, "fft": 0}
