@@ -6,8 +6,8 @@ Subcommands:
   resample  convert between mesh value files and uniform-grid images
   flow      register a pair of grid images and dump the flow field
 
-Exit codes: 0 success, 2 configuration error, 3 numerical divergence,
-4 file or format error.
+Exit codes: 0 success, 2 configuration error (also a run too large for
+memory), 3 numerical divergence, 4 file or format error.
 """
 from __future__ import annotations
 
@@ -202,6 +202,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {_describe(exc)}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # sizes that numpy refuses, such as a huge grid or frame count
+        print(f"configuration error: too large for memory: {_describe(exc)}", file=sys.stderr)
         return 2
     except DivergenceError as exc:
         print(f"numerical divergence: {_describe(exc)}", file=sys.stderr)

@@ -17,6 +17,7 @@ iterate to convergence: a pair stops once its relative residual is within
 ``horn_schunck_sequence`` registers each distinct consecutive pair once, with
 independent pairs stacked along a leading axis to share every solver call;
 each level cuts the stack into chunks of at most ``_STACK_PIXELS`` pixels.
+``scipy.fft``, which takes the DCTs, loads on the first solve, not on import.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
 
 from .grid import GridImage, require_same_shape
 from .operators import (convolve_stack, gaussian_kernel, _bilinear_gather, _laplacian,
@@ -194,6 +194,7 @@ def solve_linearized_flow(ix: np.ndarray, iy: np.ndarray, c: np.ndarray,
     ``v`` (a start within tolerance costs no transform); the others go on in
     a smaller stack, so a problem's result does not depend on its stack.
     """
+    from scipy import fft  # on first use: import and runs that register nothing skip its 0.4 s
     h, w = ix.shape[-2:]
     g = np.stack([ix, iy], axis=-3).reshape(-1, 2, h, w)
     x = np.stack([u0, v0], axis=-3).reshape(-1, 2, h, w)

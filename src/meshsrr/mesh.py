@@ -10,6 +10,7 @@ mesh. Their composition, the mesh-averaging projection P, is applied by
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -131,16 +132,9 @@ class PixelAssignment:
         return self._inside
 
 
-def _cross_margin(px: np.ndarray, py: np.ndarray, tri: np.ndarray) -> np.ndarray:
-    """Smallest of the three edge cross products of a CCW triangle at the
-    points: >= 0 on the closed triangle, > 0 strictly inside."""
-    margin = None
-    for k in range(3):
-        ax, ay = tri[k]
-        bx, by = tri[(k + 1) % 3]
-        cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-        margin = cross if margin is None else np.minimum(margin, cross)
-    return margin
+# Candidate centers per pass of ``build_pixel_assignment``: the bounding boxes
+# of whole elements (at least one), each padded to the largest in the pass.
+_PASS_PIXELS = 1 << 16
 
 
 def build_pixel_assignment(mesh: FemMesh, width: int, height: int) -> PixelAssignment:
@@ -148,37 +142,77 @@ def build_pixel_assignment(mesh: FemMesh, width: int, height: int) -> PixelAssig
 
     Pixels on shared edges go to the lowest-index element whose closed
     triangle contains the center; pixels outside every element are OUTSIDE.
-    Raises MeshError when a center lies strictly inside two elements.
+    Raises MeshError when a center lies strictly inside two elements, naming
+    the first such element and its first such center in row-major order.
+
+    Elements test their bounding-box centers in vectorized passes: the least
+    edge cross product (b - a) x (p - a) is >= -tol on the closed triangle,
+    > tol strictly inside. Each is monotone along a grid row, rounding
+    included, so a row's strict centers form one run, and the map sums them.
     """
     if width < 1 or height < 1:
         raise ValueError(f"grid dimensions must be >= 1, got {width}x{height}")
-    if mesh.n_elements == 0:
-        raise MeshError("mesh has no elements")
-    xs = pixel_centers(width)
-    ys = pixel_centers(height)
-    pix = np.full((height, width), OUTSIDE, dtype=np.int64)
-    interior = np.zeros((height, width), dtype=bool)
+    n = mesh.n_elements
+    xs, ys = pixel_centers(width), pixel_centers(height)
+    tri = mesh.nodes[mesh.elements]  # (n, corner a, xy)
+    edge = np.roll(tri, -1, axis=1) - tri  # b - a, b the next corner
     pad = POINT_IN_TRIANGLE_TOL + 1e-9
-    for e in range(mesh.n_elements):
-        tri = mesh.nodes[mesh.elements[e]]
-        i0 = int(np.searchsorted(xs, tri[:, 0].min() - pad))
-        i1 = int(np.searchsorted(xs, tri[:, 0].max() + pad))
-        j0 = int(np.searchsorted(ys, tri[:, 1].min() - pad))
-        j1 = int(np.searchsorted(ys, tri[:, 1].max() + pad))
-        if i0 >= i1 or j0 >= j1:
-            continue
-        margin = _cross_margin(xs[i0:i1][None, :], ys[j0:j1][:, None], tri)
+    lo, hi = tri.min(axis=1) - pad, tri.max(axis=1) + pad
+    i0, i1 = np.searchsorted(xs, lo[:, 0]), np.searchsorted(xs, hi[:, 0])
+    j0, j1 = np.searchsorted(ys, lo[:, 1]), np.searchsorted(ys, hi[:, 1])
+    # Padding columns and rows read NaN, which no test accepts; every box row
+    # gets one before and at least one after it, so no run touches a row end.
+    xs, ys = np.append(xs, np.nan), np.append(ys, np.nan)
+    box = (int((i1 - i0).max()) + 2) * max(int((j1 - j0).max()), 1)
+    per = max(_PASS_PIXELS // box, 1)
+    work = np.empty((2, per * box))
+    runs, edges = [], []
+    for s in range(0, n, per):
+        e = slice(s, s + per)
+        offset = np.arange(int((i1[e] - i0[e]).max()) + 2) - 1
+        cols = i0[e, None] + offset
+        rows = j0[e, None] + np.arange(max(int((j1[e] - j0[e]).max()), 1))
+        px = xs[np.where((offset >= 0) & (cols < i1[e, None]), cols, width)][:, None, :]
+        py = ys[np.where(rows < j1[e, None], rows, height)][:, :, None]
+        shape = (len(rows), rows.shape[1], cols.shape[1])
+        margin, cross = (w[:math.prod(shape)].reshape(shape) for w in work)
+        for corner in range(3):
+            a, d = tri[e, corner, :, None, None], edge[e, corner, :, None, None]
+            np.subtract(d[:, 0] * (py - a[:, 1]), d[:, 1] * (px - a[:, 0]),
+                        out=cross if corner else margin)
+            if corner:
+                np.minimum(margin, cross, out=margin)
         strict = margin > POINT_IN_TRIANGLE_TOL
-        seen = interior[j0:j1, i0:i1]
-        overlap = strict & seen
-        if overlap.any():
-            j, i = np.argwhere(overlap)[0]
-            raise MeshError(f"element {e} overlaps an earlier element: the pixel center "
-                            f"({xs[i0 + i]:.6g}, {ys[j0 + j]:.6g}) lies inside both")
-        seen |= strict
-        block = pix[j0:j1, i0:i1]
-        block[(margin >= -POINT_IN_TRIANGLE_TOL) & (block == OUTSIDE)] = e
-    return PixelAssignment(mesh, pix)
+        # A row's strict run starts after its first change and ends at its second.
+        ends = np.flatnonzero(strict[..., 1:] != strict[..., :-1]).reshape(-1, 2)
+        el, r, c = np.unravel_index(ends[:, 0], (*shape[:2], shape[2] - 1))
+        runs.append((s + el, rows[el, r] * width + cols[el, c + 1], ends[:, 1] - ends[:, 0]))
+        near = np.abs(margin, out=cross) <= POINT_IN_TRIANGLE_TOL
+        el, r, c = np.unravel_index(np.flatnonzero(near), shape)
+        edges.append((s + el, rows[el, r] * width + cols[el, c]))
+    elem, first, length = (np.concatenate(v) for v in zip(*runs))
+    # Codes n - e: the sum of the strict runs, then the largest code (lowest
+    # element) over the centers within tol of an edge. Of two overlapping runs
+    # one starts inside the other, where the sum exceeds its code.
+    code = np.zeros(height * width + 1, dtype=np.int64)
+    np.add.at(code, first, n - elem)
+    np.add.at(code, first + length, elem - n)
+    np.cumsum(code, out=code)
+    if (code[first] != n - elem).any():
+        # Replay the runs, in element and then row order, to name the overlap.
+        seen = np.zeros(code.size, dtype=bool)
+        for e, f, size in zip(elem, first, length):
+            hit = np.flatnonzero(seen[f:f + size])
+            if hit.size:
+                j, i = divmod(int(f + hit[0]), width)
+                raise MeshError(f"element {e} overlaps an earlier element: the pixel center "
+                                f"({xs[i]:.6g}, {ys[j]:.6g}) lies inside both")
+            seen[f:f + size] = True
+    elem, pixel = (np.concatenate(v) for v in zip(*edges))
+    np.maximum.at(code, pixel, n - elem)
+    pixel_to_element = np.subtract(n, code[:-1], out=code[:-1])
+    pixel_to_element[pixel_to_element == n] = OUTSIDE
+    return PixelAssignment(mesh, pixel_to_element.reshape(height, width))
 
 
 def _check_match(img_mesh: FemMesh, assignment: PixelAssignment) -> None:

@@ -23,7 +23,9 @@ _KERNEL_SUM_TOL = 1e-12
 @dataclass(frozen=True, eq=False)
 class Kernel:
     """Odd-sized mask of finite taps, normalized to unit sum and mirror-symmetric
-    in each axis (rows and columns), which makes the blur its own transpose."""
+    in each axis (rows and columns), which makes the blur its own transpose.
+    Each grid shape's banded blur is built on first use and kept with the
+    kernel, so every blur of a run by one kernel shares it."""
 
     taps: np.ndarray
 
@@ -45,10 +47,17 @@ class Kernel:
                              "(mirror-symmetric rows and columns)")
         taps.flags.writeable = False
         object.__setattr__(self, "taps", taps)
+        object.__setattr__(self, "_blurs", {})
 
     @property
     def size(self) -> int:
         return self.taps.shape[0]
+
+    def _blur(self, height: int, width: int) -> "_BandedBlur":
+        blur = self._blurs.get((height, width))
+        if blur is None:
+            blur = self._blurs[height, width] = _BandedBlur(self, height, width)
+        return blur
 
 
 def gaussian_kernel(size: int, sigma: float) -> Kernel:
@@ -84,7 +93,7 @@ def convolve_neumann(img: GridImage, k: Kernel) -> GridImage:
 
 def convolve_stack(data: np.ndarray, k: Kernel) -> np.ndarray:
     """``convolve_neumann`` of every image in the last two axes of ``data``."""
-    return _BandedBlur(k, *data.shape[-2:]).apply(data)
+    return k._blur(*data.shape[-2:]).apply(data)
 
 
 def _band_blocks(taps: np.ndarray, n: int) -> list[tuple[slice, slice, np.ndarray]]:
@@ -208,7 +217,7 @@ class ObservationModel:
         self.shape = (h, w)
         self.inside = assignment.inside_mask().astype(np.float64)
         self.alpha = alpha
-        self._blur = _BandedBlur(kernel, h, w)
+        self._blur = kernel._blur(h, w)
         # Outside pixels go to one extra bin, whose count and mean are 0.
         pe = assignment.pixel_to_element.ravel()
         self._bins = np.where(pe >= 0, pe, assignment.n_elements)

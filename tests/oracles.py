@@ -24,27 +24,22 @@ def reflect_index(t: int, n: int) -> int:
     return t if t < n else period - 1 - t
 
 
-def point_in_triangle(px: float, py: float, tri: np.ndarray, tol: float = 1e-12) -> bool:
-    """Closed test for CCW triangles via the three edge cross products."""
-    for k in range(3):
-        ax, ay = tri[k]
-        bx, by = tri[(k + 1) % 3]
-        if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < -tol:
-            return False
-    return True
-
-
 def brute_force_assignment(mesh, width: int, height: int) -> np.ndarray:
-    """Pixel-to-element map by testing every (pixel, element) pair."""
+    """Pixel-to-element map by testing every (pixel, element) pair: a center
+    is in the first CCW element none of whose three edge cross products
+    (b - a) x (p - a) is below -1e-12. Each grid row tests all its centers
+    against all elements at once."""
+    tri = mesh.nodes[mesh.elements]
+    x = -1.0 + (np.arange(width)[:, None] + 0.5) * 2.0 / width
     out = np.full((height, width), -1, dtype=np.int64)
     for j in range(height):
         y = -1.0 + (j + 0.5) * 2.0 / height
-        for i in range(width):
-            x = -1.0 + (i + 0.5) * 2.0 / width
-            for e in range(mesh.n_elements):
-                if point_in_triangle(x, y, mesh.nodes[mesh.elements[e]]):
-                    out[j, i] = e
-                    break
+        inside = np.ones((width, len(tri)), dtype=bool)
+        for k in range(3):
+            ax, ay = tri[:, k, 0], tri[:, k, 1]
+            bx, by = tri[:, (k + 1) % 3, 0], tri[:, (k + 1) % 3, 1]
+            inside &= ~((bx - ax) * (y - ay) - (by - ay) * (x - ax) < -1e-12)
+        out[j] = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
     return out
 
 

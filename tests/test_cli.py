@@ -129,6 +129,20 @@ class TestRunCommand:
             assert main(argv) == 0
         assert "SRR: overlap=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("setting, size", [
+        # A 30500001^2 kernel mask, refused while the config is built.
+        ("srr.grid=100000000", "PiB"),
+        # The T-shape walk, refused when frame 0 is rendered.
+        ("scene.frames=100000000000", "TiB"),
+    ])
+    def test_config_too_large_for_memory_exits_2(self, setting, size, capsys):
+        argv = ["run", "--preset", "ex1a", "--motion", "known", "--set", "srr.grid=16",
+                "--set", "scene.frames=2", "--set", setting]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: too large for memory: ")
+        assert f" {size} " in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("lam", ["inf", "1e308"])
     def test_unusable_flow_lambda_exits_2(self, lam, capsys):
         argv = ["run", "--preset", "ex2a", "--motion", "estimated", "--set", "srr.grid=32",

@@ -115,6 +115,26 @@ class TestRunExperiment:
         assert len(result.srr_frames) == 6
         assert len(builds) == 1
 
+    def test_one_blur_per_run(self, monkeypatch):
+        """Degrading every frame, the initial smoothing and the model share
+        one banded blur."""
+        import meshsrr.operators as operators
+
+        builds = []
+        original = operators._BandedBlur.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(operators._BandedBlur, "__init__", counted)
+        cfg = replace(preset("ex1a"), grid=40, scene=replace(preset("ex1a").scene, frames=3),
+                      known_motion=True)
+        with pytest.warns(UserWarning, match="contain no pixel center"):
+            result = run_experiment(cfg)
+        assert len(result.srr_frames) == 3
+        assert len(builds) == 1
+
     def test_degrade_error_carries_frame_context(self, monkeypatch):
         import meshsrr.experiment as exp
 

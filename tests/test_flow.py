@@ -433,19 +433,20 @@ def linear_problems(seed, n=2, side=16):
 
 
 def count_transforms(monkeypatch):
-    """Replace ``meshsrr.flow.fft`` by a counting proxy; return its counts."""
+    """Wrap ``scipy.fft.dctn`` and ``idctn``, which the solver looks up on
+    the module at each call, in counters; return the counts."""
     counts = {"dctn": 0, "idctn": 0}
 
-    class Counting:
-        def dctn(self, *args, **kwargs):
-            counts["dctn"] += 1
-            return fft.dctn(*args, **kwargs)
+    def counting(name):
+        transform = getattr(fft, name)
 
-        def idctn(self, *args, **kwargs):
-            counts["idctn"] += 1
-            return fft.idctn(*args, **kwargs)
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return transform(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(flow, "fft", Counting())
+    for name in counts:
+        monkeypatch.setattr(fft, name, counting(name))
     return counts
 
 

@@ -75,6 +75,13 @@ class TestBuildPixelAssignment:
         assert np.array_equal(asg.pixel_to_element,
                               brute_force_assignment(mesh, 24, 24))
 
+    @pytest.mark.parametrize("size", [(1, 1), (2, 7), (37, 23), (64, 64)])
+    @pytest.mark.parametrize("density", ["FINE", "COARSE"])
+    def test_matches_brute_force_on_both_discs(self, density, size):
+        mesh = disc_mesh(density)
+        asg = build_pixel_assignment(mesh, *size)
+        assert np.array_equal(asg.pixel_to_element, brute_force_assignment(mesh, *size))
+
     def test_disc_corners_outside(self):
         mesh = disc_mesh("COARSE")
         asg = build_pixel_assignment(mesh, 200, 200)
@@ -94,8 +101,39 @@ class TestBuildPixelAssignment:
     def test_overlapping_elements_rejected(self):
         nodes = np.array([[-1.0, -1.0], [1.0, -1.0], [0.0, 1.0], [-0.5, 0.9]])
         mesh = FemMesh(nodes, np.array([[0, 1, 2], [0, 1, 3]]))
-        with pytest.raises(MeshError, match="element 1 overlaps"):
+        with pytest.raises(MeshError) as info:
             build_pixel_assignment(mesh, 16, 16)
+        assert str(info.value) == ("element 1 overlaps an earlier element: "
+                                   "the pixel center (-0.9375, -0.9375) lies inside both")
+
+    @pytest.mark.parametrize("extra, size, message", [
+        # The first element with a center strictly inside a lower one, and its
+        # first such center in row-major order. At 200x200 the fine disc takes
+        # four vectorized passes: elements 5 and 1024 fall in the first and
+        # the last, 1023 and 1024 both in the last.
+        ([5], (100, 100), "element 1024 overlaps an earlier element: "
+                          "the pixel center (0.05, 0.03) lies inside both"),
+        ([700, 5], (37, 23), "element 1025 overlaps an earlier element: "
+                             "the pixel center (0.0540541, 0.0869565) lies inside both"),
+        ([5], (200, 200), "element 1024 overlaps an earlier element: "
+                          "the pixel center (0.065, 0.015) lies inside both"),
+        ([1023], (200, 200), "element 1024 overlaps an earlier element: "
+                             "the pixel center (0.935, -0.085) lies inside both"),
+    ])
+    def test_overlap_message_names_element_and_center(self, extra, size, message):
+        fine = disc_mesh("FINE")
+        mesh = FemMesh(fine.nodes, np.concatenate([fine.elements, fine.elements[extra]]))
+        with pytest.raises(MeshError) as info:
+            build_pixel_assignment(mesh, *size)
+        assert str(info.value) == message
+
+    def test_overlap_message_within_one_pass(self, square_mesh):
+        # Element 2 repeats element 1 and element 3 repeats element 0.
+        mesh = FemMesh(square_mesh.nodes, square_mesh.elements[[0, 1, 1, 0]])
+        with pytest.raises(MeshError) as info:
+            build_pixel_assignment(mesh, 7, 5)
+        assert str(info.value) == ("element 2 overlaps an earlier element: "
+                                   "the pixel center (-0.857143, -0.8) lies inside both")
 
     def test_zero_element_mesh_rejected(self, square_mesh):
         with pytest.raises(ValueError):

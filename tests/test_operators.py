@@ -554,13 +554,14 @@ class TestObservationModel:
             ObservationModel(asg, gaussian_kernel(9, 2.0), 0.1)
 
 
-def _import_loads(module: str) -> bool:
-    """Whether ``import meshsrr`` in a fresh interpreter loads ``module``."""
+def _import_loads(module: str, code: str = "import meshsrr") -> bool:
+    """Whether ``code`` (by default ``import meshsrr``) in a fresh interpreter
+    loads ``module``."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH", "")) if p)
-    probe = f"import sys, meshsrr; print({module!r} in sys.modules)"
+    probe = f"import sys\n{code}\nprint({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     return out.strip() == "True"
@@ -578,3 +579,22 @@ def test_import_does_not_load_scipy_spatial():
 def test_import_does_not_load_scipy_ndimage():
     # flow takes its central differences by slicing a mirror-padded copy.
     assert not _import_loads("scipy.ndimage")
+
+
+@pytest.mark.parametrize("code", ["import meshsrr", "import meshsrr.cli"])
+def test_import_does_not_load_scipy_fft(code):
+    # The flow solver imports it on its first call: about 0.4 s of start-up.
+    assert not _import_loads("scipy.fft", code)
+
+
+def test_run_without_registration_does_not_load_scipy_fft():
+    run = """
+import warnings
+from dataclasses import replace
+from meshsrr.config import preset
+from meshsrr.experiment import run_experiment
+warnings.simplefilter("ignore")  # elements without a pixel center at grid 40
+cfg = preset("ex1a")
+run_experiment(replace(cfg, grid=40, scene=replace(cfg.scene, frames=3), known_motion=True))
+"""
+    assert not _import_loads("scipy.fft", run)
