@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 from .errors import ConfigError
 from .flow import FlowParams
 from .operators import Kernel, gaussian_kernel
-from .phantoms import COARSE, FINE, LUNG, T_SHAPE, SceneSpec, snr_power_ratio
+from .phantoms import COARSE, FINE, LUNG, T_SHAPE, SceneSpec, check_seed, snr_power_ratio
 from .srr import SrrConfig
 
 # The default blur is defined at this reference grid size and rescaled
@@ -46,6 +46,7 @@ class ExperimentConfig:
             raise ConfigError(f"mesh must be FINE or COARSE, got {self.mesh_density!r}")
         try:
             snr_power_ratio(self.snr_db)
+            check_seed(self.degrade_seed, "degrade seed")
             self.resolved_kernel()
             self.srr_config()  # step size and iterations
         except ValueError as exc:

@@ -130,11 +130,14 @@ def write_pgm16(img: GridImage, path) -> None:
 
     Values are affinely mapped to [0, maxval]; the sidecar records offset and
     scale so ``value = offset + raster * scale`` recovers the data within one
-    quantization step.
+    quantization step. A value range that overflows is refused unwritten.
     """
     path = Path(path)
     lo = float(img.data.min())
     hi = float(img.data.max())
+    if not math.isfinite(hi - lo):
+        raise FileFormatError(f"{path}: value range [{lo:.17g}, {hi:.17g}] is too wide "
+                              "to rescale to 16 bits")
     if hi > lo:
         scale = (hi - lo) / PGM_MAXVAL
         raster = np.rint((img.data - lo) / scale).astype(np.uint16)
@@ -219,7 +222,9 @@ def read_grid_image(path) -> GridImage:
             scale = num
         else:
             raise FileFormatError(f"{sidecar}:{lineno}: unknown key {key!r}")
-    if offset is None or scale is None or not math.isfinite(offset + scale):
+        if not math.isfinite(num):
+            raise FileFormatError(f"{sidecar}:{lineno}: non-finite {key} {num}")
+    if offset is None or scale is None:
         raise FileFormatError(f"{sidecar}: missing offset or scale")
     try:
         with np.errstate(over="ignore", invalid="ignore"):

@@ -141,11 +141,8 @@ def build_pyramid(data: np.ndarray, levels: int, spacing: float) -> list[np.ndar
     out = [data]
     for nw, nh in _pyramid_sizes(w, h, levels, spacing)[1:]:
         prev = out[-1]
-        size = 2 * int(np.ceil(2.5 * sigma)) + 1
-        size = min(size, 2 * min(prev.shape[-2:]) - 1)
-        if size % 2 == 0:
-            size -= 1
-        smoothed = convolve_stack(prev, gaussian_kernel(max(size, 1), sigma))
+        size = min(2 * int(np.ceil(2.5 * sigma)) + 1, 2 * min(prev.shape[-2:]) - 1)
+        smoothed = convolve_stack(prev, gaussian_kernel(size, sigma))
         out.append(_resample(smoothed, nw, nh))
     return out
 
@@ -164,7 +161,7 @@ def _block_inverses(g: np.ndarray, lam: float) -> np.ndarray:
     h, w = g.shape[-2:]
     ix, iy = g[:, 0], g[:, 1]
     mxx, mxy, myy = ((p * q).mean(axis=(-2, -1)) for p, q in ((ix, ix), (ix, iy), (iy, iy)))
-    e = lam * (_stencil_eigenvalues(h)[:, None] + _stencil_eigenvalues(w))
+    e = lam * _stencil_eigenvalues(h, w)
     a = mxx[:, None, None] + e
     d = myy[:, None, None] + e
     b = mxy[:, None, None]

@@ -3,10 +3,10 @@ to uniform rasters.
 
 A mesh image stores one scalar per triangle of a fixed mesh over the
 normalized square [-1, 1]^2. ``build_pixel_assignment`` locates every raster
-pixel center inside the mesh once; ``upsample`` and ``downsample`` then
-realize sifting to the uniform grid and per-element averaging back to the
-mesh. Their composition, the mesh-averaging projection P, is applied by
-``operators.ObservationModel``.
+pixel center inside the mesh once; the resulting ``PixelAssignment`` holds
+the mesh-averaging projection P as per-element averaging (``means``) and
+sifting back to the pixels (``lift``). ``downsample`` and ``upsample`` apply
+them to mesh and grid images, and ``operators.ObservationModel`` to arrays.
 """
 from __future__ import annotations
 
@@ -102,34 +102,49 @@ class FemImage:
 
 
 class PixelAssignment:
-    """Precomputed pixel-to-element map for one (mesh, grid) pair.
+    """Precomputed pixel-to-element map for one (mesh, grid) pair, and the
+    mesh-averaging projection P = ``lift(means(x))`` on it.
 
     ``pixel_to_element[j, i]`` holds the element index circumscribing pixel
     (i, j), or OUTSIDE, and ``element_counts[e]`` the number of member pixels
-    of element e. Element sums are ``bincount`` reductions over the pixels in
-    row-major order, which fixes the reduction order of every average.
-    Instances are immutable and safe to share across threads.
+    of element e; element values carry an extra last bin for OUTSIDE pixels.
+    Element sums are ``bincount`` reductions over the pixels in row-major
+    order, which fixes the reduction order of every average. Instances are
+    immutable and safe to share across threads.
     """
 
     def __init__(self, mesh: FemMesh, pixel_to_element: np.ndarray):
+        """Takes ownership of the int64 ``pixel_to_element`` and freezes it."""
         self.mesh = mesh
-        pe = np.array(pixel_to_element, dtype=np.int64, copy=True)
-        pe.flags.writeable = False
-        self.pixel_to_element = pe
-        self.height, self.width = pe.shape
-        self._inside = pe >= 0
+        pixel_to_element.flags.writeable = False
+        self.pixel_to_element = pixel_to_element
+        self.height, self.width = pixel_to_element.shape
+        self._inside = pixel_to_element >= 0
         self._inside.flags.writeable = False
-        counts = np.bincount(pe[self._inside], minlength=mesh.n_elements)
+        self._bins = np.where(self._inside, pixel_to_element, mesh.n_elements).ravel()
+        counts = np.bincount(self._bins, minlength=mesh.n_elements + 1)
+        counts[-1] = 0
         counts.flags.writeable = False
-        self.element_counts = counts
-
-    @property
-    def n_elements(self) -> int:
-        return self.mesh.n_elements
+        self.element_counts = counts[:-1]
+        # Empty bins (the outside one too) divide by 1, then read 0 whatever their sum.
+        self._divisors = np.maximum(counts, 1.0)
+        self._empty = np.flatnonzero(counts == 0)
 
     def inside_mask(self) -> np.ndarray:
         """Boolean (height, width) mask of pixels assigned to some element."""
         return self._inside
+
+    def means(self, values: np.ndarray) -> np.ndarray:
+        """Element means of a (height, width) array, then 0 for the outside
+        bin; an element with no member pixel gets 0."""
+        means = np.bincount(self._bins, values.ravel(), self._divisors.size)
+        means /= self._divisors
+        means[self._empty] = 0.0
+        return means
+
+    def lift(self, values: np.ndarray) -> np.ndarray:
+        """Element values (outside bin last) on their (height, width) pixels."""
+        return values[self._bins].reshape(self.height, self.width)
 
 
 # Candidate centers per pass of ``build_pixel_assignment``: the bounding boxes
@@ -216,13 +231,8 @@ def build_pixel_assignment(mesh: FemMesh, width: int, height: int) -> PixelAssig
 
 
 def _check_match(img_mesh: FemMesh, assignment: PixelAssignment) -> None:
-    if img_mesh is assignment.mesh:
-        return
-    same = (img_mesh.n_nodes == assignment.mesh.n_nodes
-            and img_mesh.n_elements == assignment.mesh.n_elements
-            and np.array_equal(img_mesh.nodes, assignment.mesh.nodes)
-            and np.array_equal(img_mesh.elements, assignment.mesh.elements))
-    if not same:
+    if not (np.array_equal(img_mesh.nodes, assignment.mesh.nodes)
+            and np.array_equal(img_mesh.elements, assignment.mesh.elements)):
         raise MeshError("image mesh does not match the mesh the assignment was built from")
 
 
@@ -233,10 +243,7 @@ def upsample(img: FemImage, assignment: PixelAssignment) -> GridImage:
     OUTSIDE pixels are padded with zeros.
     """
     _check_match(img.mesh, assignment)
-    lookup = np.concatenate([img.values, [0.0]])
-    idx = np.where(assignment.pixel_to_element >= 0,
-                   assignment.pixel_to_element, assignment.n_elements)
-    return GridImage(lookup[idx])
+    return GridImage(assignment.lift(np.append(img.values, 0.0)))
 
 
 def downsample(img: GridImage, assignment: PixelAssignment) -> FemImage:
@@ -249,17 +256,10 @@ def downsample(img: GridImage, assignment: PixelAssignment) -> FemImage:
         raise MeshError(
             f"image {img.width}x{img.height} does not match assignment grid "
             f"{assignment.width}x{assignment.height}")
-    flat = img.data.ravel()
-    pe = assignment.pixel_to_element.ravel()
-    inside = pe >= 0
-    sums = np.bincount(pe[inside], weights=flat[inside],
-                       minlength=assignment.n_elements)
-    counts = assignment.element_counts
-    empty = counts == 0
-    values = np.divide(sums, counts, out=np.zeros_like(sums), where=~empty)
+    empty = assignment.element_counts == 0
     if np.any(empty):
         warnings.warn(
             f"{int(empty.sum())} mesh element(s) contain no pixel center at "
             f"{assignment.width}x{assignment.height}; their values are set to 0",
             stacklevel=2)
-    return FemImage(assignment.mesh, values)
+    return FemImage(assignment.mesh, assignment.means(img.data)[:-1])

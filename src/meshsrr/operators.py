@@ -116,23 +116,20 @@ class _BandedBlur:
     """The reflecting-boundary blur of a mask on a (height, width) grid, built
     once: ``sum_i A_i x C_i'`` over the singular terms of the taps above
     ``np.linalg.matrix_rank``'s tolerance (one for a Gaussian), each A and C
-    a banded 1-D matrix from ``_band_blocks``. A 1x1 mask is a scaling."""
+    a banded 1-D matrix from ``_band_blocks``."""
 
     def __init__(self, k: Kernel, height: int, width: int):
         if k.size > 2 * min(width, height) - 1:
             raise ValueError(f"kernel size {k.size} exceeds limit {2 * min(width, height) - 1} "
                              f"for a {width}x{height} image")
-        self.scale = k.taps[0, 0]
         u, s, vt = np.linalg.svd(k.taps)
         keep = s > s[0] * k.size * np.finfo(np.float64).eps
-        self.terms = [] if k.size == 1 else [
+        self.terms = [
             (_band_blocks(np.sqrt(si) * ui, height), _band_blocks(np.sqrt(si) * vi, width))
             for si, ui, vi in zip(s[keep], u.T[keep], vt[keep])]
 
     def apply(self, data: np.ndarray) -> np.ndarray:
         """B of every image in the last two axes of ``data``."""
-        if not self.terms:
-            return data * self.scale
         rowpass, out = np.empty(data.shape), []
         for rows, cols in self.terms:
             for dst, src, block in rows:
@@ -192,9 +189,12 @@ def warp_image(img: GridImage, flow) -> GridImage:
     return GridImage(_bilinear_gather(img.data, ii + flow.u, jj + flow.v))
 
 
-def _stencil_eigenvalues(n: int) -> np.ndarray:
-    """DCT-II eigenvalues of the 1-D [-1, 2, -1] stencil under reflection."""
-    return 2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)
+def _stencil_eigenvalues(height: int, width: int) -> np.ndarray:
+    """DCT-II eigenvalues of the Neumann graph Laplacian on a (height, width)
+    grid: the sums of those of the 1-D [-1, 2, -1] stencil under reflection
+    along each axis."""
+    rows, cols = (2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n) for n in (height, width))
+    return rows[:, None] + cols
 
 
 class ObservationModel:
@@ -205,8 +205,9 @@ class ObservationModel:
     pixel space: a cost takes one of each and a gradient one more of each.
     P being an orthogonal projection, the misfit is
     ``sum_e n_e r_e^2 + ||y - P y||^2`` with ``r_e = mean_e(B x - y)`` over
-    the n_e pixels of element e, and ``P (P B x - y)`` is r lifted to pixels.
-    Built once per (assignment, kernel, alpha); the solver also reads its
+    the n_e pixels of element e, and ``P (P B x - y)`` is r lifted to pixels;
+    the assignment's ``means`` and ``lift`` apply P. Built once per
+    (assignment, kernel, alpha); the solver also reads its
     ``kernel``, grid ``shape`` and float ``inside`` mask (1 on assigned
     pixels, else 0).
     """
@@ -218,32 +219,20 @@ class ObservationModel:
         self.inside = assignment.inside_mask().astype(np.float64)
         self.alpha = alpha
         self._blur = kernel._blur(h, w)
-        # Outside pixels go to one extra bin, whose count and mean are 0.
-        pe = assignment.pixel_to_element.ravel()
-        self._bins = np.where(pe >= 0, pe, assignment.n_elements)
-        self._counts = np.append(assignment.element_counts, 0.0)
-        self._inv_counts = np.divide(1.0, self._counts, out=np.zeros_like(self._counts),
-                                     where=self._counts > 0)
-
-    def _means(self, values: np.ndarray) -> np.ndarray:
-        """Element means of a (height, width) array, then 0 for the outside bin."""
-        return np.bincount(self._bins, values.ravel(), self._counts.size) * self._inv_counts
-
-    def lift(self, values: np.ndarray) -> np.ndarray:
-        """Element values (outside bin last) on their pixels, 0 off the mesh."""
-        return values[self._bins].reshape(self.shape)
+        self._assignment = assignment
+        self._counts = np.append(assignment.element_counts, 0.0)  # the outside bin weighs 0
 
     def reduce(self, y: np.ndarray) -> tuple[np.ndarray, float]:
         """Element means of y and ``||y - P y||^2``: the per-frame part of a cost."""
-        means = self._means(y)
-        rest = (y - self.lift(means)) * self.inside
+        means = self._assignment.means(y)
+        rest = (y - self._assignment.lift(means)) * self.inside
         return means, float((rest * rest).sum())
 
     def terms(self, x: np.ndarray, y_means: np.ndarray,
               y_rest: float) -> tuple[float, np.ndarray, np.ndarray]:
         """Cost at x against ``reduce(y)``, plus ``S x`` and the element
         residual r, which ``half_gradient`` reuses."""
-        residual = self._means(self._blur.apply(x)) - y_means
+        residual = self._assignment.means(self._blur.apply(x)) - y_means
         smooth = _laplacian(x)
         cost = (float(self._counts @ (residual * residual)) + y_rest
                 + self.alpha * float(np.vdot(smooth, smooth)))
@@ -252,7 +241,7 @@ class ObservationModel:
     def half_gradient(self, smooth: np.ndarray, residual: np.ndarray) -> np.ndarray:
         """``B' P (P B x - y) + alpha S' S x`` from the intermediates of
         ``terms``: the lifted residual is ``P B x - P y``."""
-        grad = self._blur.apply(self.lift(residual))
+        grad = self._blur.apply(self._assignment.lift(residual))
         grad += self.alpha * _laplacian(smooth)
         return grad
 
@@ -265,7 +254,7 @@ class ObservationModel:
         iterations whenever mu times this value stays below 1.
         """
         h, w = self.shape
-        stencil = _stencil_eigenvalues(h)[:, None] + _stencil_eigenvalues(w)
+        stencil = _stencil_eigenvalues(h, w)
         blur = _blur_eigenvalues(self.kernel, h, w)
         return float((blur * blur + self.alpha * stencil * stencil).max())
 

@@ -51,6 +51,12 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[int(seed), int(stream)]))
 
 
+def check_seed(seed: int, what: str) -> None:
+    """Refuse a seed that the generator's 64-bit key would reject or alias."""
+    if not -2**63 <= seed < 2**63:
+        raise ValueError(f"{what} {seed} is outside [-2**63, 2**63)")
+
+
 @dataclass(frozen=True)
 class SceneSpec:
     """The settable part of a scene: exactly the ``[scene]`` configuration keys.
@@ -82,6 +88,7 @@ class SceneSpec:
             raise ValueError("the larger of background and inclusion must be positive")
         if not (0 <= self.motion_variance < math.inf and self.motion_bound >= 0):
             raise ValueError("motion variance must be finite and >= 0, motion bound >= 0")
+        check_seed(self.rng_seed, "scene seed")
 
 
 def tshape_centers(spec: SceneSpec) -> np.ndarray:

@@ -81,7 +81,7 @@ def dct_diagonal(data: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
     """An operator the orthonormal DCT-II diagonalizes, applied to the images
     in the last two axes of ``data`` as weights between transforms: the
     reflecting-boundary blur with ``_blur_eigenvalues``, the Laplacian with
-    the sum of two ``_stencil_eigenvalues``."""
+    ``_stencil_eigenvalues``."""
     axes = (-2, -1)
     return fft.idctn(eigenvalues * fft.dctn(data, axes=axes, norm="ortho"),
                      axes=axes, norm="ortho")
@@ -273,7 +273,7 @@ class PixelObservationModel:
         h, w = assignment.height, assignment.width
         self.outside = ~assignment.inside_mask()
         self._blur = _blur_eigenvalues(kernel, h, w)
-        stencil = _stencil_eigenvalues(h)[:, None] + _stencil_eigenvalues(w)[None, :]
+        stencil = _stencil_eigenvalues(h, w)
         self._smooth = alpha * stencil * stencil
         pe = assignment.pixel_to_element.ravel()
         self._pixels = np.flatnonzero(pe >= 0)

@@ -143,7 +143,7 @@ def test_criterion_2_dense_matrix_equivalence(square_mesh_session):
                 model = ObservationModel(asg, k, alpha)
                 _, smooth, residual = model.terms(x, *model.reduce(y))
                 r = np.where(inside, P @ (B @ x.ravel()) - y.ravel(), 0.0)
-                checks.append((model.lift(residual), P @ r))
+                checks.append((asg.lift(residual), P @ r))
                 checks.append((model.half_gradient(smooth, residual),
                                B.T @ (P.T @ r) + alpha * (S.T @ (S @ x.ravel()))))
                 checks.append((model.half_gradient(smooth, np.zeros_like(residual)),

@@ -143,6 +143,32 @@ class TestRunCommand:
         assert err.startswith("configuration error: too large for memory: ")
         assert f" {size} " in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("key", ["scene.seed", "degrade.seed"])
+    @pytest.mark.parametrize("seed", [2**63, 2**64, -2**63 - 1])
+    def test_seed_outside_int64_exits_2(self, key, seed, capsys):
+        """The generator key holds 64 bits: larger seeds would fail in it or
+        alias another seed's stream."""
+        argv = ["run", "--preset", "ex1a", "--motion", "known", "--set", "srr.grid=16",
+                "--set", "scene.frames=2", "--set", f"{key}={seed}"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        section = key.split(".")[0]
+        assert capsys.readouterr().err == (
+            f"configuration error: {section} seed {seed} is outside [-2**63, 2**63)\n")
+
+    @pytest.mark.parametrize("key", ["scene.seed", "degrade.seed"])
+    @pytest.mark.parametrize("seed", [-2**63, 2**63 - 1])
+    def test_int64_seed_limits_run(self, key, seed, capsys):
+        argv = ["run", "--preset", "ex1a", "--motion", "known", "--set", "srr.grid=16",
+                "--set", "scene.frames=2", "--set", f"{key}={seed}"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # The fine mesh has elements without a pixel centre at grid 16.
+            warnings.filterwarnings("ignore", ".*contain no pixel center", UserWarning)
+            assert main(argv) == 0
+        assert "SRR: overlap=" in capsys.readouterr().out
+
     @pytest.mark.parametrize("lam", ["inf", "1e308"])
     def test_unusable_flow_lambda_exits_2(self, lam, capsys):
         argv = ["run", "--preset", "ex2a", "--motion", "estimated", "--set", "srr.grid=32",
@@ -295,6 +321,23 @@ class TestResampleCommand:
         assert main(["resample", direction, "--mesh", str(mesh_path), *source,
                      "-o", str(tmp_path / "out")]) == 4
         assert "overlaps" in capsys.readouterr().err
+
+    def test_value_range_beyond_float_exits_4(self, tmp_path, capsys):
+        """Element values of +-1e308 span more than the largest float, so no
+        graymap scale holds them: refused before anything is written."""
+        mesh = disc_mesh(COARSE)
+        write_mesh(mesh, tmp_path / "mesh.txt")
+        write_values(np.where(np.arange(mesh.n_elements) % 2, 1e308, -1e308), tmp_path / "v.txt")
+        out = tmp_path / "x.pgm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["resample", "up", "--mesh", str(tmp_path / "mesh.txt"),
+                         "--values", str(tmp_path / "v.txt"), "--grid", "16",
+                         "-o", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            f"i/o error: {out}: value range [-1e+308, 1e+308] is too wide "
+            "to rescale to 16 bits\n")
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "mesh.txt", tmp_path / "v.txt"]
 
     def test_value_count_mismatch_exits_4(self, tmp_path, capsys):
         mesh_path = tmp_path / "mesh.txt"

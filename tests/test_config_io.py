@@ -229,6 +229,25 @@ class TestPgm16:
         with pytest.raises(FileFormatError, match="non-finite"):
             read_grid_image(path)
 
+    @pytest.mark.parametrize("key", ["offset", "scale"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_sidecar_non_finite_value_named(self, tmp_path, key, value):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(b"P5\n1 1\n65535\n\x00\x01")
+        fields = {"offset": "0", "scale": "1", key: value}
+        path.with_suffix(".scale.txt").write_text(
+            f"offset = {fields['offset']}\nscale = {fields['scale']}\n")
+        line = 1 if key == "offset" else 2
+        with pytest.raises(FileFormatError, match=f"scale.txt:{line}: non-finite {key} "):
+            read_grid_image(path)
+
+    def test_sidecar_values_whose_sum_overflows_read(self, tmp_path):
+        """offset + scale overflows, but a zero raster reads back as the offset."""
+        path = tmp_path / "x.pgm"
+        path.write_bytes(b"P5\n2 1\n65535\n\x00\x00\x00\x00")
+        path.with_suffix(".scale.txt").write_text("offset = 1e308\nscale = 1e308\n")
+        assert (read_grid_image(path).data == 1e308).all()
+
     def test_emit_images_sequence(self, tmp_path):
         from meshsrr.fileio import emit_images
         rng = np.random.default_rng(4)

@@ -143,6 +143,8 @@ class TestBuildPixelAssignment:
         asg = build_pixel_assignment(square_mesh, 4, 4)
         with pytest.raises(ValueError):
             asg.pixel_to_element[0, 0] = 5
+        with pytest.raises(ValueError):
+            asg.element_counts[0] = 5
 
 
 class TestUpsample:
@@ -225,6 +227,12 @@ class TestApplyHd:
         fem = FemImage(mesh, rng.standard_normal(mesh.n_elements))
         back = downsample(upsample(fem, asg), asg)
         assert np.abs(back.values - fem.values).max() <= 1e-12
+
+    def test_outside_bin_mean_zero_when_its_sum_overflows(self):
+        asg = build_pixel_assignment(disc_mesh("COARSE"), 64, 64)
+        with np.errstate(all="raise"):
+            means = asg.means(np.where(asg.inside_mask(), 2.0, 1e308))
+        assert means[-1] == 0.0 and (means[:-1] == 2.0).all()
 
     def test_self_adjoint(self, square_mesh):
         asg = build_pixel_assignment(square_mesh, 8, 8)

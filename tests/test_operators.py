@@ -10,7 +10,7 @@ import pytest
 
 from meshsrr.flow import FlowField
 from meshsrr.grid import GridImage
-from meshsrr.mesh import FemMesh, build_pixel_assignment
+from meshsrr.mesh import FemMesh, build_pixel_assignment, downsample
 from meshsrr.operators import (Kernel, ObservationModel, _BandedBlur, _blur_eigenvalues,
                                _band_blocks, _laplacian, _stencil_eigenvalues,
                                convolve_neumann, convolve_stack, gaussian_kernel,
@@ -52,7 +52,7 @@ def observe(asg, k: Kernel, x: np.ndarray) -> np.ndarray:
     residual against y = 0, lifted to the pixels."""
     model = ObservationModel(asg, k, 0.0)
     _, _, residual = model.terms(x, *model.reduce(np.zeros_like(x)))
-    return model.lift(residual)
+    return asg.lift(residual)
 
 
 def project(asg, x: np.ndarray) -> np.ndarray:
@@ -239,7 +239,7 @@ class TestBandedBlur:
     def test_singular_terms(self):
         assert len(_BandedBlur(gaussian_kernel(61, 20.0), 200, 200).terms) == 1
         assert len(_BandedBlur(nonseparable_kernel(), 9, 9).terms) == 2
-        assert _BandedBlur(gaussian_kernel(1, 1.0), 9, 9).terms == []
+        assert len(_BandedBlur(gaussian_kernel(1, 1.0), 9, 9).terms) == 1
 
     @pytest.mark.parametrize("height,width,size,separable", [
         (h, w, size, separable)
@@ -296,7 +296,7 @@ class TestLaplacian:
     @pytest.mark.parametrize("height,width", [(1, 1), (1, 9), (9, 1), (2, 2), (7, 12)])
     def test_matches_stencil_eigenvalues(self, height, width):
         x = np.random.default_rng(height * 10 + width).standard_normal((3, 2, height, width))
-        eig = _stencil_eigenvalues(height)[:, None] + _stencil_eigenvalues(width)
+        eig = _stencil_eigenvalues(height, width)
         assert np.abs(_laplacian(x) - dct_diagonal(x, eig)).max() <= 1e-12
 
     def test_writes_into_out(self):
@@ -486,7 +486,17 @@ class TestObservationModel:
         model = ObservationModel(asg, k, 0.3)
         _, _, residual = model.terms(x, *model.reduce(np.zeros_like(x)))
         expected = convolve_neumann(GridImage(x), k).data
-        assert np.abs(model.lift(residual) - expected).max() <= 1e-12
+        assert np.abs(asg.lift(residual) - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("density,grid", [(FINE, 100), (COARSE, 200)])
+    def test_element_means_are_downsample(self, density, grid):
+        """The model and the degradation oracle apply one P: the element
+        means of an observation are ``downsample``'s values, bit for bit."""
+        asg = build_pixel_assignment(disc_mesh(density), grid, grid)
+        y = np.random.default_rng(grid).standard_normal((grid, grid))
+        means, _ = ObservationModel(asg, gaussian_kernel(1, 1.0), 0.3).reduce(y)
+        assert means[-1] == 0.0
+        assert np.array_equal(means[:-1], downsample(GridImage(y), asg).values)
 
     @pytest.mark.parametrize("width,height", [(17, 24), (24, 17)])
     @pytest.mark.parametrize("density", [FINE, COARSE])
@@ -514,11 +524,11 @@ class TestObservationModel:
         # P B x on the whole grid (y = 0 leaves the bare prediction).
         pbx = P @ (B @ x.ravel())
         _, _, predicted = model.terms(x, *model.reduce(np.zeros_like(y)))
-        assert np.abs(model.lift(predicted).ravel() - pbx).max() <= 1e-12
+        assert np.abs(asg.lift(predicted).ravel() - pbx).max() <= 1e-12
 
         # The lifted element residual is P r = P B x - P y.
         r = np.where(inside, pbx - y.ravel(), 0.0)
-        assert np.abs(model.lift(residual).ravel() - P @ r).max() <= 1e-12
+        assert np.abs(asg.lift(residual).ravel() - P @ r).max() <= 1e-12
         sx = S @ x.ravel()
         assert cost == pytest.approx(float(r @ r + alpha * sx @ sx), rel=1e-12)
 
@@ -528,7 +538,7 @@ class TestObservationModel:
         counts = np.append(asg.element_counts, 0)
         assert float(counts @ residual ** 2) == pytest.approx(float(pr @ pr), rel=1e-12)
         assert y_rest == pytest.approx(float(off @ off), rel=1e-12)
-        assert np.abs(model.lift(y_means).ravel() - P @ y.ravel()).max() <= 1e-12
+        assert np.abs(asg.lift(y_means).ravel() - P @ y.ravel()).max() <= 1e-12
 
         # Gradient: B' P' (P B x - y) + alpha S' S x.
         sts = S.T @ sx
