@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -130,7 +131,9 @@ def write_pgm16(img: GridImage, path) -> None:
 
     Values are affinely mapped to [0, maxval]; the sidecar records offset and
     scale so ``value = offset + raster * scale`` recovers the data within one
-    quantization step. A value range that overflows is refused unwritten.
+    quantization step. A value range that overflows, or one so narrow that
+    its quantization step is not a normal float (it would round away the
+    data), is refused unwritten.
     """
     path = Path(path)
     lo = float(img.data.min())
@@ -140,6 +143,9 @@ def write_pgm16(img: GridImage, path) -> None:
                               "to rescale to 16 bits")
     if hi > lo:
         scale = (hi - lo) / PGM_MAXVAL
+        if scale < sys.float_info.min:
+            raise FileFormatError(f"{path}: value range [{lo:.17g}, {hi:.17g}] is too "
+                                  "narrow to rescale to 16 bits")
         raster = np.rint((img.data - lo) / scale).astype(np.uint16)
     else:
         scale = 0.0

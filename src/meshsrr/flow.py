@@ -43,31 +43,34 @@ _LAM_MAX = 1e8
 
 @dataclass(frozen=True, eq=False)
 class FlowField:
-    """Per-pixel displacement field; u is horizontal (columns), v vertical."""
+    """Per-pixel displacement field; u is horizontal (columns), v vertical.
+
+    Components are read-only float64 arrays. A writeable input is copied; a
+    read-only float64 one is kept, so that a constant field holds one
+    zero-stride array per component instead of two full ones.
+    """
 
     u: np.ndarray
     v: np.ndarray
 
     def __post_init__(self):
-        u = np.array(self.u, dtype=np.float64, copy=True)
-        v = np.array(self.v, dtype=np.float64, copy=True)
+        u = _read_only(self.u)
+        v = _read_only(self.v)
         if u.ndim != 2 or u.shape != v.shape:
             raise ValueError(f"u and v must be matching 2-D arrays, got {u.shape} and {v.shape}")
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
             raise ValueError("flow components contain non-finite values")
-        u.flags.writeable = False
-        v.flags.writeable = False
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
     @classmethod
     def zeros(cls, width: int, height: int) -> "FlowField":
-        return cls(np.zeros((height, width)), np.zeros((height, width)))
+        return cls.constant(width, height, 0.0, 0.0)
 
     @classmethod
     def constant(cls, width: int, height: int, du: float, dv: float) -> "FlowField":
-        return cls(np.full((height, width), float(du)),
-                   np.full((height, width), float(dv)))
+        return cls(np.broadcast_to(np.float64(du), (height, width)),
+                   np.broadcast_to(np.float64(dv), (height, width)))
 
     @property
     def width(self) -> int:
@@ -76,6 +79,14 @@ class FlowField:
     @property
     def height(self) -> int:
         return self.u.shape[0]
+
+
+def _read_only(a) -> np.ndarray:
+    if isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable:
+        return a
+    a = np.array(a, dtype=np.float64, copy=True)
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)

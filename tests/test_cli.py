@@ -339,6 +339,23 @@ class TestResampleCommand:
             "to rescale to 16 bits\n")
         assert sorted(tmp_path.iterdir()) == [tmp_path / "mesh.txt", tmp_path / "v.txt"]
 
+    def test_subnormal_value_range_exits_4(self, tmp_path, capsys):
+        """Element values 0 and 5e-324 span less than 65535 normal floats, so
+        the graymap scale would underflow: refused before anything is written."""
+        mesh = disc_mesh(COARSE)
+        write_mesh(mesh, tmp_path / "mesh.txt")
+        write_values(np.where(np.arange(mesh.n_elements) % 2, 5e-324, 0.0), tmp_path / "v.txt")
+        out = tmp_path / "x.pgm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["resample", "up", "--mesh", str(tmp_path / "mesh.txt"),
+                         "--values", str(tmp_path / "v.txt"), "--grid", "16",
+                         "-o", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            f"i/o error: {out}: value range [0, 4.9406564584124654e-324] is too narrow "
+            "to rescale to 16 bits\n")
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "mesh.txt", tmp_path / "v.txt"]
+
     def test_value_count_mismatch_exits_4(self, tmp_path, capsys):
         mesh_path = tmp_path / "mesh.txt"
         write_mesh(disc_mesh(COARSE), mesh_path)

@@ -1,3 +1,4 @@
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -247,6 +248,22 @@ class TestPgm16:
         path.write_bytes(b"P5\n2 1\n65535\n\x00\x00\x00\x00")
         path.with_suffix(".scale.txt").write_text("offset = 1e308\nscale = 1e308\n")
         assert (read_grid_image(path).data == 1e308).all()
+
+    @pytest.mark.parametrize("hi", [5e-324, 4.5e-319])
+    def test_subnormal_value_range_refused_unwritten(self, tmp_path, hi):
+        """Below the smallest normal float the quantization step rounds the
+        data away: [0, 5e-324] read back as all 0 and [0, 4.5e-319] as
+        [0, 1.3e-319]."""
+        path = tmp_path / "tiny.pgm"
+        with pytest.raises(FileFormatError, match="too narrow"):
+            write_pgm16(GridImage([[0.0, hi]]), path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_narrowest_normal_step_round_trips(self, tmp_path):
+        path = tmp_path / "narrow.pgm"
+        img = GridImage([[0.0, 65535 * sys.float_info.min]])
+        write_pgm16(img, path)
+        assert np.array_equal(read_grid_image(path).data, img.data)
 
     def test_emit_images_sequence(self, tmp_path):
         from meshsrr.fileio import emit_images

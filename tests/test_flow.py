@@ -54,6 +54,36 @@ def smooth_random_flow(rng, n, amp=1.2):
     return FlowField(u, v)
 
 
+class TestFlowField:
+    def test_constant_shares_one_read_only_zero_stride_array(self):
+        f = FlowField.constant(200, 200, 1.5, -2.0)
+        for comp, value in ((f.u, 1.5), (f.v, -2.0)):
+            assert comp.strides == (0, 0)
+            assert comp.dtype == np.float64 and comp.shape == (200, 200)
+            assert (comp == value).all()
+            with pytest.raises(ValueError, match="read-only"):
+                comp[0, 0] = 0.0
+
+    def test_writeable_input_is_copied(self):
+        u, v = np.zeros((3, 4)), np.ones((3, 4))
+        f = FlowField(u, v)
+        u[0, 0] = v[0, 0] = 7.0
+        assert f.u[0, 0] == 0.0 and f.v[0, 0] == 1.0
+        assert not (f.u.flags.writeable or f.v.flags.writeable)
+
+    def test_non_finite_constant_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            FlowField.constant(4, 3, 0.0, np.inf)
+
+    def test_constant_warps_like_a_materialized_field(self):
+        rng = np.random.default_rng(11)
+        img = GridImage(rng.standard_normal((9, 11)))
+        full = FlowField(np.full((9, 11), 1.3), np.full((9, 11), -0.7))
+        assert full.u.strides != (0, 0)
+        out = warp_image(img, FlowField.constant(11, 9, 1.3, -0.7))
+        assert out.data.tobytes() == warp_image(img, full).data.tobytes()
+
+
 class TestFlowParams:
     def test_validation(self):
         with pytest.raises(ValueError):

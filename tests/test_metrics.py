@@ -1,12 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from meshsrr import metrics
 from meshsrr.grid import GridImage
 from meshsrr.metrics import (BinaryMask, MetricsReport, binarize, boundary,
                              evaluate_pair, evaluate_sequence, hausdorff, masd,
                              overlap, FrameMetrics)
 
-from oracles import brute_force_hausdorff, brute_force_masd, random_mask_pair
+from oracles import (brute_force_hausdorff, brute_force_masd,
+                     directed_boundary_distances, random_mask_pair)
 
 
 def mask_from_pixels(w, h, pixels):
@@ -103,6 +110,22 @@ class TestBoundary:
         assert got == expected
 
 
+def _all_pairs_d2(pa, pb):
+    """Least ``dx * dx + dy * dy`` from each point of pa over all of pb."""
+    dx = pa[:, None, 0] - pb[None, :, 0]
+    dy = pa[:, None, 1] - pb[None, :, 1]
+    return (dx * dx + dy * dy).min(axis=1)
+
+
+def _pair(w, h, pixels_a, pixels_b):
+    return mask_from_pixels(w, h, pixels_a).bits, mask_from_pixels(w, h, pixels_b).bits
+
+
+_mask_pairs = st.tuples(st.integers(1, 12), st.integers(1, 12)).flatmap(
+    lambda shape: st.tuples(arrays(bool, shape), arrays(bool, shape))
+).filter(lambda pair: pair[0].any() and pair[1].any())
+
+
 class TestDistances:
     def test_self_distance_zero(self):
         m = mask_from_pixels(8, 8, [(2, 2), (3, 2), (3, 3)])
@@ -143,6 +166,39 @@ class TestDistances:
             a, b = random_mask_pair(rng, max_side=24)
             assert masd(a, b) <= hausdorff(a, b) + 1e-15
 
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(pair=_mask_pairs, block=st.sampled_from([1, 50_000]))
+    @example(pair=_pair(7, 3, [(2, 1)], [(0, 0), (6, 2)]), block=50_000)  # H != W
+    @example(pair=_pair(9, 1, [(0, 0), (4, 0)], [(8, 0)]), block=50_000)  # 1 x N
+    @example(pair=_pair(1, 9, [(0, 3)], [(0, 0), (0, 8)]), block=1)  # N x 1
+    @example(pair=_pair(6, 5, [(3, 2)], [(5, 4)]), block=50_000)  # single pixels
+    @example(pair=(np.ones((4, 5), bool), np.eye(4, 5, dtype=bool)), block=1)  # border
+    # A target whose pixels leave rows 1-3 and columns 1-4 empty.
+    @example(pair=_pair(7, 6, [(2, 2), (3, 3)], [(0, 0), (6, 5), (5, 4)]), block=50_000)
+    def test_directed_d2_equals_all_pairs_minimum_bitwise(self, pair, block):
+        """The grid search equals the vectorized all-pairs minimum of
+        ``dx * dx + dy * dy`` bit for bit, whatever the query block."""
+        a, b = BinaryMask(pair[0]), BinaryMask(pair[1])
+        pa, pb = boundary(a), boundary(b)
+        with mock.patch.object(metrics, "_QUERY_BLOCK", block):
+            d_ab, d_ba = metrics._directed_d2(a, b)
+        assert d_ab.tobytes() == _all_pairs_d2(pa, pb).tobytes()
+        assert d_ba.tobytes() == _all_pairs_d2(pb, pa).tobytes()
+
+    def test_directed_distances_match_loop_oracle_64x48(self):
+        """Smooth shapes on a 64 x 48 grid, with several query blocks per
+        direction, against the explicit double loop."""
+        ys, xs = np.mgrid[0:48, 0:64]
+        a = BinaryMask(((xs - 30) / 20.0) ** 2 + ((ys - 22) / 14.0) ** 2 <= 1.0)
+        b = BinaryMask((np.abs(xs - 36) <= 12) & (ys >= 8) & (ys < 40)
+                       | (np.abs(ys - 14) <= 4) & (xs >= 10) & (xs < 60))
+        pa, pb = boundary(a), boundary(b)
+        with mock.patch.object(metrics, "_QUERY_BLOCK", 64 * 7):
+            d_ab, d_ba = metrics._directed_d2(a, b)
+        assert min(pa.shape[0], pb.shape[0]) > 7
+        assert np.array_equal(np.sqrt(d_ab), directed_boundary_distances(pa, pb))
+        assert np.array_equal(np.sqrt(d_ba), directed_boundary_distances(pb, pa))
+
     def test_empty_boundary_rejected(self):
         empty = BinaryMask(np.zeros((4, 4), dtype=bool))
         full = BinaryMask(np.ones((4, 4), dtype=bool))
@@ -175,14 +231,14 @@ class TestReport:
         assert fm.overlap == 1.0 and fm.hausdorff == 0.0 and fm.masd == 0.0
 
     def test_evaluate_pair_extracts_each_boundary_once(self, monkeypatch):
-        import meshsrr.metrics as metrics
+        edge = metrics._edge
         calls = []
 
         def counted(mask):
             calls.append(mask)
-            return boundary(mask)
+            return edge(mask)
 
-        monkeypatch.setattr(metrics, "boundary", counted)
+        monkeypatch.setattr(metrics, "_edge", counted)
         truth = np.zeros((16, 16))
         truth[5:10, 6:12] = 2.0
         estimate = np.roll(truth, 2, axis=1)
