@@ -14,13 +14,13 @@ from .flow import (FlowField, FlowParams, build_pyramid, horn_schunck,
 from .grid import GridImage, pixel_centers
 from .mesh import (FemImage, FemMesh, OUTSIDE, PixelAssignment,
                    build_pixel_assignment, downsample, upsample)
-from .metrics import (BinaryMask, FrameMetrics, MetricsReport, binarize, boundary,
+from .metrics import (BinaryMask, FrameMetrics, MetricsReport, binarize,
                       evaluate_pair, evaluate_sequence, hausdorff, masd, overlap)
 from .operators import (Kernel, ObservationModel, convolve_neumann,
                         gaussian_kernel, warp_image)
 from .phantoms import (COARSE, FINE, LUNG, T_SHAPE, SceneSpec, degrade,
                        disc_mesh, render_lung, render_scene, render_tshape,
-                       tshape_centers)
+                       scene_flows, tshape_centers)
 from .srr import SrrConfig, SrrState, run_sequence, srr_init, srr_step
 
 __version__ = "0.1.0"

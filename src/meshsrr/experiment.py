@@ -9,12 +9,12 @@ from pathlib import Path
 from .config import ExperimentConfig
 from .errors import ConfigError
 from .fileio import emit_images, write_mesh, write_values
-from .flow import FlowField, horn_schunck_sequence
+from .flow import horn_schunck_sequence
 from .grid import GridImage
 from .mesh import FemImage, build_pixel_assignment, upsample
 from .metrics import MetricsReport, evaluate_sequence
 from .operators import ObservationModel
-from .phantoms import T_SHAPE, degrade, disc_mesh, render_scene, tshape_centers
+from .phantoms import degrade, disc_mesh, render_scene, scene_flows
 from .srr import run_sequence
 
 
@@ -27,26 +27,6 @@ class ExperimentResult:
     cost_histories: tuple[tuple[float, ...], ...]
     elapsed_seconds: float
     stage_seconds: dict[str, float]
-
-
-def known_motion_flows(cfg: ExperimentConfig,
-                       hr_frames: list[GridImage]) -> list[FlowField]:
-    """Ground-truth-side motion for the prediction step.
-
-    For the translating shape the analytic inter-frame translation is used
-    directly; for the breathing scene (whose motion is not a global
-    translation) the flow is estimated from the clean full-resolution frames
-    instead of from the observations.
-    """
-    n = cfg.grid
-    if cfg.scene.kind == T_SHAPE:
-        centers = tshape_centers(cfg.scene)
-        flows = []
-        for t in range(1, cfg.scene.frames):
-            dx, dy = (centers[t - 1] - centers[t]) * (n / 2.0)
-            flows.append(FlowField.constant(n, n, dx, dy))
-        return flows
-    return horn_schunck_sequence(hr_frames, cfg.flow)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -96,7 +76,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     up = [upsample(o, assignment) for o in lr]
     lap("degrade")
 
-    flows = (known_motion_flows(cfg, hr) if cfg.known_motion
+    flows = (scene_flows(scene, n, n) if cfg.known_motion
              else horn_schunck_sequence(up, cfg.flow))
     lap("flow")
     states = run_sequence(up, flows, cfg.srr_config(), model)

@@ -14,9 +14,11 @@ diagonalizes the Neumann graph Laplacian (Martucci 1994). Horn & Schunck
 iterate to convergence: a pair stops once its relative residual is within
 ``_CG_TOL``, or after ``iterations_per_level`` iterations.
 
-``horn_schunck_sequence`` registers each distinct consecutive pair once, with
-independent pairs stacked along a leading axis to share every solver call;
-each level cuts the stack into chunks of at most ``_STACK_PIXELS`` pixels.
+``horn_schunck_sequence`` registers the consecutive pairs stacked along a
+leading axis, so that they share every solver call; each level cuts the
+stack into chunks of at most ``_STACK_PIXELS`` pixels. A pair of equal
+frames has a zero right-hand side, so its solves stop before the first
+iteration and its flow is the exact zero field.
 ``scipy.fft``, which takes the DCTs, loads on the first solve, not on import.
 """
 from __future__ import annotations
@@ -282,8 +284,9 @@ def _coarse_to_fine(prev: np.ndarray, nxt: np.ndarray, params: FlowParams,
     ``_STACK_PIXELS`` pixels."""
     lo = np.minimum(prev.min(axis=(-2, -1), keepdims=True), nxt.min(axis=(-2, -1), keepdims=True))
     hi = np.maximum(prev.max(axis=(-2, -1), keepdims=True), nxt.max(axis=(-2, -1), keepdims=True))
-    pa = build_pyramid((prev - lo) / (hi - lo), levels, params.pyramid_spacing)
-    pb = build_pyramid((nxt - lo) / (hi - lo), levels, params.pyramid_spacing)
+    scale = np.where(hi > lo, hi - lo, 1.0)  # a constant pair stays at 0
+    pa = build_pyramid((prev - lo) / scale, levels, params.pyramid_spacing)
+    pb = build_pyramid((nxt - lo) / scale, levels, params.pyramid_spacing)
     del prev, nxt  # the pyramids hold rescaled copies; free the caller's stacks
 
     u = np.zeros(pa[-1].shape)
@@ -325,10 +328,9 @@ def horn_schunck(prev: GridImage, nxt: GridImage, params: FlowParams) -> FlowFie
 def horn_schunck_sequence(frames: list[GridImage], params: FlowParams) -> list[FlowField]:
     """Flows ``horn_schunck(frames[t], frames[t - 1], params)`` for t >= 1.
 
-    Each distinct pair of frames is solved once, pairs of equal frames get
-    the exact zero field, and the remaining pairs run through the solver
-    together, stacked per level. The flows are bit-identical to the pairwise
-    calls; a pyramid reduction is warned about once.
+    All pairs run through the solver together, stacked per level. The flows
+    are bit-identical to the pairwise calls; a pyramid reduction is warned
+    about once.
     """
     return _flows(frames, params)
 
@@ -341,17 +343,6 @@ def _flows(frames: list[GridImage], params: FlowParams) -> list[FlowField]:
     for frame in frames[1:]:
         require_same_shape(first, frame, "flow input images")
     levels = _pyramid_levels(first.width, first.height, params)
-    ids: list[int] = []  # index of the first frame equal to each frame
-    for t, frame in enumerate(frames):
-        ids.append(next((k for k in dict.fromkeys(ids)
-                         if np.array_equal(frames[k].data, frame.data)), t))
-    keys = [(ids[t], ids[t - 1]) for t in range(1, len(frames))]
-    pairs = [key for key in dict.fromkeys(keys) if key[0] != key[1]]
-    solved = {}
-    if pairs:
-        u, v = _coarse_to_fine(np.stack([frames[p].data for p, _ in pairs]),
-                               np.stack([frames[n].data for _, n in pairs]),
-                               params, levels)
-        solved = {key: FlowField(uk, vk) for key, uk, vk in zip(pairs, u, v)}
-    zero = FlowField.zeros(first.width, first.height)
-    return [solved.get(key, zero) for key in keys]
+    u, v = _coarse_to_fine(np.stack([f.data for f in frames[1:]]),
+                           np.stack([f.data for f in frames[:-1]]), params, levels)
+    return [FlowField(uk, vk) for uk, vk in zip(u, v)]

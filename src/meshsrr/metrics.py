@@ -82,17 +82,6 @@ def _edge(mask: BinaryMask) -> np.ndarray:
     return b & ~interior
 
 
-def boundary(mask: BinaryMask) -> np.ndarray:
-    """Boundary point set in normalized coordinates, shape (n, 2).
-
-    A set pixel belongs to the boundary when any 4-neighbor is unset or the
-    pixel touches the image border.
-    """
-    js, iis = np.nonzero(_edge(mask))
-    return np.column_stack([pixel_centers(mask.width)[iis],
-                            pixel_centers(mask.height)[js]])
-
-
 # Table entries per block of queries: 0.4 MB of float64 per transient.
 _QUERY_BLOCK = 50_000
 

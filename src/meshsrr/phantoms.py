@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .flow import FlowField
 from .grid import GridImage, pixel_centers
 from .mesh import FemImage, FemMesh, PixelAssignment, downsample
 from .operators import Kernel, convolve_stack
@@ -142,8 +143,7 @@ def render_tshape(spec: SceneSpec, t: int, width: int, height: int) -> GridImage
 def lung_scale(spec: SceneSpec, t: int) -> float:
     """Isotropic semi-axis factor at frame ``t``; the ellipse area varies
     sinusoidally by +-BREATH_AMPLITUDE over a period of frames / 2."""
-    period = spec.frames / 2.0
-    phase = 2.0 * math.pi * t / period if period > 0 else 0.0
+    phase = 2.0 * math.pi * t / (spec.frames / 2.0)
     return math.sqrt(1.0 + BREATH_AMPLITUDE * math.sin(phase))
 
 
@@ -164,6 +164,39 @@ def render_scene(spec: SceneSpec, t: int, width: int, height: int) -> GridImage:
     if spec.kind == T_SHAPE:
         return render_tshape(spec, t, width, height)
     return render_lung(spec, t, width, height)
+
+
+def scene_flows(spec: SceneSpec, width: int, height: int) -> list[FlowField]:
+    """The true motion from frame t - 1 to frame t, t >= 1, in pixels:
+    backward-warping frame t - 1 by it reproduces frame t.
+
+    The T-shape's flow is its constant translation. The lungs' flow is the
+    scaling ``(p - c) * (s[t-1] / s[t] - 1)`` about the centre c of the
+    nearer lung, s being ``lung_scale``, weighed by
+    ``clip((rho_mid - rho) / (rho_mid - 1), 0, 1)``. There rho is the
+    elliptical radius about c at the largest semi-axes and rho_mid its value
+    on the midline: the weight is 1 on every lung ellipse of every frame and
+    falls to 0 at the midline, so the spine and the disc edge do not move.
+    """
+    if spec.kind == T_SHAPE:
+        centers = tshape_centers(spec)
+        return [FlowField.constant(width, height, *(centers[t - 1] - centers[t])
+                                   * (width / 2.0, height / 2.0))
+                for t in range(1, spec.frames)]
+    X, Y = np.meshgrid(pixel_centers(width), pixel_centers(height))
+    s_max = math.sqrt(1.0 + BREATH_AMPLITUDE)
+    dx = X - np.where(X < 0, -LUNG_CENTER_X, LUNG_CENTER_X)
+    dy = Y - LUNG_CENTER_Y
+    rho = np.hypot(dx / (LUNG_SEMI_X * s_max), dy / (LUNG_SEMI_Y * s_max))
+    rho_mid = LUNG_CENTER_X / (LUNG_SEMI_X * s_max)
+    weight = np.clip((rho_mid - rho) / (rho_mid - 1.0), 0.0, 1.0)
+    u = dx * weight * (width / 2.0)
+    v = dy * weight * (height / 2.0)
+    flows = []
+    for t in range(1, spec.frames):
+        k = lung_scale(spec, t - 1) / lung_scale(spec, t) - 1.0
+        flows.append(FlowField(k * u, k * v))
+    return flows
 
 
 def snr_power_ratio(snr_db: float) -> float:

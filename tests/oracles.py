@@ -4,8 +4,9 @@ Everything here is written against the operator definitions directly (index
 loops, explicit reflection maps, dense matrices) and deliberately avoids the
 code paths of the package under test; the oracles read only its data (mesh
 nodes and elements, ``pixel_to_element``, flow components). The exceptions
-are test-only helpers built on the package: ``random_mask_pair`` (which
-returns ``BinaryMask`` pairs), ``compose_flows`` (which samples through
+are test-only helpers built on the package: ``boundary`` (the boundary
+points of ``metrics._edge``), ``random_mask_pair`` (which returns
+``BinaryMask`` pairs), ``compose_flows`` (which samples through
 the warp's bilinear gather), ``power_iteration_norm`` (which applies the
 operator through ``ObservationModel``), ``dct_diagonal`` (the DCT-II form
 of the blur and the Laplacian, fed the package's eigenvalues) and the
@@ -147,6 +148,17 @@ def dense_warp_matrix(flow, width: int, height: int) -> np.ndarray:
             mat[row, y1 * width + x0] += (1 - fx) * fy
             mat[row, y1 * width + x1] += fx * fy
     return mat
+
+
+def boundary(mask) -> np.ndarray:
+    """Boundary point set of a ``BinaryMask`` in normalized coordinates,
+    shape (n, 2): the centers of the pixels of ``metrics._edge``, the set
+    pixels with an unset 4-neighbor or on the image border."""
+    from meshsrr.grid import pixel_centers
+    from meshsrr.metrics import _edge
+    js, iis = np.nonzero(_edge(mask))
+    return np.column_stack([pixel_centers(mask.width)[iis],
+                            pixel_centers(mask.height)[js]])
 
 
 def directed_boundary_distances(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:

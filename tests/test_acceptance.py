@@ -16,12 +16,12 @@ from meshsrr.experiment import run_experiment
 from meshsrr.flow import FlowParams, horn_schunck
 from meshsrr.grid import GridImage
 from meshsrr.mesh import build_pixel_assignment
-from meshsrr.metrics import boundary, hausdorff, masd, overlap
+from meshsrr.metrics import hausdorff, masd, overlap
 from meshsrr.operators import (ObservationModel, convolve_neumann,
                                gaussian_kernel, warp_image)
 from meshsrr.phantoms import COARSE, FINE, disc_mesh
 
-from oracles import (brute_force_hausdorff, brute_force_masd,
+from oracles import (boundary, brute_force_hausdorff, brute_force_masd,
                      dense_blur_matrix, dense_laplacian_matrix,
                      dense_projection_matrix, dense_warp_matrix,
                      random_mask_pair)

@@ -3,9 +3,9 @@ import pytest
 from dataclasses import replace
 
 from meshsrr.config import preset
-from meshsrr.experiment import known_motion_flows, run_experiment
+from meshsrr.experiment import run_experiment
 from meshsrr.flow import FlowParams
-from meshsrr.phantoms import SceneSpec, tshape_centers, render_scene
+from meshsrr.phantoms import scene_flows, tshape_centers
 
 
 def tiny_cfg(**kw):
@@ -22,20 +22,12 @@ def tiny_cfg(**kw):
 class TestKnownMotionFlows:
     def test_tshape_flows_are_analytic_translations(self):
         cfg = tiny_cfg()
-        hr = [render_scene(cfg.scene, t, 32, 32) for t in range(3)]
-        flows = known_motion_flows(cfg, hr)
+        flows = scene_flows(cfg.scene, 32, 32)
         centers = tshape_centers(cfg.scene)
         assert len(flows) == 2
         for t, f in enumerate(flows, start=1):
             du, dv = (centers[t - 1] - centers[t]) * 16.0
             assert np.allclose(f.u, du) and np.allclose(f.v, dv)
-
-    def test_lung_flows_estimated_from_clean_frames(self):
-        cfg = tiny_cfg(scene=SceneSpec(kind="LUNG", frames=3))
-        hr = [render_scene(cfg.scene, t, 32, 32) for t in range(3)]
-        flows = known_motion_flows(cfg, hr)
-        assert len(flows) == 2
-        assert all(f.width == 32 and f.height == 32 for f in flows)
 
 
 class TestRunExperiment:

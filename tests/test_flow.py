@@ -333,15 +333,21 @@ def assert_same_flows(got, ref):
 
 class TestIdenticalPairShortcut:
     def test_equal_frames_skip_the_solver(self, monkeypatch):
-        calls = count_calls(monkeypatch, "solve_linearized_flow")
-        img = GridImage(gaussian_blob(32, 12.0, 17.0))
-        f = horn_schunck(img, GridImage(img.data.copy()), FlowParams(pyramid_levels=2))
-        seq = horn_schunck_sequence([img] * 4, FlowParams(pyramid_levels=2))
-        for out in (f, *seq):
-            assert np.array_equal(out.u, np.zeros((32, 32)))
-            assert np.array_equal(out.v, np.zeros((32, 32)))
-            assert not np.signbit(out.u).any() and not np.signbit(out.v).any()
-        assert len(seq) == 3 and calls == []
+        # Their right-hand side is 0: each solve stops before its first
+        # conjugate-gradient iteration, so it takes no transform. A constant
+        # pair (hi == lo) is rescaled by 1, not divided by 0.
+        counts = count_transforms(monkeypatch)
+        params = FlowParams(pyramid_levels=2)
+        for data in (gaussian_blob(32, 12.0, 17.0), np.full((32, 32), -2.5), np.zeros((32, 32))):
+            img = GridImage(data)
+            f = horn_schunck(img, GridImage(img.data.copy()), params)
+            seq = horn_schunck_sequence([img] * 4, params)
+            for out in (f, *seq):
+                assert np.array_equal(out.u, np.zeros((32, 32)))
+                assert np.array_equal(out.v, np.zeros((32, 32)))
+                assert not np.signbit(out.u).any() and not np.signbit(out.v).any()
+            assert len(seq) == 3
+        assert counts == {"dctn": 0, "idctn": 0}
 
     def test_signed_zeros_count_as_equal(self):
         a = gaussian_blob(16, 8, 8)
@@ -379,27 +385,18 @@ class TestHornSchunckSequence:
         stacks = count_calls(monkeypatch, "_coarse_to_fine")
         solves = count_calls(monkeypatch, "solve_linearized_flow")
         got = horn_schunck_sequence(frames, cfg.flow)
-        # The 8 distinct non-identical pairs go in together; the repeats and
-        # the four identical pairs come back without a solve. Each level cuts
-        # its stacks to 10 000 pixels: 1 pair at 100x100, 4 at 50x50, all 8
-        # at 25x25 and 12x12.
-        assert [args[0].shape for args in stacks] == [(8, 100, 100)]
+        # All 19 pairs go in together, the repeated and the identical ones
+        # too. Each level cuts its stacks to 10 000 pixels: 1 pair at
+        # 100x100, 4 at 50x50, 16 at 25x25 and all 19 at 12x12.
+        assert [args[0].shape for args in stacks] == [(19, 100, 100)]
         largest = {}
         for args in solves:
             n, h, w = args[0].shape
             largest[h, w] = max(largest.get((h, w), 0), n)
-        assert largest == {(12, 12): 8, (25, 25): 8, (50, 50): 4, (100, 100): 1}
+        assert largest == {(12, 12): 19, (25, 25): 16, (50, 50): 4, (100, 100): 1}
         monkeypatch.undo()
         assert_same_flows(got, pairwise(frames, cfg.flow))
         assert all(np.array_equal(f.data, k) for f, k in zip(frames, keep))
-
-    def test_known_motion_flows_solves_distinct_pairs_once(self, lung_frames, monkeypatch):
-        from meshsrr.experiment import known_motion_flows
-        cfg, frames = lung_frames
-        stacks = count_calls(monkeypatch, "_coarse_to_fine")
-        flows = known_motion_flows(replace(cfg, grid=100), frames)
-        assert len(flows) == len(frames) - 1
-        assert sum(args[0].shape[0] for args in stacks) == 8
 
     def test_matches_pairwise_on_noisy_frames_in_one_stack(self, monkeypatch):
         from meshsrr.config import preset
@@ -408,14 +405,15 @@ class TestHornSchunckSequence:
         rng = np.random.default_rng(17)
         frames = [GridImage(render_scene(cfg.scene, t, 24, 24).data
                             + 0.05 * rng.standard_normal((24, 24))) for t in range(7)]
-        # An identical pair (2, 2), a repeated pair (2, 1) and 8 distinct pairs.
+        # An identical pair (2, 2), a repeated pair (2, 1) and 8 distinct
+        # pairs, all 10 in one stack.
         frames = frames[:3] + [frames[2], frames[1], frames[2]] + frames[3:] + [frames[0]]
         keep = [f.data.copy() for f in frames]
         stacks = count_calls(monkeypatch, "_coarse_to_fine")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             got = horn_schunck_sequence(frames, cfg.flow)
-            assert [args[0].shape[0] for args in stacks] == [8]
+            assert [args[0].shape[0] for args in stacks] == [10]
             monkeypatch.undo()
             ref = pairwise(frames, cfg.flow)
         assert_same_flows(got, ref)
@@ -532,12 +530,3 @@ class TestConjugateGradients:
         support = prev.data > 0.1
         assert abs(f.u[support].mean() - 2.5) <= 0.05
         assert abs(f.v[support].mean() + 1.5) <= 0.05
-
-    def test_known_motion_flows_converged(self, lung_frames, monkeypatch):
-        from meshsrr.experiment import known_motion_flows
-        cfg, frames = lung_frames
-        cfg = replace(cfg, grid=100)
-        got = known_motion_flows(cfg, frames)
-        monkeypatch.setattr(flow, "_CG_TOL", 1e-10)
-        ref = known_motion_flows(replace(cfg, flow=converged_params(cfg.flow)), frames)
-        assert rms_distance(got, ref) <= 1e-4

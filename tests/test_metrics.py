@@ -8,11 +8,10 @@ from hypothesis.extra.numpy import arrays
 
 from meshsrr import metrics
 from meshsrr.grid import GridImage
-from meshsrr.metrics import (BinaryMask, MetricsReport, binarize, boundary,
-                             evaluate_pair, evaluate_sequence, hausdorff, masd,
-                             overlap, FrameMetrics)
+from meshsrr.metrics import (BinaryMask, MetricsReport, binarize, evaluate_pair,
+                             evaluate_sequence, hausdorff, masd, overlap, FrameMetrics)
 
-from oracles import (brute_force_hausdorff, brute_force_masd,
+from oracles import (boundary, brute_force_hausdorff, brute_force_masd,
                      directed_boundary_distances, random_mask_pair)
 
 

@@ -610,7 +610,12 @@ cfg = replace(cfg, grid=40, scene=replace(cfg.scene, frames=3), known_motion=Tru
 
 
 def test_run_without_registration_does_not_load_scipy_fft():
-    assert not _import_loads("scipy.fft", _KNOWN_MOTION_RUN + "run_experiment(cfg)\n")
+    # Known motion comes from the scene parameters for both scenes.
+    lung = """
+lung = preset("ex2a")
+run_experiment(replace(lung, grid=40, scene=replace(lung.scene, frames=3), known_motion=True))
+"""
+    assert not _import_loads("scipy.fft", _KNOWN_MOTION_RUN + "run_experiment(cfg)\n" + lung)
 
 
 def test_run_and_metrics_cli_do_not_load_scipy_spatial(tmp_path):

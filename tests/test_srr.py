@@ -377,18 +377,17 @@ class TestPixelReference:
     def test_run_sequence_matches_pixel_reference(self, name, known):
         from dataclasses import replace
         from meshsrr.config import preset
-        from meshsrr.experiment import known_motion_flows, run_experiment
+        from meshsrr.experiment import run_experiment
         from meshsrr.flow import horn_schunck_sequence
-        from meshsrr.phantoms import render_scene
+        from meshsrr.phantoms import scene_flows
         cfg = replace(preset(name), grid=32, known_motion=known)
         asg = build_pixel_assignment(disc_mesh(cfg.mesh_density), 32, 32)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             result = run_experiment(cfg)
             up = list(result.up_frames)
-            flows = (known_motion_flows(cfg, [render_scene(cfg.scene, t, 32, 32)
-                                              for t in range(cfg.scene.frames)])
-                     if known else horn_schunck_sequence(up, cfg.flow))
+            flows = (scene_flows(cfg.scene, 32, 32) if known
+                     else horn_schunck_sequence(up, cfg.flow))
         ref = pixel_run_sequence(up, flows, cfg.srr_config(), asg,
                                  cfg.resolved_kernel(), cfg.alpha_srr)
         assert len(ref) == len(result.srr_frames) == cfg.scene.frames
