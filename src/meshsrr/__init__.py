@@ -4,7 +4,8 @@ registration, a recursive LMS reconstructor, synthetic phantoms and
 shape-based quality metrics."""
 
 from .config import ExperimentConfig, parse_config, preset
-from .errors import ConfigError, DivergenceError, FileFormatError, MeshError
+from .errors import (ConfigError, DivergenceError, EmptyBoundaryError, FileFormatError,
+                     MeshError)
 from .experiment import ExperimentResult, run_experiment
 from .fileio import (emit_images, read_fem_image, read_flow, read_grid_image,
                      read_mesh, read_values, write_flow, write_mesh,
@@ -12,6 +13,7 @@ from .fileio import (emit_images, read_fem_image, read_flow, read_grid_image,
 from .flow import (FlowField, FlowParams, build_pyramid, horn_schunck,
                    horn_schunck_sequence)
 from .grid import GridImage, pixel_centers
+from .lazy import LazySequence
 from .mesh import (FemImage, FemMesh, OUTSIDE, PixelAssignment,
                    build_pixel_assignment, downsample, upsample)
 from .metrics import (BinaryMask, FrameMetrics, MetricsReport, binarize,

@@ -15,3 +15,7 @@ class FileFormatError(ValueError):
 
 class DivergenceError(RuntimeError):
     """Numerical divergence detected during reconstruction."""
+
+
+class EmptyBoundaryError(ValueError):
+    """A binarized image has no boundary, so boundary distances are undefined."""

@@ -3,14 +3,16 @@ score, and write deterministic artifacts."""
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 from .config import ExperimentConfig
-from .errors import ConfigError
+from .errors import ConfigError, EmptyBoundaryError
 from .fileio import emit_images, write_mesh, write_values
 from .flow import horn_schunck_sequence
 from .grid import GridImage
+from .lazy import LazySequence
 from .mesh import FemImage, build_pixel_assignment, upsample
 from .metrics import MetricsReport, evaluate_sequence
 from .operators import ObservationModel
@@ -20,9 +22,15 @@ from .srr import run_sequence
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """What one run returns. ``up_frames`` is a ``LazySequence`` that lifts
+    frame t's observation onto the grid on every read (``upsample``); the
+    result holds only the observations' element values behind it. The SRR
+    frames, cost histories and metric reports are kept. ``stage_seconds``
+    is described at ``run_experiment``."""
+
     lr_metrics: MetricsReport
     srr_metrics: MetricsReport
-    up_frames: tuple[GridImage, ...]
+    up_frames: Sequence[GridImage]
     srr_frames: tuple[GridImage, ...]
     cost_histories: tuple[tuple[float, ...], ...]
     elapsed_seconds: float
@@ -38,8 +46,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     any frame is rendered. A frame whose binarized image is empty cannot be
     scored and is refused with ConfigError naming the sequence. On failure a
     partially written directory is renamed with a ``.partial`` suffix before
-    the error propagates. ``stage_seconds`` holds the wall time of each
-    stage: assignment, render, degrade, flow, srr, metrics and write.
+    the error propagates.
+
+    No high-resolution or upsampled frame is kept: both are sequences that
+    make frame t when it is read (``render_scene``, ``upsample`` of the
+    observation), so a run holds per frame only its observation and its
+    outputs, apart from the upsampled frames that estimated-motion
+    registration holds while it solves. ``stage_seconds`` holds the wall time of each stage:
+    assignment, render, degrade, flow, srr, metrics and write. ``render``
+    is the first render of every frame; a later render or lift counts
+    toward the stage that reads the frame.
     """
     t0 = clock = time.perf_counter()
     stages: dict[str, float] = {}
@@ -47,7 +63,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     def lap(stage: str) -> None:
         nonlocal clock
         now = time.perf_counter()
-        stages[stage] = now - clock
+        stages[stage] = stages.get(stage, 0.0) + now - clock
         clock = now
 
     out = Path(cfg.output_dir) if cfg.output_dir else None
@@ -63,21 +79,23 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         raise ConfigError(f"step size mu = {cfg.mu:g} gives mu * L = {mu_l:.4g}; "
                           "it must be below 1 for the cost to decrease")
     lap("assignment")
-    hr = [render_scene(scene, t, n, n) for t in range(scene.frames)]
-    lap("render")
+    hr = LazySequence(scene.frames, lambda t: render_scene(scene, t, n, n))
     lr: list[FemImage] = []
     for t in range(scene.frames):
+        x_hr = hr[t]
+        lap("render")
         try:
-            lr.append(degrade(hr[t], assignment, kernel, cfg.snr_db,
+            lr.append(degrade(x_hr, assignment, kernel, cfg.snr_db,
                               cfg.degrade_seed, frame=t))
         except Exception as exc:
             exc.add_note(f"frame {t}")
             raise
-    up = [upsample(o, assignment) for o in lr]
-    lap("degrade")
+        lap("degrade")
+    up = LazySequence(len(lr), lambda t: upsample(lr[t], assignment))
 
+    # Registration reads every frame up to three times; a list lifts each once.
     flows = (scene_flows(scene, n, n) if cfg.known_motion
-             else horn_schunck_sequence(up, cfg.flow))
+             else horn_schunck_sequence(up[:], cfg.flow))
     lap("flow")
     states = run_sequence(up, flows, cfg.srr_config(), model)
     srr_frames = [s.x_hat for s in states]
@@ -99,7 +117,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(
         lr_metrics=lr_metrics,
         srr_metrics=srr_metrics,
-        up_frames=tuple(up),
+        up_frames=up,
         srr_frames=tuple(srr_frames),
         cost_histories=tuple(s.costs for s in states),
         elapsed_seconds=time.perf_counter() - t0,
@@ -110,7 +128,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 def _score(label: str, truths, estimates) -> MetricsReport:
     try:
         return evaluate_sequence(truths, estimates)
-    except ValueError as exc:  # an empty binarized frame has no boundary
+    except EmptyBoundaryError as exc:
         raise ConfigError("; ".join([f"{label} sequence cannot be scored: {exc}",
                                      *getattr(exc, "__notes__", ())])) from exc
 

@@ -24,6 +24,7 @@ iteration and its flow is the exact zero field.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -325,7 +326,8 @@ def horn_schunck(prev: GridImage, nxt: GridImage, params: FlowParams) -> FlowFie
     return _flows([nxt, prev], params)[0]
 
 
-def horn_schunck_sequence(frames: list[GridImage], params: FlowParams) -> list[FlowField]:
+def horn_schunck_sequence(frames: Sequence[GridImage],
+                          params: FlowParams) -> list[FlowField]:
     """Flows ``horn_schunck(frames[t], frames[t - 1], params)`` for t >= 1.
 
     All pairs run through the solver together, stacked per level. The flows
@@ -335,7 +337,7 @@ def horn_schunck_sequence(frames: list[GridImage], params: FlowParams) -> list[F
     return _flows(frames, params)
 
 
-def _flows(frames: list[GridImage], params: FlowParams) -> list[FlowField]:
+def _flows(frames: Sequence[GridImage], params: FlowParams) -> list[FlowField]:
     """Both entry points' body: a pyramid-reduction warning names their caller."""
     if len(frames) < 2:
         return []

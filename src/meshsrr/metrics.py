@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import EmptyBoundaryError
 from .grid import GridImage, pixel_centers
 
 
@@ -126,7 +127,7 @@ def _directed_d2(a: BinaryMask, b: BinaryMask) -> tuple[np.ndarray, np.ndarray]:
     ea = _edge(a)
     eb = _edge(b)
     if not (ea.any() and eb.any()):
-        raise ValueError("boundary distances are undefined for an empty mask boundary")
+        raise EmptyBoundaryError("boundary distances are undefined for an empty mask boundary")
     return _nearest_d2(ea, eb), _nearest_d2(eb, ea)
 
 

@@ -11,7 +11,9 @@ exact signal-to-noise ratio over the element values.
 """
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +21,7 @@ import numpy as np
 from .errors import ConfigError
 from .flow import FlowField
 from .grid import GridImage, pixel_centers
+from .lazy import LazySequence
 from .mesh import FemImage, FemMesh, PixelAssignment, downsample
 from .operators import Kernel, convolve_stack
 
@@ -91,23 +94,30 @@ class SceneSpec:
             raise ValueError("motion variance must be finite and >= 0, motion bound >= 0")
         check_seed(self.rng_seed, "scene seed")
 
+    @functools.cached_property
+    def _tshape_walk(self) -> np.ndarray:
+        """``tshape_centers``, drawn on first use and kept with the spec."""
+        rng = _rng(self.rng_seed, _MOTION_STREAM)
+        sigma = math.sqrt(self.motion_variance)
+        out = np.zeros((self.frames, 2))
+        pos = np.zeros(2)
+        for t in range(1, self.frames):
+            pos = np.clip(pos + sigma * rng.standard_normal(2),
+                          -self.motion_bound, self.motion_bound)
+            out[t] = pos
+        out.flags.writeable = False
+        return out
+
 
 def tshape_centers(spec: SceneSpec) -> np.ndarray:
     """Positions of the truncated-Gaussian random walk, shape (frames, 2).
 
     The walk starts at the origin; each step adds a zero-mean Gaussian with
     the configured variance per coordinate and the position is clipped to
-    [-bound, bound].
+    [-bound, bound]. It is drawn once per ``SceneSpec`` instance and kept
+    with it as a read-only array, so that rendering every frame walks once.
     """
-    rng = _rng(spec.rng_seed, _MOTION_STREAM)
-    sigma = math.sqrt(spec.motion_variance)
-    out = np.zeros((spec.frames, 2))
-    pos = np.zeros(2)
-    for t in range(1, spec.frames):
-        pos = np.clip(pos + sigma * rng.standard_normal(2),
-                      -spec.motion_bound, spec.motion_bound)
-        out[t] = pos
-    return out
+    return spec._tshape_walk
 
 
 def _rect(X, Y, x0, x1, y0, y1):
@@ -166,17 +176,20 @@ def render_scene(spec: SceneSpec, t: int, width: int, height: int) -> GridImage:
     return render_lung(spec, t, width, height)
 
 
-def scene_flows(spec: SceneSpec, width: int, height: int) -> list[FlowField]:
+def scene_flows(spec: SceneSpec, width: int, height: int) -> Sequence[FlowField]:
     """The true motion from frame t - 1 to frame t, t >= 1, in pixels:
-    backward-warping frame t - 1 by it reproduces frame t.
+    backward-warping frame t - 1 by it reproduces frame t. Item t - 1 is
+    that flow.
 
-    The T-shape's flow is its constant translation. The lungs' flow is the
-    scaling ``(p - c) * (s[t-1] / s[t] - 1)`` about the centre c of the
-    nearer lung, s being ``lung_scale``, weighed by
+    The T-shape's flow is its constant translation, a list of zero-stride
+    fields. The lungs' flow is the scaling ``(p - c) * (s[t-1] / s[t] - 1)``
+    about the centre c of the nearer lung, s being ``lung_scale``, weighed by
     ``clip((rho_mid - rho) / (rho_mid - 1), 0, 1)``. There rho is the
     elliptical radius about c at the largest semi-axes and rho_mid its value
     on the midline: the weight is 1 on every lung ellipse of every frame and
     falls to 0 at the midline, so the spine and the disc edge do not move.
+    The lung flows are a ``LazySequence`` that scales one base field on
+    every read, so only that field is kept.
     """
     if spec.kind == T_SHAPE:
         centers = tshape_centers(spec)
@@ -192,11 +205,8 @@ def scene_flows(spec: SceneSpec, width: int, height: int) -> list[FlowField]:
     weight = np.clip((rho_mid - rho) / (rho_mid - 1.0), 0.0, 1.0)
     u = dx * weight * (width / 2.0)
     v = dy * weight * (height / 2.0)
-    flows = []
-    for t in range(1, spec.frames):
-        k = lung_scale(spec, t - 1) / lung_scale(spec, t) - 1.0
-        flows.append(FlowField(k * u, k * v))
-    return flows
+    k = [lung_scale(spec, t - 1) / lung_scale(spec, t) - 1.0 for t in range(1, spec.frames)]
+    return LazySequence(len(k), lambda t: FlowField(k[t] * u, k[t] * v))
 
 
 def snr_power_ratio(snr_db: float) -> float:

@@ -18,6 +18,7 @@ step size and iteration count of ``SrrConfig``.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,13 +103,15 @@ def srr_step(state: SrrState, y_up_t: GridImage, flow_t: FlowField,
     return SrrState(x_hat=GridImage(x), costs=tuple(costs))
 
 
-def run_sequence(y_ups: list[GridImage], flows: list[FlowField], cfg: SrrConfig,
+def run_sequence(y_ups: Sequence[GridImage], flows: Sequence[FlowField], cfg: SrrConfig,
                  model: ObservationModel) -> list[SrrState]:
     """Fold the recursion over upsampled observations and return every state.
 
     Frame 0 is processed with zero flow and frame t >= 1 with
-    ``flows[t - 1]``, which registers frame t - 1 onto frame t. An error
-    raised by a step gains the note "frame t".
+    ``flows[t - 1]``, which registers frame t - 1 onto frame t. Both
+    sequences are read by index, one item at a time, so either may make its
+    items on access. An error raised by a step, or while reading its frame
+    or flow, gains the note "frame t".
     """
     if not y_ups:
         raise ValueError("observation sequence is empty")
@@ -117,9 +120,10 @@ def run_sequence(y_ups: list[GridImage], flows: list[FlowField], cfg: SrrConfig,
     state = srr_init(y_ups[0], model)
     states: list[SrrState] = []
     h, w = model.shape
-    for t, (y, flow) in enumerate(zip(y_ups, [FlowField.zeros(w, h), *flows])):
+    zero = FlowField.zeros(w, h)
+    for t in range(len(y_ups)):
         try:
-            state = srr_step(state, y, flow, cfg, model)
+            state = srr_step(state, y_ups[t], flows[t - 1] if t else zero, cfg, model)
         except Exception as exc:
             exc.add_note(f"frame {t}")
             raise

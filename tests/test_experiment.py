@@ -1,11 +1,18 @@
+import gc
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
 from meshsrr.config import preset
+from meshsrr.errors import MeshError
 from meshsrr.experiment import run_experiment
 from meshsrr.flow import FlowParams
-from meshsrr.phantoms import scene_flows, tshape_centers
+from meshsrr.lazy import LazySequence
+from meshsrr.mesh import build_pixel_assignment, upsample
+from meshsrr.phantoms import degrade, disc_mesh, render_scene, scene_flows, tshape_centers
 
 
 def tiny_cfg(**kw):
@@ -161,3 +168,109 @@ class TestRunExperiment:
             run_experiment(tiny_cfg())
         assert (err.value.code, err.value.detail) == (5, "synthetic")
         assert err.value.__notes__ == ["frame 2"]
+
+
+class TestFramesOnAccess:
+    def test_up_frames_lift_each_observation_on_every_read(self):
+        cfg = tiny_cfg(scene=replace(tiny_cfg().scene, frames=4))
+        result = run_experiment(cfg)
+        up = result.up_frames
+        assert isinstance(up, LazySequence) and len(up) == 4
+        asg = build_pixel_assignment(disc_mesh(cfg.mesh_density), 32, 32)
+        for t in range(4):
+            observed = degrade(render_scene(cfg.scene, t, 32, 32), asg, cfg.resolved_kernel(),
+                               cfg.snr_db, cfg.degrade_seed, frame=t)
+            first, again, from_end = up[t], up[t], up[t - 4]
+            assert first is not again
+            for frame in (first, again, from_end):
+                assert np.array_equal(frame.data, upsample(observed, asg).data)
+        assert [f.data.shape for f in up[1:3]] == [(32, 32)] * 2
+        with pytest.raises(IndexError):
+            up[4]
+
+    @pytest.mark.parametrize("known", [True, False], ids=["known", "estimated"])
+    def test_each_stage_lifts_each_observation_once(self, monkeypatch, tmp_path, known):
+        """The SRR fold (frame 0 twice: the start and its step), LR scoring,
+        the writes and, for estimated motion, registration each lift every
+        observation once."""
+        import meshsrr.experiment as exp
+
+        original = exp.upsample
+        lifts = {}
+
+        def counted(obs, asg):
+            lifts[id(obs)] = lifts.get(id(obs), 0) + 1
+            return original(obs, asg)
+
+        monkeypatch.setattr(exp, "upsample", counted)
+        cfg = tiny_cfg(scene=replace(tiny_cfg().scene, frames=4), known_motion=known,
+                       output_dir=str(tmp_path / "run"))
+        result = run_experiment(cfg)
+        per_frame = 3 if known else 4
+        assert sorted(lifts.values()) == [per_frame] * 3 + [per_frame + 1]
+        assert len(result.up_frames) == 4
+
+    @pytest.mark.parametrize("error", [ValueError, MeshError, MemoryError])
+    def test_error_rendering_a_truth_for_scoring_keeps_its_type(self, monkeypatch, error):
+        """Scoring renders each truth again; an error there is not taken for
+        an empty binarized frame ("cannot be scored")."""
+        import meshsrr.experiment as exp
+
+        original = exp.render_scene
+        renders = []
+
+        def flaky(spec, t, *args):
+            renders.append(t)
+            if len(renders) == spec.frames + 2:
+                raise error("synthetic")
+            return original(spec, t, *args)
+
+        monkeypatch.setattr(exp, "render_scene", flaky)
+        with pytest.raises(error, match="synthetic") as err:
+            run_experiment(tiny_cfg())
+        assert type(err.value) is error
+
+    def test_renders_count_toward_the_stage_that_reads_them(self, monkeypatch, tmp_path):
+        """The render stage times each frame's first render; scoring renders
+        the truths of both sequences again and writing renders them once
+        more."""
+        import meshsrr.experiment as exp
+
+        original = exp.render_scene
+
+        def slow(*args):
+            time.sleep(0.02)
+            return original(*args)
+
+        monkeypatch.setattr(exp, "render_scene", slow)
+        result = run_experiment(tiny_cfg(output_dir=str(tmp_path / "run")))
+        stages = result.stage_seconds
+        assert stages["render"] >= 3 * 0.02
+        assert stages["metrics"] >= 6 * 0.02
+        assert stages["write"] >= 3 * 0.02
+
+
+@pytest.mark.parametrize("name", ["ex1b", "ex2a"])
+def test_traced_peak_grows_by_about_one_frame_per_frame(name):
+    """A run keeps per frame its observation's element values and its SRR
+    frame: no rendered frame, upsampled frame or flow field. So the traced
+    memory peak of a known-motion run grows by at most 1.5 grid frames per
+    added frame (about 1 measured; 3 when the rendered and upsampled frames
+    were kept, 5 with the lung flows)."""
+    n = 96
+
+    def peak(frames):
+        base = preset(name)
+        cfg = replace(base, grid=n, k_iters=5, known_motion=True,
+                      scene=replace(base.scene, frames=frames))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, many = 16, 32
+    per_frame = (peak(many) - peak(few)) / (many - few)
+    assert per_frame <= 1.5 * n * n * 8

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from meshsrr.config import preset
 from meshsrr.errors import ConfigError
 from meshsrr.grid import GridImage
+from meshsrr.lazy import LazySequence
 from meshsrr.mesh import build_pixel_assignment, downsample
 from meshsrr.operators import convolve_neumann, gaussian_kernel, warp_image
 from meshsrr.phantoms import (COARSE, FINE, LUNG, T_SHAPE, SceneSpec, degrade,
@@ -67,6 +69,32 @@ class TestTshapeWalk:
         spec = scene(motion_variance=0.0)
         c = tshape_centers(spec)
         assert np.abs(c).max() == 0.0
+
+    def test_rendering_every_frame_walks_once(self, monkeypatch):
+        import meshsrr.phantoms as phantoms
+        streams = []
+        original = phantoms._rng
+
+        def counted(seed, stream):
+            streams.append(stream)
+            return original(seed, stream)
+
+        monkeypatch.setattr(phantoms, "_rng", counted)
+        spec = scene(frames=30, rng_seed=77)
+        for t in range(spec.frames):
+            render_tshape(spec, t, 16, 16)
+        scene_flows(spec, 16, 16)
+        assert streams == [phantoms._MOTION_STREAM]
+        # A new spec, equal or not, walks for itself.
+        tshape_centers(scene(frames=30, rng_seed=77))
+        assert streams == [phantoms._MOTION_STREAM] * 2
+
+    def test_walk_is_read_only(self):
+        spec = scene(frames=10, rng_seed=5)
+        c = tshape_centers(spec)
+        with pytest.raises(ValueError, match="read-only"):
+            c[1, 0] = 0.5
+        assert np.array_equal(tshape_centers(scene(frames=10, rng_seed=5)), c)
 
 
 class TestRenderTshape:
@@ -194,6 +222,27 @@ class TestSceneFlows:
         assert any(np.abs(f.u).max() > 0 for f in flows)
         for f in flows:
             assert not f.u[still].any() and not f.v[still].any()
+
+    def test_lung_flows_are_made_on_access(self):
+        """Item t scales one base field; the sequence keeps only that field
+        (two arrays) instead of two arrays per frame."""
+        spec = scene(kind=LUNG, frames=40)
+        n = 100
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            flows = scene_flows(spec, n, n)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert isinstance(flows, LazySequence) and len(flows) == 39
+        assert held <= 2.5 * n * n * 8
+        a, b, c = flows[7], flows[7], flows[7 - 39]
+        assert a is not b
+        for f in (b, c):
+            assert np.array_equal(f.u, a.u) and np.array_equal(f.v, a.v)
+        with pytest.raises(IndexError):
+            flows[39]
 
     def test_lung_flows_scale_every_lung_about_its_centre(self):
         spec = scene(kind=LUNG, frames=20)

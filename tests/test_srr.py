@@ -6,6 +6,7 @@ import pytest
 from meshsrr.errors import DivergenceError
 from meshsrr.flow import FlowField
 from meshsrr.grid import GridImage
+from meshsrr.lazy import LazySequence
 from meshsrr.mesh import FemImage, build_pixel_assignment, upsample
 from meshsrr.operators import ObservationModel, gaussian_kernel
 from meshsrr.phantoms import COARSE, disc_mesh
@@ -330,6 +331,45 @@ class TestRunSequence:
             run_sequence([y] * 3, [FlowField.zeros(8, 8)] * 2, cfg_for(k_iters=2), model)
         assert (err.value.code, err.value.detail) == (7, "synthetic")
         assert err.value.__notes__ == ["frame 1"]
+
+    def test_reads_each_frame_and_flow_when_its_step_needs_it(self, square_mesh, monkeypatch):
+        """No sequence is copied: frame t and flow t - 1 are read by index
+        right before step t, so both may be made on access."""
+        import meshsrr.srr as srr
+        events = []
+        original = srr.srr_step
+
+        def step(*args, **kwargs):
+            events.append("step")
+            return original(*args, **kwargs)
+
+        def frame(t):
+            events.append(f"y{t}")
+            return y
+
+        def flow(t):
+            events.append(f"f{t}")
+            return FlowField.zeros(8, 8)
+
+        monkeypatch.setattr(srr, "srr_step", step)
+        asg = build_pixel_assignment(square_mesh, 8, 8)
+        model = ObservationModel(asg, gaussian_kernel(3, 1.0), 0.01)
+        y = upsample(FemImage(square_mesh, [1.0, 2.0]), asg)
+        run_sequence(LazySequence(3, frame), LazySequence(2, flow), cfg_for(k_iters=2), model)
+        assert events == ["y0", "y0", "step", "y1", "f0", "step", "y2", "f1", "step"]
+
+    def test_error_reading_a_flow_keeps_type_and_gains_frame_note(self, square_mesh):
+        def flow(t):
+            if t == 1:
+                raise MemoryError("synthetic")
+            return FlowField.zeros(8, 8)
+
+        asg = build_pixel_assignment(square_mesh, 8, 8)
+        model = ObservationModel(asg, gaussian_kernel(3, 1.0), 0.01)
+        y = upsample(FemImage(square_mesh, [1.0, 2.0]), asg)
+        with pytest.raises(MemoryError, match="synthetic") as err:
+            run_sequence([y] * 3, LazySequence(2, flow), cfg_for(k_iters=2), model)
+        assert err.value.__notes__ == ["frame 2"]
 
     def test_estimated_flows_match_per_frame_registration(self):
         """``run_experiment`` without known motion registers each upsampled
