@@ -125,8 +125,7 @@ def _resample(data: np.ndarray, new_w: int, new_h: int) -> np.ndarray:
     h, w = data.shape[-2:]
     sx = (np.arange(new_w) + 0.5) * (w / new_w) - 0.5
     sy = (np.arange(new_h) + 0.5) * (h / new_h) - 0.5
-    SX, SY = np.meshgrid(sx, sy)
-    return _bilinear_gather(data, SX, SY)
+    return _bilinear_gather(data, sx, sy[:, None])
 
 
 def _pyramid_sizes(width: int, height: int, levels: int, spacing: float) -> list[tuple[int, int]]:
@@ -296,7 +295,7 @@ def _coarse_to_fine(prev: np.ndarray, nxt: np.ndarray, params: FlowParams,
         a = pa[level]
         b = pb[level]
         h, w = a.shape[-2:]
-        jj, ii = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+        cols, rows = np.arange(w), np.arange(h)[:, None]
         step = max(1, _STACK_PIXELS // (h * w))
         coarse, u, v = (u, v), np.empty(a.shape), np.empty(a.shape)
         for k in range(0, len(u), step):
@@ -306,7 +305,7 @@ def _coarse_to_fine(prev: np.ndarray, nxt: np.ndarray, params: FlowParams,
                 uk = _resample(uk, w, h) * (w / uk.shape[-1])
                 vk = _resample(vk, w, h) * (h / vk.shape[-2])
             for _ in range(params.warps_per_level):
-                warped = _bilinear_gather(b[part], ii + uk, jj + vk)
+                warped = _bilinear_gather(b[part], cols + uk, rows + vk)
                 ix, iy, it = _derivatives(a[part], warped)
                 c = it - ix * uk - iy * vk
                 uk, vk = solve_linearized_flow(ix, iy, c, uk, vk, params.lam,

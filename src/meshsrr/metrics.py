@@ -83,8 +83,8 @@ def _edge(mask: BinaryMask) -> np.ndarray:
     return b & ~interior
 
 
-# Table entries per block of queries: 0.4 MB of float64 per transient.
-_QUERY_BLOCK = 50_000
+# Table entries per block of queries: each of its two buffers is 0.1 MB.
+_QUERY_BLOCK = 12_500
 
 
 def _nearest_d2(query: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -103,20 +103,31 @@ def _nearest_d2(query: np.ndarray, target: np.ndarray) -> np.ndarray:
     h, w = target.shape
     xs = pixel_centers(w)
     ys = pixel_centers(h)[:, None]
-    # Center of the nearest target row at or above / at or below each row;
-    # -inf / inf where the column has none on that side.
-    above = np.maximum.accumulate(np.where(target, ys, -np.inf), axis=0)
-    below = np.minimum.accumulate(np.where(target, ys, np.inf)[::-1], axis=0)[::-1]
-    dy_above = ys - above
-    dy_below = below - ys
-    g = np.minimum(dy_above * dy_above, dy_below * dy_below)
-    dx = xs[:, None] - xs
-    dx2 = dx * dx
+    # Center of the nearest target row at or above (g) / at or below (below)
+    # each row, -inf / inf where the column has none on that side; each
+    # table then becomes its squared offset in place.
+    g = np.where(target, ys, -np.inf)
+    np.maximum.accumulate(g, axis=0, out=g)
+    np.subtract(ys, g, out=g)
+    g *= g
+    below = np.where(target, ys, np.inf)[::-1]
+    np.minimum.accumulate(below, axis=0, out=below)
+    below = below[::-1]
+    np.subtract(below, ys, out=below)
+    below *= below
+    np.minimum(g, below, out=g)
+    del below  # free the scratch before the query buffers
     qr, qc = np.nonzero(query)
     out = np.empty(qr.size)
     step = max(1, _QUERY_BLOCK // w)
+    work = np.empty((2, min(step, qr.size), w))
     for s in range(0, qr.size, step):
-        out[s:s + step] = (dx2[qc[s:s + step]] + g[qr[s:s + step]]).min(axis=1)
+        r, c = qr[s:s + step], qc[s:s + step]
+        d2 = np.subtract.outer(xs[c], xs, out=work[0, :r.size])
+        d2 *= d2
+        # In range by construction; mode "raise" would gather into a copy.
+        d2 += np.take(g, r, axis=0, out=work[1, :r.size], mode="clip")
+        d2.min(axis=1, out=out[s:s + step])
     return out
 
 
@@ -198,9 +209,9 @@ def evaluate_sequence(truths, estimates, fraction: float = 0.25) -> MetricsRepor
     if len(truths) != len(estimates):
         raise ValueError(f"sequence lengths differ: {len(truths)} vs {len(estimates)}")
     frames = []
-    for t, (truth, estimate) in enumerate(zip(truths, estimates)):
+    for t in range(len(truths)):
         try:
-            frames.append(evaluate_pair(truth, estimate, fraction))
+            frames.append(evaluate_pair(truths[t], estimates[t], fraction))
         except Exception as exc:
             exc.add_note(f"frame {t}")
             raise

@@ -112,21 +112,37 @@ def _band_blocks(taps: np.ndarray, n: int) -> list[tuple[slice, slice, np.ndarra
     return [(r, c, mat[r, c]) for r, c in spans]
 
 
+def _rank1_terms(taps: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The square ``taps`` as a sum of outer products ``col x row``, peeled
+    off by complete pivoting: the largest ``|R[i, j]|`` of the remainder R
+    gives the term ``R[:, j] x R[i, :] / R[i, j]``, until
+    ``max|R| <= size * eps * max|taps|``. A Gaussian takes one step. Taps
+    symmetric in each axis give factors symmetric in their own axis, exactly,
+    since every step subtracts the same products at mirrored entries."""
+    rest = taps.copy()
+    tol = taps.shape[0] * np.finfo(np.float64).eps * np.abs(taps).max()
+    terms = []
+    for _ in range(taps.shape[0]):
+        i, j = np.unravel_index(np.argmax(np.abs(rest)), rest.shape)
+        if not abs(rest[i, j]) > tol:
+            break
+        col, row = rest[:, j].copy(), rest[i, :] / rest[i, j]
+        terms.append((col, row))
+        rest -= np.outer(col, row)
+    return terms
+
+
 class _BandedBlur:
     """The reflecting-boundary blur of a mask on a (height, width) grid, built
-    once: ``sum_i A_i x C_i'`` over the singular terms of the taps above
-    ``np.linalg.matrix_rank``'s tolerance (one for a Gaussian), each A and C
-    a banded 1-D matrix from ``_band_blocks``."""
+    once: ``sum_i A_i x C_i'`` over the ``_rank1_terms`` of the taps (one for
+    a Gaussian), each A and C a banded 1-D matrix from ``_band_blocks``."""
 
     def __init__(self, k: Kernel, height: int, width: int):
         if k.size > 2 * min(width, height) - 1:
             raise ValueError(f"kernel size {k.size} exceeds limit {2 * min(width, height) - 1} "
                              f"for a {width}x{height} image")
-        u, s, vt = np.linalg.svd(k.taps)
-        keep = s > s[0] * k.size * np.finfo(np.float64).eps
-        self.terms = [
-            (_band_blocks(np.sqrt(si) * ui, height), _band_blocks(np.sqrt(si) * vi, width))
-            for si, ui, vi in zip(s[keep], u.T[keep], vt[keep])]
+        self.terms = [(_band_blocks(col, height), _band_blocks(row, width))
+                      for col, row in _rank1_terms(k.taps)]
 
     def apply(self, data: np.ndarray) -> np.ndarray:
         """B of every image in the last two axes of ``data``."""
@@ -180,13 +196,25 @@ def _bilinear_gather(data: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.nda
     return (1.0 - fy) * top + fy * bot
 
 
+# Pixels per row band of a warp: its gather transients stay near a tenth of
+# a 200x200 frame each.
+_WARP_BAND = 4096
+
+
 def warp_image(img: GridImage, flow) -> GridImage:
-    """Backward warp: out(p) = img(p + flow(p)), bilinear, clamped at borders."""
+    """Backward warp: out(p) = img(p + flow(p)), bilinear, clamped at borders.
+    Gathered in row bands from the column and row index vectors."""
     if (flow.height, flow.width) != (img.height, img.width):
         raise ValueError(
             f"flow {flow.width}x{flow.height} does not match image {img.width}x{img.height}")
-    jj, ii = np.meshgrid(np.arange(img.height), np.arange(img.width), indexing="ij")
-    return GridImage(_bilinear_gather(img.data, ii + flow.u, jj + flow.v))
+    h, w = img.height, img.width
+    cols, rows = np.arange(w), np.arange(h)[:, None]
+    out = np.empty((h, w))
+    step = max(1, _WARP_BAND // w)
+    for r in range(0, h, step):
+        band = slice(r, r + step)
+        out[band] = _bilinear_gather(img.data, cols + flow.u[band], rows[band] + flow.v[band])
+    return GridImage(out)
 
 
 def _stencil_eigenvalues(height: int, width: int) -> np.ndarray:

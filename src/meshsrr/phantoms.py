@@ -126,10 +126,11 @@ def _rect(X, Y, x0, x1, y0, y1):
 
 def _compose(spec: SceneSpec, t: int, width: int, height: int, shape) -> GridImage:
     """Frame ``t``: the inclusion where ``shape(X, Y)`` holds inside the body
-    disc, the background elsewhere in it, zero outside."""
+    disc, the background elsewhere in it, zero outside. X is the row of
+    pixel-centre abscissas and Y the column of ordinates, which broadcast."""
     if not 0 <= t < spec.frames:
         raise ValueError(f"frame index {t} outside [0, {spec.frames})")
-    X, Y = np.meshgrid(pixel_centers(width), pixel_centers(height))
+    X, Y = pixel_centers(width), pixel_centers(height)[:, None]
     disc = X * X + Y * Y <= BODY_RADIUS * BODY_RADIUS
     img = np.where(shape(X, Y) & disc, spec.inclusion, np.where(disc, spec.background, 0.0))
     return GridImage(img)
@@ -196,7 +197,7 @@ def scene_flows(spec: SceneSpec, width: int, height: int) -> Sequence[FlowField]
         return [FlowField.constant(width, height, *(centers[t - 1] - centers[t])
                                    * (width / 2.0, height / 2.0))
                 for t in range(1, spec.frames)]
-    X, Y = np.meshgrid(pixel_centers(width), pixel_centers(height))
+    X, Y = pixel_centers(width), pixel_centers(height)[:, None]
     s_max = math.sqrt(1.0 + BREATH_AMPLITUDE)
     dx = X - np.where(X < 0, -LUNG_CENTER_X, LUNG_CENTER_X)
     dy = Y - LUNG_CENTER_Y
@@ -206,7 +207,12 @@ def scene_flows(spec: SceneSpec, width: int, height: int) -> Sequence[FlowField]
     u = dx * weight * (width / 2.0)
     v = dy * weight * (height / 2.0)
     k = [lung_scale(spec, t - 1) / lung_scale(spec, t) - 1.0 for t in range(1, spec.frames)]
-    return LazySequence(len(k), lambda t: FlowField(k[t] * u, k[t] * v))
+
+    def flow(t: int) -> FlowField:
+        du, dv = k[t] * u, k[t] * v
+        du.flags.writeable = dv.flags.writeable = False  # so FlowField keeps, not copies, them
+        return FlowField(du, dv)
+    return LazySequence(len(k), flow)
 
 
 def snr_power_ratio(snr_db: float) -> float:

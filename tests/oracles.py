@@ -12,10 +12,25 @@ operator through ``ObservationModel``), ``dct_diagonal`` (the DCT-II form
 of the blur and the Laplacian, fed the package's eigenvalues) and the
 pixel-level SRR reference (``PixelObservationModel``,
 ``pixel_run_sequence``), which shares those eigenvalues, the warp and the
-initial smoothing.
+initial smoothing. ``traced_peak`` is a measurement helper, not an oracle.
 """
+import gc
+import tracemalloc
+
 import numpy as np
 from scipy import fft
+
+
+def traced_peak(make):
+    """``make()`` and the traced memory peak in bytes while it ran, counting
+    only what it allocated (its output included), not its inputs."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = make()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def reflect_index(t: int, n: int) -> int:

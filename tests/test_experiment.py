@@ -213,7 +213,7 @@ class TestFramesOnAccess:
     @pytest.mark.parametrize("error", [ValueError, MeshError, MemoryError])
     def test_error_rendering_a_truth_for_scoring_keeps_its_type(self, monkeypatch, error):
         """Scoring renders each truth again; an error there is not taken for
-        an empty binarized frame ("cannot be scored")."""
+        an empty binarized frame ("cannot be scored") and names its frame."""
         import meshsrr.experiment as exp
 
         original = exp.render_scene
@@ -229,6 +229,8 @@ class TestFramesOnAccess:
         with pytest.raises(error, match="synthetic") as err:
             run_experiment(tiny_cfg())
         assert type(err.value) is error
+        # Renders 1-3 degrade the frames; the LR scores render frames 0, 1.
+        assert err.value.__notes__ == ["frame 1"]
 
     def test_renders_count_toward_the_stage_that_reads_them(self, monkeypatch, tmp_path):
         """The render stage times each frame's first render; scoring renders

@@ -12,7 +12,7 @@ from meshsrr.metrics import (BinaryMask, MetricsReport, binarize, evaluate_pair,
                              evaluate_sequence, hausdorff, masd, overlap, FrameMetrics)
 
 from oracles import (boundary, brute_force_hausdorff, brute_force_masd,
-                     directed_boundary_distances, random_mask_pair)
+                     directed_boundary_distances, random_mask_pair, traced_peak)
 
 
 def mask_from_pixels(w, h, pixels):
@@ -246,6 +246,19 @@ class TestReport:
         em = binarize(GridImage(estimate))
         tm = binarize(GridImage(truth))
         assert (fm.hausdorff, fm.masd) == (hausdorff(em, tm), masd(em, tm))
+
+    def test_evaluate_pair_peak_memory_is_a_few_frames(self):
+        """At 200x200, scoring holds one row-offset table, its scratch and
+        two query buffers of 0.1 MB: at most five frames (ten when it built
+        six tables)."""
+        n = 200
+        ys, xs = np.mgrid[0:n, 0:n] / n
+        truth = GridImage(np.where(((xs - 0.5) / 0.4) ** 2 + ((ys - 0.45) / 0.3) ** 2 <= 1, 2.0, 1.0)
+                          * (np.hypot(xs - 0.5, ys - 0.5) <= 0.5))
+        estimate = GridImage(np.exp(-((xs - 0.55) ** 2 + (ys - 0.5) ** 2) / 0.05))
+        fm, peak = traced_peak(lambda: evaluate_pair(truth, estimate))
+        assert 0.0 < fm.overlap < 1.0
+        assert peak <= 5 * n * n * 8
 
     def test_evaluate_sequence_length_check(self):
         g = GridImage(np.full((4, 4), 1.0))

@@ -11,15 +11,15 @@ import pytest
 from meshsrr.flow import FlowField
 from meshsrr.grid import GridImage
 from meshsrr.mesh import FemMesh, build_pixel_assignment, downsample
-from meshsrr.operators import (Kernel, ObservationModel, _BandedBlur, _blur_eigenvalues,
-                               _band_blocks, _laplacian, _stencil_eigenvalues,
-                               convolve_neumann, convolve_stack, gaussian_kernel,
-                               warp_image)
+from meshsrr.operators import (Kernel, ObservationModel, _BandedBlur, _bilinear_gather,
+                               _blur_eigenvalues, _band_blocks, _laplacian, _rank1_terms,
+                               _stencil_eigenvalues, convolve_neumann, convolve_stack,
+                               gaussian_kernel, warp_image)
 from meshsrr.phantoms import COARSE, FINE, disc_mesh
 
 from oracles import (brute_force_convolve, dct_diagonal, dense_blur_matrix,
                      dense_laplacian_matrix, dense_projection_matrix,
-                     dense_warp_matrix)
+                     dense_warp_matrix, traced_peak)
 
 
 def rotated_anisotropic_taps(size=5, sigma=1.2, cross=0.6) -> np.ndarray:
@@ -241,6 +241,21 @@ class TestBandedBlur:
         assert len(_BandedBlur(nonseparable_kernel(), 9, 9).terms) == 2
         assert len(_BandedBlur(gaussian_kernel(1, 1.0), 9, 9).terms) == 1
 
+    @pytest.mark.parametrize("k,rank", [(gaussian_kernel(61, 20.0), 1),
+                                        (nonseparable_kernel(), 2),
+                                        (nonseparable_kernel(13), 2),
+                                        (gaussian_kernel(1, 1.0), 1)])
+    def test_rank1_terms_sum_back_to_the_taps(self, k, rank):
+        """Complete pivoting peels off the mask's rank in outer products that
+        sum back to it within 1e-15 of its largest tap, and every factor is
+        mirror-symmetric bit for bit, so each 1-D matrix is symmetric."""
+        terms = _rank1_terms(k.taps)
+        assert len(terms) == rank
+        total = sum(np.outer(col, row) for col, row in terms)
+        assert np.abs(total - k.taps).max() <= 1e-15 * np.abs(k.taps).max()
+        for col, row in terms:
+            assert np.array_equal(col, col[::-1]) and np.array_equal(row, row[::-1])
+
     @pytest.mark.parametrize("height,width,size,separable", [
         (h, w, size, separable)
         for h, w in [(1, 1), (5, 7), (7, 5), (45, 70), (100, 64)]
@@ -367,6 +382,28 @@ class TestWarp:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="match"):
             warp_image(GridImage(np.zeros((5, 5))), FlowField.zeros(4, 5))
+
+    @pytest.mark.parametrize("height,width", [(45, 100), (3, 5000), (200, 200)])
+    def test_row_bands_match_one_whole_frame_gather(self, height, width):
+        """Bands of 4096 pixels (a short last one, one row per band for a
+        wide grid) give the whole-frame gather bit for bit."""
+        rng = np.random.default_rng(height)
+        img = GridImage(rng.standard_normal((height, width)))
+        flow = random_flow(rng, width, height, scale=4.0)
+        jj, ii = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
+        whole = _bilinear_gather(img.data, ii + flow.u, jj + flow.v)
+        assert warp_image(img, flow).data.tobytes() == whole.tobytes()
+
+    def test_peak_memory_is_a_few_frames(self):
+        """At 200x200 the warp holds at most five frames besides its output
+        (fourteen when it gathered whole frames)."""
+        n = 200
+        rng = np.random.default_rng(12)
+        img = GridImage(rng.standard_normal((n, n)))
+        flow = random_flow(rng, n, n)
+        out, peak = traced_peak(lambda: warp_image(img, flow))
+        assert out.data.shape == (n, n)
+        assert peak <= (5 + 1) * n * n * 8
 
     def test_warp_matches_dense_matrix(self):
         rng = np.random.default_rng(10)
@@ -598,9 +635,22 @@ def test_import_does_not_load_scipy_fft(code):
     assert not _import_loads("scipy.fft", code)
 
 
+# The known-motion probe runs with numpy's LAPACK entry points replaced by
+# functions that raise: a known-motion run calls none of them.
 _KNOWN_MOTION_RUN = """
 import warnings
 from dataclasses import replace
+import numpy.linalg
+
+def _refuse(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"numpy.linalg.{name} called on a known-motion run")
+    return call
+
+# numpy.linalg's own helpers look the names up in its implementation module.
+for _module in {numpy.linalg, getattr(numpy.linalg, "_linalg", numpy.linalg)}:
+    for _name in ("svd", "eigh", "eig", "pinv", "solve", "lstsq"):
+        setattr(_module, _name, _refuse(_name))
 from meshsrr.config import preset
 from meshsrr.experiment import run_experiment
 warnings.simplefilter("ignore")  # elements without a pixel center at grid 40
@@ -610,7 +660,8 @@ cfg = replace(cfg, grid=40, scene=replace(cfg.scene, frames=3), known_motion=Tru
 
 
 def test_run_without_registration_does_not_load_scipy_fft():
-    # Known motion comes from the scene parameters for both scenes.
+    # Known motion comes from the scene parameters for both scenes, and the
+    # runs complete without LAPACK (see _KNOWN_MOTION_RUN).
     lung = """
 lung = preset("ex2a")
 run_experiment(replace(lung, grid=40, scene=replace(lung.scene, frames=3), known_motion=True))
