@@ -13,7 +13,6 @@ from .fileio import (emit_images, read_fem_image, read_flow, read_grid_image,
 from .flow import (FlowField, FlowParams, build_pyramid, horn_schunck,
                    horn_schunck_sequence)
 from .grid import GridImage, pixel_centers
-from .lazy import LazySequence
 from .mesh import (FemImage, FemMesh, OUTSIDE, PixelAssignment,
                    build_pixel_assignment, downsample, upsample)
 from .metrics import (BinaryMask, FrameMetrics, MetricsReport, binarize,

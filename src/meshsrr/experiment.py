@@ -3,7 +3,6 @@ score, and write deterministic artifacts."""
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -12,7 +11,6 @@ from .errors import ConfigError, EmptyBoundaryError
 from .fileio import emit_images, write_mesh, write_values
 from .flow import horn_schunck_sequence
 from .grid import GridImage
-from .lazy import LazySequence
 from .mesh import FemImage, build_pixel_assignment, upsample
 from .metrics import MetricsReport, evaluate_sequence
 from .operators import ObservationModel
@@ -22,15 +20,12 @@ from .srr import run_sequence
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """What one run returns. ``up_frames`` is a ``LazySequence`` that lifts
-    frame t's observation onto the grid on every read (``upsample``); the
-    result holds only the observations' element values behind it. The SRR
-    frames, cost histories and metric reports are kept. ``stage_seconds``
-    is described at ``run_experiment``."""
+    """What one run returns; ``upsample`` lifts an observation onto the
+    grid. ``stage_seconds`` is described at ``run_experiment``."""
 
     lr_metrics: MetricsReport
     srr_metrics: MetricsReport
-    up_frames: Sequence[GridImage]
+    observations: tuple[FemImage, ...]
     srr_frames: tuple[GridImage, ...]
     cost_histories: tuple[tuple[float, ...], ...]
     elapsed_seconds: float
@@ -48,14 +43,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     partially written directory is renamed with a ``.partial`` suffix before
     the error propagates.
 
-    No high-resolution or upsampled frame is kept: both are sequences that
-    make frame t when it is read (``render_scene``, ``upsample`` of the
-    observation), so a run holds per frame only its observation and its
-    outputs, apart from the upsampled frames that estimated-motion
-    registration holds while it solves. ``stage_seconds`` holds the wall time of each stage:
-    assignment, render, degrade, flow, srr, metrics and write. ``render``
-    is the first render of every frame; a later render or lift counts
-    toward the stage that reads the frame.
+    No high-resolution or upsampled frame is kept: each stage that reads
+    them takes a fresh generator that renders frame t (``render_scene``) or
+    lifts observation t (``upsample``) when it is reached. So a run holds per
+    frame only its observation and its outputs, apart from the upsampled
+    frames that estimated-motion registration holds while it solves. Each
+    frame is rendered 3 times (degrading and the two scorings) and lifted
+    twice (the SRR fold and LR scoring); the artifact writes add one of
+    each, and estimated motion one lift for registration.
+
+    ``stage_seconds`` holds the wall time of each stage: assignment, render,
+    degrade, flow, srr, metrics and write. ``render`` is the first render of
+    every frame; a later render or lift counts toward the stage that reads
+    the frame.
     """
     t0 = clock = time.perf_counter()
     stages: dict[str, float] = {}
@@ -79,10 +79,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         raise ConfigError(f"step size mu = {cfg.mu:g} gives mu * L = {mu_l:.4g}; "
                           "it must be below 1 for the cost to decrease")
     lap("assignment")
-    hr = LazySequence(scene.frames, lambda t: render_scene(scene, t, n, n))
+
     lr: list[FemImage] = []
-    for t in range(scene.frames):
-        x_hr = hr[t]
+
+    def truths():
+        return (render_scene(scene, t, n, n) for t in range(scene.frames))
+
+    def ups():
+        return (upsample(obs, assignment) for obs in lr)
+
+    for t, x_hr in enumerate(truths()):
         lap("render")
         try:
             lr.append(degrade(x_hr, assignment, kernel, cfg.snr_db,
@@ -91,23 +97,22 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             exc.add_note(f"frame {t}")
             raise
         lap("degrade")
-    up = LazySequence(len(lr), lambda t: upsample(lr[t], assignment))
 
     # Registration reads every frame up to three times; a list lifts each once.
     flows = (scene_flows(scene, n, n) if cfg.known_motion
-             else horn_schunck_sequence(up[:], cfg.flow))
+             else horn_schunck_sequence(list(ups()), cfg.flow))
     lap("flow")
-    states = run_sequence(up, flows, cfg.srr_config(), model)
+    states = run_sequence(ups(), flows, cfg.srr_config(), model)
     srr_frames = [s.x_hat for s in states]
     lap("srr")
 
-    lr_metrics = _score("LR", hr, up)
-    srr_metrics = _score("SRR", hr, srr_frames)
+    lr_metrics = _score("LR", truths(), ups())
+    srr_metrics = _score("SRR", truths(), srr_frames)
     lap("metrics")
 
     if out is not None:
         try:
-            _write_artifacts(out, mesh, hr, lr, up, srr_frames,
+            _write_artifacts(out, mesh, truths(), lr, ups(), srr_frames,
                              lr_metrics, srr_metrics)
         except Exception:
             _mark_partial(out)
@@ -117,7 +122,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(
         lr_metrics=lr_metrics,
         srr_metrics=srr_metrics,
-        up_frames=up,
+        observations=tuple(lr),
         srr_frames=tuple(srr_frames),
         cost_histories=tuple(s.costs for s in states),
         elapsed_seconds=time.perf_counter() - t0,

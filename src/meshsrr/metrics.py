@@ -205,14 +205,14 @@ def evaluate_pair(truth: GridImage, estimate: GridImage,
 
 
 def evaluate_sequence(truths, estimates, fraction: float = 0.25) -> MetricsReport:
-    """Score every frame; an error raised by a frame gains the note "frame t"."""
-    if len(truths) != len(estimates):
-        raise ValueError(f"sequence lengths differ: {len(truths)} vs {len(estimates)}")
+    """Score estimate t against truth t. Both are iterated once, one pair at
+    a time; ValueError when one ends before the other. An error raised by a
+    frame, or while reading it, gains the note "frame t"."""
     frames = []
-    for t in range(len(truths)):
-        try:
-            frames.append(evaluate_pair(truths[t], estimates[t], fraction))
-        except Exception as exc:
-            exc.add_note(f"frame {t}")
-            raise
+    try:
+        for truth, estimate in zip(truths, estimates, strict=True):
+            frames.append(evaluate_pair(truth, estimate, fraction))
+    except Exception as exc:
+        exc.add_note(f"frame {len(frames)}")
+        raise
     return MetricsReport(tuple(frames))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +21,6 @@ import numpy as np
 from .errors import ConfigError
 from .flow import FlowField
 from .grid import GridImage, pixel_centers
-from .lazy import LazySequence
 from .mesh import FemImage, FemMesh, PixelAssignment, downsample
 from .operators import Kernel, convolve_stack
 
@@ -177,26 +176,26 @@ def render_scene(spec: SceneSpec, t: int, width: int, height: int) -> GridImage:
     return render_lung(spec, t, width, height)
 
 
-def scene_flows(spec: SceneSpec, width: int, height: int) -> Sequence[FlowField]:
+def scene_flows(spec: SceneSpec, width: int, height: int) -> Iterator[FlowField]:
     """The true motion from frame t - 1 to frame t, t >= 1, in pixels:
     backward-warping frame t - 1 by it reproduces frame t. Item t - 1 is
     that flow.
 
-    The T-shape's flow is its constant translation, a list of zero-stride
-    fields. The lungs' flow is the scaling ``(p - c) * (s[t-1] / s[t] - 1)``
-    about the centre c of the nearer lung, s being ``lung_scale``, weighed by
+    The T-shape's flow is its constant translation, as zero-stride fields.
+    The lungs' flow is the scaling ``(p - c) * (s[t-1] / s[t] - 1)`` about
+    the centre c of the nearer lung, s being ``lung_scale``, weighed by
     ``clip((rho_mid - rho) / (rho_mid - 1), 0, 1)``. There rho is the
     elliptical radius about c at the largest semi-axes and rho_mid its value
     on the midline: the weight is 1 on every lung ellipse of every frame and
     falls to 0 at the midline, so the spine and the disc edge do not move.
-    The lung flows are a ``LazySequence`` that scales one base field on
-    every read, so only that field is kept.
+    Each flow is made when the iterator reaches it; for the lungs that
+    scales one base field, built by this call, so only that field is kept.
     """
     if spec.kind == T_SHAPE:
         centers = tshape_centers(spec)
-        return [FlowField.constant(width, height, *(centers[t - 1] - centers[t])
+        return (FlowField.constant(width, height, *(centers[t - 1] - centers[t])
                                    * (width / 2.0, height / 2.0))
-                for t in range(1, spec.frames)]
+                for t in range(1, spec.frames))
     X, Y = pixel_centers(width), pixel_centers(height)[:, None]
     s_max = math.sqrt(1.0 + BREATH_AMPLITUDE)
     dx = X - np.where(X < 0, -LUNG_CENTER_X, LUNG_CENTER_X)
@@ -208,11 +207,11 @@ def scene_flows(spec: SceneSpec, width: int, height: int) -> Sequence[FlowField]
     v = dy * weight * (height / 2.0)
     k = [lung_scale(spec, t - 1) / lung_scale(spec, t) - 1.0 for t in range(1, spec.frames)]
 
-    def flow(t: int) -> FlowField:
-        du, dv = k[t] * u, k[t] * v
+    def flow(k_t: float) -> FlowField:
+        du, dv = k_t * u, k_t * v
         du.flags.writeable = dv.flags.writeable = False  # so FlowField keeps, not copies, them
         return FlowField(du, dv)
-    return LazySequence(len(k), flow)
+    return map(flow, k)
 
 
 def snr_power_ratio(snr_db: float) -> float:

@@ -18,7 +18,8 @@ step size and iteration count of ``SrrConfig``.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
+import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,29 +104,35 @@ def srr_step(state: SrrState, y_up_t: GridImage, flow_t: FlowField,
     return SrrState(x_hat=GridImage(x), costs=tuple(costs))
 
 
-def run_sequence(y_ups: Sequence[GridImage], flows: Sequence[FlowField], cfg: SrrConfig,
+def run_sequence(y_ups: Iterable[GridImage], flows: Iterable[FlowField], cfg: SrrConfig,
                  model: ObservationModel) -> list[SrrState]:
     """Fold the recursion over upsampled observations and return every state.
 
-    Frame 0 is processed with zero flow and frame t >= 1 with
-    ``flows[t - 1]``, which registers frame t - 1 onto frame t. Both
-    sequences are read by index, one item at a time, so either may make its
-    items on access. An error raised by a step, or while reading its frame
-    or flow, gains the note "frame t".
+    Frame 0 starts the estimate and is processed with zero flow, and frame
+    t >= 1 with flow t - 1, which registers frame t - 1 onto frame t. Both
+    are iterated once, frame t then flow t - 1 right before step t, so
+    either may make its items on access. ValueError when there is no frame,
+    or when the flows are not one fewer than the frames; neither is read
+    past the item that shows it. An error raised by a step, or while
+    reading its frame or flow, gains the note "frame t".
     """
-    if not y_ups:
-        raise ValueError("observation sequence is empty")
-    if len(flows) != len(y_ups) - 1:
-        raise ValueError(f"expected {len(y_ups) - 1} flows, got {len(flows)}")
-    state = srr_init(y_ups[0], model)
-    states: list[SrrState] = []
     h, w = model.shape
-    zero = FlowField.zeros(w, h)
-    for t in range(len(y_ups)):
-        try:
-            state = srr_step(state, y_ups[t], flows[t - 1] if t else zero, cfg, model)
-        except Exception as exc:
-            exc.add_note(f"frame {t}")
-            raise
-        states.append(state)
+    flows = itertools.chain([FlowField.zeros(w, h)], flows)
+    states: list[SrrState] = []
+    try:
+        for y in y_ups:
+            flow = next(flows, None)
+            if flow is None:
+                raise ValueError(f"got {len(states) - 1} flows for {len(states) + 1} or "
+                                 "more frames; expected one flow fewer than frames")
+            state = states[-1] if states else srr_init(y, model)
+            states.append(srr_step(state, y, flow, cfg, model))
+    except Exception as exc:
+        exc.add_note(f"frame {len(states)}")
+        raise
+    if not states:
+        raise ValueError("observation sequence is empty")
+    if next(flows, None) is not None:
+        raise ValueError(f"got more than {len(states) - 1} flows for {len(states)} "
+                         "frames; expected one flow fewer than frames")
     return states

@@ -10,8 +10,7 @@ from meshsrr.config import preset
 from meshsrr.errors import MeshError
 from meshsrr.experiment import run_experiment
 from meshsrr.flow import FlowParams
-from meshsrr.lazy import LazySequence
-from meshsrr.mesh import build_pixel_assignment, upsample
+from meshsrr.mesh import build_pixel_assignment
 from meshsrr.phantoms import degrade, disc_mesh, render_scene, scene_flows, tshape_centers
 
 
@@ -29,7 +28,7 @@ def tiny_cfg(**kw):
 class TestKnownMotionFlows:
     def test_tshape_flows_are_analytic_translations(self):
         cfg = tiny_cfg()
-        flows = scene_flows(cfg.scene, 32, 32)
+        flows = list(scene_flows(cfg.scene, 32, 32))
         centers = tshape_centers(cfg.scene)
         assert len(flows) == 2
         for t, f in enumerate(flows, start=1):
@@ -171,28 +170,21 @@ class TestRunExperiment:
 
 
 class TestFramesOnAccess:
-    def test_up_frames_lift_each_observation_on_every_read(self):
+    def test_result_keeps_the_observations(self):
         cfg = tiny_cfg(scene=replace(tiny_cfg().scene, frames=4))
         result = run_experiment(cfg)
-        up = result.up_frames
-        assert isinstance(up, LazySequence) and len(up) == 4
+        assert isinstance(result.observations, tuple) and len(result.observations) == 4
         asg = build_pixel_assignment(disc_mesh(cfg.mesh_density), 32, 32)
-        for t in range(4):
+        for t, obs in enumerate(result.observations):
             observed = degrade(render_scene(cfg.scene, t, 32, 32), asg, cfg.resolved_kernel(),
                                cfg.snr_db, cfg.degrade_seed, frame=t)
-            first, again, from_end = up[t], up[t], up[t - 4]
-            assert first is not again
-            for frame in (first, again, from_end):
-                assert np.array_equal(frame.data, upsample(observed, asg).data)
-        assert [f.data.shape for f in up[1:3]] == [(32, 32)] * 2
-        with pytest.raises(IndexError):
-            up[4]
+            assert np.array_equal(obs.values, observed.values)
 
     @pytest.mark.parametrize("known", [True, False], ids=["known", "estimated"])
     def test_each_stage_lifts_each_observation_once(self, monkeypatch, tmp_path, known):
-        """The SRR fold (frame 0 twice: the start and its step), LR scoring,
-        the writes and, for estimated motion, registration each lift every
-        observation once."""
+        """The SRR fold (frame 0 once, for the start and its step), LR
+        scoring, the writes and, for estimated motion, registration each
+        lift every observation once."""
         import meshsrr.experiment as exp
 
         original = exp.upsample
@@ -207,8 +199,8 @@ class TestFramesOnAccess:
                        output_dir=str(tmp_path / "run"))
         result = run_experiment(cfg)
         per_frame = 3 if known else 4
-        assert sorted(lifts.values()) == [per_frame] * 3 + [per_frame + 1]
-        assert len(result.up_frames) == 4
+        assert sorted(lifts.values()) == [per_frame] * 4
+        assert set(lifts) == {id(obs) for obs in result.observations}
 
     @pytest.mark.parametrize("error", [ValueError, MeshError, MemoryError])
     def test_error_rendering_a_truth_for_scoring_keeps_its_type(self, monkeypatch, error):

@@ -262,5 +262,5 @@ class TestReport:
 
     def test_evaluate_sequence_length_check(self):
         g = GridImage(np.full((4, 4), 1.0))
-        with pytest.raises(ValueError, match="lengths"):
+        with pytest.raises(ValueError, match="argument 2 is longer than argument 1"):
             evaluate_sequence([g], [g, g])

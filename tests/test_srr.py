@@ -6,7 +6,6 @@ import pytest
 from meshsrr.errors import DivergenceError
 from meshsrr.flow import FlowField
 from meshsrr.grid import GridImage
-from meshsrr.lazy import LazySequence
 from meshsrr.mesh import FemImage, build_pixel_assignment, upsample
 from meshsrr.operators import ObservationModel, gaussian_kernel
 from meshsrr.phantoms import COARSE, disc_mesh
@@ -303,8 +302,10 @@ class TestRunSequence:
         asg = build_pixel_assignment(square_mesh, 8, 8)
         model = ObservationModel(asg, gaussian_kernel(3, 1.0), 0.01)
         y = upsample(FemImage(square_mesh, [1.0, 2.0]), asg)
-        with pytest.raises(ValueError, match="expected 1 flows, got 0"):
+        with pytest.raises(ValueError, match="got 0 flows for 2 or more frames"):
             run_sequence([y, y], [], cfg_for(k_iters=2), model)
+        with pytest.raises(ValueError, match="got more than 1 flows for 2 frames"):
+            run_sequence([y, y], [FlowField.zeros(8, 8)] * 2, cfg_for(k_iters=2), model)
 
     def test_step_error_keeps_type_and_gains_frame_note(self, square_mesh, monkeypatch):
         import meshsrr.srr as srr
@@ -333,8 +334,8 @@ class TestRunSequence:
         assert err.value.__notes__ == ["frame 1"]
 
     def test_reads_each_frame_and_flow_when_its_step_needs_it(self, square_mesh, monkeypatch):
-        """No sequence is copied: frame t and flow t - 1 are read by index
-        right before step t, so both may be made on access."""
+        """No sequence is copied: frame t and flow t - 1 are read right
+        before step t, so both may be made on access; frame 0 is read once."""
         import meshsrr.srr as srr
         events = []
         original = srr.srr_step
@@ -355,8 +356,8 @@ class TestRunSequence:
         asg = build_pixel_assignment(square_mesh, 8, 8)
         model = ObservationModel(asg, gaussian_kernel(3, 1.0), 0.01)
         y = upsample(FemImage(square_mesh, [1.0, 2.0]), asg)
-        run_sequence(LazySequence(3, frame), LazySequence(2, flow), cfg_for(k_iters=2), model)
-        assert events == ["y0", "y0", "step", "y1", "f0", "step", "y2", "f1", "step"]
+        run_sequence(map(frame, range(3)), map(flow, range(2)), cfg_for(k_iters=2), model)
+        assert events == ["y0", "step", "y1", "f0", "step", "y2", "f1", "step"]
 
     def test_error_reading_a_flow_keeps_type_and_gains_frame_note(self, square_mesh):
         def flow(t):
@@ -368,7 +369,7 @@ class TestRunSequence:
         model = ObservationModel(asg, gaussian_kernel(3, 1.0), 0.01)
         y = upsample(FemImage(square_mesh, [1.0, 2.0]), asg)
         with pytest.raises(MemoryError, match="synthetic") as err:
-            run_sequence([y] * 3, LazySequence(2, flow), cfg_for(k_iters=2), model)
+            run_sequence([y] * 3, map(flow, range(2)), cfg_for(k_iters=2), model)
         assert err.value.__notes__ == ["frame 2"]
 
     def test_estimated_flows_match_per_frame_registration(self):
@@ -386,7 +387,7 @@ class TestRunSequence:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             result = run_experiment(cfg)
-            y_ups = result.up_frames
+            y_ups = [upsample(o, asg) for o in result.observations]
             state = srr_init(y_ups[0], model)
             ref, ref_histories, moved = [], [], 0.0
             for t, y in enumerate(y_ups):
@@ -405,6 +406,29 @@ class TestRunSequence:
                                  gaussian_kernel(3, 1.0), 0.01)
         with pytest.raises(ValueError, match="empty"):
             run_sequence([], [], cfg_for(), model)
+
+    def test_refusals_read_no_further_than_the_frame_that_shows_them(self, square_mesh):
+        """An empty frame sequence is refused before any flow is read, also
+        when flows are given; too few flows at the first frame that lacks one."""
+        asg = build_pixel_assignment(square_mesh, 8, 8)
+        model = ObservationModel(asg, gaussian_kernel(3, 1.0), 0.01)
+        y = upsample(FemImage(square_mesh, [1.0, 2.0]), asg)
+        reads = []
+
+        def frame(t):
+            reads.append(f"y{t}")
+            return y
+
+        def flow(t):
+            reads.append(f"f{t}")
+            return FlowField.zeros(8, 8)
+
+        with pytest.raises(ValueError, match="empty"):
+            run_sequence([], map(flow, range(2)), cfg_for(k_iters=1), model)
+        assert reads == []
+        with pytest.raises(ValueError, match="got 1 flows for 3 or more frames") as err:
+            run_sequence(map(frame, range(5)), map(flow, range(1)), cfg_for(k_iters=1), model)
+        assert reads == ["y0", "y1", "f0", "y2"] and err.value.__notes__ == ["frame 2"]
 
 
 class TestPixelReference:
@@ -425,7 +449,7 @@ class TestPixelReference:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             result = run_experiment(cfg)
-            up = list(result.up_frames)
+            up = [upsample(o, asg) for o in result.observations]
             flows = (scene_flows(cfg.scene, 32, 32) if known
                      else horn_schunck_sequence(up, cfg.flow))
         ref = pixel_run_sequence(up, flows, cfg.srr_config(), asg,
