@@ -7,9 +7,8 @@ from .config import ExperimentConfig, parse_config, preset
 from .errors import (ConfigError, DivergenceError, EmptyBoundaryError, FileFormatError,
                      MeshError)
 from .experiment import ExperimentResult, run_experiment
-from .fileio import (emit_images, read_fem_image, read_flow, read_grid_image,
-                     read_mesh, read_values, write_flow, write_mesh,
-                     write_pgm16, write_values)
+from .fileio import (read_fem_image, read_flow, read_grid_image, read_mesh,
+                     read_values, write_flow, write_mesh, write_pgm16, write_values)
 from .flow import (FlowField, FlowParams, build_pyramid, horn_schunck,
                    horn_schunck_sequence)
 from .grid import GridImage, pixel_centers
@@ -22,6 +21,6 @@ from .operators import (Kernel, ObservationModel, convolve_neumann,
 from .phantoms import (COARSE, FINE, LUNG, T_SHAPE, SceneSpec, degrade,
                        disc_mesh, render_lung, render_scene, render_tshape,
                        scene_flows, tshape_centers)
-from .srr import SrrConfig, SrrState, run_sequence, srr_init, srr_step
+from .srr import SrrConfig, SrrState, srr_init, srr_step
 
 __version__ = "0.1.0"

@@ -2,20 +2,21 @@
 score, and write deterministic artifacts."""
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import srr
 from .config import ExperimentConfig
 from .errors import ConfigError, EmptyBoundaryError
-from .fileio import emit_images, write_mesh, write_values
-from .flow import horn_schunck_sequence
+from .fileio import write_mesh, write_pgm16, write_values
+from .flow import FlowField, horn_schunck_sequence
 from .grid import GridImage
 from .mesh import FemImage, build_pixel_assignment, upsample
-from .metrics import MetricsReport, evaluate_sequence
+from .metrics import FrameMetrics, MetricsReport, evaluate_pair
 from .operators import ObservationModel
 from .phantoms import degrade, disc_mesh, render_scene, scene_flows
-from .srr import run_sequence
 
 
 @dataclass(frozen=True)
@@ -35,35 +36,35 @@ class ExperimentResult:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run one full experiment for the motion mode selected by the config.
 
-    Writes frames and metric tables under the config's ``output_dir`` when
-    set. A step size with ``mu * L >= 1``, L an upper bound on the largest
+    A step size with ``mu * L >= 1``, L an upper bound on the largest
     eigenvalue of the correction operator, is refused with ConfigError before
-    any frame is rendered. A frame whose binarized image is empty cannot be
-    scored and is refused with ConfigError naming the sequence. On failure a
-    partially written directory is renamed with a ``.partial`` suffix before
-    the error propagates.
+    any frame is rendered. Pass 1 renders frame t and degrades it into
+    observation t. The flows come from the scene (known motion) or from
+    registering the lifted observations (estimated motion). Pass 2 lifts
+    observation t, takes the SRR step (frame 0 starts the estimate and takes
+    its step with zero flow), renders frame t again, scores the LR and SRR
+    pairs and writes frame t's files when the config's ``output_dir`` is set.
+    So a frame is rendered twice and lifted once (twice for estimated
+    motion), and a run holds per frame only its observation and outputs.
 
-    No high-resolution or upsampled frame is kept: each stage that reads
-    them takes a fresh generator that renders frame t (``render_scene``) or
-    lifts observation t (``upsample``) when it is reached. So a run holds per
-    frame only its observation and its outputs, apart from the upsampled
-    frames that estimated-motion registration holds while it solves. Each
-    frame is rendered 3 times (degrading and the two scorings) and lifted
-    twice (the SRR fold and LR scoring); the artifact writes add one of
-    each, and estimated motion one lift for registration.
+    An error while frame t is made, stepped, scored or written gains the
+    note "frame t", so errors surface in frame order. A frame whose
+    binarized image is empty is refused with ConfigError naming the sequence
+    (LR or SRR). On a failure after the output directory is made, it is
+    renamed with a ``.partial`` suffix and keeps the frames written so far.
 
-    ``stage_seconds`` holds the wall time of each stage: assignment, render,
-    degrade, flow, srr, metrics and write. ``render`` is the first render of
-    every frame; a later render or lift counts toward the stage that reads
-    the frame.
+    ``stage_seconds`` holds the wall time of each stage's own calls:
+    assignment, render (both renders), degrade, flow (with the registration
+    lifts), srr (with the pass-2 lift), metrics and write.
     """
     t0 = clock = time.perf_counter()
-    stages: dict[str, float] = {}
+    stages = dict.fromkeys(("assignment", "render", "degrade", "flow", "srr",
+                            "metrics", "write"), 0.0)
 
     def lap(stage: str) -> None:
         nonlocal clock
         now = time.perf_counter()
-        stages[stage] = stages.get(stage, 0.0) + now - clock
+        stages[stage] += now - clock
         clock = now
 
     out = Path(cfg.output_dir) if cfg.output_dir else None
@@ -78,77 +79,82 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if not mu_l < 1.0:
         raise ConfigError(f"step size mu = {cfg.mu:g} gives mu * L = {mu_l:.4g}; "
                           "it must be below 1 for the cost to decrease")
+    srr_cfg = cfg.srr_config()
     lap("assignment")
 
     lr: list[FemImage] = []
-
-    def truths():
-        return (render_scene(scene, t, n, n) for t in range(scene.frames))
-
-    def ups():
-        return (upsample(obs, assignment) for obs in lr)
-
-    for t, x_hr in enumerate(truths()):
-        lap("render")
-        try:
+    try:
+        for t in range(scene.frames):
+            x_hr = render_scene(scene, t, n, n)
+            lap("render")
             lr.append(degrade(x_hr, assignment, kernel, cfg.snr_db,
                               cfg.degrade_seed, frame=t))
+            lap("degrade")
+    except Exception as exc:
+        exc.add_note(f"frame {t}")
+        raise
+
+    flows = (scene_flows(scene, n, n) if cfg.known_motion
+             else horn_schunck_sequence([upsample(obs, assignment) for obs in lr], cfg.flow))
+    flows = itertools.chain([FlowField.zeros(n, n)], flows)
+    lap("flow")
+
+    states: list[srr.SrrState] = []
+    lr_scores, srr_scores = [], []
+    try:
+        if out is not None:
+            out.mkdir(parents=True, exist_ok=True)
+            write_mesh(mesh, out / "mesh.txt")
+            lap("write")
+        try:
+            for t, obs in enumerate(lr):
+                flow = next(flows)
+                lap("flow")
+                y = upsample(obs, assignment)
+                state = srr.srr_step(states[-1] if states else srr.srr_init(y, model),
+                                     y, flow, srr_cfg, model)
+                states.append(state)
+                lap("srr")
+                x_hr = render_scene(scene, t, n, n)
+                lap("render")
+                lr_scores.append(_score("LR", x_hr, y))
+                srr_scores.append(_score("SRR", x_hr, state.x_hat))
+                lap("metrics")
+                if out is not None:
+                    for prefix, img in (("hr", x_hr), ("up", y), ("srr", state.x_hat)):
+                        write_pgm16(img, out / f"{prefix}_t{t:03d}.pgm")
+                    write_values(obs.values, out / f"lr_t{t:03d}.vals")
+                    lap("write")
         except Exception as exc:
             exc.add_note(f"frame {t}")
             raise
-        lap("degrade")
-
-    # Registration reads every frame up to three times; a list lifts each once.
-    flows = (scene_flows(scene, n, n) if cfg.known_motion
-             else horn_schunck_sequence(list(ups()), cfg.flow))
-    lap("flow")
-    states = run_sequence(ups(), flows, cfg.srr_config(), model)
-    srr_frames = [s.x_hat for s in states]
-    lap("srr")
-
-    lr_metrics = _score("LR", truths(), ups())
-    srr_metrics = _score("SRR", truths(), srr_frames)
-    lap("metrics")
-
-    if out is not None:
-        try:
-            _write_artifacts(out, mesh, truths(), lr, ups(), srr_frames,
-                             lr_metrics, srr_metrics)
-        except Exception:
+        lr_metrics = MetricsReport(tuple(lr_scores))
+        srr_metrics = MetricsReport(tuple(srr_scores))
+        if out is not None:
+            (out / "metrics_lr.csv").write_text(lr_metrics.to_csv())
+            (out / "metrics_srr.csv").write_text(srr_metrics.to_csv())
+    except Exception:
+        if out is not None:
             _mark_partial(out)
-            raise
+        raise
     lap("write")
 
     return ExperimentResult(
         lr_metrics=lr_metrics,
         srr_metrics=srr_metrics,
         observations=tuple(lr),
-        srr_frames=tuple(srr_frames),
+        srr_frames=tuple(s.x_hat for s in states),
         cost_histories=tuple(s.costs for s in states),
         elapsed_seconds=time.perf_counter() - t0,
         stage_seconds=stages,
     )
 
 
-def _score(label: str, truths, estimates) -> MetricsReport:
+def _score(label: str, truth: GridImage, estimate: GridImage) -> FrameMetrics:
     try:
-        return evaluate_sequence(truths, estimates)
+        return evaluate_pair(truth, estimate)
     except EmptyBoundaryError as exc:
-        raise ConfigError("; ".join([f"{label} sequence cannot be scored: {exc}",
-                                     *getattr(exc, "__notes__", ())])) from exc
-
-
-def _write_artifacts(out: Path, mesh, hr, lr, up, srr_frames,
-                     lr_metrics: MetricsReport, srr_metrics: MetricsReport) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    write_mesh(mesh, out / "mesh.txt")
-    emit_images(hr, out, prefix="hr")
-    emit_images(up, out, prefix="up")
-    emit_images(srr_frames, out, prefix="srr")
-    for t, obs in enumerate(lr):
-        write_values(obs.values, out / f"lr_t{t:03d}.vals")
-    (out / "metrics_lr.csv").write_text(lr_metrics.to_csv())
-    (out / "metrics_srr.csv").write_text(srr_metrics.to_csv())
+        raise ConfigError(f"{label} sequence cannot be scored: {exc}") from exc
 
 
 def _mark_partial(out: Path) -> None:

@@ -155,21 +155,6 @@ def write_pgm16(img: GridImage, path) -> None:
     _sidecar_path(path).write_text(f"offset = {lo:.17g}\nscale = {scale:.17g}\n")
 
 
-def emit_images(frames, directory, prefix: str = "frame") -> list:
-    """Write a frame sequence as numbered graymaps with rescale sidecars.
-
-    Returns the image paths in frame order.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for t, img in enumerate(frames):
-        path = directory / f"{prefix}_t{t:03d}.pgm"
-        write_pgm16(img, path)
-        paths.append(path)
-    return paths
-
-
 def read_pgm16_raw(path) -> np.ndarray:
     """Read a binary P5 graymap as a uint16 array."""
     path = Path(path)

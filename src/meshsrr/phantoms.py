@@ -91,6 +91,14 @@ class SceneSpec:
             raise ValueError("the larger of background and inclusion must be positive")
         if not (0 <= self.motion_variance < math.inf and self.motion_bound >= 0):
             raise ValueError("motion variance must be finite and >= 0, motion bound >= 0")
+        # The bar's top corners, (+-dx, dy) from the T's centre, are its farthest
+        # points; at centre (b, b) they reach the body edge when
+        # (b + dx)^2 + (b + dy)^2 = BODY_RADIUS^2.
+        dx, dy = T_BAR_WIDTH / 2, T_STEM_HEIGHT / 2
+        reach = (math.sqrt(2 * BODY_RADIUS ** 2 - (dx - dy) ** 2) - dx - dy) / 2
+        if self.kind == T_SHAPE and self.motion_bound > reach:
+            raise ValueError(f"motion bound {self.motion_bound:g} lets the T leave the "
+                             f"body disc; it must be at most {reach:.4g}")
         check_seed(self.rng_seed, "scene seed")
 
     @functools.cached_property

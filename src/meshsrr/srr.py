@@ -13,13 +13,13 @@ stencil. Pixels outside the mesh are reset to zero after every iteration.
 The observation is reduced to element means once per frame, and each
 iteration then takes two blurs, two Laplacians and one mesh reduction.
 One ``operators.ObservationModel``, built once per run, holds B, P, S and
-alpha; ``srr_init``, ``srr_step`` and ``run_sequence`` take it with the
-step size and iteration count of ``SrrConfig``.
+alpha; ``srr_init`` and ``srr_step`` take it, the step with the step size
+and iteration count of ``SrrConfig``. ``experiment.run_experiment`` folds
+the steps over a sequence: frame 0 starts the estimate and takes its step
+with zero flow.
 """
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,37 +102,3 @@ def srr_step(state: SrrState, y_up_t: GridImage, flow_t: FlowField,
         x -= step
         x *= model.inside
     return SrrState(x_hat=GridImage(x), costs=tuple(costs))
-
-
-def run_sequence(y_ups: Iterable[GridImage], flows: Iterable[FlowField], cfg: SrrConfig,
-                 model: ObservationModel) -> list[SrrState]:
-    """Fold the recursion over upsampled observations and return every state.
-
-    Frame 0 starts the estimate and is processed with zero flow, and frame
-    t >= 1 with flow t - 1, which registers frame t - 1 onto frame t. Both
-    are iterated once, frame t then flow t - 1 right before step t, so
-    either may make its items on access. ValueError when there is no frame,
-    or when the flows are not one fewer than the frames; neither is read
-    past the item that shows it. An error raised by a step, or while
-    reading its frame or flow, gains the note "frame t".
-    """
-    h, w = model.shape
-    flows = itertools.chain([FlowField.zeros(w, h)], flows)
-    states: list[SrrState] = []
-    try:
-        for y in y_ups:
-            flow = next(flows, None)
-            if flow is None:
-                raise ValueError(f"got {len(states) - 1} flows for {len(states) + 1} or "
-                                 "more frames; expected one flow fewer than frames")
-            state = states[-1] if states else srr_init(y, model)
-            states.append(srr_step(state, y, flow, cfg, model))
-    except Exception as exc:
-        exc.add_note(f"frame {len(states)}")
-        raise
-    if not states:
-        raise ValueError("observation sequence is empty")
-    if next(flows, None) is not None:
-        raise ValueError(f"got more than {len(states) - 1} flows for {len(states)} "
-                         "frames; expected one flow fewer than frames")
-    return states

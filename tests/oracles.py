@@ -329,8 +329,9 @@ class PixelObservationModel:
 
 
 def pixel_run_sequence(y_ups, flows, cfg, assignment, kernel, alpha: float):
-    """``run_sequence`` on ``PixelObservationModel``, without the divergence
-    guards: the final estimate and cost history of every frame."""
+    """The run's SRR fold (``srr_init``, then one ``srr_step`` per frame,
+    frame 0 with zero flow) on ``PixelObservationModel``, without the
+    divergence guards: the final estimate and cost history of every frame."""
     from meshsrr.flow import FlowField
     from meshsrr.grid import GridImage
     from meshsrr.operators import convolve_neumann, warp_image

@@ -253,6 +253,20 @@ class TestRunCommand:
         assert main(argv) == 2
         assert "mu * L" in capsys.readouterr().err
 
+    def test_motion_bound_that_lets_the_t_leave_the_body_exits_2(
+            self, tmp_path, monkeypatch, capsys):
+        import meshsrr.experiment as exp
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a frame was rendered with the T outside the body")
+
+        monkeypatch.setattr(exp, "render_scene", unreachable)
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", "-o", str(tmp_path / "out"), "--set", "scene.motion_bound=0.5"]
+        assert main(argv) == 2
+        assert "leave the body disc" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_undecodable_config_file_exits_4(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(b"[scene]\nframes = 3\xff\n")

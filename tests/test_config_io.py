@@ -265,13 +265,3 @@ class TestPgm16:
         write_pgm16(img, path)
         assert np.array_equal(read_grid_image(path).data, img.data)
 
-    def test_emit_images_sequence(self, tmp_path):
-        from meshsrr.fileio import emit_images
-        rng = np.random.default_rng(4)
-        frames = [GridImage(rng.standard_normal((5, 5))) for _ in range(3)]
-        paths = emit_images(frames, tmp_path / "seq", prefix="up")
-        assert [p.name for p in paths] == ["up_t000.pgm", "up_t001.pgm", "up_t002.pgm"]
-        for p, img in zip(paths, frames):
-            back = read_grid_image(p)
-            bound = (img.data.max() - img.data.min()) / 65535
-            assert np.abs(back.data - img.data).max() <= bound

@@ -92,11 +92,35 @@ class TestRunExperiment:
         def boom(*args, **kwargs):
             raise OSError("disk full")
 
-        monkeypatch.setattr(exp, "emit_images", boom)
+        monkeypatch.setattr(exp, "write_pgm16", boom)
         with pytest.raises(OSError):
             run_experiment(tiny_cfg(output_dir=str(out)))
         assert not out.exists()
         assert (tmp_path / "run.partial").exists()
+
+    def test_step_error_leaves_the_frames_written_so_far(self, tmp_path, monkeypatch):
+        """Errors surface in frame order: frames 0 and 1 are written before
+        step 2 fails, and no metric table is."""
+        import meshsrr.srr as srr
+
+        original = srr.srr_step
+        steps = []
+
+        def flaky(*args, **kwargs):
+            steps.append(1)
+            if len(steps) == 3:
+                raise ValueError("synthetic")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(srr, "srr_step", flaky)
+        cfg = tiny_cfg(scene=replace(tiny_cfg().scene, frames=4),
+                       output_dir=str(tmp_path / "run"))
+        with pytest.raises(ValueError, match="synthetic") as err:
+            run_experiment(cfg)
+        assert err.value.__notes__ == ["frame 2"]
+        names = {p.name for p in (tmp_path / "run.partial").iterdir()}
+        assert {"hr_t000.pgm", "hr_t001.pgm"} <= names and "hr_t002.pgm" not in names
+        assert not any(name.startswith("metrics_") for name in names)
 
     def test_one_observation_model_per_run(self, monkeypatch):
         import meshsrr.operators as operators
@@ -182,30 +206,48 @@ class TestFramesOnAccess:
 
     @pytest.mark.parametrize("known", [True, False], ids=["known", "estimated"])
     def test_each_stage_lifts_each_observation_once(self, monkeypatch, tmp_path, known):
-        """The SRR fold (frame 0 once, for the start and its step), LR
-        scoring, the writes and, for estimated motion, registration each
-        lift every observation once."""
+        """Pass 2 lifts every observation once, for its step, its LR score
+        and its writes; estimated motion lifts it once more to register."""
         import meshsrr.experiment as exp
 
         original = exp.upsample
-        lifts = {}
+        for out in ("", str(tmp_path / "run")):
+            lifts = {}
 
-        def counted(obs, asg):
-            lifts[id(obs)] = lifts.get(id(obs), 0) + 1
-            return original(obs, asg)
+            def counted(obs, asg):
+                lifts[id(obs)] = lifts.get(id(obs), 0) + 1
+                return original(obs, asg)
 
-        monkeypatch.setattr(exp, "upsample", counted)
-        cfg = tiny_cfg(scene=replace(tiny_cfg().scene, frames=4), known_motion=known,
-                       output_dir=str(tmp_path / "run"))
-        result = run_experiment(cfg)
-        per_frame = 3 if known else 4
-        assert sorted(lifts.values()) == [per_frame] * 4
-        assert set(lifts) == {id(obs) for obs in result.observations}
+            monkeypatch.setattr(exp, "upsample", counted)
+            cfg = tiny_cfg(scene=replace(tiny_cfg().scene, frames=4), known_motion=known,
+                           output_dir=out)
+            result = run_experiment(cfg)
+            assert sorted(lifts.values()) == [1 if known else 2] * 4
+            assert set(lifts) == {id(obs) for obs in result.observations}
+
+    @pytest.mark.parametrize("known", [True, False], ids=["known", "estimated"])
+    def test_each_frame_is_rendered_twice(self, monkeypatch, tmp_path, known):
+        """Once to degrade it and once to score it, with or without artifacts."""
+        import meshsrr.experiment as exp
+
+        original = exp.render_scene
+        for out in ("", str(tmp_path / "run")):
+            renders = []
+
+            def counted(spec, t, *args):
+                renders.append(t)
+                return original(spec, t, *args)
+
+            monkeypatch.setattr(exp, "render_scene", counted)
+            run_experiment(tiny_cfg(scene=replace(tiny_cfg().scene, frames=4),
+                                    known_motion=known, output_dir=out))
+            assert sorted(renders) == [0, 0, 1, 1, 2, 2, 3, 3]
 
     @pytest.mark.parametrize("error", [ValueError, MeshError, MemoryError])
     def test_error_rendering_a_truth_for_scoring_keeps_its_type(self, monkeypatch, error):
-        """Scoring renders each truth again; an error there is not taken for
-        an empty binarized frame ("cannot be scored") and names its frame."""
+        """Pass 2 renders each truth again for scoring; an error there is not
+        taken for an empty binarized frame ("cannot be scored") and names its
+        frame."""
         import meshsrr.experiment as exp
 
         original = exp.render_scene
@@ -221,27 +263,30 @@ class TestFramesOnAccess:
         with pytest.raises(error, match="synthetic") as err:
             run_experiment(tiny_cfg())
         assert type(err.value) is error
-        # Renders 1-3 degrade the frames; the LR scores render frames 0, 1.
+        # Renders 1-3 degrade the frames; pass 2 renders frame 0, then frame 1.
         assert err.value.__notes__ == ["frame 1"]
 
     def test_renders_count_toward_the_stage_that_reads_them(self, monkeypatch, tmp_path):
-        """The render stage times each frame's first render; scoring renders
-        the truths of both sequences again and writing renders them once
-        more."""
+        """Each stage times its own calls: both renders of a frame count to
+        render, the registration lifts to flow and the pass-2 lift to srr, not
+        to the scoring or writing that reads them."""
         import meshsrr.experiment as exp
 
-        original = exp.render_scene
+        delay = 0.05
 
-        def slow(*args):
-            time.sleep(0.02)
-            return original(*args)
+        def slow(fn):
+            def wrapper(*args):
+                time.sleep(delay)
+                return fn(*args)
+            return wrapper
 
-        monkeypatch.setattr(exp, "render_scene", slow)
+        monkeypatch.setattr(exp, "render_scene", slow(exp.render_scene))
+        monkeypatch.setattr(exp, "upsample", slow(exp.upsample))
         result = run_experiment(tiny_cfg(output_dir=str(tmp_path / "run")))
         stages = result.stage_seconds
-        assert stages["render"] >= 3 * 0.02
-        assert stages["metrics"] >= 6 * 0.02
-        assert stages["write"] >= 3 * 0.02
+        assert stages["render"] >= 6 * delay
+        assert stages["flow"] >= 3 * delay and stages["srr"] >= 3 * delay
+        assert stages["metrics"] + stages["write"] < 3 * delay
 
 
 @pytest.mark.parametrize("name", ["ex1b", "ex2a"])

@@ -42,6 +42,22 @@ class TestSceneSpec:
         with pytest.raises(ValueError, match="positive"):
             SceneSpec(background=-2.0, inclusion=-1.0)
 
+    def test_motion_bound_keeps_the_t_inside_the_body(self):
+        """The T's farthest points are the bar's top corners, so the largest
+        bound is 1/sqrt(2) - T_BAR_WIDTH / 2. At 0.45 the walk reaches the
+        corner (0.45, 0.45) and every frame keeps all 1056 T pixels; at 0.5
+        the disc would clip some frames to 1020."""
+        spec = scene(frames=20, rng_seed=11, motion_bound=0.45)
+        assert np.abs(tshape_centers(spec)).max() == 0.45
+        counts = {int((render_tshape(spec, t, 200, 200).data == 2.0).sum())
+                  for t in range(spec.frames)}
+        assert counts == {1056}
+        scene(motion_bound=1 / math.sqrt(2) - 0.25 - 1e-12)
+        for bound in (0.5, 5.0, math.inf):
+            with pytest.raises(ValueError, match="leave the body disc"):
+                scene(motion_bound=bound)
+        scene(kind=LUNG, motion_bound=5.0)  # the lungs do not walk
+
 
 class TestTshapeWalk:
     def test_reproduces_frozen_reference(self):

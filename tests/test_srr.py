@@ -9,7 +9,7 @@ from meshsrr.grid import GridImage
 from meshsrr.mesh import FemImage, build_pixel_assignment, upsample
 from meshsrr.operators import ObservationModel, gaussian_kernel
 from meshsrr.phantoms import COARSE, disc_mesh
-from meshsrr.srr import SrrConfig, run_sequence, srr_init, srr_step
+from meshsrr.srr import SrrConfig, srr_init, srr_step
 
 from oracles import (dense_blur_matrix, dense_laplacian_matrix,
                      dense_projection_matrix, pixel_run_sequence,
@@ -28,6 +28,25 @@ def make_problem(n=8, kernel_size=3, sigma=1.0, square_mesh=None):
 
 def cfg_for(mu=0.01, k_iters=100):
     return SrrConfig(mu=mu, k_iters=k_iters)
+
+
+def fold(y_ups, flows, cfg, model):
+    """The run's SRR fold: frame 0 starts the estimate and takes its step
+    with zero flow, frame t >= 1 takes flow t - 1; every state in order."""
+    h, w = model.shape
+    states, state = [], srr_init(y_ups[0], model)
+    for y, flow in zip(y_ups, [FlowField.zeros(w, h), *flows], strict=True):
+        state = srr_step(state, y, flow, cfg, model)
+        states.append(state)
+    return states
+
+
+def tiny_run_cfg(frames=3, k_iters=2):
+    from dataclasses import replace
+    from meshsrr.config import preset
+    base = preset("ex1b")
+    return replace(base, grid=32, k_iters=k_iters, known_motion=True,
+                   scene=replace(base.scene, frames=frames))
 
 
 def cost(x: GridImage, y: GridImage, asg, kernel, alpha) -> float:
@@ -177,11 +196,10 @@ class TestStep:
         with pytest.raises(DivergenceError, match=grew) as err:
             srr_step(srr_init(y, model), y, FlowField.zeros(8, 8), cfg, model)
         assert not hasattr(err.value, "__notes__")
-        # A zero frame stays at zero cost; the fold names the frame that diverged.
+        # A zero frame stays at zero cost; the next frame diverges.
         zero = GridImage(np.zeros((8, 8)))
-        with pytest.raises(DivergenceError, match=grew) as err:
-            run_sequence([zero, y], [FlowField.zeros(8, 8)], cfg, model)
-        assert err.value.__notes__ == ["frame 1"]
+        with pytest.raises(DivergenceError, match=grew):
+            fold([zero, y], [FlowField.zeros(8, 8)], cfg, model)
 
     def test_non_finite_cost_is_divergence(self):
         _, asg, kernel = make_problem()
@@ -273,18 +291,19 @@ def srr_init_raw(x_hat: GridImage):
 
 
 class TestRunSequence:
-    def test_single_frame_equals_init_plus_one_step(self, square_mesh):
-        n = 8
-        asg = build_pixel_assignment(square_mesh, n, n)
-        kernel = gaussian_kernel(3, 1.0)
-        cfg = cfg_for(k_iters=20)
-        model = ObservationModel(asg, kernel, 0.05)
-        rng = np.random.default_rng(11)
-        y = upsample(FemImage(square_mesh, rng.standard_normal(2)), asg)
-        result = run_sequence([y], [], cfg, model)
-        expected = srr_step(srr_init(y, model), y, FlowField.zeros(n, n), cfg, model)
-        assert np.array_equal(result[0].x_hat.data, expected.x_hat.data)
-        assert result[0].costs == expected.costs
+    """The fold of ``srr_step`` over a sequence, as ``run_experiment`` takes it."""
+
+    def test_single_frame_equals_init_plus_one_step(self):
+        from meshsrr.experiment import run_experiment
+        cfg = tiny_run_cfg(frames=1, k_iters=20)
+        result = run_experiment(cfg)
+        asg = build_pixel_assignment(disc_mesh(cfg.mesh_density), 32, 32)
+        model = ObservationModel(asg, cfg.resolved_kernel(), cfg.alpha_srr)
+        y = upsample(result.observations[0], asg)
+        expected = srr_step(srr_init(y, model), y, FlowField.zeros(32, 32),
+                            cfg.srr_config(), model)
+        assert np.array_equal(result.srr_frames[0].data, expected.x_hat.data)
+        assert result.cost_histories == (expected.costs,)
 
     def test_static_scene_cost_non_increasing_over_frames(self, square_mesh):
         n = 8
@@ -293,22 +312,14 @@ class TestRunSequence:
         model = ObservationModel(asg, kernel, 0.0)
         rng = np.random.default_rng(12)
         y = upsample(FemImage(square_mesh, rng.standard_normal(2)), asg)
-        states = run_sequence([y] * 6, [FlowField.zeros(n, n)] * 5, cfg_for(k_iters=30), model)
+        states = fold([y] * 6, [FlowField.zeros(n, n)] * 5, cfg_for(k_iters=30), model)
         finals = [s.costs[-1] for s in states]
         for before, after in zip(finals, finals[1:]):
             assert after <= before * (1 + 1e-12) + 1e-15
 
-    def test_known_flows_length_check(self, square_mesh):
-        asg = build_pixel_assignment(square_mesh, 8, 8)
-        model = ObservationModel(asg, gaussian_kernel(3, 1.0), 0.01)
-        y = upsample(FemImage(square_mesh, [1.0, 2.0]), asg)
-        with pytest.raises(ValueError, match="got 0 flows for 2 or more frames"):
-            run_sequence([y, y], [], cfg_for(k_iters=2), model)
-        with pytest.raises(ValueError, match="got more than 1 flows for 2 frames"):
-            run_sequence([y, y], [FlowField.zeros(8, 8)] * 2, cfg_for(k_iters=2), model)
-
-    def test_step_error_keeps_type_and_gains_frame_note(self, square_mesh, monkeypatch):
+    def test_step_error_keeps_type_and_gains_frame_note(self, monkeypatch):
         import meshsrr.srr as srr
+        from meshsrr.experiment import run_experiment
 
         class PairError(Exception):
             def __init__(self, code, detail):
@@ -325,51 +336,52 @@ class TestRunSequence:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(srr, "srr_step", flaky)
-        asg = build_pixel_assignment(square_mesh, 8, 8)
-        model = ObservationModel(asg, gaussian_kernel(3, 1.0), 0.01)
-        y = upsample(FemImage(square_mesh, [1.0, 2.0]), asg)
         with pytest.raises(PairError, match="frame 1") as err:
-            run_sequence([y] * 3, [FlowField.zeros(8, 8)] * 2, cfg_for(k_iters=2), model)
+            run_experiment(tiny_run_cfg())
         assert (err.value.code, err.value.detail) == (7, "synthetic")
         assert err.value.__notes__ == ["frame 1"]
 
-    def test_reads_each_frame_and_flow_when_its_step_needs_it(self, square_mesh, monkeypatch):
-        """No sequence is copied: frame t and flow t - 1 are read right
-        before step t, so both may be made on access; frame 0 is read once."""
+    def test_reads_each_frame_and_flow_when_its_step_needs_it(self, monkeypatch):
+        """No sequence is copied: flow t - 1 is read and observation t lifted
+        right before step t, and frame t is rendered for scoring right after
+        it; frame 0 is lifted once, for the start and its step."""
+        import meshsrr.experiment as exp
         import meshsrr.srr as srr
         events = []
-        original = srr.srr_step
 
-        def step(*args, **kwargs):
-            events.append("step")
-            return original(*args, **kwargs)
+        def counted(fn, label):
+            def wrapper(*args, **kwargs):
+                events.append(label(*args))
+                return fn(*args, **kwargs)
+            return wrapper
 
-        def frame(t):
-            events.append(f"y{t}")
-            return y
+        def flows(spec, width, height):
+            return map(counted(lambda t: FlowField.zeros(width, height),
+                               lambda t: f"f{t}"), range(spec.frames - 1))
 
-        def flow(t):
-            events.append(f"f{t}")
-            return FlowField.zeros(8, 8)
+        lifts = iter(range(3))
+        monkeypatch.setattr(srr, "srr_step", counted(srr.srr_step, lambda *a: "step"))
+        monkeypatch.setattr(exp, "upsample",
+                            counted(exp.upsample, lambda *a: f"y{next(lifts)}"))
+        monkeypatch.setattr(exp, "render_scene",
+                            counted(exp.render_scene, lambda spec, t, *a: f"r{t}"))
+        monkeypatch.setattr(exp, "scene_flows", flows)
+        exp.run_experiment(tiny_run_cfg())
+        assert events == ["r0", "r1", "r2",
+                          "y0", "step", "r0", "f0", "y1", "step", "r1",
+                          "f1", "y2", "step", "r2"]
 
-        monkeypatch.setattr(srr, "srr_step", step)
-        asg = build_pixel_assignment(square_mesh, 8, 8)
-        model = ObservationModel(asg, gaussian_kernel(3, 1.0), 0.01)
-        y = upsample(FemImage(square_mesh, [1.0, 2.0]), asg)
-        run_sequence(map(frame, range(3)), map(flow, range(2)), cfg_for(k_iters=2), model)
-        assert events == ["y0", "step", "y1", "f0", "step", "y2", "f1", "step"]
+    def test_error_reading_a_flow_keeps_type_and_gains_frame_note(self, monkeypatch):
+        import meshsrr.experiment as exp
 
-    def test_error_reading_a_flow_keeps_type_and_gains_frame_note(self, square_mesh):
         def flow(t):
             if t == 1:
                 raise MemoryError("synthetic")
-            return FlowField.zeros(8, 8)
+            return FlowField.zeros(32, 32)
 
-        asg = build_pixel_assignment(square_mesh, 8, 8)
-        model = ObservationModel(asg, gaussian_kernel(3, 1.0), 0.01)
-        y = upsample(FemImage(square_mesh, [1.0, 2.0]), asg)
+        monkeypatch.setattr(exp, "scene_flows", lambda spec, *a: map(flow, range(2)))
         with pytest.raises(MemoryError, match="synthetic") as err:
-            run_sequence([y] * 3, map(flow, range(2)), cfg_for(k_iters=2), model)
+            exp.run_experiment(tiny_run_cfg())
         assert err.value.__notes__ == ["frame 2"]
 
     def test_estimated_flows_match_per_frame_registration(self):
@@ -400,35 +412,6 @@ class TestRunSequence:
         assert moved > 0.0
         assert all(np.array_equal(a.data, b.data) for a, b in zip(result.srr_frames, ref))
         assert list(result.cost_histories) == ref_histories and len(ref_histories) == 5
-
-    def test_empty_sequence_rejected(self, square_mesh):
-        model = ObservationModel(build_pixel_assignment(square_mesh, 8, 8),
-                                 gaussian_kernel(3, 1.0), 0.01)
-        with pytest.raises(ValueError, match="empty"):
-            run_sequence([], [], cfg_for(), model)
-
-    def test_refusals_read_no_further_than_the_frame_that_shows_them(self, square_mesh):
-        """An empty frame sequence is refused before any flow is read, also
-        when flows are given; too few flows at the first frame that lacks one."""
-        asg = build_pixel_assignment(square_mesh, 8, 8)
-        model = ObservationModel(asg, gaussian_kernel(3, 1.0), 0.01)
-        y = upsample(FemImage(square_mesh, [1.0, 2.0]), asg)
-        reads = []
-
-        def frame(t):
-            reads.append(f"y{t}")
-            return y
-
-        def flow(t):
-            reads.append(f"f{t}")
-            return FlowField.zeros(8, 8)
-
-        with pytest.raises(ValueError, match="empty"):
-            run_sequence([], map(flow, range(2)), cfg_for(k_iters=1), model)
-        assert reads == []
-        with pytest.raises(ValueError, match="got 1 flows for 3 or more frames") as err:
-            run_sequence(map(frame, range(5)), map(flow, range(1)), cfg_for(k_iters=1), model)
-        assert reads == ["y0", "y1", "f0", "y2"] and err.value.__notes__ == ["frame 2"]
 
 
 class TestPixelReference:
