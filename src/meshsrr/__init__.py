@@ -9,8 +9,7 @@ from .errors import (ConfigError, DivergenceError, EmptyBoundaryError, FileForma
 from .experiment import ExperimentResult, run_experiment
 from .fileio import (read_fem_image, read_flow, read_grid_image, read_mesh,
                      read_values, write_flow, write_mesh, write_pgm16, write_values)
-from .flow import (FlowField, FlowParams, build_pyramid, horn_schunck,
-                   horn_schunck_sequence)
+from .flow import FlowField, FlowParams, build_pyramid, horn_schunck
 from .grid import GridImage, pixel_centers
 from .mesh import (FemImage, FemMesh, OUTSIDE, PixelAssignment,
                    build_pixel_assignment, downsample, upsample)

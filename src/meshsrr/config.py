@@ -60,13 +60,17 @@ class ExperimentConfig:
             size = max(1, round(REFERENCE_KERNEL_SIZE * self.grid / REFERENCE_GRID))
             if size % 2 == 0:
                 size += 1
-        sigma = self.kernel_sigma
-        if sigma == 0:
-            sigma = REFERENCE_KERNEL_SIGMA * self.grid / REFERENCE_GRID
         limit = 2 * self.grid - 1
         if size > limit:
             raise ConfigError(f"kernel size {size} does not fit a {self.grid}x{self.grid} grid")
-        return gaussian_kernel(size, sigma)
+        return gaussian_kernel(size, self.blur_sigma)
+
+    @property
+    def blur_sigma(self) -> float:
+        """The sigma of ``resolved_kernel`` in pixels of the grid."""
+        if self.kernel_sigma == 0:
+            return REFERENCE_KERNEL_SIGMA * self.grid / REFERENCE_GRID
+        return self.kernel_sigma
 
     def srr_config(self) -> SrrConfig:
         return SrrConfig(mu=self.mu, k_iters=self.k_iters)

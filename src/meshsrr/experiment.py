@@ -1,8 +1,8 @@
-"""End-to-end experiment harness: render, degrade, register, reconstruct,
-score, and write deterministic artifacts."""
+"""End-to-end experiment harness: one loop over frames that renders,
+degrades, lifts, registers, reconstructs, scores and writes deterministic
+artifacts, frame by frame."""
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -11,7 +11,7 @@ from . import srr
 from .config import ExperimentConfig
 from .errors import ConfigError, EmptyBoundaryError
 from .fileio import write_mesh, write_pgm16, write_values
-from .flow import FlowField, horn_schunck_sequence
+from .flow import FlowField, fit_pyramid, horn_schunck
 from .grid import GridImage
 from .mesh import FemImage, build_pixel_assignment, upsample
 from .metrics import FrameMetrics, MetricsReport, evaluate_pair
@@ -38,24 +38,24 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     A step size with ``mu * L >= 1``, L an upper bound on the largest
     eigenvalue of the correction operator, is refused with ConfigError before
-    any frame is rendered. Pass 1 renders frame t and degrades it into
-    observation t. The flows come from the scene (known motion) or from
-    registering the lifted observations (estimated motion). Pass 2 lifts
-    observation t, takes the SRR step (frame 0 starts the estimate and takes
-    its step with zero flow), renders frame t again, scores the LR and SRR
-    pairs and writes frame t's files when the config's ``output_dir`` is set.
-    So a frame is rendered twice and lifted once (twice for estimated
-    motion), and a run holds per frame only its observation and outputs.
+    any frame is rendered. Then one loop takes each frame in turn: it renders
+    frame t, degrades it into observation t and lifts that onto the grid. The
+    flow comes from the scene (known motion) or from registering lifted
+    observation t against lifted observation t - 1 (estimated motion), and
+    is zero at t = 0, where the observation also starts the estimate. The
+    loop then takes the SRR step, scores the LR and SRR pairs and writes
+    frame t's files when the config's ``output_dir`` is set. So a frame is
+    rendered and lifted once, and a run holds per frame only its observation
+    and outputs, plus the previous lifted observation for registration.
 
-    An error while frame t is made, stepped, scored or written gains the
-    note "frame t", so errors surface in frame order. A frame whose
+    An error while frame t is made, registered, stepped, scored or written
+    gains the note "frame t", so errors surface in frame order. A frame whose
     binarized image is empty is refused with ConfigError naming the sequence
     (LR or SRR). On a failure after the output directory is made, it is
     renamed with a ``.partial`` suffix and keeps the frames written so far.
 
     ``stage_seconds`` holds the wall time of each stage's own calls:
-    assignment, render (both renders), degrade, flow (with the registration
-    lifts), srr (with the pass-2 lift), metrics and write.
+    assignment, render, degrade, flow, srr (with the lift), metrics and write.
     """
     t0 = clock = time.perf_counter()
     stages = dict.fromkeys(("assignment", "render", "degrade", "flow", "srr",
@@ -82,23 +82,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     srr_cfg = cfg.srr_config()
     lap("assignment")
 
+    if cfg.known_motion:
+        flows = scene_flows(scene, n, n)
+    else:
+        flow_params = fit_pyramid(cfg.flow, n, n)
+
     lr: list[FemImage] = []
-    try:
-        for t in range(scene.frames):
-            x_hr = render_scene(scene, t, n, n)
-            lap("render")
-            lr.append(degrade(x_hr, assignment, kernel, cfg.snr_db,
-                              cfg.degrade_seed, frame=t))
-            lap("degrade")
-    except Exception as exc:
-        exc.add_note(f"frame {t}")
-        raise
-
-    flows = (scene_flows(scene, n, n) if cfg.known_motion
-             else horn_schunck_sequence([upsample(obs, assignment) for obs in lr], cfg.flow))
-    flows = itertools.chain([FlowField.zeros(n, n)], flows)
-    lap("flow")
-
     states: list[srr.SrrState] = []
     lr_scores, srr_scores = [], []
     try:
@@ -107,16 +96,26 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             write_mesh(mesh, out / "mesh.txt")
             lap("write")
         try:
-            for t, obs in enumerate(lr):
-                flow = next(flows)
-                lap("flow")
+            for t in range(scene.frames):
+                x_hr = render_scene(scene, t, n, n)
+                lap("render")
+                obs = degrade(x_hr, assignment, kernel, cfg.snr_db, cfg.degrade_seed, frame=t)
+                lr.append(obs)
+                lap("degrade")
                 y = upsample(obs, assignment)
+                lap("srr")
+                if t == 0:
+                    flow = FlowField.zeros(n, n)
+                elif cfg.known_motion:
+                    flow = next(flows)
+                else:
+                    flow = horn_schunck(y, y_prev, flow_params, cfg.blur_sigma)
+                y_prev = y
+                lap("flow")
                 state = srr.srr_step(states[-1] if states else srr.srr_init(y, model),
                                      y, flow, srr_cfg, model)
                 states.append(state)
                 lap("srr")
-                x_hr = render_scene(scene, t, n, n)
-                lap("render")
                 lr_scores.append(_score("LR", x_hr, y))
                 srr_scores.append(_score("SRR", x_hr, state.x_hat))
                 lap("metrics")

@@ -194,6 +194,7 @@ def read_grid_image(path) -> GridImage:
     present; otherwise the raw raster levels are returned as floats."""
     path = Path(path)
     raster = read_pgm16_raw(path).astype(np.float64)
+    raster.flags.writeable = False
     sidecar = _sidecar_path(path)
     if not sidecar.exists():
         return GridImage(raster)
@@ -219,6 +220,8 @@ def read_grid_image(path) -> GridImage:
         raise FileFormatError(f"{sidecar}: missing offset or scale")
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            return GridImage(offset + raster * scale)
+            values = offset + raster * scale
+            values.flags.writeable = False
+            return GridImage(values)
     except ValueError as exc:
         raise FileFormatError(f"{sidecar}: {exc}") from exc

@@ -14,29 +14,31 @@ diagonalizes the Neumann graph Laplacian (Martucci 1994). Horn & Schunck
 iterate to convergence: a pair stops once its relative residual is within
 ``_CG_TOL``, or after ``iterations_per_level`` iterations.
 
-``horn_schunck_sequence`` registers the consecutive pairs stacked along a
-leading axis, so that they share every solver call; each level cuts the
-stack into chunks of at most ``_STACK_PIXELS`` pixels. A pair of equal
-frames has a zero right-hand side, so its solves stop before the first
-iteration and its flow is the exact zero field.
+A pair of equal frames has a zero right-hand side, so its solves stop
+before the first iteration and its flow is the exact zero field.
+
+Observations blurred by a kernel of ``blur_sigma`` pixels carry little
+motion detail finer than the blur, so ``horn_schunck`` given that sigma solves only down
+to the coarsest pyramid level on which it is still ``_MIN_BLUR_PX`` wide,
+and resamples that level's flow up to the full grid. One pair at a time is
+cheap there, so a run registers each pair as its frame arrives.
 ``scipy.fft``, which takes the DCTs, loads on the first solve, not on import.
 """
 from __future__ import annotations
 
 import warnings
-from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import GridImage, require_same_shape
+from .grid import GridImage, read_only, require_same_shape
 from .operators import (convolve_stack, gaussian_kernel, _bilinear_gather, _laplacian,
                         _stencil_eigenvalues)
 
 _MIN_TOP_SIZE = 8
-# Pixels per stacked solve at each level (1 pair at 100x100, 4 at 50x50):
-# stacking pays on the coarse levels only.
-_STACK_PIXELS = 10_000
+# Blur, in pixels of a pyramid level, down to which registration still finds
+# the motion that observations blurred by it carry.
+_MIN_BLUR_PX = 5.0
 # Relative residual ||b - A x|| / ||b|| at which a pair stops iterating.
 _CG_TOL = 1e-3
 # Largest smoothness weight: far beyond it, the rounding of lam * L (about
@@ -57,8 +59,8 @@ class FlowField:
     v: np.ndarray
 
     def __post_init__(self):
-        u = _read_only(self.u)
-        v = _read_only(self.v)
+        u = read_only(self.u)
+        v = read_only(self.v)
         if u.ndim != 2 or u.shape != v.shape:
             raise ValueError(f"u and v must be matching 2-D arrays, got {u.shape} and {v.shape}")
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
@@ -82,14 +84,6 @@ class FlowField:
     @property
     def height(self) -> int:
         return self.u.shape[0]
-
-
-def _read_only(a) -> np.ndarray:
-    if isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable:
-        return a
-    a = np.array(a, dtype=np.float64, copy=True)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -161,28 +155,25 @@ def build_pyramid(data: np.ndarray, levels: int, spacing: float) -> list[np.ndar
 
 
 def _block_inverses(g: np.ndarray, lam: float) -> np.ndarray:
-    """The preconditioner for the (pairs, 2, h, w) gradients ``g``: per pair
-    and DCT frequency, the entries (00, 01, 11) of the inverse of
+    """The preconditioner for the (2, h, w) gradients ``g``: per DCT
+    frequency, the entries (00, 01, 11) of the inverse of
 
         [mean(Ix^2) + lam e, mean(Ix Iy); mean(Ix Iy), mean(Iy^2) + lam e],
 
-    the normal matrix with each pixel's data block replaced by the pair's
-    mean, e being the Laplacian's eigenvalue. Only the zero frequency (e = 0)
-    can be singular, so it takes the pseudo-inverse: a block of constant
-    images is left at 0.
+    the normal matrix with each pixel's data block replaced by the mean, e
+    being the Laplacian's eigenvalue. Only the zero frequency (e = 0) can be
+    singular, so it takes the pseudo-inverse: constant images leave it at 0.
     """
-    h, w = g.shape[-2:]
-    ix, iy = g[:, 0], g[:, 1]
-    mxx, mxy, myy = ((p * q).mean(axis=(-2, -1)) for p, q in ((ix, ix), (ix, iy), (iy, iy)))
-    e = lam * _stencil_eigenvalues(h, w)
-    a = mxx[:, None, None] + e
-    d = myy[:, None, None] + e
-    b = mxy[:, None, None]
-    det = a * d - b * b
-    det[:, 0, 0] = 1.0
-    inv = np.stack([d, np.broadcast_to(-b, a.shape), a], axis=1) / det[:, None]
-    zero = np.linalg.pinv(np.stack([mxx, mxy, mxy, myy], axis=-1).reshape(-1, 2, 2), rcond=1e-12)
-    inv[:, :, 0, 0] = zero.reshape(-1, 4)[:, [0, 1, 3]]
+    ix, iy = g
+    mxx, mxy, myy = ((p * q).mean() for p, q in ((ix, ix), (ix, iy), (iy, iy)))
+    e = lam * _stencil_eigenvalues(*g.shape[-2:])
+    a = mxx + e
+    d = myy + e
+    det = a * d - mxy * mxy
+    det[0, 0] = 1.0
+    inv = np.stack([d, np.broadcast_to(-mxy, a.shape), a]) / det
+    zero = np.linalg.pinv(np.array([[mxx, mxy], [mxy, myy]]), rcond=1e-12)
+    inv[:, 0, 0] = zero.ravel()[[0, 1, 3]]
     return inv
 
 
@@ -197,73 +188,57 @@ def solve_linearized_flow(ix: np.ndarray, iy: np.ndarray, c: np.ndarray,
     L being the Neumann graph Laplacian, preconditioned by ``_block_inverses``
     between one DCT of the stacked (u, v) and its inverse. At most
     ``iterations`` iterations, each stepping to the energy minimum along its
-    direction, so the energy never increases.
-
-    Leading axes hold independent problems, each with its own CG scalars. A
-    problem stops once ``||r|| <= _CG_TOL * ||b||`` and keeps its ``u`` and
-    ``v`` (a start within tolerance costs no transform); the others go on in
-    a smaller stack, so a problem's result does not depend on its stack.
+    direction, so the energy never increases. The solve stops once
+    ``||r|| <= _CG_TOL * ||b||``, so a start within tolerance is returned
+    unchanged and costs no transform.
     """
     from scipy import fft  # on first use: import and runs that register nothing skip its 0.4 s
-    h, w = ix.shape[-2:]
-    g = np.stack([ix, iy], axis=-3).reshape(-1, 2, h, w)
-    x = np.stack([u0, v0], axis=-3).reshape(-1, 2, h, w)
+    g = np.stack([ix, iy])
+    x = np.stack([u0, v0])
     work = np.empty_like(x)  # normal(p) is consumed before the next call
 
-    def normal(p):  # reads the current (possibly shrunk) g
-        q = _laplacian(p, out=work[:len(p)])
+    def normal(p):
+        q = _laplacian(p, out=work)
         q *= lam
-        q += g * (g[:, :1] * p[:, :1] + g[:, 1:] * p[:, 1:])
+        q += g * (g[:1] * p[:1] + g[1:] * p[1:])
         return q
 
     def dot(left, right):
-        return (left * right).sum(axis=(1, 2, 3))
+        return (left * right).sum()
 
-    b = -g * c.reshape(-1, 1, h, w)
+    b = -g * c
     r = b - normal(x)
     bound = _CG_TOL ** 2 * dot(b, b)
     inv = _block_inverses(g, lam)
-    run = np.arange(len(x))
-    xk = x  # the running stack; a copy once a problem stops
     p = rz = None
     for _ in range(iterations):
-        live = dot(r, r) > bound
-        if not live.all():
-            x[run[~live]] = xk[~live]
-            run, g, inv, xk, r, bound = (a[live] for a in (run, g, inv, xk, r, bound))
-            if p is not None:
-                p, rz = p[live], rz[live]
-            if not run.size:
-                break
+        if not dot(r, r) > bound:
+            break
         rh = fft.dctn(r, axes=(-2, -1), norm="ortho")
-        zh = inv[:, :2] * rh[:, :1] + inv[:, 1:] * rh[:, 1:]  # (i00 r0 + i01 r1, i01 r0 + i11 r1)
+        zh = inv[:2] * rh[:1] + inv[1:] * rh[1:]  # (i00 r0 + i01 r1, i01 r0 + i11 r1)
         z = fft.idctn(zh, axes=(-2, -1), norm="ortho", overwrite_x=True)
         rz, previous = dot(r, z), rz
-        p = z if previous is None else z + (rz / previous)[:, None, None, None] * p
+        p = z if previous is None else z + (rz / previous) * p
         q = normal(p)
-        alpha = (rz / dot(p, q))[:, None, None, None]
-        xk += alpha * p
+        alpha = rz / dot(p, q)
+        x += alpha * p
         r -= alpha * q
-    x[run] = xk
-    x = x.reshape(*ix.shape[:-2], 2, h, w)
-    return x[..., 0, :, :].copy(), x[..., 1, :, :].copy()
+    return x[0], x[1]
 
 
 def _derivatives(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Central differences, mirroring the border pixels, averaged over the
     (reference, warped) pair."""
-    pad = [(0, 0)] * (a.ndim - 2) + [(1, 1), (1, 1)]
-    pa, pb = (np.pad(p, pad, mode="symmetric") for p in (a, b))
-    ix = 0.5 * ((pa[..., 1:-1, 2:] - pa[..., 1:-1, :-2]) * 0.5
-                + (pb[..., 1:-1, 2:] - pb[..., 1:-1, :-2]) * 0.5)
-    iy = 0.5 * ((pa[..., 2:, 1:-1] - pa[..., :-2, 1:-1]) * 0.5
-                + (pb[..., 2:, 1:-1] - pb[..., :-2, 1:-1]) * 0.5)
+    pa, pb = (np.pad(p, 1, mode="symmetric") for p in (a, b))
+    ix = 0.5 * ((pa[1:-1, 2:] - pa[1:-1, :-2]) * 0.5 + (pb[1:-1, 2:] - pb[1:-1, :-2]) * 0.5)
+    iy = 0.5 * ((pa[2:, 1:-1] - pa[:-2, 1:-1]) * 0.5 + (pb[2:, 1:-1] - pb[:-2, 1:-1]) * 0.5)
     it = b - a
     return ix, iy, it
 
 
-def _pyramid_levels(width: int, height: int, params: FlowParams) -> int:
-    """Levels to use, dropping with a warning those whose top is below 8x8."""
+def _pyramid_levels(width: int, height: int, params: FlowParams, stacklevel: int) -> int:
+    """Levels to use, dropping with a warning those whose top is below 8x8;
+    ``stacklevel`` makes the warning name the caller of the public function."""
     if min(width, height) < 2:
         raise ValueError("flow estimation needs at least a 2x2 image")
     levels = params.pyramid_levels
@@ -273,77 +248,73 @@ def _pyramid_levels(width: int, height: int, params: FlowParams) -> int:
     if len(sizes) < levels:
         warnings.warn(
             f"pyramid reduced from {levels} to {len(sizes)} level(s) so the top "
-            f"stays at least {_MIN_TOP_SIZE} pixels on a side", stacklevel=4)
+            f"stays at least {_MIN_TOP_SIZE} pixels on a side", stacklevel=stacklevel + 1)
     return len(sizes)
 
 
+def fit_pyramid(params: FlowParams, width: int, height: int) -> FlowParams:
+    """``params`` with as many pyramid levels as ``horn_schunck`` uses on a
+    width x height pair, warning once, naming the caller, when levels are
+    dropped; a run that registers many pairs fits its params once."""
+    return replace(params, pyramid_levels=_pyramid_levels(width, height, params, 2))
+
+
+def _finest_solved_level(pyramid: list[np.ndarray], blur_sigma: float) -> int:
+    """The coarsest level on which a blur of ``blur_sigma`` pixels at level 0
+    is still at least ``_MIN_BLUR_PX`` wide, or level 0 when none is. Finer
+    levels add little motion detail that this level lacks, so the flow is
+    only resampled up through them."""
+    width = pyramid[0].shape[-1]
+    return max((level for level, a in enumerate(pyramid)
+                if blur_sigma * a.shape[-1] / width >= _MIN_BLUR_PX), default=0)
+
+
 def _coarse_to_fine(prev: np.ndarray, nxt: np.ndarray, params: FlowParams,
-                    levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flows ``(u, v)`` from ``prev[k]`` to ``nxt[k]`` for the pairs of images
-    along the leading axis, solved at each level in stacks of at most
-    ``_STACK_PIXELS`` pixels."""
-    lo = np.minimum(prev.min(axis=(-2, -1), keepdims=True), nxt.min(axis=(-2, -1), keepdims=True))
-    hi = np.maximum(prev.max(axis=(-2, -1), keepdims=True), nxt.max(axis=(-2, -1), keepdims=True))
-    scale = np.where(hi > lo, hi - lo, 1.0)  # a constant pair stays at 0
+                    levels: int, blur_sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Flow ``(u, v)`` from ``prev`` to ``nxt``, solved from the top of the
+    pyramid down to ``_finest_solved_level``."""
+    lo = min(prev.min(), nxt.min())
+    hi = max(prev.max(), nxt.max())
+    scale = hi - lo if hi > lo else 1.0  # a constant pair stays at 0
     pa = build_pyramid((prev - lo) / scale, levels, params.pyramid_spacing)
     pb = build_pyramid((nxt - lo) / scale, levels, params.pyramid_spacing)
-    del prev, nxt  # the pyramids hold rescaled copies; free the caller's stacks
+    finest = _finest_solved_level(pa, blur_sigma)
 
     u = np.zeros(pa[-1].shape)
     v = np.zeros(pa[-1].shape)
     for level in range(levels - 1, -1, -1):
         a = pa[level]
         b = pb[level]
-        h, w = a.shape[-2:]
+        h, w = a.shape
+        if u.shape != (h, w):
+            u, v = _resample(u, w, h) * (w / u.shape[1]), _resample(v, w, h) * (h / v.shape[0])
+        if level < finest:
+            continue
         cols, rows = np.arange(w), np.arange(h)[:, None]
-        step = max(1, _STACK_PIXELS // (h * w))
-        coarse, u, v = (u, v), np.empty(a.shape), np.empty(a.shape)
-        for k in range(0, len(u), step):
-            part = slice(k, k + step)
-            uk, vk = (f[part] for f in coarse)
-            if uk.shape[-2:] != (h, w):
-                uk = _resample(uk, w, h) * (w / uk.shape[-1])
-                vk = _resample(vk, w, h) * (h / vk.shape[-2])
-            for _ in range(params.warps_per_level):
-                warped = _bilinear_gather(b[part], cols + uk, rows + vk)
-                ix, iy, it = _derivatives(a[part], warped)
-                c = it - ix * uk - iy * vk
-                uk, vk = solve_linearized_flow(ix, iy, c, uk, vk, params.lam,
-                                               params.iterations_per_level)
-            u[part], v[part] = uk, vk
+        for _ in range(params.warps_per_level):
+            warped = _bilinear_gather(b, cols + u, rows + v)
+            ix, iy, it = _derivatives(a, warped)
+            c = it - ix * u - iy * v
+            u, v = solve_linearized_flow(ix, iy, c, u, v, params.lam,
+                                         params.iterations_per_level)
     return u, v
 
 
-def horn_schunck(prev: GridImage, nxt: GridImage, params: FlowParams) -> FlowField:
+def horn_schunck(prev: GridImage, nxt: GridImage, params: FlowParams,
+                 blur_sigma: float = 0.0) -> FlowField:
     """Estimate the dense displacement field from ``prev`` to ``nxt``.
 
     Coarse-to-fine: flow is upscaled between levels, ``nxt`` is re-warped at
     each warp iteration, and the linearized problem is solved in terms of the
     total flow. Levels whose top of the pyramid would fall below 8x8 are
     dropped with a warning. Equal images give the exact zero field.
+
+    ``blur_sigma`` is the inputs' blur in pixels: levels finer than the
+    coarsest one on which it is still at least 5 pixels are not solved, the
+    flow being resampled up to them. At 0 every level is solved.
     """
-    return _flows([nxt, prev], params)[0]
-
-
-def horn_schunck_sequence(frames: Sequence[GridImage],
-                          params: FlowParams) -> list[FlowField]:
-    """Flows ``horn_schunck(frames[t], frames[t - 1], params)`` for t >= 1.
-
-    All pairs run through the solver together, stacked per level. The flows
-    are bit-identical to the pairwise calls; a pyramid reduction is warned
-    about once.
-    """
-    return _flows(frames, params)
-
-
-def _flows(frames: Sequence[GridImage], params: FlowParams) -> list[FlowField]:
-    """Both entry points' body: a pyramid-reduction warning names their caller."""
-    if len(frames) < 2:
-        return []
-    first = frames[0]
-    for frame in frames[1:]:
-        require_same_shape(first, frame, "flow input images")
-    levels = _pyramid_levels(first.width, first.height, params)
-    u, v = _coarse_to_fine(np.stack([f.data for f in frames[1:]]),
-                           np.stack([f.data for f in frames[:-1]]), params, levels)
-    return [FlowField(uk, vk) for uk, vk in zip(u, v)]
+    require_same_shape(prev, nxt, "flow input images")
+    levels = _pyramid_levels(prev.width, prev.height, params, 2)
+    u, v = _coarse_to_fine(prev.data, nxt.data, params, levels, blur_sigma)
+    u.flags.writeable = v.flags.writeable = False
+    return FlowField(u, v)

@@ -12,21 +12,20 @@ class GridImage:
 
     Pixel (i, j) (column i, row j) is centered at
     ``(pixel_centers(width)[i], pixel_centers(height)[j])``.
-    Values are stored row-major as ``data[j, i]``. The array is copied on
-    construction, validated to be finite, and frozen, so instances are safe
-    to share.
+    Values are stored row-major as ``data[j, i]``. The array is taken by
+    ``read_only``, so a producer that freezes its fresh array hands it over
+    without a copy, and validated to be finite; instances are safe to share.
     """
 
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.data, dtype=np.float64, order="C", copy=True)
+        arr = read_only(self.data)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"image data must be a non-empty 2-D array, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             bad = int(np.flatnonzero(~np.isfinite(arr))[0])
             raise ValueError(f"image contains a non-finite value at flat index {bad}")
-        arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
     @property
@@ -36,6 +35,17 @@ class GridImage:
     @property
     def height(self) -> int:
         return self.data.shape[0]
+
+
+def read_only(a) -> np.ndarray:
+    """``a`` as a read-only float64 array for ``GridImage`` and ``FlowField``:
+    a read-only float64 array is kept, as its producer has given it up;
+    anything else is copied (C-ordered) and frozen."""
+    if isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable:
+        return a
+    a = np.array(a, dtype=np.float64, order="C", copy=True)
+    a.flags.writeable = False
+    return a
 
 
 def pixel_centers(n: int) -> np.ndarray:

@@ -243,7 +243,9 @@ def upsample(img: FemImage, assignment: PixelAssignment) -> GridImage:
     OUTSIDE pixels are padded with zeros.
     """
     _check_match(img.mesh, assignment)
-    return GridImage(assignment.lift(np.append(img.values, 0.0)))
+    out = assignment.lift(np.append(img.values, 0.0))
+    out.flags.writeable = False
+    return GridImage(out)
 
 
 def downsample(img: GridImage, assignment: PixelAssignment) -> FemImage:

@@ -88,7 +88,9 @@ def convolve_neumann(img: GridImage, k: Kernel) -> GridImage:
     sample (pad(-1) = pixel(0)), which preserves constants and, the mask
     being symmetric in each axis, makes the operator self-adjoint.
     """
-    return GridImage(convolve_stack(img.data, k))
+    out = convolve_stack(img.data, k)
+    out.flags.writeable = False
+    return GridImage(out)
 
 
 def convolve_stack(data: np.ndarray, k: Kernel) -> np.ndarray:
@@ -214,6 +216,7 @@ def warp_image(img: GridImage, flow) -> GridImage:
     for r in range(0, h, step):
         band = slice(r, r + step)
         out[band] = _bilinear_gather(img.data, cols + flow.u[band], rows[band] + flow.v[band])
+    out.flags.writeable = False
     return GridImage(out)
 
 

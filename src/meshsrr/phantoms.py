@@ -140,6 +140,7 @@ def _compose(spec: SceneSpec, t: int, width: int, height: int, shape) -> GridIma
     X, Y = pixel_centers(width), pixel_centers(height)[:, None]
     disc = X * X + Y * Y <= BODY_RADIUS * BODY_RADIUS
     img = np.where(shape(X, Y) & disc, spec.inclusion, np.where(disc, spec.background, 0.0))
+    img.flags.writeable = False
     return GridImage(img)
 
 
@@ -243,6 +244,7 @@ def degrade(x_hr: GridImage, assignment: PixelAssignment, kernel: Kernel,
     the scene values or the SNR overflow double precision on the way."""
     ratio = snr_power_ratio(snr_db)
     blurred = convolve_stack(x_hr.data, kernel)
+    blurred.flags.writeable = False
     if np.isfinite(blurred).all():
         s = downsample(GridImage(blurred), assignment).values
         rng = _rng(seed, _NOISE_STREAM + frame)

@@ -101,4 +101,5 @@ def srr_step(state: SrrState, y_up_t: GridImage, flow_t: FlowField,
         step *= cfg.mu
         x -= step
         x *= model.inside
+    x.flags.writeable = False
     return SrrState(x_hat=GridImage(x), costs=tuple(costs))

@@ -219,7 +219,7 @@ class TestRunCommand:
         def unreachable(*args, **kwargs):
             raise AssertionError("work started with a step size mu * L >= 1")
 
-        for module, name in ((exp, "render_scene"), (exp, "horn_schunck_sequence"),
+        for module, name in ((exp, "render_scene"), (exp, "horn_schunck"),
                              (srr, "srr_step")):
             monkeypatch.setattr(module, name, unreachable)
         argv = ["run", "--set", "srr.grid=16", "--set", "scene.frames=2",

@@ -206,8 +206,8 @@ class TestFramesOnAccess:
 
     @pytest.mark.parametrize("known", [True, False], ids=["known", "estimated"])
     def test_each_stage_lifts_each_observation_once(self, monkeypatch, tmp_path, known):
-        """Pass 2 lifts every observation once, for its step, its LR score
-        and its writes; estimated motion lifts it once more to register."""
+        """The loop lifts every observation once, for its registration, its
+        step, its LR score and its writes."""
         import meshsrr.experiment as exp
 
         original = exp.upsample
@@ -222,12 +222,12 @@ class TestFramesOnAccess:
             cfg = tiny_cfg(scene=replace(tiny_cfg().scene, frames=4), known_motion=known,
                            output_dir=out)
             result = run_experiment(cfg)
-            assert sorted(lifts.values()) == [1 if known else 2] * 4
+            assert sorted(lifts.values()) == [1] * 4
             assert set(lifts) == {id(obs) for obs in result.observations}
 
     @pytest.mark.parametrize("known", [True, False], ids=["known", "estimated"])
-    def test_each_frame_is_rendered_twice(self, monkeypatch, tmp_path, known):
-        """Once to degrade it and once to score it, with or without artifacts."""
+    def test_each_frame_is_rendered_once(self, monkeypatch, tmp_path, known):
+        """To degrade it and to score it, with or without artifacts."""
         import meshsrr.experiment as exp
 
         original = exp.render_scene
@@ -241,13 +241,13 @@ class TestFramesOnAccess:
             monkeypatch.setattr(exp, "render_scene", counted)
             run_experiment(tiny_cfg(scene=replace(tiny_cfg().scene, frames=4),
                                     known_motion=known, output_dir=out))
-            assert sorted(renders) == [0, 0, 1, 1, 2, 2, 3, 3]
+            assert renders == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("error", [ValueError, MeshError, MemoryError])
     def test_error_rendering_a_truth_for_scoring_keeps_its_type(self, monkeypatch, error):
-        """Pass 2 renders each truth again for scoring; an error there is not
-        taken for an empty binarized frame ("cannot be scored") and names its
-        frame."""
+        """The truth that frame t is scored against is the frame rendered to
+        degrade; an error rendering it is not taken for an empty binarized
+        frame ("cannot be scored") and names its frame."""
         import meshsrr.experiment as exp
 
         original = exp.render_scene
@@ -255,7 +255,7 @@ class TestFramesOnAccess:
 
         def flaky(spec, t, *args):
             renders.append(t)
-            if len(renders) == spec.frames + 2:
+            if len(renders) == 2:
                 raise error("synthetic")
             return original(spec, t, *args)
 
@@ -263,13 +263,12 @@ class TestFramesOnAccess:
         with pytest.raises(error, match="synthetic") as err:
             run_experiment(tiny_cfg())
         assert type(err.value) is error
-        # Renders 1-3 degrade the frames; pass 2 renders frame 0, then frame 1.
         assert err.value.__notes__ == ["frame 1"]
 
     def test_renders_count_toward_the_stage_that_reads_them(self, monkeypatch, tmp_path):
-        """Each stage times its own calls: both renders of a frame count to
-        render, the registration lifts to flow and the pass-2 lift to srr, not
-        to the scoring or writing that reads them."""
+        """Each stage times its own calls: the render of a frame counts to
+        render, the registration to flow and the lift to srr, not to the
+        scoring or writing that reads them."""
         import meshsrr.experiment as exp
 
         delay = 0.05
@@ -282,25 +281,29 @@ class TestFramesOnAccess:
 
         monkeypatch.setattr(exp, "render_scene", slow(exp.render_scene))
         monkeypatch.setattr(exp, "upsample", slow(exp.upsample))
+        monkeypatch.setattr(exp, "horn_schunck", slow(exp.horn_schunck))
         result = run_experiment(tiny_cfg(output_dir=str(tmp_path / "run")))
         stages = result.stage_seconds
-        assert stages["render"] >= 6 * delay
-        assert stages["flow"] >= 3 * delay and stages["srr"] >= 3 * delay
+        assert stages["render"] >= 3 * delay
+        assert stages["flow"] >= 2 * delay and stages["srr"] >= 3 * delay
         assert stages["metrics"] + stages["write"] < 3 * delay
 
 
-@pytest.mark.parametrize("name", ["ex1b", "ex2a"])
-def test_traced_peak_grows_by_about_one_frame_per_frame(name):
+@pytest.mark.parametrize("name, known", [("ex1b", True), ("ex2a", True),
+                                         ("ex1b", False), ("ex2a", False)],
+                         ids=["ex1b", "ex2a", "ex1b-estimated", "ex2a-estimated"])
+def test_traced_peak_grows_by_about_one_frame_per_frame(name, known):
     """A run keeps per frame its observation's element values and its SRR
     frame: no rendered frame, upsampled frame or flow field. So the traced
-    memory peak of a known-motion run grows by at most 1.5 grid frames per
-    added frame (about 1 measured; 3 when the rendered and upsampled frames
-    were kept, 5 with the lung flows)."""
+    memory peak grows by at most 1.5 grid frames per added frame (about 1
+    measured; 3 when the rendered and upsampled frames were kept, 5 with
+    the lung flows, and about 4 for estimated motion while the upsampled
+    observations were registered in one stack)."""
     n = 96
 
     def peak(frames):
         base = preset(name)
-        cfg = replace(base, grid=n, k_iters=5, known_motion=True,
+        cfg = replace(base, grid=n, k_iters=5, known_motion=known,
                       scene=replace(base.scene, frames=frames))
         gc.collect()
         tracemalloc.start()

@@ -7,7 +7,7 @@ from scipy import fft
 
 from meshsrr import flow
 from meshsrr.flow import (FlowField, FlowParams, build_pyramid, horn_schunck,
-                          horn_schunck_sequence, solve_linearized_flow)
+                          solve_linearized_flow)
 from meshsrr.grid import GridImage
 from meshsrr.operators import warp_image
 
@@ -71,6 +71,58 @@ class TestFlowField:
         assert f.u[0, 0] == 0.0 and f.v[0, 0] == 1.0
         assert not (f.u.flags.writeable or f.v.flags.writeable)
 
+    def test_grid_image_copies_a_writeable_input_but_not_a_producers_frame(
+            self, monkeypatch, tmp_path):
+        """``GridImage`` takes ``FlowField``'s rule: every producer of a frame
+        freezes the array it built and hands it over without a copy."""
+        from meshsrr import grid
+        from meshsrr.config import preset
+        from meshsrr.fileio import read_grid_image, write_pgm16
+        from meshsrr.mesh import build_pixel_assignment, upsample
+        from meshsrr.operators import ObservationModel, convolve_neumann, gaussian_kernel
+        from meshsrr.phantoms import COARSE, degrade, disc_mesh, render_scene
+        from meshsrr.srr import SrrConfig, SrrState, srr_step
+
+        copies = []
+
+        def spy(module):
+            original = module.read_only
+
+            def counted(a):
+                out = original(a)
+                if out is not a:
+                    copies.append(type(a))
+                return out
+            monkeypatch.setattr(module, "read_only", counted)
+
+        spy(grid)
+        spy(flow)
+        data = np.zeros((3, 4))
+        img = GridImage(data)
+        data[0, 0] = 7.0
+        assert img.data[0, 0] == 0.0 and not img.data.flags.writeable
+        assert copies == [np.ndarray]
+        copies.clear()
+
+        cfg = preset("ex2a")
+        asg = build_pixel_assignment(disc_mesh(COARSE), 32, 32)
+        kernel = gaussian_kernel(3, 1.0)
+        frame = render_scene(cfg.scene, 1, 32, 32)
+        obs = degrade(frame, asg, kernel, 10.0, 5)
+        y = upsample(obs, asg)
+        smooth = convolve_neumann(y, kernel)
+        motion = horn_schunck(frame, render_scene(cfg.scene, 0, 32, 32),
+                              FlowParams(pyramid_levels=1))
+        warped = warp_image(frame, motion)
+        state = srr_step(SrrState(smooth, ()), y, FlowField.zeros(32, 32),
+                         SrrConfig(mu=0.01, k_iters=1), ObservationModel(asg, kernel, 0.1))
+        write_pgm16(state.x_hat, tmp_path / "x.pgm")
+        read_grid_image(tmp_path / "x.pgm")
+        (tmp_path / "x.scale.txt").unlink()  # raw levels, no sidecar
+        read_grid_image(tmp_path / "x.pgm")
+        assert copies == []
+        assert GridImage(warped.data).data is warped.data
+
     def test_non_finite_constant_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             FlowField.constant(4, 3, 0.0, np.inf)
@@ -101,7 +153,7 @@ class TestFlowParams:
     def test_largest_lam_keeps_the_solver_finite(self):
         lam = FlowParams(lam=flow._LAM_MAX).lam
         rng = np.random.default_rng(21)
-        ix, iy, c, u0, v0 = (rng.standard_normal((2, 9, 7)) for _ in range(5))
+        ix, iy, c, u0, v0 = (rng.standard_normal((9, 7)) for _ in range(5))
         u, v = solve_linearized_flow(ix, iy, c, u0, v0, lam, 50)
         assert np.isfinite(u).all() and np.isfinite(v).all()
         prev, nxt = blob_pair((1.5, -1.0))
@@ -219,6 +271,14 @@ class TestFullGridOracle:
         for a, b in zip(got, ref):
             assert np.abs(a - b).max() <= 1e-8
 
+    def test_single_pixel_fits_the_data_term(self, monkeypatch):
+        # No edges: the normal matrix is singular, and every minimizer fits
+        # the data term exactly.
+        monkeypatch.setattr(flow, "_CG_TOL", 1e-12)
+        ix, iy, c, u0, v0 = (np.array([[x]]) for x in (0.7, -1.3, 0.4, 0.2, -0.5))
+        u, v = solve_linearized_flow(ix, iy, c, u0, v0, 1.0, 1000)
+        assert _flow_energy(ix, iy, c, u, v, 1.0) <= 1e-20
+
     def test_inputs_untouched(self):
         rng = np.random.default_rng(5)
         ix, iy, c, u0, v0 = (rng.standard_normal((6, 5)) for _ in range(5))
@@ -299,30 +359,17 @@ class TestComposeFlows:
         assert np.abs(twice.data - once.data).max() <= 0.05
 
 
-def count_calls(monkeypatch, name):
-    """Wrap ``meshsrr.flow.<name>`` and return the list of its calls' args."""
-    from meshsrr import flow
+def count_calls(monkeypatch, name, module=flow):
+    """Wrap ``module.<name>`` and return the list of its calls' args."""
     calls = []
-    original = getattr(flow, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(flow, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
-
-
-@pytest.fixture(scope="module")
-def lung_frames():
-    from meshsrr.config import preset
-    from meshsrr.phantoms import render_scene
-    cfg = preset("ex2a")
-    return cfg, [render_scene(cfg.scene, t, 100, 100) for t in range(cfg.scene.frames)]
-
-
-def pairwise(frames, params):
-    return [horn_schunck(frames[t], frames[t - 1], params) for t in range(1, len(frames))]
 
 
 def assert_same_flows(got, ref):
@@ -340,13 +387,11 @@ class TestIdenticalPairShortcut:
         params = FlowParams(pyramid_levels=2)
         for data in (gaussian_blob(32, 12.0, 17.0), np.full((32, 32), -2.5), np.zeros((32, 32))):
             img = GridImage(data)
-            f = horn_schunck(img, GridImage(img.data.copy()), params)
-            seq = horn_schunck_sequence([img] * 4, params)
-            for out in (f, *seq):
+            for out in (horn_schunck(img, GridImage(img.data.copy()), params),
+                        horn_schunck(img, img, params, blur_sigma=20.0)):
                 assert np.array_equal(out.u, np.zeros((32, 32)))
                 assert np.array_equal(out.v, np.zeros((32, 32)))
                 assert not np.signbit(out.u).any() and not np.signbit(out.v).any()
-            assert len(seq) == 3
         assert counts == {"dctn": 0, "idctn": 0}
 
     def test_signed_zeros_count_as_equal(self):
@@ -354,110 +399,76 @@ class TestIdenticalPairShortcut:
         a[0, 0] = 0.0
         b = a.copy()
         b[0, 0] = -0.0
-        frames = [GridImage(a), GridImage(b)]
-        params = FlowParams(pyramid_levels=1, iterations_per_level=5)
-        assert_same_flows(horn_schunck_sequence(frames, params), pairwise(frames, params))
-        assert not horn_schunck_sequence(frames, params)[0].u.any()
+        f = horn_schunck(GridImage(a), GridImage(b),
+                         FlowParams(pyramid_levels=1, iterations_per_level=5))
+        assert not f.u.any() and not f.v.any()
 
     def test_nearly_equal_frames_are_registered(self):
         a = gaussian_blob(16, 8, 8)
         b = a.copy()
         b[5, 6] += 1e-6
-        frames = [GridImage(a), GridImage(b), GridImage(a)]
         params = FlowParams(pyramid_levels=1, iterations_per_level=5)
-        got = horn_schunck_sequence(frames, params)
-        assert_same_flows(got, pairwise(frames, params))
-        assert np.abs(got[0].u).max() > 0.0 and np.abs(got[1].u).max() > 0.0
+        for prev, nxt in ((b, a), (a, b)):
+            assert np.abs(horn_schunck(GridImage(prev), GridImage(nxt), params).u).max() > 0.0
 
-    def test_reduction_warned_once_per_sequence(self):
-        frames = [GridImage(gaussian_blob(16, 8 + 0.5 * t, 8)) for t in range(4)]
-        with pytest.warns(UserWarning, match="pyramid reduced") as record:
-            horn_schunck_sequence(frames, FlowParams(pyramid_levels=4,
-                                                     iterations_per_level=5))
-        assert len(record) == 1
-        assert record[0].filename == __file__
-
-
-class TestHornSchunckSequence:
-    def test_matches_pairwise_on_clean_lung_frames(self, lung_frames, monkeypatch):
-        cfg, frames = lung_frames
-        keep = [f.data.copy() for f in frames]
-        stacks = count_calls(monkeypatch, "_coarse_to_fine")
-        solves = count_calls(monkeypatch, "solve_linearized_flow")
-        got = horn_schunck_sequence(frames, cfg.flow)
-        # All 19 pairs go in together, the repeated and the identical ones
-        # too. Each level cuts its stacks to 10 000 pixels: 1 pair at
-        # 100x100, 4 at 50x50, 16 at 25x25 and all 19 at 12x12.
-        assert [args[0].shape for args in stacks] == [(19, 100, 100)]
-        largest = {}
-        for args in solves:
-            n, h, w = args[0].shape
-            largest[h, w] = max(largest.get((h, w), 0), n)
-        assert largest == {(12, 12): 19, (25, 25): 16, (50, 50): 4, (100, 100): 1}
-        monkeypatch.undo()
-        assert_same_flows(got, pairwise(frames, cfg.flow))
-        assert all(np.array_equal(f.data, k) for f, k in zip(frames, keep))
-
-    def test_matches_pairwise_on_noisy_frames_in_one_stack(self, monkeypatch):
+    def test_reduction_warned_once_per_sequence(self, monkeypatch):
+        """A run fits the pyramid to its grid once, naming its own line, and
+        registers its pairs without warning again."""
+        from meshsrr import experiment
         from meshsrr.config import preset
-        from meshsrr.phantoms import render_scene
-        cfg = preset("ex2a")
-        rng = np.random.default_rng(17)
-        frames = [GridImage(render_scene(cfg.scene, t, 24, 24).data
-                            + 0.05 * rng.standard_normal((24, 24))) for t in range(7)]
-        # An identical pair (2, 2), a repeated pair (2, 1) and 8 distinct
-        # pairs, all 10 in one stack.
-        frames = frames[:3] + [frames[2], frames[1], frames[2]] + frames[3:] + [frames[0]]
-        keep = [f.data.copy() for f in frames]
-        stacks = count_calls(monkeypatch, "_coarse_to_fine")
+        from meshsrr.experiment import run_experiment
+        from meshsrr.phantoms import COARSE
+        calls = count_calls(monkeypatch, "horn_schunck", experiment)
+        base = preset("ex1a")
+        cfg = replace(base, grid=32, mesh_density=COARSE, k_iters=1,
+                      scene=replace(base.scene, frames=4),
+                      flow=FlowParams(pyramid_levels=4, iterations_per_level=5))
+        with pytest.warns(UserWarning, match="pyramid reduced") as record:
+            run_experiment(cfg)
+        assert len(record) == 1 and len(calls) == 3
+        assert record[0].filename == experiment.__file__
+
+
+class TestLevelRule:
+    """Registration stops at the coarsest level on which the inputs' blur is
+    still 5 px wide; finer levels only resample the flow up."""
+
+    @pytest.mark.parametrize("grid, largest", [(32, 32), (100, 50), (200, 50)])
+    def test_run_solves_no_level_finer_than_the_blur_allows(self, monkeypatch, grid,
+                                                            largest):
+        from meshsrr.config import preset
+        from meshsrr.experiment import run_experiment
+        solves = count_calls(monkeypatch, "solve_linearized_flow")
+        base = preset("ex2b")
+        cfg = replace(base, grid=grid, k_iters=1, scene=replace(base.scene, frames=3))
+        assert cfg.blur_sigma == grid / 10
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            got = horn_schunck_sequence(frames, cfg.flow)
-            assert [args[0].shape[0] for args in stacks] == [10]
-            monkeypatch.undo()
-            ref = pairwise(frames, cfg.flow)
-        assert_same_flows(got, ref)
-        assert np.abs(got[0].u).max() > 0.0
-        assert all(np.array_equal(f.data, k) for f, k in zip(frames, keep))
+            warnings.simplefilter("ignore")  # grid 32 has room for 3 of the 4 levels
+            run_experiment(cfg)
+        assert max(args[0].shape for args in solves) == (largest, largest)
 
-    def test_short_sequences(self):
-        img = GridImage(gaussian_blob(16, 8, 8))
-        assert horn_schunck_sequence([], FlowParams()) == []
-        assert horn_schunck_sequence([img], FlowParams()) == []
-        with pytest.raises(ValueError, match="mismatched"):
-            horn_schunck_sequence([img, GridImage(np.zeros((15, 16)))], FlowParams())
+    def test_no_blur_and_a_narrow_blur_solve_every_level(self, monkeypatch):
+        prev, nxt = blob_pair((2.5, -1.5))
+        solves = count_calls(monkeypatch, "solve_linearized_flow")
+        plain = horn_schunck(prev, nxt, FlowParams())
+        narrow = horn_schunck(prev, nxt, FlowParams(), blur_sigma=4.9)
+        assert {args[0].shape for args in solves} == {(64, 64), (32, 32), (16, 16), (8, 8)}
+        assert_same_flows([narrow], [plain])
 
-
-class TestStackedSolver:
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 4), (100, 100)],
-                             ids=lambda s: f"{s[0]}x{s[1]}")
-    def test_matches_slices_and_oracle(self, shape, monkeypatch):
-        rng = np.random.default_rng(shape[0] * 100 + shape[1])
-        ix, iy, c, u0, v0 = (rng.standard_normal((3, *shape)) for _ in range(5))
-        keep = [a.copy() for a in (ix, iy, c, u0, v0)]
-        monkeypatch.setattr(flow, "_CG_TOL", 1e-12)
-        u, v = solve_linearized_flow(ix, iy, c, u0, v0, 1.0, 1000)
-        for k in range(3):
-            args = (ix[k], iy[k], c[k])
-            alone = solve_linearized_flow(*args, u0[k], v0[k], 1.0, 1000)
-            assert np.array_equal(u[k], alone[0]) and np.array_equal(v[k], alone[1])
-            if shape == (1, 1):
-                # No edges: the normal matrix is singular, and every
-                # minimizer fits the data term exactly.
-                assert _flow_energy(*args, u[k], v[k], 1.0) <= 1e-20
-            else:
-                ref = dense_flow_solve(*args, 1.0)
-                assert np.abs(u[k] - ref[0]).max() <= 1e-8
-                assert np.abs(v[k] - ref[1]).max() <= 1e-8
-        assert u.flags.c_contiguous and v.flags.c_contiguous
-        assert u.shape == v.shape == (3, *shape)
-        assert all(np.array_equal(a, k) for a, k in zip((ix, iy, c, u0, v0), keep))
+    def test_a_wide_blur_resamples_the_coarse_flow_up(self, monkeypatch):
+        prev, nxt = blob_pair((2.5, -1.5))
+        solves = count_calls(monkeypatch, "solve_linearized_flow")
+        f = horn_schunck(prev, nxt, FlowParams(), blur_sigma=20.0)
+        assert max(args[0].shape for args in solves) == (16, 16)
+        support = prev.data > 0.1
+        assert abs(f.u[support].mean() - 2.5) <= 0.1
+        assert abs(f.v[support].mean() + 1.5) <= 0.1
 
 
-def linear_problems(seed, n=2, side=16):
+def linear_problem(seed, side=16):
     rng = np.random.default_rng(seed)
-    ix, iy, c = (rng.standard_normal((n, side, side)) for _ in range(3))
-    return ix, iy, c, np.zeros((n, side, side)), np.zeros((n, side, side))
+    ix, iy, c = (rng.standard_normal((side, side)) for _ in range(3))
+    return ix, iy, c, np.zeros((side, side)), np.zeros((side, side))
 
 
 def count_transforms(monkeypatch):
@@ -479,21 +490,8 @@ def count_transforms(monkeypatch):
 
 
 class TestConjugateGradients:
-    def test_stack_matches_each_problem_alone(self):
-        ix, iy, c, u0, v0 = linear_problems(11)
-        # Problem 0 starts converged, problem 1 from zero.
-        u0[0], v0[0] = solve_linearized_flow(ix[0], iy[0], c[0], u0[0], v0[0], 1.0, 100)
-        keep = u0.copy(), v0.copy()
-        u, v = solve_linearized_flow(ix, iy, c, u0, v0, 1.0, 100)
-        assert np.array_equal(u0, keep[0]) and np.array_equal(v0, keep[1])
-        assert np.array_equal(u[0], u0[0]) and not np.array_equal(u[1], u0[1])
-        for k in (0, 1):
-            one = slice(k, k + 1)
-            alone = solve_linearized_flow(ix[one], iy[one], c[one], u0[one], v0[one], 1.0, 100)
-            assert np.array_equal(u[one], alone[0]) and np.array_equal(v[one], alone[1])
-
     def test_start_within_tolerance_is_returned_unchanged(self, monkeypatch):
-        ix, iy, c, u0, v0 = linear_problems(13, n=1)
+        ix, iy, c, u0, v0 = linear_problem(13)
         monkeypatch.setattr(flow, "_CG_TOL", 1e-6)
         u0, v0 = solve_linearized_flow(ix, iy, c, u0, v0, 1.0, 1000)
         monkeypatch.undo()
@@ -501,7 +499,7 @@ class TestConjugateGradients:
         assert np.array_equal(u, u0) and np.array_equal(v, v0)
 
     def test_cap_is_honoured(self, monkeypatch):
-        ix, iy, c, u0, v0 = linear_problems(12, n=1)
+        ix, iy, c, u0, v0 = linear_problem(12)
         counts = count_transforms(monkeypatch)
         iterates = []
         for cap in range(1, 6):
@@ -513,7 +511,7 @@ class TestConjugateGradients:
             assert not np.array_equal(a[0], b[0])
 
     def test_transforms_per_iteration(self, monkeypatch):
-        ix, iy, c, u0, v0 = linear_problems(14)
+        ix, iy, c, u0, v0 = linear_problem(14)
         counts = count_transforms(monkeypatch)
         for cap in range(4):
             counts.update(dctn=0, idctn=0)

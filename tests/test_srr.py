@@ -342,9 +342,9 @@ class TestRunSequence:
         assert err.value.__notes__ == ["frame 1"]
 
     def test_reads_each_frame_and_flow_when_its_step_needs_it(self, monkeypatch):
-        """No sequence is copied: flow t - 1 is read and observation t lifted
-        right before step t, and frame t is rendered for scoring right after
-        it; frame 0 is lifted once, for the start and its step."""
+        """No sequence is copied: frame t is rendered, its observation lifted
+        and flow t - 1 read right before step t, once each; frame 0 is lifted
+        once, for the start and its step."""
         import meshsrr.experiment as exp
         import meshsrr.srr as srr
         events = []
@@ -367,9 +367,8 @@ class TestRunSequence:
                             counted(exp.render_scene, lambda spec, t, *a: f"r{t}"))
         monkeypatch.setattr(exp, "scene_flows", flows)
         exp.run_experiment(tiny_run_cfg())
-        assert events == ["r0", "r1", "r2",
-                          "y0", "step", "r0", "f0", "y1", "step", "r1",
-                          "f1", "y2", "step", "r2"]
+        assert events == ["r0", "y0", "step", "r1", "y1", "f0", "step",
+                          "r2", "y2", "f1", "step"]
 
     def test_error_reading_a_flow_keeps_type_and_gains_frame_note(self, monkeypatch):
         import meshsrr.experiment as exp
@@ -425,8 +424,10 @@ class TestPixelReference:
         from dataclasses import replace
         from meshsrr.config import preset
         from meshsrr.experiment import run_experiment
-        from meshsrr.flow import horn_schunck_sequence
+        from meshsrr.flow import horn_schunck
         from meshsrr.phantoms import scene_flows
+        # At grid 32 the blur is 3.2 px wide, so the run registers on the
+        # full grid, as horn_schunck without a blur does.
         cfg = replace(preset(name), grid=32, known_motion=known)
         asg = build_pixel_assignment(disc_mesh(cfg.mesh_density), 32, 32)
         with warnings.catch_warnings():
@@ -434,7 +435,7 @@ class TestPixelReference:
             result = run_experiment(cfg)
             up = [upsample(o, asg) for o in result.observations]
             flows = (scene_flows(cfg.scene, 32, 32) if known
-                     else horn_schunck_sequence(up, cfg.flow))
+                     else [horn_schunck(y, y_prev, cfg.flow) for y_prev, y in zip(up, up[1:])])
         ref = pixel_run_sequence(up, flows, cfg.srr_config(), asg,
                                  cfg.resolved_kernel(), cfg.alpha_srr)
         assert len(ref) == len(result.srr_frames) == cfg.scene.frames
