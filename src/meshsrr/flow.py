@@ -19,15 +19,15 @@ before the first iteration and its flow is the exact zero field.
 
 Observations blurred by a kernel of ``blur_sigma`` pixels carry little
 motion detail finer than the blur, so ``horn_schunck`` given that sigma solves only down
-to the coarsest pyramid level on which it is still ``_MIN_BLUR_PX`` wide,
-and resamples that level's flow up to the full grid. One pair at a time is
+to the pyramid level on which it is nearest ``_MIN_BLUR_PX`` wide, and
+resamples that level's flow up to the full grid. One pair at a time is
 cheap there, so a run registers each pair as its frame arrives.
-``scipy.fft``, which takes the DCTs, loads on the first solve, not on import.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -167,14 +167,29 @@ def _block_inverses(g: np.ndarray, lam: float) -> np.ndarray:
     ix, iy = g
     mxx, mxy, myy = ((p * q).mean() for p, q in ((ix, ix), (ix, iy), (iy, iy)))
     e = lam * _stencil_eigenvalues(*g.shape[-2:])
-    a = mxx + e
-    d = myy + e
+    a, d = mxx + e, myy + e
     det = a * d - mxy * mxy
     det[0, 0] = 1.0
     inv = np.stack([d, np.broadcast_to(-mxy, a.shape), a]) / det
     zero = np.linalg.pinv(np.array([[mxx, mxy], [mxy, myy]]), rcond=1e-12)
     inv[:, 0, 0] = zero.ravel()[[0, 1, 3]]
     return inv
+
+
+@cache
+def _dct_matrix(n: int) -> np.ndarray:
+    """Read-only orthonormal DCT-II matrix of side ``n``, from exact integer phases."""
+    f, m = np.ogrid[:n, :n]
+    c = np.cos(np.pi * ((f * (2 * m + 1)) % (4 * n)) / (2 * n)) * np.sqrt((2.0 - (f == 0)) / n)
+    c.flags.writeable = False
+    return c
+
+
+def _precondition(r: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """The blocks ``inv`` applied to the DCT ``C_h r C_w'`` of ``r``, then ``C_h' z C_w``."""
+    ch, cw = _dct_matrix(r.shape[-2]), _dct_matrix(r.shape[-1])
+    rh = ch @ r @ cw.T
+    return ch.T @ (inv[:2] * rh[:1] + inv[1:] * rh[1:]) @ cw
 
 
 def solve_linearized_flow(ix: np.ndarray, iy: np.ndarray, c: np.ndarray,
@@ -192,7 +207,6 @@ def solve_linearized_flow(ix: np.ndarray, iy: np.ndarray, c: np.ndarray,
     ``||r|| <= _CG_TOL * ||b||``, so a start within tolerance is returned
     unchanged and costs no transform.
     """
-    from scipy import fft  # on first use: import and runs that register nothing skip its 0.4 s
     g = np.stack([ix, iy])
     x = np.stack([u0, v0])
     work = np.empty_like(x)  # normal(p) is consumed before the next call
@@ -214,9 +228,7 @@ def solve_linearized_flow(ix: np.ndarray, iy: np.ndarray, c: np.ndarray,
     for _ in range(iterations):
         if not dot(r, r) > bound:
             break
-        rh = fft.dctn(r, axes=(-2, -1), norm="ortho")
-        zh = inv[:2] * rh[:1] + inv[1:] * rh[1:]  # (i00 r0 + i01 r1, i01 r0 + i11 r1)
-        z = fft.idctn(zh, axes=(-2, -1), norm="ortho", overwrite_x=True)
+        z = _precondition(r, inv)
         rz, previous = dot(r, z), rz
         p = z if previous is None else z + (rz / previous) * p
         q = normal(p)
@@ -260,13 +272,12 @@ def fit_pyramid(params: FlowParams, width: int, height: int) -> FlowParams:
 
 
 def _finest_solved_level(pyramid: list[np.ndarray], blur_sigma: float) -> int:
-    """The coarsest level on which a blur of ``blur_sigma`` pixels at level 0
-    is still at least ``_MIN_BLUR_PX`` wide, or level 0 when none is. Finer
-    levels add little motion detail that this level lacks, so the flow is
-    only resampled up through them."""
+    """The level on which a blur of ``blur_sigma`` pixels at level 0 is nearest
+    ``_MIN_BLUR_PX`` wide by ratio, or level 0 without a blur. Finer levels add
+    little motion detail that it lacks, so the flow is only resampled up through them."""
     width = pyramid[0].shape[-1]
-    return max((level for level, a in enumerate(pyramid)
-                if blur_sigma * a.shape[-1] / width >= _MIN_BLUR_PX), default=0)
+    ratios = [blur_sigma * a.shape[-1] / (width * _MIN_BLUR_PX) for a in pyramid]
+    return int(np.argmin(np.abs(np.log(ratios)))) if blur_sigma > 0 else 0
 
 
 def _coarse_to_fine(prev: np.ndarray, nxt: np.ndarray, params: FlowParams,
@@ -280,8 +291,7 @@ def _coarse_to_fine(prev: np.ndarray, nxt: np.ndarray, params: FlowParams,
     pb = build_pyramid((nxt - lo) / scale, levels, params.pyramid_spacing)
     finest = _finest_solved_level(pa, blur_sigma)
 
-    u = np.zeros(pa[-1].shape)
-    v = np.zeros(pa[-1].shape)
+    u, v = np.zeros((2, *pa[-1].shape))
     for level in range(levels - 1, -1, -1):
         a = pa[level]
         b = pb[level]
@@ -309,9 +319,9 @@ def horn_schunck(prev: GridImage, nxt: GridImage, params: FlowParams,
     total flow. Levels whose top of the pyramid would fall below 8x8 are
     dropped with a warning. Equal images give the exact zero field.
 
-    ``blur_sigma`` is the inputs' blur in pixels: levels finer than the
-    coarsest one on which it is still at least 5 pixels are not solved, the
-    flow being resampled up to them. At 0 every level is solved.
+    ``blur_sigma`` is the inputs' blur in pixels: levels finer than the one
+    on which it is nearest 5 pixels are not solved, the flow being
+    resampled up to them. At 0 every level is solved.
     """
     require_same_shape(prev, nxt, "flow input images")
     levels = _pyramid_levels(prev.width, prev.height, params, 2)

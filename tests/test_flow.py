@@ -392,7 +392,7 @@ class TestIdenticalPairShortcut:
                 assert np.array_equal(out.u, np.zeros((32, 32)))
                 assert np.array_equal(out.v, np.zeros((32, 32)))
                 assert not np.signbit(out.u).any() and not np.signbit(out.v).any()
-        assert counts == {"dctn": 0, "idctn": 0}
+        assert counts == {"pairs": 0}
 
     def test_signed_zeros_count_as_equal(self):
         a = gaussian_blob(16, 8, 8)
@@ -430,10 +430,10 @@ class TestIdenticalPairShortcut:
 
 
 class TestLevelRule:
-    """Registration stops at the coarsest level on which the inputs' blur is
-    still 5 px wide; finer levels only resample the flow up."""
+    """Registration stops at the level on which the inputs' blur is nearest
+    5 px wide by ratio; finer levels only resample the flow up."""
 
-    @pytest.mark.parametrize("grid, largest", [(32, 32), (100, 50), (200, 50)])
+    @pytest.mark.parametrize("grid, largest", [(32, 32), (96, 48), (100, 50), (200, 50)])
     def test_run_solves_no_level_finer_than_the_blur_allows(self, monkeypatch, grid,
                                                             largest):
         from meshsrr.config import preset
@@ -472,21 +472,46 @@ def linear_problem(seed, side=16):
 
 
 def count_transforms(monkeypatch):
-    """Wrap ``scipy.fft.dctn`` and ``idctn``, which the solver looks up on
-    the module at each call, in counters; return the counts."""
-    counts = {"dctn": 0, "idctn": 0}
+    """Wrap ``flow._precondition``, which takes one DCT and its inverse per
+    call, in a counter; return the count of transform pairs."""
+    counts = {"pairs": 0}
+    precondition = flow._precondition
 
-    def counting(name):
-        transform = getattr(fft, name)
+    def counted(*args):
+        counts["pairs"] += 1
+        return precondition(*args)
 
-        def counted(*args, **kwargs):
-            counts[name] += 1
-            return transform(*args, **kwargs)
-        return counted
-
-    for name in counts:
-        monkeypatch.setattr(fft, name, counting(name))
+    monkeypatch.setattr(flow, "_precondition", counted)
     return counts
+
+
+def scipy_precondition(r, inv):
+    """``flow._precondition`` through ``scipy.fft``."""
+    rh = fft.dctn(r, axes=(-2, -1), norm="ortho")
+    return fft.idctn(inv[:2] * rh[:1] + inv[1:] * rh[1:], axes=(-2, -1), norm="ortho")
+
+
+class TestDctMatrix:
+    """The preconditioner's DCT-II matrices against ``scipy.fft``."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 13, 25, 50, 200])
+    def test_matches_scipy_and_is_orthonormal(self, n):
+        c = flow._dct_matrix(n)
+        assert np.abs(c - fft.dct(np.eye(n), axis=0, norm="ortho")).max() <= 1e-14
+        assert np.abs(c @ c.T - np.eye(n)).max() <= 1e-14
+        assert not c.flags.writeable
+
+    def test_non_square_solve_matches_scipy(self, monkeypatch):
+        ix, iy, c, u0, v0 = np.random.default_rng(31).standard_normal((5, 24, 40))
+        inv = flow._block_inverses(np.stack([ix, iy]), 0.5)
+        r = np.stack([c, u0])
+        assert np.abs(flow._precondition(r, inv) - scipy_precondition(r, inv)).max() <= 1e-14
+        got = solve_linearized_flow(ix, iy, c, u0, v0, 0.5, 20)
+        monkeypatch.setattr(flow, "_precondition", scipy_precondition)
+        ref = solve_linearized_flow(ix, iy, c, u0, v0, 0.5, 20)
+        # 20 iterations on random gradients amplify the transforms' rounding.
+        for a, b in zip(got, ref):
+            assert np.abs(a - b).max() <= 1e-9
 
 
 class TestConjugateGradients:
@@ -503,9 +528,9 @@ class TestConjugateGradients:
         counts = count_transforms(monkeypatch)
         iterates = []
         for cap in range(1, 6):
-            counts.update(dctn=0)
+            counts.update(pairs=0)
             iterates.append(solve_linearized_flow(ix, iy, c, u0, v0, 0.05, cap))
-            assert counts["dctn"] == cap
+            assert counts["pairs"] == cap
         # Not within tolerance yet: every iteration moved the flow.
         for a, b in zip(iterates, iterates[1:]):
             assert not np.array_equal(a[0], b[0])
@@ -514,13 +539,13 @@ class TestConjugateGradients:
         ix, iy, c, u0, v0 = linear_problem(14)
         counts = count_transforms(monkeypatch)
         for cap in range(4):
-            counts.update(dctn=0, idctn=0)
+            counts.update(pairs=0)
             solve_linearized_flow(ix, iy, c, u0, v0, 0.05, cap)
-            assert counts == {"dctn": cap, "idctn": cap}
+            assert counts == {"pairs": cap}
         u, v = solve_linearized_flow(ix, iy, c, u0, v0, 1.0, 1000)
-        counts.update(dctn=0, idctn=0)
+        counts.update(pairs=0)
         solve_linearized_flow(ix, iy, c, u, v, 1.0, 1000)
-        assert counts == {"dctn": 0, "idctn": 0}
+        assert counts == {"pairs": 0}
 
     def test_global_translation_recovered(self):
         prev, nxt = blob_pair((2.5, -1.5))
