@@ -601,9 +601,11 @@ class TestObservationModel:
             ObservationModel(asg, gaussian_kernel(9, 2.0), 0.1)
 
 
-def _scipy_modules(code: str) -> list[str]:
+@functools.cache
+def _scipy_modules(code: str = "import meshsrr") -> tuple[str, ...]:
     """The ``scipy`` modules that ``code`` leaves in ``sys.modules`` of a fresh
-    interpreter."""
+    interpreter. numpy is the only runtime dependency, so every probe below
+    expects none."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -612,7 +614,28 @@ def _scipy_modules(code: str) -> list[str]:
              "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    return out.split()
+    return tuple(out.split())
+
+
+def test_import_does_not_load_scipy_signal():
+    assert _scipy_modules() == ()
+
+
+def test_import_does_not_load_scipy_spatial():
+    # Boundary distances are a numpy grid search; scipy.spatial would add
+    # about 37 MiB of resident memory and 0.45 s of start-up.
+    assert _scipy_modules() == ()
+
+
+def test_import_does_not_load_scipy_ndimage():
+    # flow takes its central differences by slicing a mirror-padded copy.
+    assert _scipy_modules() == ()
+
+
+@pytest.mark.parametrize("code", ["import meshsrr", "import meshsrr.cli"])
+def test_import_does_not_load_scipy_fft(code):
+    # The flow preconditioner's DCT is two matmuls (flow._precondition).
+    assert _scipy_modules(code) == ()
 
 
 # The known-motion probe runs with numpy's LAPACK entry points replaced by
@@ -638,6 +661,31 @@ cfg = preset("ex1a")
 cfg = replace(cfg, grid=40, scene=replace(cfg.scene, frames=3), known_motion=True)
 """
 
+
+def test_run_without_registration_does_not_load_scipy_fft():
+    # Known motion comes from the scene parameters for both scenes, and the
+    # runs complete without LAPACK (see _KNOWN_MOTION_RUN).
+    lung = """
+lung = preset("ex2a")
+run_experiment(replace(lung, grid=40, scene=replace(lung.scene, frames=3), known_motion=True))
+"""
+    assert _scipy_modules(_KNOWN_MOTION_RUN + "run_experiment(cfg)\n" + lung) == ()
+
+
+def test_run_and_metrics_cli_do_not_load_scipy_spatial(tmp_path):
+    runs = [tmp_path / "a", tmp_path / "b"]
+    code = _KNOWN_MOTION_RUN + f"""
+from meshsrr.cli import main
+for seed, out in zip((1, 2), {[str(r) for r in runs]!r}):
+    run_experiment(replace(cfg, degrade_seed=seed, output_dir=out))
+assert main(["metrics", "--reference", {str(runs[0])!r}, "--candidate", {str(runs[1])!r},
+             "-o", {str(tmp_path / "m.csv")!r}]) == 0
+"""
+    assert _scipy_modules(code) == ()
+    # A header, one row per image (hr, up and srr of 3 frames) and the averages.
+    assert len((tmp_path / "m.csv").read_text().splitlines()) == 1 + 3 * 3 + 1
+
+
 # The estimated-motion probe counts the flow solver's DCT pairs, so that it
 # fails if the run stops registering.
 _ESTIMATED_MOTION_RUN = """
@@ -656,23 +704,5 @@ assert pairs
 """
 
 
-def test_no_import_or_run_loads_scipy(tmp_path):
-    """numpy is the only runtime dependency. Each of these, in a fresh
-    interpreter, leaves no ``scipy`` module loaded: ``import meshsrr``,
-    ``import meshsrr.cli``, known-motion runs of both scenes (without LAPACK,
-    see _KNOWN_MOTION_RUN) followed by ``mesh-srr metrics``, and an
-    estimated-motion run."""
-    runs = [tmp_path / "a", tmp_path / "b"]
-    known = _KNOWN_MOTION_RUN + f"""
-from meshsrr.cli import main
-for seed, out in zip((1, 2), {[str(r) for r in runs]!r}):
-    run_experiment(replace(cfg, degrade_seed=seed, output_dir=out))
-lung = preset("ex2a")
-run_experiment(replace(lung, grid=40, scene=replace(lung.scene, frames=3), known_motion=True))
-assert main(["metrics", "--reference", {str(runs[0])!r}, "--candidate", {str(runs[1])!r},
-             "-o", {str(tmp_path / "m.csv")!r}]) == 0
-"""
-    for code in ("import meshsrr", "import meshsrr.cli", known, _ESTIMATED_MOTION_RUN):
-        assert _scipy_modules(code) == [], code
-    # A header, one row per image (hr, up and srr of 3 frames) and the averages.
-    assert len((tmp_path / "m.csv").read_text().splitlines()) == 1 + 3 * 3 + 1
+def test_estimated_run_does_not_load_scipy():
+    assert _scipy_modules(_ESTIMATED_MOTION_RUN) == ()
