@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 from .flow import FlowParams
-from .operators import Kernel, gaussian_kernel
+from .operators import Kernel, _check_gaussian, gaussian_kernel
 from .phantoms import COARSE, FINE, LUNG, T_SHAPE, SceneSpec, check_seed, snr_power_ratio
 from .srr import SrrConfig
 
@@ -47,7 +47,7 @@ class ExperimentConfig:
         try:
             snr_power_ratio(self.snr_db)
             check_seed(self.degrade_seed, "degrade seed")
-            self.resolved_kernel()
+            _check_gaussian(self._kernel_size(), self.blur_sigma)  # taps are built at run time
             self.srr_config()  # step size and iterations
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -55,6 +55,9 @@ class ExperimentConfig:
             raise ConfigError(f"alpha_srr must be >= 0 and finite, got {self.alpha_srr}")
 
     def resolved_kernel(self) -> Kernel:
+        return gaussian_kernel(self._kernel_size(), self.blur_sigma)
+
+    def _kernel_size(self) -> int:
         size = self.kernel_size
         if size == 0:
             size = max(1, round(REFERENCE_KERNEL_SIZE * self.grid / REFERENCE_GRID))
@@ -63,7 +66,7 @@ class ExperimentConfig:
         limit = 2 * self.grid - 1
         if size > limit:
             raise ConfigError(f"kernel size {size} does not fit a {self.grid}x{self.grid} grid")
-        return gaussian_kernel(size, self.blur_sigma)
+        return size
 
     @property
     def blur_sigma(self) -> float:

@@ -167,6 +167,9 @@ def build_pixel_assignment(mesh: FemMesh, width: int, height: int) -> PixelAssig
     """
     if width < 1 or height < 1:
         raise ValueError(f"grid dimensions must be >= 1, got {width}x{height}")
+    # The map's codes come first, so that a grid too large for memory is
+    # refused by its area before any array sized by its side is built.
+    code = np.zeros(height * width + 1, dtype=np.int64)
     n = mesh.n_elements
     xs, ys = pixel_centers(width), pixel_centers(height)
     tri = mesh.nodes[mesh.elements]  # (n, corner a, xy)
@@ -209,7 +212,6 @@ def build_pixel_assignment(mesh: FemMesh, width: int, height: int) -> PixelAssig
     # Codes n - e: the sum of the strict runs, then the largest code (lowest
     # element) over the centers within tol of an edge. Of two overlapping runs
     # one starts inside the other, where the sum exceeds its code.
-    code = np.zeros(height * width + 1, dtype=np.int64)
     np.add.at(code, first, n - elem)
     np.add.at(code, first + length, elem - n)
     np.cumsum(code, out=code)

@@ -4,9 +4,10 @@ Provides the space-invariant blur (with Neumann / symmetric boundary
 extension) as banded 1-D matrix products, the Neumann graph Laplacian,
 dense bilinear backward warping, and ``ObservationModel``, the array-level
 form of the reconstruction cost with its gradient and the step-size bound.
-Masks are mirror-symmetric in each axis, so the blur is its own transpose
-and, like the 5-point stencil, is diagonalized by the 2-D DCT-II, whose
-eigenvalues only the step-size bound reads.
+The blur is separable, ``B X = A_h X A_w'`` with A_n the n x n matrix of
+one mirror-symmetric 1-D profile, so it is its own transpose and, like the
+5-point stencil, is diagonalized by the 2-D DCT-II, whose eigenvalues only
+the step-size bound reads.
 """
 from __future__ import annotations
 
@@ -22,36 +23,35 @@ _KERNEL_SUM_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class Kernel:
-    """Odd-sized mask of finite taps, normalized to unit sum and mirror-symmetric
-    in each axis (rows and columns), which makes the blur its own transpose.
-    Each grid shape's banded blur is built on first use and kept with the
-    kernel, so every blur of a run by one kernel shares it."""
+    """The 1-D profile of a separable blur: odd-length finite taps,
+    normalized to unit sum and mirror-symmetric, which makes the blur its
+    own transpose. The 2-D mask is ``outer(taps, taps)``. Each grid shape's
+    banded blur is built on first use and kept with the kernel, so every
+    blur of a run by one kernel shares it."""
 
     taps: np.ndarray
 
     def __post_init__(self):
         taps = np.array(self.taps, dtype=np.float64, copy=True)
-        if taps.ndim != 2 or taps.shape[0] != taps.shape[1]:
-            raise ValueError(f"kernel taps must be square, got shape {taps.shape}")
-        if taps.shape[0] % 2 == 0:
-            raise ValueError(f"kernel size must be odd, got {taps.shape[0]}")
+        if taps.ndim != 1:
+            raise ValueError(f"kernel taps must be a 1-D profile, got shape {taps.shape}")
+        if taps.size % 2 == 0:
+            raise ValueError(f"kernel size must be odd, got {taps.size}")
         if not np.isfinite(taps).all():
             raise ValueError("kernel taps must be finite")
         s = taps.sum()
         if abs(s - 1.0) > _KERNEL_SUM_TOL:
             raise ValueError(f"kernel taps must sum to 1 within {_KERNEL_SUM_TOL}, got {s!r}")
         atol = 1e-12 * max(1.0, np.abs(taps).max())
-        if not (np.allclose(taps, taps[::-1, :], rtol=0.0, atol=atol)
-                and np.allclose(taps, taps[:, ::-1], rtol=0.0, atol=atol)):
-            raise ValueError("kernel must be symmetric in each axis "
-                             "(mirror-symmetric rows and columns)")
+        if not np.allclose(taps, taps[::-1], rtol=0.0, atol=atol):
+            raise ValueError("kernel taps must be mirror-symmetric")
         taps.flags.writeable = False
         object.__setattr__(self, "taps", taps)
         object.__setattr__(self, "_blurs", {})
 
     @property
     def size(self) -> int:
-        return self.taps.shape[0]
+        return self.taps.size
 
     def _blur(self, height: int, width: int) -> "_BandedBlur":
         blur = self._blurs.get((height, width))
@@ -60,33 +60,42 @@ class Kernel:
         return blur
 
 
-def gaussian_kernel(size: int, sigma: float) -> Kernel:
-    """Isotropic Gaussian mask on integer offsets, normalized to unit sum."""
+def _check_gaussian(size: int, sigma: float) -> None:
+    """Refuse the arguments ``gaussian_kernel`` cannot take, without
+    building the taps."""
     if size < 1 or size % 2 == 0:
         raise ValueError(f"kernel size must be a positive odd integer, got {size}")
     if not 0 < sigma < np.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
+
+
+def gaussian_kernel(size: int, sigma: float) -> Kernel:
+    """Isotropic Gaussian blur: its 1-D profile on integer offsets,
+    normalized to unit sum."""
+    _check_gaussian(size, sigma)
     with np.errstate(over="ignore"):  # a tiny sigma: (u / sigma)^2 = inf, tap exp(-inf) = 0
         z = (np.arange(-(size // 2), size // 2 + 1, dtype=np.float64) / sigma) ** 2
-    taps = np.exp(-0.5 * (z[:, None] + z[None, :]))
+    taps = np.exp(-0.5 * z)
     return Kernel(taps / taps.sum())
 
 
 def _blur_eigenvalues(k: Kernel, height: int, width: int) -> np.ndarray:
     """Orthonormal DCT-II eigenvalues of the reflecting-boundary blur on a
-    (height, width) grid (Martucci 1994; Ng, Chan & Tang 1999): the taps
-    against cos(pi f m / n) for frequencies f and offsets m = -p..p."""
+    (height, width) grid (Martucci 1994; Ng, Chan & Tang 1999): the outer
+    product of the profile's 1-D spectra ``cos(pi f m / n) @ taps`` for
+    frequencies f and offsets m = -p..p."""
     m = np.arange(-(k.size // 2), k.size // 2 + 1)
-    cosines = [np.cos(np.pi * np.outer(np.arange(n), m) / n) for n in (height, width)]
-    return cosines[0] @ k.taps @ cosines[1].T
+    rows, cols = (np.cos(np.pi * np.outer(np.arange(n), m) / n) @ k.taps
+                  for n in (height, width))
+    return np.outer(rows, cols)
 
 
 def convolve_neumann(img: GridImage, k: Kernel) -> GridImage:
     """2-D correlation with symmetric boundary extension.
 
     The extension reflects about the array edge without skipping the border
-    sample (pad(-1) = pixel(0)), which preserves constants and, the mask
-    being symmetric in each axis, makes the operator self-adjoint.
+    sample (pad(-1) = pixel(0)), which preserves constants and, the profile
+    being mirror-symmetric, makes the operator self-adjoint.
     """
     out = convolve_stack(img.data, k)
     out.flags.writeable = False
@@ -114,48 +123,26 @@ def _band_blocks(taps: np.ndarray, n: int) -> list[tuple[slice, slice, np.ndarra
     return [(r, c, mat[r, c]) for r, c in spans]
 
 
-def _rank1_terms(taps: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The square ``taps`` as a sum of outer products ``col x row``, peeled
-    off by complete pivoting: the largest ``|R[i, j]|`` of the remainder R
-    gives the term ``R[:, j] x R[i, :] / R[i, j]``, until
-    ``max|R| <= size * eps * max|taps|``. A Gaussian takes one step. Taps
-    symmetric in each axis give factors symmetric in their own axis, exactly,
-    since every step subtracts the same products at mirrored entries."""
-    rest = taps.copy()
-    tol = taps.shape[0] * np.finfo(np.float64).eps * np.abs(taps).max()
-    terms = []
-    for _ in range(taps.shape[0]):
-        i, j = np.unravel_index(np.argmax(np.abs(rest)), rest.shape)
-        if not abs(rest[i, j]) > tol:
-            break
-        col, row = rest[:, j].copy(), rest[i, :] / rest[i, j]
-        terms.append((col, row))
-        rest -= np.outer(col, row)
-    return terms
-
-
 class _BandedBlur:
-    """The reflecting-boundary blur of a mask on a (height, width) grid, built
-    once: ``sum_i A_i x C_i'`` over the ``_rank1_terms`` of the taps (one for
-    a Gaussian), each A and C a banded 1-D matrix from ``_band_blocks``."""
+    """The reflecting-boundary blur of a profile on a (height, width) grid,
+    built once: ``A_h x A_w'``, the banded 1-D matrices of the taps along each
+    axis from ``_band_blocks``, applied as a row pass and then a column pass."""
 
     def __init__(self, k: Kernel, height: int, width: int):
         if k.size > 2 * min(width, height) - 1:
             raise ValueError(f"kernel size {k.size} exceeds limit {2 * min(width, height) - 1} "
                              f"for a {width}x{height} image")
-        self.terms = [(_band_blocks(col, height), _band_blocks(row, width))
-                      for col, row in _rank1_terms(k.taps)]
+        self.rows = _band_blocks(k.taps, height)
+        self.cols = _band_blocks(k.taps, width)
 
     def apply(self, data: np.ndarray) -> np.ndarray:
         """B of every image in the last two axes of ``data``."""
-        rowpass, out = np.empty(data.shape), []
-        for rows, cols in self.terms:
-            for dst, src, block in rows:
-                np.matmul(block, data[..., src, :], out=rowpass[..., dst, :])
-            out.append(np.empty(data.shape))
-            for dst, src, block in cols:
-                np.matmul(rowpass[..., src], block.T, out=out[-1][..., dst])
-        return sum(out[1:], out[0])
+        rowpass, out = np.empty(data.shape), np.empty(data.shape)
+        for dst, src, block in self.rows:
+            np.matmul(block, data[..., src, :], out=rowpass[..., dst, :])
+        for dst, src, block in self.cols:
+            np.matmul(rowpass[..., src], block.T, out=out[..., dst])
+        return out
 
 
 def _laplacian(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,7 +134,8 @@ class TestRunCommand:
         assert "SRR: overlap=" in capsys.readouterr().out
 
     @pytest.mark.parametrize("setting, size", [
-        # A 30500001^2 kernel mask, refused while the config is built.
+        # The pixel map of 10^16 pixels (71 PiB of int64), refused by area
+        # before any array sized by the grid side or the kernel is built.
         ("srr.grid=100000000", "PiB"),
         # The T-shape walk, refused when frame 0 is rendered.
         ("scene.frames=100000000000", "TiB"),
@@ -142,6 +147,25 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: too large for memory: ")
         assert f" {size} " in err and err.count("\n") == 1
+
+    def test_huge_grid_is_refused_in_small_memory(self):
+        """A fresh interpreter refuses the 10^8 grid within 263 MiB of peak
+        resident memory, the peak when the config built the 30500001-tap
+        Gaussian and then failed on its 2-D mask."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH", "")) if p)
+        argv = ["run", "--preset", "ex1a", "--motion", "known", "--set", "scene.frames=2",
+                "--set", "srr.grid=100000000"]
+        probe = ("import resource, subprocess, sys\n"
+                 f"rc = subprocess.run([sys.executable, '-m', 'meshsrr.cli', *{argv!r}]).returncode\n"
+                 "print(rc, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True)
+        rc, peak_kib = map(int, out.stdout.split())
+        assert rc == 2 and "too large for memory" in out.stderr
+        assert peak_kib <= 263 * 1024
 
     @pytest.mark.parametrize("key", ["scene.seed", "degrade.seed"])
     @pytest.mark.parametrize("seed", [2**63, 2**64, -2**63 - 1])

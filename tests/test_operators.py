@@ -12,7 +12,7 @@ from meshsrr.flow import FlowField
 from meshsrr.grid import GridImage
 from meshsrr.mesh import FemMesh, build_pixel_assignment, downsample
 from meshsrr.operators import (Kernel, ObservationModel, _BandedBlur, _bilinear_gather,
-                               _blur_eigenvalues, _band_blocks, _laplacian, _rank1_terms,
+                               _blur_eigenvalues, _band_blocks, _laplacian,
                                _stencil_eigenvalues, convolve_neumann, convolve_stack,
                                gaussian_kernel, warp_image)
 from meshsrr.phantoms import COARSE, FINE, disc_mesh
@@ -22,23 +22,16 @@ from oracles import (brute_force_convolve, dct_diagonal, dense_blur_matrix,
                      dense_warp_matrix, traced_peak)
 
 
-def rotated_anisotropic_taps(size=5, sigma=1.2, cross=0.6) -> np.ndarray:
-    """Unit-sum mask symmetric under 180-degree rotation but not in each
-    axis, which ``Kernel`` refuses."""
-    half = size // 2
-    u = np.arange(-half, half + 1, dtype=float)
-    U, V = np.meshgrid(u, u, indexing="ij")
-    taps = np.exp(-(U ** 2 + V ** 2 + cross * U * V) / (2 * sigma ** 2))
-    return taps / taps.sum()
+def mask(k: Kernel) -> np.ndarray:
+    """The 2-D mask of the separable blur, for the index-loop oracles."""
+    return np.outer(k.taps, k.taps)
 
 
-def nonseparable_kernel(size=5, sigma=1.2, weight=0.5) -> Kernel:
-    """Mask symmetric in each axis whose taps are not an outer product
-    (rank 2), so the blur is not a pair of 1-D passes."""
-    half = size // 2
-    u = np.arange(-half, half + 1, dtype=float)
-    U, V = np.meshgrid(u, u, indexing="ij")
-    taps = np.exp(-(U ** 2 + V ** 2) / (2 * sigma ** 2)) * (1.0 + weight * U ** 2 * V ** 2)
+def random_profile(size: int) -> Kernel:
+    """A mirror-symmetric unit-sum profile that is not a Gaussian: random
+    taps, some of them negative."""
+    half = np.random.default_rng(size).uniform(-0.2, 1.0, size // 2 + 1)
+    taps = np.concatenate([half, half[-2::-1]])
     return Kernel(taps / taps.sum())
 
 
@@ -84,16 +77,16 @@ def stencil_normal(asg, x: np.ndarray) -> np.ndarray:
 class TestKernel:
     def test_identity_kernel(self):
         k = gaussian_kernel(1, 5.0)
-        assert k.taps.shape == (1, 1) and k.taps[0, 0] == 1.0
+        assert k.taps.shape == (1,) and k.taps[0] == 1.0
 
     def test_flat_limit(self):
         k = gaussian_kernel(3, 1e6)
-        assert np.abs(k.taps - 1.0 / 9.0).max() <= 1e-9
+        assert np.abs(k.taps - 1.0 / 3.0).max() <= 1e-9
 
     def test_center_tap_closed_form(self):
         k = gaussian_kernel(3, 1.0)
-        expected = 1.0 / (1.0 + 4.0 * np.exp(-0.5) + 4.0 * np.exp(-1.0))
-        assert abs(k.taps[1, 1] - expected) <= 1e-15
+        expected = 1.0 / (1.0 + 2.0 * np.exp(-0.5))
+        assert abs(k.taps[1] - expected) <= 1e-15
 
     def test_even_size_rejected(self):
         with pytest.raises(ValueError, match="odd"):
@@ -107,19 +100,22 @@ class TestKernel:
 
     def test_unnormalized_taps_rejected(self):
         with pytest.raises(ValueError, match="sum"):
-            Kernel(np.ones((3, 3)))
+            Kernel(np.ones(3))
 
     def test_asymmetric_taps_rejected(self):
-        taps = np.zeros((3, 3))
-        taps[0, 1] = 1.0
         with pytest.raises(ValueError, match="symmetric"):
-            Kernel(taps)
+            Kernel([0.0, 0.0, 1.0])
+
+    def test_2d_mask_rejected(self):
+        """Taps are the 1-D profile; a caller passing a 2-D mask fails loudly."""
+        with pytest.raises(ValueError, match="1-D profile"):
+            Kernel(np.full((3, 3), 1.0 / 9.0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_taps_rejected(self, bad):
         """NaN passes the unit-sum check (``abs(nan - 1) > tol`` is False)."""
-        taps = np.full((3, 3), 1.0 / 8.0)
-        taps[1, 1] = bad
+        taps = np.full(3, 0.5)
+        taps[1] = bad
         with pytest.raises(ValueError, match="finite"):
             Kernel(taps)
 
@@ -133,17 +129,16 @@ class TestKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             k = gaussian_kernel(15, sigma)
-        delta = np.zeros((15, 15))
-        delta[7, 7] = 1.0
+        delta = np.zeros(15)
+        delta[7] = 1.0
         assert np.array_equal(k.taps, delta)
 
 
 class TestConvolveNeumann:
     def test_constant_preserved(self):
         img = GridImage(np.full((7, 9), 3.25))
-        for k in (gaussian_kernel(5, 2.0), nonseparable_kernel()):
-            out = convolve_neumann(img, k)
-            assert np.abs(out.data - 3.25).max() <= 1e-12
+        out = convolve_neumann(img, gaussian_kernel(5, 2.0))
+        assert np.abs(out.data - 3.25).max() <= 1e-12
 
     def test_identity_kernel_bit_exact(self):
         rng = np.random.default_rng(0)
@@ -153,9 +148,9 @@ class TestConvolveNeumann:
 
     def test_ramp_flat_kernel_matches_brute_force(self):
         img = GridImage(np.arange(16, dtype=float).reshape(4, 4))
-        k = Kernel(np.full((3, 3), 1.0 / 9.0))
+        k = Kernel(np.full(3, 1.0 / 3.0))
         out = convolve_neumann(img, k)
-        expected = brute_force_convolve(img.data, k.taps)
+        expected = brute_force_convolve(img.data, np.full((3, 3), 1.0 / 9.0))
         assert np.abs(out.data - expected).max() <= 1e-9
 
     def test_separable_path_matches_brute_force(self):
@@ -164,20 +159,8 @@ class TestConvolveNeumann:
         img = GridImage(rng.standard_normal((10, 12)))
         k = gaussian_kernel(7, 1.7)
         out = convolve_neumann(img, k)
-        expected = brute_force_convolve(img.data, k.taps)
+        expected = brute_force_convolve(img.data, mask(k))
         assert np.abs(out.data - expected).max() <= 1e-9
-
-    def test_nonseparable_path_matches_brute_force(self):
-        """A mask symmetric in each axis that is not an outer product."""
-        rng = np.random.default_rng(2)
-        img = GridImage(rng.standard_normal((9, 11)))
-        k = nonseparable_kernel()
-        assert np.linalg.matrix_rank(k.taps) > 1
-        out = convolve_neumann(img, k)
-        expected = brute_force_convolve(img.data, k.taps)
-        assert np.abs(out.data - expected).max() <= 1e-12
-        dense = dense_blur_matrix(k.taps, 11, 9)
-        assert np.abs(out.data.ravel() - dense @ img.data.ravel()).max() <= 1e-12
 
     def test_oversized_kernel_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -193,10 +176,10 @@ class TestConvolveNeumann:
         size = 2 * min(width, height) - 1
         rng = np.random.default_rng(width * 10 + height)
         x = rng.standard_normal((height, width))
-        for k in (gaussian_kernel(size, 2.0), nonseparable_kernel(size)):
-            dense = dense_blur_matrix(k.taps, width, height)
-            out = convolve_neumann(GridImage(x), k)
-            assert np.abs(out.data.ravel() - dense @ x.ravel()).max() <= 1e-12
+        k = gaussian_kernel(size, 2.0)
+        dense = dense_blur_matrix(mask(k), width, height)
+        out = convolve_neumann(GridImage(x), k)
+        assert np.abs(out.data.ravel() - dense @ x.ravel()).max() <= 1e-12
 
 
 def column_mask(taps: np.ndarray) -> np.ndarray:
@@ -230,77 +213,56 @@ class TestBandedBlur:
         """The two 1-D matrices of a Gaussian compose to the direct 2-D sum."""
         k = gaussian_kernel(2 * min(height, width) - 1, 3.0)
         blur = _BandedBlur(k, height, width)
-        assert len(blur.terms) == 1
         x = np.random.default_rng(height).standard_normal((height, width))
-        expected = brute_force_convolve(x, k.taps) if height < 30 else (
-            dense_blur_matrix(k.taps, width, height) @ x.ravel()).reshape(height, width)
+        expected = brute_force_convolve(x, mask(k)) if height < 30 else (
+            dense_blur_matrix(mask(k), width, height) @ x.ravel()).reshape(height, width)
         assert np.abs(blur.apply(x) - expected).max() <= 1e-12
 
-    def test_singular_terms(self):
-        assert len(_BandedBlur(gaussian_kernel(61, 20.0), 200, 200).terms) == 1
-        assert len(_BandedBlur(nonseparable_kernel(), 9, 9).terms) == 2
-        assert len(_BandedBlur(gaussian_kernel(1, 1.0), 9, 9).terms) == 1
-
-    @pytest.mark.parametrize("k,rank", [(gaussian_kernel(61, 20.0), 1),
-                                        (nonseparable_kernel(), 2),
-                                        (nonseparable_kernel(13), 2),
-                                        (gaussian_kernel(1, 1.0), 1)])
-    def test_rank1_terms_sum_back_to_the_taps(self, k, rank):
-        """Complete pivoting peels off the mask's rank in outer products that
-        sum back to it within 1e-15 of its largest tap, and every factor is
-        mirror-symmetric bit for bit, so each 1-D matrix is symmetric."""
-        terms = _rank1_terms(k.taps)
-        assert len(terms) == rank
-        total = sum(np.outer(col, row) for col, row in terms)
-        assert np.abs(total - k.taps).max() <= 1e-15 * np.abs(k.taps).max()
-        for col, row in terms:
-            assert np.array_equal(col, col[::-1]) and np.array_equal(row, row[::-1])
-
-    @pytest.mark.parametrize("height,width,size,separable", [
-        (h, w, size, separable)
+    @pytest.mark.parametrize("height,width,size,gaussian", [
+        (h, w, size, gaussian)
         for h, w in [(1, 1), (5, 7), (7, 5), (45, 70), (100, 64)]
         for size in sorted({1, 5, 61, 2 * min(h, w) - 1})
-        for separable in (True, False)
-        if size <= 2 * min(h, w) - 1 and (separable or size > 1)])
-    def test_matches_dct_oracle(self, height, width, size, separable):
+        for gaussian in (True, False)
+        if size <= 2 * min(h, w) - 1 and (gaussian or size > 1)])
+    def test_matches_dct_oracle(self, height, width, size, gaussian):
         """Grids below and above one block, p below and above 32 rows,
-        the fit limit, and a (pairs, 2, h, w) stack."""
-        k = gaussian_kernel(size, 0.3 * size + 0.5) if separable else nonseparable_kernel(size)
+        the fit limit, a (pairs, 2, h, w) stack, and a Gaussian or a random
+        profile (the only profile of size 1 is the identity)."""
+        k = gaussian_kernel(size, 0.3 * size + 0.5) if gaussian else random_profile(size)
         data = np.random.default_rng(size).standard_normal((3, 2, height, width))
         expected = dct_diagonal(data, _blur_eigenvalues(k, height, width))
         assert np.abs(convolve_stack(data, k) - expected).max() <= 1e-12
 
 
 class TestBlurAdjoint:
-    """B' = B: a mask symmetric in each axis makes the blur its own
+    """B' = B: a mirror-symmetric profile makes the blur its own
     transpose, so ``convolve_neumann`` also serves as the adjoint."""
 
     def test_adjoint_identity_random_probes(self):
         rng = np.random.default_rng(4)
-        for k in (gaussian_kernel(5, 1.3), nonseparable_kernel()):
-            for shape in ((16, 16), (11, 16)):
-                for _ in range(10):
-                    x = GridImage(rng.standard_normal(shape))
-                    y = GridImage(rng.standard_normal(shape))
-                    lhs = float((convolve_neumann(x, k).data * y.data).sum())
-                    rhs = float((x.data * convolve_neumann(y, k).data).sum())
-                    assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(x.data) * np.linalg.norm(y.data)
+        k = gaussian_kernel(5, 1.3)
+        for shape in ((16, 16), (11, 16)):
+            for _ in range(10):
+                x = GridImage(rng.standard_normal(shape))
+                y = GridImage(rng.standard_normal(shape))
+                lhs = float((convolve_neumann(x, k).data * y.data).sum())
+                rhs = float((x.data * convolve_neumann(y, k).data).sum())
+                assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(x.data) * np.linalg.norm(y.data)
 
     def test_dense_transpose_small_grid(self):
         rng = np.random.default_rng(5)
-        for k in (gaussian_kernel(3, 1.0), nonseparable_kernel()):
-            for w, h in ((6, 6), (7, 5)):
-                dense = dense_blur_matrix(k.taps, w, h)
-                z = rng.standard_normal((h, w))
-                expected = (dense.T @ z.ravel()).reshape(h, w)
-                out = convolve_neumann(GridImage(z), k)
-                assert np.abs(out.data - expected).max() <= 1e-12
+        k = gaussian_kernel(3, 1.0)
+        for w, h in ((6, 6), (7, 5)):
+            dense = dense_blur_matrix(mask(k), w, h)
+            z = rng.standard_normal((h, w))
+            expected = (dense.T @ z.ravel()).reshape(h, w)
+            out = convolve_neumann(GridImage(z), k)
+            assert np.abs(out.data - expected).max() <= 1e-12
 
     def test_symmetric_kernel_adjoint_equals_forward(self):
         """The dense oracle itself is symmetric for such masks."""
-        for k in (gaussian_kernel(5, 2.0), nonseparable_kernel(),
-                  gaussian_kernel(19, 4.0)):
-            dense = dense_blur_matrix(k.taps, 12, 10)
+        for k in (gaussian_kernel(5, 2.0), gaussian_kernel(19, 4.0)):
+            dense = dense_blur_matrix(mask(k), 12, 10)
             assert np.abs(dense - dense.T).max() <= 1e-15
 
 
@@ -431,7 +393,7 @@ class TestForwardObserve:
         rng = np.random.default_rng(14)
         asg = build_pixel_assignment(square_mesh, 16, 16)
         k = gaussian_kernel(5, 1.5)
-        dense = dense_projection_matrix(asg) @ dense_blur_matrix(k.taps, 16, 16)
+        dense = dense_projection_matrix(asg) @ dense_blur_matrix(mask(k), 16, 16)
         x = rng.standard_normal((16, 16))
         out = observe(asg, k, x)
         assert np.abs(out - (dense @ x.ravel()).reshape(16, 16)).max() <= 1e-12
@@ -451,7 +413,6 @@ class TestLinearOpSuite:
         k3 = gaussian_kernel(3, 1.0)
         ops = {
             "blur 5x5": (blur(gaussian_kernel(5, 1.4)),) * 2,
-            "blur non-separable": (blur(nonseparable_kernel()),) * 2,
             "mesh projection": (lambda x: project(asg, x),) * 2,
             "stencil S'S": (lambda x: stencil_normal(asg, x),) * 2,
             "warp": (lambda x: warp_image(GridImage(x), flow).data,
@@ -472,7 +433,7 @@ class TestLinearOpSuite:
         rng = np.random.default_rng(16)
         asg = build_pixel_assignment(square_mesh, 8, 8)
         k = gaussian_kernel(3, 1.0)
-        dense = dense_projection_matrix(asg) @ dense_blur_matrix(k.taps, 8, 8)
+        dense = dense_projection_matrix(asg) @ dense_blur_matrix(mask(k), 8, 8)
         z = rng.standard_normal((8, 8))
         out = observe_adjoint(asg, k, z)
         assert np.abs(out - (dense.T @ z.ravel()).reshape(8, 8)).max() <= 1e-12
@@ -506,7 +467,7 @@ def pixel_mesh(width: int, height: int) -> FemMesh:
 @functools.lru_cache(maxsize=4)
 def _dense_blur(size: int, width: int, height: int) -> np.ndarray:
     """Dense B of the Gaussian the model tests use, built once per shape."""
-    return dense_blur_matrix(gaussian_kernel(size, 0.3 * size + 0.5).taps, width, height)
+    return dense_blur_matrix(mask(gaussian_kernel(size, 0.3 * size + 0.5)), width, height)
 
 
 class TestObservationModel:
@@ -587,13 +548,12 @@ class TestObservationModel:
         assert np.abs(alone.ravel() - alpha * sts).max() <= 1e-12
 
     def test_kernel_must_be_symmetric_in_each_axis(self):
-        """B' = B and the DCT step-size bound need masks symmetric in each axis;
-        ``Kernel`` itself refuses any other, so no model or config can
-        be handed one."""
-        taps = rotated_anisotropic_taps()
-        assert np.allclose(taps, taps[::-1, ::-1])
-        with pytest.raises(ValueError, match="each axis"):
-            Kernel(taps)
+        """B' = B and the DCT step-size bound need a mirror-symmetric profile
+        along each axis; ``Kernel`` itself refuses any other, such as a
+        Gaussian off the center tap, so no model or config can be handed one."""
+        taps = np.exp(-0.5 * (np.arange(-2, 3) - 0.3) ** 2)
+        with pytest.raises(ValueError, match="mirror-symmetric"):
+            Kernel(taps / taps.sum())
 
     def test_oversized_kernel_rejected(self, square_mesh):
         asg = build_pixel_assignment(square_mesh, 4, 6)

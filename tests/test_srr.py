@@ -14,7 +14,7 @@ from meshsrr.srr import SrrConfig, srr_init, srr_step
 from oracles import (dense_blur_matrix, dense_laplacian_matrix,
                      dense_projection_matrix, pixel_run_sequence,
                      power_iteration_norm)
-from test_operators import observe
+from test_operators import mask, observe
 
 
 def make_problem(n=8, kernel_size=3, sigma=1.0, square_mesh=None):
@@ -107,7 +107,7 @@ class TestCost:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((8, 8))
         y = rng.standard_normal((8, 8))
-        A = dense_projection_matrix(asg) @ dense_blur_matrix(kernel.taps, 8, 8)
+        A = dense_projection_matrix(asg) @ dense_blur_matrix(mask(kernel), 8, 8)
         S = dense_laplacian_matrix(8, 8)
         inside = asg.inside_mask().ravel()
         r = (y.ravel() - A @ x.ravel()) * inside
@@ -234,11 +234,12 @@ class TestStep:
         cfg = cfg_for(mu=0.01, k_iters=100)
         model = ObservationModel(asg, kernel, alpha)
 
-        A = dense_projection_matrix(asg) @ dense_blur_matrix(kernel.taps, n, n)
+        B = dense_blur_matrix(mask(kernel), n, n)
+        A = dense_projection_matrix(asg) @ B
         S = dense_laplacian_matrix(n, n)
         M = A.T @ A + alpha * (S.T @ S)
         b = A.T @ y.ravel()
-        x0 = dense_blur_matrix(kernel.taps, n, n) @ y.ravel()
+        x0 = B @ y.ravel()
         xd = x0.copy()
         for _ in range(100):
             xd = xd - cfg.mu * (M @ xd - b)
