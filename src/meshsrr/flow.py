@@ -32,8 +32,7 @@ from functools import cache
 import numpy as np
 
 from .grid import GridImage, read_only, require_same_shape
-from .operators import (convolve_stack, gaussian_kernel, _bilinear_gather, _laplacian,
-                        _stencil_eigenvalues)
+from .operators import gaussian_kernel, _bilinear_gather, _laplacian, _stencil_eigenvalues
 
 _MIN_TOP_SIZE = 8
 # Blur, in pixels of a pyramid level, down to which registration still finds
@@ -114,9 +113,8 @@ class FlowParams:
 
 
 def _resample(data: np.ndarray, new_w: int, new_h: int) -> np.ndarray:
-    """Bilinear resize of the last two axes with center-aligned sampling and
-    clamped borders."""
-    h, w = data.shape[-2:]
+    """Bilinear resize with center-aligned sampling and clamped borders."""
+    h, w = data.shape
     sx = (np.arange(new_w) + 0.5) * (w / new_w) - 0.5
     sy = (np.arange(new_h) + 0.5) * (h / new_h) - 0.5
     return _bilinear_gather(data, sx, sy[:, None])
@@ -134,23 +132,26 @@ def _pyramid_sizes(width: int, height: int, levels: int, spacing: float) -> list
     return sizes
 
 
+# The pyramid's Gaussians, one per (size, sigma), so that every pair of a run
+# shares their banded blurs.
+_pyramid_kernel = cache(gaussian_kernel)
+
+
 def build_pyramid(data: np.ndarray, levels: int, spacing: float) -> list[np.ndarray]:
-    """Coarse-to-fine pyramid of the images in the last two axes of ``data``
-    (leading axes hold independent images): level 0 is the input, each next
-    level is Gaussian-smoothed (sigma = 0.8 * spacing) and bilinearly
-    subsampled."""
+    """Coarse-to-fine pyramid of the (h, w) image ``data``: level 0 is the
+    input, each next level is Gaussian-smoothed (sigma = 0.8 * spacing) and
+    bilinearly subsampled."""
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
     if spacing <= 1:
         raise ValueError(f"spacing must be > 1, got {spacing}")
     sigma = 0.8 * spacing
-    h, w = data.shape[-2:]
+    h, w = data.shape
     out = [data]
     for nw, nh in _pyramid_sizes(w, h, levels, spacing)[1:]:
         prev = out[-1]
-        size = min(2 * int(np.ceil(2.5 * sigma)) + 1, 2 * min(prev.shape[-2:]) - 1)
-        smoothed = convolve_stack(prev, gaussian_kernel(size, sigma))
-        out.append(_resample(smoothed, nw, nh))
+        size = min(2 * int(np.ceil(2.5 * sigma)) + 1, 2 * min(prev.shape) - 1)
+        out.append(_resample(_pyramid_kernel(size, sigma).apply(prev), nw, nh))
     return out
 
 

@@ -160,17 +160,20 @@ def build_pixel_assignment(mesh: FemMesh, width: int, height: int) -> PixelAssig
     Raises MeshError when a center lies strictly inside two elements, naming
     the first such element and its first such center in row-major order.
 
-    Elements test their bounding-box centers in vectorized passes: the least
-    edge cross product (b - a) x (p - a) is >= -tol on the closed triangle,
-    > tol strictly inside. Each is monotone along a grid row, rounding
-    included, so a row's strict centers form one run, and the map sums them.
+    Elements test their bounding-box centers in vectorized passes, in
+    element order: the least edge cross product (b - a) x (p - a) is >= -tol
+    on the closed triangle, > tol strictly inside. Each pass scatters its
+    elements into two minima per center: the least element whose closed
+    triangle holds it (the map) and the least that holds it strictly. A
+    strict center whose least strict holder is an earlier element overlaps.
     """
     if width < 1 or height < 1:
         raise ValueError(f"grid dimensions must be >= 1, got {width}x{height}")
-    # The map's codes come first, so that a grid too large for memory is
-    # refused by its area before any array sized by its side is built.
-    code = np.zeros(height * width + 1, dtype=np.int64)
     n = mesh.n_elements
+    # The maps come first, so that a grid too large for memory is refused by
+    # its area before any array sized by its side is built.
+    closed = np.full(height * width, n)
+    strict = np.full(height * width, n)
     xs, ys = pixel_centers(width), pixel_centers(height)
     tri = mesh.nodes[mesh.elements]  # (n, corner a, xy)
     edge = np.roll(tri, -1, axis=1) - tri  # b - a, b the next corner
@@ -178,19 +181,17 @@ def build_pixel_assignment(mesh: FemMesh, width: int, height: int) -> PixelAssig
     lo, hi = tri.min(axis=1) - pad, tri.max(axis=1) + pad
     i0, i1 = np.searchsorted(xs, lo[:, 0]), np.searchsorted(xs, hi[:, 0])
     j0, j1 = np.searchsorted(ys, lo[:, 1]), np.searchsorted(ys, hi[:, 1])
-    # Padding columns and rows read NaN, which no test accepts; every box row
-    # gets one before and at least one after it, so no run touches a row end.
+    # A pass pads each box to its largest; the padding reads NaN, which no
+    # test accepts.
     xs, ys = np.append(xs, np.nan), np.append(ys, np.nan)
-    box = (int((i1 - i0).max()) + 2) * max(int((j1 - j0).max()), 1)
+    box = max(int((i1 - i0).max()), 1) * max(int((j1 - j0).max()), 1)
     per = max(_PASS_PIXELS // box, 1)
     work = np.empty((2, per * box))
-    runs, edges = [], []
     for s in range(0, n, per):
         e = slice(s, s + per)
-        offset = np.arange(int((i1[e] - i0[e]).max()) + 2) - 1
-        cols = i0[e, None] + offset
+        cols = i0[e, None] + np.arange(int((i1[e] - i0[e]).max()))
         rows = j0[e, None] + np.arange(max(int((j1[e] - j0[e]).max()), 1))
-        px = xs[np.where((offset >= 0) & (cols < i1[e, None]), cols, width)][:, None, :]
+        px = xs[np.where(cols < i1[e, None], cols, width)][:, None, :]
         py = ys[np.where(rows < j1[e, None], rows, height)][:, :, None]
         shape = (len(rows), rows.shape[1], cols.shape[1])
         margin, cross = (w[:math.prod(shape)].reshape(shape) for w in work)
@@ -200,36 +201,24 @@ def build_pixel_assignment(mesh: FemMesh, width: int, height: int) -> PixelAssig
                         out=cross if corner else margin)
             if corner:
                 np.minimum(margin, cross, out=margin)
-        strict = margin > POINT_IN_TRIANGLE_TOL
-        # A row's strict run starts after its first change and ends at its second.
-        ends = np.flatnonzero(strict[..., 1:] != strict[..., :-1]).reshape(-1, 2)
-        el, r, c = np.unravel_index(ends[:, 0], (*shape[:2], shape[2] - 1))
-        runs.append((s + el, rows[el, r] * width + cols[el, c + 1], ends[:, 1] - ends[:, 0]))
-        near = np.abs(margin, out=cross) <= POINT_IN_TRIANGLE_TOL
-        el, r, c = np.unravel_index(np.flatnonzero(near), shape)
-        edges.append((s + el, rows[el, r] * width + cols[el, c]))
-    elem, first, length = (np.concatenate(v) for v in zip(*runs))
-    # Codes n - e: the sum of the strict runs, then the largest code (lowest
-    # element) over the centers within tol of an edge. Of two overlapping runs
-    # one starts inside the other, where the sum exceeds its code.
-    np.add.at(code, first, n - elem)
-    np.add.at(code, first + length, elem - n)
-    np.cumsum(code, out=code)
-    if (code[first] != n - elem).any():
-        # Replay the runs, in element and then row order, to name the overlap.
-        seen = np.zeros(code.size, dtype=bool)
-        for e, f, size in zip(elem, first, length):
-            hit = np.flatnonzero(seen[f:f + size])
-            if hit.size:
-                j, i = divmod(int(f + hit[0]), width)
-                raise MeshError(f"element {e} overlaps an earlier element: the pixel center "
-                                f"({xs[i]:.6g}, {ys[j]:.6g}) lies inside both")
-            seen[f:f + size] = True
-    elem, pixel = (np.concatenate(v) for v in zip(*edges))
-    np.maximum.at(code, pixel, n - elem)
-    pixel_to_element = np.subtract(n, code[:-1], out=code[:-1])
-    pixel_to_element[pixel_to_element == n] = OUTSIDE
-    return PixelAssignment(mesh, pixel_to_element.reshape(height, width))
+        # Candidates in element, then row-major pixel order.
+        hit = np.flatnonzero(margin >= -POINT_IN_TRIANGLE_TOL)
+        pixel = (rows[:, :, None] * width + cols[:, None, :]).ravel()[hit]
+        el = s + hit // math.prod(shape[1:])
+        np.minimum.at(closed, pixel, el)
+        inner = margin.ravel()[hit] > POINT_IN_TRIANGLE_TOL
+        el, pixel = el[inner], pixel[inner]
+        np.minimum.at(strict, pixel, el)
+        # Passes run in element order, so the first to find an overlap holds
+        # the first element with one, and its first entry names it.
+        overlap = np.flatnonzero(strict[pixel] < el)
+        if overlap.size:
+            j, i = divmod(int(pixel[overlap[0]]), width)
+            raise MeshError(f"element {el[overlap[0]]} overlaps an earlier element: the pixel "
+                            f"center ({xs[i]:.6g}, {ys[j]:.6g}) lies inside both")
+    del strict  # freed before the assignment builds its bins
+    closed[closed == n] = OUTSIDE
+    return PixelAssignment(mesh, closed.reshape(height, width))
 
 
 def _check_match(img_mesh: FemMesh, assignment: PixelAssignment) -> None:

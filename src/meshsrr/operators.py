@@ -25,9 +25,9 @@ _KERNEL_SUM_TOL = 1e-12
 class Kernel:
     """The 1-D profile of a separable blur: odd-length finite taps,
     normalized to unit sum and mirror-symmetric, which makes the blur its
-    own transpose. The 2-D mask is ``outer(taps, taps)``. Each grid shape's
-    banded blur is built on first use and kept with the kernel, so every
-    blur of a run by one kernel shares it."""
+    own transpose. The 2-D mask is ``outer(taps, taps)``. The banded 1-D
+    matrix of each side length is built on first use and kept with the
+    kernel, so every blur of a run by one kernel shares it."""
 
     taps: np.ndarray
 
@@ -47,17 +47,33 @@ class Kernel:
             raise ValueError("kernel taps must be mirror-symmetric")
         taps.flags.writeable = False
         object.__setattr__(self, "taps", taps)
-        object.__setattr__(self, "_blurs", {})
+        object.__setattr__(self, "_band_lists", {})
 
     @property
     def size(self) -> int:
         return self.taps.size
 
-    def _blur(self, height: int, width: int) -> "_BandedBlur":
-        blur = self._blurs.get((height, width))
-        if blur is None:
-            blur = self._blurs[height, width] = _BandedBlur(self, height, width)
-        return blur
+    def apply(self, data: np.ndarray) -> np.ndarray:
+        """The reflecting-boundary blur ``A_h x A_w'`` of every image in the
+        last two axes of ``data``: a row pass, then a column pass."""
+        rows, cols = self._bands(*data.shape[-2:])
+        rowpass, out = np.empty(data.shape), np.empty(data.shape)
+        for dst, src, block in rows:
+            np.matmul(block, data[..., src, :], out=rowpass[..., dst, :])
+        for dst, src, block in cols:
+            np.matmul(rowpass[..., src], block.T, out=out[..., dst])
+        return out
+
+    def _bands(self, height: int, width: int) -> tuple[list, list]:
+        """The ``_band_blocks`` of the row and the column pass on a (height,
+        width) grid, each side's built on first use and kept."""
+        if self.size > 2 * min(width, height) - 1:
+            raise ValueError(f"kernel size {self.size} exceeds limit {2 * min(width, height) - 1} "
+                             f"for a {width}x{height} image")
+        for n in (height, width):
+            if n not in self._band_lists:
+                self._band_lists[n] = _band_blocks(self.taps, n)
+        return self._band_lists[height], self._band_lists[width]
 
 
 def _check_gaussian(size: int, sigma: float) -> None:
@@ -97,14 +113,9 @@ def convolve_neumann(img: GridImage, k: Kernel) -> GridImage:
     sample (pad(-1) = pixel(0)), which preserves constants and, the profile
     being mirror-symmetric, makes the operator self-adjoint.
     """
-    out = convolve_stack(img.data, k)
+    out = k.apply(img.data)
     out.flags.writeable = False
     return GridImage(out)
-
-
-def convolve_stack(data: np.ndarray, k: Kernel) -> np.ndarray:
-    """``convolve_neumann`` of every image in the last two axes of ``data``."""
-    return k._blur(*data.shape[-2:]).apply(data)
 
 
 def _band_blocks(taps: np.ndarray, n: int) -> list[tuple[slice, slice, np.ndarray]]:
@@ -120,29 +131,7 @@ def _band_blocks(taps: np.ndarray, n: int) -> list[tuple[slice, slice, np.ndarra
     np.add.at(mat, (np.broadcast_to(rows, cols.shape), cols), np.broadcast_to(taps, cols.shape))
     step = max(p, 32)  # thinner blocks cost more in calls than they save
     spans = [(slice(r, r + step), slice(max(r - p, 0), r + step + p)) for r in range(0, n, step)]
-    return [(r, c, mat[r, c]) for r, c in spans]
-
-
-class _BandedBlur:
-    """The reflecting-boundary blur of a profile on a (height, width) grid,
-    built once: ``A_h x A_w'``, the banded 1-D matrices of the taps along each
-    axis from ``_band_blocks``, applied as a row pass and then a column pass."""
-
-    def __init__(self, k: Kernel, height: int, width: int):
-        if k.size > 2 * min(width, height) - 1:
-            raise ValueError(f"kernel size {k.size} exceeds limit {2 * min(width, height) - 1} "
-                             f"for a {width}x{height} image")
-        self.rows = _band_blocks(k.taps, height)
-        self.cols = _band_blocks(k.taps, width)
-
-    def apply(self, data: np.ndarray) -> np.ndarray:
-        """B of every image in the last two axes of ``data``."""
-        rowpass, out = np.empty(data.shape), np.empty(data.shape)
-        for dst, src, block in self.rows:
-            np.matmul(block, data[..., src, :], out=rowpass[..., dst, :])
-        for dst, src, block in self.cols:
-            np.matmul(rowpass[..., src], block.T, out=out[..., dst])
-        return out
+    return [(r, c, mat[r, c].copy()) for r, c in spans]
 
 
 def _laplacian(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -169,19 +158,17 @@ def _laplacian(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _bilinear_gather(data: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
-    """Sample ``data`` at (sx, sy) with bilinear interpolation, clamping
-    out-of-range coordinates to the border pixels. Leading axes of ``data``
-    hold independent images; the coordinates broadcast against them."""
-    h, w = data.shape[-2:]
+    """Sample the (h, w) ``data`` at (sx, sy) with bilinear interpolation,
+    clamping out-of-range coordinates to the border pixels."""
+    h, w = data.shape
     sx = np.clip(sx, 0.0, w - 1.0)
     sy = np.clip(sy, 0.0, h - 1.0)
     x0 = np.floor(sx).astype(np.int64)
     y0 = np.floor(sy).astype(np.int64)
     x1, y1 = np.minimum(x0 + 1, w - 1), np.minimum(y0 + 1, h - 1)
     fx, fy = sx - x0, sy - y0
-    lead = tuple(i[..., None, None] for i in np.indices(data.shape[:-2], sparse=True))
-    top = (1.0 - fx) * data[(*lead, y0, x0)] + fx * data[(*lead, y0, x1)]
-    bot = (1.0 - fx) * data[(*lead, y1, x0)] + fx * data[(*lead, y1, x1)]
+    top = (1.0 - fx) * data[y0, x0] + fx * data[y0, x1]
+    bot = (1.0 - fx) * data[y1, x0] + fx * data[y1, x1]
     return (1.0 - fy) * top + fy * bot
 
 
@@ -236,7 +223,7 @@ class ObservationModel:
         self.shape = (h, w)
         self.inside = assignment.inside_mask().astype(np.float64)
         self.alpha = alpha
-        self._blur = kernel._blur(h, w)
+        kernel._bands(h, w)  # refuses a kernel too large for the grid
         self._assignment = assignment
         self._counts = np.append(assignment.element_counts, 0.0)  # the outside bin weighs 0
 
@@ -250,7 +237,7 @@ class ObservationModel:
               y_rest: float) -> tuple[float, np.ndarray, np.ndarray]:
         """Cost at x against ``reduce(y)``, plus ``S x`` and the element
         residual r, which ``half_gradient`` reuses."""
-        residual = self._assignment.means(self._blur.apply(x)) - y_means
+        residual = self._assignment.means(self.kernel.apply(x)) - y_means
         smooth = _laplacian(x)
         cost = (float(self._counts @ (residual * residual)) + y_rest
                 + self.alpha * float(np.vdot(smooth, smooth)))
@@ -259,7 +246,7 @@ class ObservationModel:
     def half_gradient(self, smooth: np.ndarray, residual: np.ndarray) -> np.ndarray:
         """``B' P (P B x - y) + alpha S' S x`` from the intermediates of
         ``terms``: the lifted residual is ``P B x - P y``."""
-        grad = self._blur.apply(self._assignment.lift(residual))
+        grad = self.kernel.apply(self._assignment.lift(residual))
         grad += self.alpha * _laplacian(smooth)
         return grad
 

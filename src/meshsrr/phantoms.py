@@ -22,7 +22,7 @@ from .errors import ConfigError
 from .flow import FlowField
 from .grid import GridImage, pixel_centers
 from .mesh import FemImage, FemMesh, PixelAssignment, downsample
-from .operators import Kernel, convolve_stack
+from .operators import Kernel
 
 T_SHAPE = "T_SHAPE"
 LUNG = "LUNG"
@@ -243,7 +243,7 @@ def degrade(x_hr: GridImage, assignment: PixelAssignment, kernel: Kernel,
     can be generated in any order with identical results. ConfigError when
     the scene values or the SNR overflow double precision on the way."""
     ratio = snr_power_ratio(snr_db)
-    blurred = convolve_stack(x_hr.data, kernel)
+    blurred = kernel.apply(x_hr.data)
     blurred.flags.writeable = False
     if np.isfinite(blurred).all():
         s = downsample(GridImage(blurred), assignment).values

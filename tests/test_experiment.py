@@ -137,25 +137,45 @@ class TestRunExperiment:
         assert len(result.srr_frames) == 6
         assert len(builds) == 1
 
-    def test_one_blur_per_run(self, monkeypatch):
-        """Degrading every frame, the initial smoothing and the model share
-        one banded blur."""
+    @staticmethod
+    def count_band_lists(monkeypatch) -> list[int]:
+        """The side lengths of the banded 1-D blur matrices built from here on."""
         import meshsrr.operators as operators
 
-        builds = []
-        original = operators._BandedBlur.__init__
+        sides = []
+        original = operators._band_blocks
 
-        def counted(self, *args, **kwargs):
-            builds.append(1)
-            original(self, *args, **kwargs)
+        def counted(taps, n):
+            sides.append(n)
+            return original(taps, n)
 
-        monkeypatch.setattr(operators._BandedBlur, "__init__", counted)
+        monkeypatch.setattr(operators, "_band_blocks", counted)
+        return sides
+
+    def test_one_blur_per_run(self, monkeypatch):
+        """Degrading every frame, the initial smoothing and the model share
+        one banded blur, whose rows and columns share one matrix on a square
+        grid."""
+        sides = self.count_band_lists(monkeypatch)
         cfg = replace(preset("ex1a"), grid=40, scene=replace(preset("ex1a").scene, frames=3),
                       known_motion=True)
         with pytest.warns(UserWarning, match="contain no pixel center"):
             result = run_experiment(cfg)
         assert len(result.srr_frames) == 3
-        assert len(builds) == 1
+        assert sides == [40]
+
+    def test_registration_shares_the_pyramid_blurs(self, monkeypatch):
+        """Every pair's pyramids take their Gaussian from one cache, so a
+        20-frame estimated run builds one matrix per pyramid level below the
+        top, plus the observation blur's."""
+        import meshsrr.flow as flow
+
+        flow._pyramid_kernel.cache_clear()
+        sides = self.count_band_lists(monkeypatch)
+        cfg = replace(preset("ex2b"), grid=100, known_motion=False)
+        result = run_experiment(cfg)
+        assert len(result.srr_frames) == 20
+        assert sorted(sides) == [25, 50, 100, 100]
 
     def test_degrade_error_carries_frame_context(self, monkeypatch):
         import meshsrr.experiment as exp

@@ -178,15 +178,6 @@ class TestBuildPyramid:
         for level in build_pyramid(np.full((32, 32), 2.5), 3, 2.0):
             assert np.abs(level - 2.5).max() <= 1e-12
 
-    def test_stack_matches_each_image(self):
-        stack = np.random.default_rng(1).standard_normal((2, 3, 40, 30))
-        levels = build_pyramid(stack, 4, 2.0)
-        assert [p.shape for p in levels] == [(2, 3, 40, 30), (2, 3, 20, 15),
-                                             (2, 3, 10, 8), (2, 3, 5, 4)]
-        for idx in np.ndindex(2, 3):
-            for got, want in zip(levels, build_pyramid(stack[idx], 4, 2.0)):
-                assert np.array_equal(got[idx], want)
-
 
 class TestHornSchunck:
     def test_identical_images_zero_flow(self):

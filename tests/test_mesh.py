@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import meshsrr.mesh as mesh_module
 from meshsrr.errors import MeshError
 from meshsrr.grid import GridImage
-from meshsrr.mesh import (FemImage, FemMesh, OUTSIDE,
+from meshsrr.mesh import (_PASS_PIXELS, FemImage, FemMesh, OUTSIDE,
                           build_pixel_assignment, downsample, upsample)
 from meshsrr.phantoms import disc_mesh
 
@@ -20,6 +21,40 @@ DIAG_4X4_MAP = np.array([
 ])
 DIAG_ELEM0_PIXELS = [0, 1, 2, 3, 5, 6, 7, 10, 11, 15]
 DIAG_ELEM1_PIXELS = [4, 8, 9, 12, 13, 14]
+
+# The fine disc with repeats of the listed elements appended, a grid size,
+# and the message naming the first element with a center strictly inside a
+# lower one, and its first such center in row-major order. At 200x200 the
+# fine disc takes three vectorized passes: elements 5 and 1024 fall in the
+# first and the last, 1023 and 1024 both in the last.
+OVERLAPS = [
+    ([5], (100, 100), "element 1024 overlaps an earlier element: "
+                      "the pixel center (0.05, 0.03) lies inside both"),
+    ([700, 5], (37, 23), "element 1025 overlaps an earlier element: "
+                         "the pixel center (0.0540541, 0.0869565) lies inside both"),
+    ([5], (200, 200), "element 1024 overlaps an earlier element: "
+                      "the pixel center (0.065, 0.015) lies inside both"),
+    ([1023], (200, 200), "element 1024 overlaps an earlier element: "
+                         "the pixel center (0.935, -0.085) lies inside both"),
+]
+SQUARE_OVERLAP = ("element 2 overlaps an earlier element: "
+                  "the pixel center (-0.857143, -0.8) lies inside both")
+
+
+def fine_with_repeats(extra: list[int]) -> FemMesh:
+    fine = disc_mesh("FINE")
+    return FemMesh(fine.nodes, np.concatenate([fine.elements, fine.elements[extra]]))
+
+
+def repeated_square(square_mesh: FemMesh) -> FemMesh:
+    """Element 2 repeats element 1 and element 3 repeats element 0."""
+    return FemMesh(square_mesh.nodes, square_mesh.elements[[0, 1, 1, 0]])
+
+
+def overlap_message(mesh: FemMesh, size: tuple[int, int]) -> str:
+    with pytest.raises(MeshError) as info:
+        build_pixel_assignment(mesh, *size)
+    return str(info.value)
 
 
 class TestFemMesh:
@@ -106,34 +141,28 @@ class TestBuildPixelAssignment:
         assert str(info.value) == ("element 1 overlaps an earlier element: "
                                    "the pixel center (-0.9375, -0.9375) lies inside both")
 
-    @pytest.mark.parametrize("extra, size, message", [
-        # The first element with a center strictly inside a lower one, and its
-        # first such center in row-major order. At 200x200 the fine disc takes
-        # four vectorized passes: elements 5 and 1024 fall in the first and
-        # the last, 1023 and 1024 both in the last.
-        ([5], (100, 100), "element 1024 overlaps an earlier element: "
-                          "the pixel center (0.05, 0.03) lies inside both"),
-        ([700, 5], (37, 23), "element 1025 overlaps an earlier element: "
-                             "the pixel center (0.0540541, 0.0869565) lies inside both"),
-        ([5], (200, 200), "element 1024 overlaps an earlier element: "
-                          "the pixel center (0.065, 0.015) lies inside both"),
-        ([1023], (200, 200), "element 1024 overlaps an earlier element: "
-                             "the pixel center (0.935, -0.085) lies inside both"),
-    ])
+    @pytest.mark.parametrize("extra, size, message", OVERLAPS)
     def test_overlap_message_names_element_and_center(self, extra, size, message):
-        fine = disc_mesh("FINE")
-        mesh = FemMesh(fine.nodes, np.concatenate([fine.elements, fine.elements[extra]]))
-        with pytest.raises(MeshError) as info:
-            build_pixel_assignment(mesh, *size)
-        assert str(info.value) == message
+        assert overlap_message(fine_with_repeats(extra), size) == message
 
     def test_overlap_message_within_one_pass(self, square_mesh):
-        # Element 2 repeats element 1 and element 3 repeats element 0.
-        mesh = FemMesh(square_mesh.nodes, square_mesh.elements[[0, 1, 1, 0]])
-        with pytest.raises(MeshError) as info:
-            build_pixel_assignment(mesh, 7, 5)
-        assert str(info.value) == ("element 2 overlaps an earlier element: "
-                                   "the pixel center (-0.857143, -0.8) lies inside both")
+        assert overlap_message(repeated_square(square_mesh), (7, 5)) == SQUARE_OVERLAP
+
+    @pytest.mark.parametrize("pass_pixels", [
+        # One element a pass; eight at 200x200, so that elements 1023 and 1024
+        # fall in different passes; the default.
+        1, 8 * 169, _PASS_PIXELS])
+    def test_pass_boundaries_change_nothing(self, monkeypatch, square_mesh, pass_pixels):
+        """The map takes least elements over all passes, and an overlap is
+        named by the first pass that finds one: neither depends on where
+        the passes split the elements."""
+        monkeypatch.setattr(mesh_module, "_PASS_PIXELS", pass_pixels)
+        disc = disc_mesh("COARSE")
+        assert np.array_equal(build_pixel_assignment(disc, 24, 24).pixel_to_element,
+                              brute_force_assignment(disc, 24, 24))
+        for extra, size, message in OVERLAPS:
+            assert overlap_message(fine_with_repeats(extra), size) == message
+        assert overlap_message(repeated_square(square_mesh), (7, 5)) == SQUARE_OVERLAP
 
     def test_zero_element_mesh_rejected(self, square_mesh):
         with pytest.raises(ValueError):

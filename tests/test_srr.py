@@ -467,8 +467,7 @@ def test_srr_step_takes_2k_plus_1_blurs_and_laplacians(monkeypatch, k_iters):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(operators._BandedBlur, "apply",
-                        counted("blur", operators._BandedBlur.apply))
+    monkeypatch.setattr(operators.Kernel, "apply", counted("blur", operators.Kernel.apply))
     monkeypatch.setattr(operators, "_laplacian", counted("laplacian", operators._laplacian))
     srr_step(state, y, FlowField.constant(32, 32, 0.4, -0.3), cfg_for(k_iters=k_iters), model)
     assert calls == {"blur": 2 * k_iters + 1, "laplacian": 2 * k_iters + 1}
