@@ -166,8 +166,12 @@ def _cmd_resample(args) -> int:
         raise FileFormatError(f"{args.mesh}: {exc}") from exc
     if args.direction == "up":
         write_pgm16(upsample(img, assignment), args.output)
-    else:
-        write_values(downsample(img, assignment).values, args.output)
+        return 0
+    try:
+        values = downsample(img, assignment).values
+    except MeshError as exc:  # element sums beyond double precision
+        raise FileFormatError(f"{args.image}: {exc}") from exc
+    write_values(values, args.output)
     return 0
 
 

@@ -18,7 +18,16 @@ REFERENCE_GRID = 200
 REFERENCE_KERNEL_SIZE = 61
 REFERENCE_KERNEL_SIGMA = 20.0
 
-PRESET_NAMES = ("ex1a", "ex1b", "ex2a", "ex2b")
+# The four synthetic scenarios, as configuration text over the defaults:
+# scene 1 (T-shape) or 2 (lungs) at high SNR on the fine mesh (a) or at low
+# SNR on the coarse mesh (b).
+_PRESETS = {
+    "ex1a": "",
+    "ex1b": "[degrade]\nmesh = COARSE\nsnr_db = -5",
+    "ex2a": "[scene]\nkind = LUNG",
+    "ex2b": "[scene]\nkind = LUNG\n[degrade]\nmesh = COARSE\nsnr_db = -5",
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 @dataclass(frozen=True)
@@ -90,74 +99,54 @@ def _parse_choice(options):
     return parse
 
 
-# (section, key) -> (parser, field); [scene] and [flow] keys set fields of
-# the SceneSpec and FlowParams parts, the others fields of ExperimentConfig.
+# [scene] and [flow] keys set fields of the config's part of that name (its
+# SceneSpec and FlowParams), the other sections fields of ExperimentConfig.
+_PARTS = ("scene", "flow")
+
+# (section, key) -> (parser, field, note); the defaults text lists the keys
+# in this order, each with its note as the comment.
 _SCHEMA = {
-    ("scene", "kind"): (_parse_choice((T_SHAPE, LUNG)), "kind"),
-    ("scene", "frames"): (int, "frames"),
-    ("scene", "background"): (float, "background"),
-    ("scene", "inclusion"): (float, "inclusion"),
-    ("scene", "motion_variance"): (float, "motion_variance"),
-    ("scene", "motion_bound"): (float, "motion_bound"),
-    ("scene", "seed"): (int, "rng_seed"),
-    ("degrade", "mesh"): (_parse_choice((FINE, COARSE)), "mesh_density"),
-    ("degrade", "snr_db"): (float, "snr_db"),
-    ("degrade", "seed"): (int, "degrade_seed"),
-    ("srr", "mu"): (float, "mu"),
-    ("srr", "k_iters"): (int, "k_iters"),
-    ("srr", "alpha"): (float, "alpha_srr"),
-    ("srr", "grid"): (int, "grid"),
-    ("srr", "kernel_size"): (int, "kernel_size"),
-    ("srr", "kernel_sigma"): (float, "kernel_sigma"),
-    ("flow", "lambda"): (float, "lam"),
-    ("flow", "pyramid_levels"): (int, "pyramid_levels"),
-    ("flow", "pyramid_spacing"): (float, "pyramid_spacing"),
-    ("flow", "iterations_per_level"): (int, "iterations_per_level"),
-    ("flow", "warps_per_level"): (int, "warps_per_level"),
-    ("run", "output_dir"): (str.strip, "output_dir"),
+    ("scene", "kind"): (_parse_choice((T_SHAPE, LUNG)), "kind", "T_SHAPE or LUNG"),
+    ("scene", "frames"): (int, "frames", ""),
+    ("scene", "background"): (float, "background", "body value"),
+    ("scene", "inclusion"): (float, "inclusion", "object value"),
+    ("scene", "motion_variance"): (float, "motion_variance",
+                                   "per-step variance of the position walk"),
+    ("scene", "motion_bound"): (float, "motion_bound", "positions are clipped to [-bound, bound]"),
+    ("scene", "seed"): (int, "rng_seed", ""),
+    ("degrade", "mesh"): (_parse_choice((FINE, COARSE)), "mesh_density",
+                          "FINE (1024 elements) or COARSE (256)"),
+    ("degrade", "snr_db"): (float, "snr_db", ""),
+    ("degrade", "seed"): (int, "degrade_seed", ""),
+    ("srr", "mu"): (float, "mu", "gradient step size"),
+    ("srr", "k_iters"): (int, "k_iters", "correction iterations per frame"),
+    ("srr", "alpha"): (float, "alpha_srr", "smoothness weight"),
+    ("srr", "grid"): (int, "grid", "square intermediate grid side"),
+    ("srr", "kernel_size"): (int, "kernel_size",
+                             f"0 = scale {REFERENCE_KERNEL_SIZE} at grid {REFERENCE_GRID}"),
+    ("srr", "kernel_sigma"): (float, "kernel_sigma",
+                              f"0 = scale {REFERENCE_KERNEL_SIGMA:g} px at grid {REFERENCE_GRID}"),
+    ("flow", "lambda"): (float, "lam", "smoothness weight of the flow energy"),
+    ("flow", "pyramid_levels"): (int, "pyramid_levels", ""),
+    ("flow", "pyramid_spacing"): (float, "pyramid_spacing", ""),
+    ("flow", "iterations_per_level"): (int, "iterations_per_level", ""),
+    ("flow", "warps_per_level"): (int, "warps_per_level", ""),
+    ("run", "output_dir"): (str.strip, "output_dir", "empty: no artifacts written"),
 }
 
 
 def default_config_text() -> str:
     """The full default configuration (the ex1a preset), with comments."""
-    d = _DEFAULTS
-    s = d.scene
-    f = d.flow
-    return f"""\
-# Default experiment configuration. Omitted keys keep these values.
-
-[scene]
-kind = {s.kind}                  # T_SHAPE or LUNG
-frames = {s.frames}
-background = {s.background:g}             # body value
-inclusion = {s.inclusion:g}              # object value
-motion_variance = {s.motion_variance:g}        # per-step variance of the position walk
-motion_bound = {s.motion_bound:g}           # positions are clipped to [-bound, bound]
-seed = {s.rng_seed}
-
-[degrade]
-mesh = {d.mesh_density}                  # FINE (1024 elements) or COARSE (256)
-snr_db = {d.snr_db:g}
-seed = {d.degrade_seed}
-
-[srr]
-mu = {d.mu:g}                    # gradient step size
-k_iters = {d.k_iters}                # correction iterations per frame
-alpha = {d.alpha_srr:g}                 # smoothness weight
-grid = {d.grid}                   # square intermediate grid side
-kernel_size = {d.kernel_size}               # 0 = scale 61 at grid 200
-kernel_sigma = {d.kernel_sigma:g}              # 0 = scale 20 px at grid 200
-
-[flow]
-lambda = {f.lam:g}               # smoothness weight of the flow energy
-pyramid_levels = {f.pyramid_levels}
-pyramid_spacing = {f.pyramid_spacing:g}
-iterations_per_level = {f.iterations_per_level}
-warps_per_level = {f.warps_per_level}
-
-[run]
-output_dir =                 # empty: no artifacts written
-"""
+    lines = ["# Default experiment configuration. Omitted keys keep these values."]
+    current = None
+    for (section, key), (_, field, note) in _SCHEMA.items():
+        if section != current:
+            lines += ["", f"[{section}]"]
+            current = section
+        value = getattr(getattr(_DEFAULTS, section) if section in _PARTS else _DEFAULTS, field)
+        line = f"{key} = {value:g}" if isinstance(value, float) else f"{key} = {value}"
+        lines.append(f"{line:<24} # {note}" if note else line)
+    return "\n".join(lines) + "\n"
 
 
 def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
@@ -196,27 +185,18 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
 
 
 def _apply(base: ExperimentConfig, values: dict) -> ExperimentConfig:
-    parts: dict[str, dict] = {"scene": {}, "flow": {}, "": {}}
+    fields: dict[str, dict] = {s: {} for s in ("", *_PARTS)}
     for (section, key), value in values.items():
-        parts[section if section in parts else ""][_SCHEMA[(section, key)][1]] = value
+        fields[section if section in _PARTS else ""][_SCHEMA[(section, key)][1]] = value
     try:
-        return replace(base, scene=replace(base.scene, **parts["scene"]),
-                       flow=replace(base.flow, **parts["flow"]), **parts[""])
+        parts = {s: replace(getattr(base, s), **fields[s]) for s in _PARTS}
+        return replace(base, **parts, **fields[""])
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def preset(name: str) -> ExperimentConfig:
-    """The four synthetic scenarios: scene 1/2 at high SNR + fine mesh (a)
-    or low SNR + coarse mesh (b)."""
-    base = _DEFAULTS
-    if name == "ex1a":
-        return base
-    if name == "ex1b":
-        return replace(base, mesh_density=COARSE, snr_db=-5.0)
-    if name == "ex2a":
-        return replace(base, scene=replace(base.scene, kind=LUNG))
-    if name == "ex2b":
-        return replace(base, scene=replace(base.scene, kind=LUNG),
-                       mesh_density=COARSE, snr_db=-5.0)
-    raise ConfigError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
+    """The named scenario of ``PRESET_NAMES``; ConfigError for any other name."""
+    if name not in _PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
+    return parse_config(_PRESETS[name])

@@ -256,10 +256,12 @@ class ObservationModel:
         P is an orthogonal projection (0 <= P <= I), so L is at most the
         largest eigenvalue of B' B + alpha * S' S, which the DCT-II
         diagonalizes. The cost is non-increasing over the correction
-        iterations whenever mu times this value stays below 1.
+        iterations whenever mu times this value stays below 1. An alpha
+        too large for double precision gives inf.
         """
         h, w = self.shape
         stencil = _stencil_eigenvalues(h, w)
         blur = _blur_eigenvalues(self.kernel, h, w)
-        return float((blur * blur + self.alpha * stencil * stencil).max())
+        with np.errstate(over="ignore"):
+            return float((blur * blur + self.alpha * stencil * stencil).max())
 

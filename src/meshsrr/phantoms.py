@@ -245,8 +245,14 @@ def degrade(x_hr: GridImage, assignment: PixelAssignment, kernel: Kernel,
     ratio = snr_power_ratio(snr_db)
     blurred = kernel.apply(x_hr.data)
     blurred.flags.writeable = False
-    if np.isfinite(blurred).all():
+    try:
+        # GridImage refuses a blurred frame that overflowed, FemImage element
+        # sums that did; on a matching grid nothing else raises.
         s = downsample(GridImage(blurred), assignment).values
+    except ValueError:
+        if blurred.shape != (assignment.height, assignment.width):
+            raise
+    else:
         rng = _rng(seed, _NOISE_STREAM + frame)
         e = rng.standard_normal(s.shape[0])
         # Numpy scalars, so that an overflow or a zero divisor gives a

@@ -104,6 +104,8 @@ class TestRunCommand:
         "degrade.snr_db=-3200",
         "scene.background=1e300 scene.inclusion=2e300",
         "scene.background=1e308 scene.inclusion=-1e308",
+        # A finite blurred frame whose sums over the coarse elements overflow.
+        "degrade.mesh=COARSE srr.grid=64 scene.inclusion=1e308",
     ])
     def test_non_finite_degraded_frame_exits_2(self, setting, capsys):
         """Values that pass the config checks but overflow on the way through
@@ -251,6 +253,12 @@ class TestRunCommand:
         assert main(argv) == 2
         assert "mu * L" in capsys.readouterr().err
 
+    def test_alpha_that_overflows_the_bound_is_refused(self, capsys):
+        argv = ["run", "--preset", "ex2b", "--motion", "known", "--set", "srr.grid=64",
+                "--set", "scene.frames=3", "--set", "srr.alpha=1e308"]
+        assert main(argv) == 2
+        assert "mu * L = inf" in capsys.readouterr().err
+
     def test_step_size_refused_by_the_bound(self, monkeypatch, capsys):
         """A mu that 30 power iterations would pass but the bound refuses."""
         from dataclasses import replace
@@ -376,6 +384,20 @@ class TestResampleCommand:
             f"i/o error: {out}: value range [-1e+308, 1e+308] is too wide "
             "to rescale to 16 bits\n")
         assert sorted(tmp_path.iterdir()) == [tmp_path / "mesh.txt", tmp_path / "v.txt"]
+
+    def test_element_sums_beyond_float_exit_4(self, tmp_path, capsys):
+        """Pixels of about 1.07e308 read back finite, but their sums over a
+        coarse element overflow: refused naming the image, nothing written."""
+        write_mesh(disc_mesh(COARSE), tmp_path / "mesh.txt")
+        image = tmp_path / "g.pgm"
+        image.write_bytes(b"P5\n64 64\n65535\n" + b"\xff" * (2 * 64 * 64))
+        image.with_suffix(".scale.txt").write_text("offset = 1e308\nscale = 1e303\n")
+        out = tmp_path / "out.vals"
+        assert main(["resample", "down", "--mesh", str(tmp_path / "mesh.txt"),
+                     "--image", str(image), "-o", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            f"i/o error: {image}: element values contain non-finite entries\n")
+        assert not out.exists()
 
     def test_subnormal_value_range_exits_4(self, tmp_path, capsys):
         """Element values 0 and 5e-324 span less than 65535 normal floats, so

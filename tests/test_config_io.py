@@ -28,8 +28,26 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("section, part", [("scene", SceneSpec), ("flow", FlowParams)])
     def test_every_field_is_set_by_a_key(self, section, part):
-        keyed = {name for (sec, _), (_, name) in _SCHEMA.items() if sec == section}
+        keyed = {name for (sec, _), (_, name, _) in _SCHEMA.items() if sec == section}
         assert {f.name for f in fields(part)} == keyed
+
+    def test_default_text_sets_every_key_once_with_its_default(self):
+        """The round trip holds even when the text leaves a key out."""
+        seen = []
+        section = None
+        for line in default_config_text().splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line.startswith("["):
+                section = line[1:-1]
+            elif line:
+                key, _, value = line.partition("=")
+                seen.append((section, key.strip(), value.strip()))
+        assert sorted((sec, key) for sec, key, _ in seen) == sorted(_SCHEMA)
+        defaults = ExperimentConfig()
+        for sec, key, value in seen:
+            parse, name, _ = _SCHEMA[sec, key]
+            part = getattr(defaults, sec) if sec in ("scene", "flow") else defaults
+            assert parse(value) == getattr(part, name), (sec, key)
 
     def test_single_override(self):
         cfg = parse_config("[degrade]\nsnr_db = -5\n")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from meshsrr.config import preset
-from meshsrr.errors import ConfigError
+from meshsrr.errors import ConfigError, MeshError
 from meshsrr.grid import GridImage
 from meshsrr.mesh import build_pixel_assignment, downsample
 from meshsrr.operators import convolve_neumann, gaussian_kernel, warp_image
@@ -381,3 +381,8 @@ class TestDegrade:
         x = GridImage(np.arange(64.0).reshape(8, 8))
         with pytest.raises(ConfigError, match="not finite"):
             degrade(x, asg, gaussian_kernel(3, 1.0), -3233.0, 4)
+
+    def test_grid_mismatch_is_a_mesh_error(self):
+        """Not a non-finite frame: the image does not fit the assignment."""
+        with pytest.raises(MeshError, match="does not match assignment grid"):
+            degrade(render_tshape(scene(rng_seed=2), 0, 32, 32), self.asg, self.kernel, 10.0, 1)
