@@ -13,7 +13,7 @@ from .errors import ConfigError, EmptyBoundaryError
 from .fileio import write_mesh, write_pgm16, write_values
 from .flow import FlowField, fit_pyramid, horn_schunck
 from .grid import GridImage
-from .mesh import FemImage, build_pixel_assignment, upsample
+from .mesh import FemImage, _warn_empty_elements, build_pixel_assignment, upsample
 from .metrics import FrameMetrics, MetricsReport, evaluate_pair
 from .operators import ObservationModel
 from .phantoms import degrade, disc_mesh, render_scene, scene_flows
@@ -46,7 +46,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     loop then takes the SRR step, scores the LR and SRR pairs and writes
     frame t's files when the config's ``output_dir`` is set. So a frame is
     rendered and lifted once, and a run holds per frame only its observation
-    and outputs, plus the previous lifted observation for registration.
+    and outputs, plus the previous lifted observation for registration. On a
+    large grid the SRR steps of the run share a forked worker process (see
+    ``srr``), which is killed and reaped before the run returns or raises.
+    Mesh elements that hold no pixel center are reported by one warning, when
+    frame 0 is degraded.
 
     An error while frame t is made, registered, stepped, scored or written
     gains the note "frame t", so errors surface in frame order. A frame whose
@@ -90,6 +94,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     lr: list[FemImage] = []
     states: list[srr.SrrState] = []
     lr_scores, srr_scores = [], []
+    worker = srr._band_worker(model)
+    lap("srr")
     try:
         if out is not None:
             out.mkdir(parents=True, exist_ok=True)
@@ -100,6 +106,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 x_hr = render_scene(scene, t, n, n)
                 lap("render")
                 obs = degrade(x_hr, assignment, kernel, cfg.snr_db, cfg.degrade_seed, frame=t)
+                if t == 0:  # averaging sets elements without a pixel center to 0
+                    _warn_empty_elements(assignment, stacklevel=2)
                 lr.append(obs)
                 lap("degrade")
                 y = upsample(obs, assignment)
@@ -136,6 +144,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         if out is not None:
             _mark_partial(out)
         raise
+    finally:
+        if worker is not None:
+            worker.close()
     lap("write")
 
     return ExperimentResult(

@@ -134,10 +134,15 @@ class PixelAssignment:
         """Boolean (height, width) mask of pixels assigned to some element."""
         return self._inside
 
-    def means(self, values: np.ndarray) -> np.ndarray:
+    def means(self, values: np.ndarray, rows: slice | None = None) -> np.ndarray:
         """Element means of a (height, width) array, then 0 for the outside
-        bin; an element with no member pixel gets 0."""
-        means = np.bincount(self._bins, values.ravel(), self._divisors.size)
+        bin; an element with no member pixel gets 0. With ``rows``, a slice
+        with a start and a stop, ``values`` holds only those rows of the grid
+        and each element's sum over them is divided by its whole pixel count,
+        so the means of disjoint row bands add up to the means of the grid."""
+        bins = self._bins if rows is None else self._bins[rows.start * self.width:
+                                                          rows.stop * self.width]
+        means = np.bincount(bins, values.ravel(), self._divisors.size)
         means /= self._divisors
         means[self._empty] = 0.0
         return means
@@ -249,10 +254,16 @@ def downsample(img: GridImage, assignment: PixelAssignment) -> FemImage:
         raise MeshError(
             f"image {img.width}x{img.height} does not match assignment grid "
             f"{assignment.width}x{assignment.height}")
-    empty = assignment.element_counts == 0
-    if np.any(empty):
-        warnings.warn(
-            f"{int(empty.sum())} mesh element(s) contain no pixel center at "
-            f"{assignment.width}x{assignment.height}; their values are set to 0",
-            stacklevel=2)
+    _warn_empty_elements(assignment, stacklevel=2)
     return FemImage(assignment.mesh, assignment.means(img.data)[:-1])
+
+
+def _warn_empty_elements(assignment: PixelAssignment, stacklevel: int) -> None:
+    """Warn when elements of the assignment hold no pixel center, naming the
+    frame ``stacklevel`` calls up from the caller: 1 is the caller, 2 its
+    caller."""
+    empty = int((assignment.element_counts == 0).sum())
+    if empty:
+        warnings.warn(f"{empty} mesh element(s) contain no pixel center at "
+                      f"{assignment.width}x{assignment.height}; their values are set to 0",
+                      stacklevel=stacklevel + 1)

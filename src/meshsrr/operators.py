@@ -53,27 +53,35 @@ class Kernel:
     def size(self) -> int:
         return self.taps.size
 
-    def apply(self, data: np.ndarray) -> np.ndarray:
+    def apply(self, data: np.ndarray, rows: slice | None = None) -> np.ndarray:
         """The reflecting-boundary blur ``A_h x A_w'`` of every image in the
-        last two axes of ``data``: a row pass, then a column pass."""
-        rows, cols = self._bands(*data.shape[-2:])
-        rowpass, out = np.empty(data.shape), np.empty(data.shape)
-        for dst, src, block in rows:
+        last two axes of ``data``: a row pass, then a column pass. With
+        ``rows``, a slice with a start and a stop, only those output rows,
+        which read ``data`` within ``size // 2`` rows of them."""
+        row_blocks, col_blocks = self._bands(*data.shape[-2:], rows)
+        shape = data.shape if rows is None else (*data.shape[:-2], rows.stop - rows.start,
+                                                 data.shape[-1])
+        rowpass, out = np.empty(shape), np.empty(shape)
+        for dst, src, block in row_blocks:
             np.matmul(block, data[..., src, :], out=rowpass[..., dst, :])
-        for dst, src, block in cols:
+        for dst, src, block in col_blocks:
             np.matmul(rowpass[..., src], block.T, out=out[..., dst])
         return out
 
-    def _bands(self, height: int, width: int) -> tuple[list, list]:
-        """The ``_band_blocks`` of the row and the column pass on a (height,
-        width) grid, each side's built on first use and kept."""
+    def _bands(self, height: int, width: int,
+               rows: slice | None = None) -> tuple[list, list]:
+        """The ``_band_blocks`` of the row pass over ``rows`` (all rows when
+        None) and of the column pass on a (height, width) grid, each built on
+        first use and kept."""
         if self.size > 2 * min(width, height) - 1:
             raise ValueError(f"kernel size {self.size} exceeds limit {2 * min(width, height) - 1} "
                              f"for a {width}x{height} image")
-        for n in (height, width):
-            if n not in self._band_lists:
-                self._band_lists[n] = _band_blocks(self.taps, n)
-        return self._band_lists[height], self._band_lists[width]
+        start, stop = (0, height) if rows is None else (rows.start, rows.stop)
+        keys = (height, start, stop), (width, 0, width)
+        for key in keys:
+            if key not in self._band_lists:
+                self._band_lists[key] = _band_blocks(self.taps, *key)
+        return self._band_lists[keys[0]], self._band_lists[keys[1]]
 
 
 def _check_gaussian(size: int, sigma: float) -> None:
@@ -118,20 +126,25 @@ def convolve_neumann(img: GridImage, k: Kernel) -> GridImage:
     return GridImage(out)
 
 
-def _band_blocks(taps: np.ndarray, n: int) -> list[tuple[slice, slice, np.ndarray]]:
-    """The n x n matrix of 1-D correlation with the odd-length ``taps`` under
-    the reflecting boundary (row j holds taps[s + p] at column reflect(j + s),
-    so it is 0 beyond p = len(taps) // 2 of the diagonal) as (rows, columns,
-    block) for blocks of rows and the ``block + 2p`` columns they reach."""
+def _band_blocks(taps: np.ndarray, n: int, start: int = 0,
+                 stop: int | None = None) -> list[tuple[slice, slice, np.ndarray]]:
+    """Rows [start, stop) (all by default) of the n x n matrix of 1-D
+    correlation with the odd-length ``taps`` under the reflecting boundary
+    (row j holds taps[s + p] at column reflect(j + s), so it is 0 beyond
+    p = len(taps) // 2 of the diagonal) as (rows counted from ``start``,
+    columns, block) for blocks of rows from ``start`` and the ``block + 2p``
+    columns they reach."""
     p = taps.size // 2
     rows = np.arange(n)[:, None]
     cols = np.mod(rows + np.arange(-p, p + 1), 2 * n)
     cols = np.where(cols < n, cols, 2 * n - 1 - cols)
     mat = np.zeros((n, n))
     np.add.at(mat, (np.broadcast_to(rows, cols.shape), cols), np.broadcast_to(taps, cols.shape))
+    stop = n if stop is None else stop
     step = max(p, 32)  # thinner blocks cost more in calls than they save
-    spans = [(slice(r, r + step), slice(max(r - p, 0), r + step + p)) for r in range(0, n, step)]
-    return [(r, c, mat[r, c].copy()) for r, c in spans]
+    spans = [(slice(r, min(r + step, stop)), slice(max(r - p, 0), min(r + step, stop) + p))
+             for r in range(start, stop, step)]
+    return [(slice(r.start - start, r.stop - start), c, mat[r, c].copy()) for r, c in spans]
 
 
 def _laplacian(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -215,7 +228,15 @@ class ObservationModel:
     (assignment, kernel, alpha); the solver also reads its
     ``kernel``, grid ``shape`` and float ``inside`` mask (1 on assigned
     pixels, else 0).
+
+    A model is the one band of its correction: it works all ``_rows`` and
+    meets no other band. ``_worker`` holds the second process of a run that
+    takes the correction in two ``_RowBand``s (see ``srr``), else None.
     """
+
+    _rows = slice(None)
+    _meet = None
+    _worker = None
 
     def __init__(self, assignment: PixelAssignment, kernel: Kernel, alpha: float):
         h, w = assignment.height, assignment.width
@@ -265,3 +286,57 @@ class ObservationModel:
         with np.errstate(over="ignore"):
             return float((blur * blur + self.alpha * stencil * stencil).max())
 
+
+class _RowBand:
+    """Rows ``rows`` of the correction of ``model``: one of two row bands
+    that take it together on one shared x, in two processes (see ``srr``).
+
+    ``terms`` writes the band's part of a cost into row ``index`` of the
+    shared ``parts``: its element sums of B x (read within ``kernel.size //
+    2`` rows of the band) over whole element pixel counts, then ``||S x||^2``
+    over its rows. It then calls ``meet``, which returns once the other band
+    has written its row, and adds the rows in band order, so both bands
+    compute the same cost. S x is taken from a two-row halo of x and kept on
+    the band's rows and a one-row halo, from which ``half_gradient`` gives
+    the band's rows of the gradient.
+    """
+
+    def __init__(self, model: ObservationModel, rows: slice, index: int,
+                 parts: np.ndarray, meet):
+        (h, w), start, stop = model.shape, rows.start, rows.stop
+        self.kernel, self.inside, self.alpha = model.kernel, model.inside, model.alpha
+        self._assignment, self._counts = model._assignment, model._counts
+        self._rows, self._index, self._parts, self._meet = rows, index, parts, meet
+        lo, top = max(start - 2, 0), max(start - 1, 0)
+        self._halo = slice(lo, min(stop + 2, h))
+        self._smooth = slice(top - lo, min(stop + 1, h) - lo)
+        self._own = slice(start - top, stop - top)
+        self.kernel._bands(h, w, rows)  # built once, before a fork shares it
+
+    def terms(self, x: np.ndarray, y_means: np.ndarray,
+              y_rest: float) -> tuple[float, np.ndarray, np.ndarray]:
+        mine, rows = self._parts[self._index], self._rows
+        mine[:-1] = self._assignment.means(self.kernel.apply(x, rows), rows)
+        smooth = _laplacian(x[self._halo])[self._smooth]
+        own = smooth[self._own]
+        mine[-1] = np.vdot(own, own)
+        self._meet()
+        total = self._parts[0] + self._parts[1]
+        residual = total[:-1] - y_means
+        cost = (float(self._counts @ (residual * residual)) + y_rest
+                + self.alpha * float(total[-1]))
+        return cost, smooth, residual
+
+    def half_gradient(self, smooth: np.ndarray, residual: np.ndarray) -> np.ndarray:
+        grad = self.kernel.apply(self._assignment.lift(residual), self._rows)
+        grad += self.alpha * _laplacian(smooth)[self._own]
+        return grad
+
+
+def _row_bands(model: ObservationModel, parts: np.ndarray, meets) -> list[_RowBand]:
+    """The two ``_RowBand``s of ``model``, rows [0, h // 2) and [h // 2, h),
+    whose ``meet``s are ``meets``. Each band's row pass takes blocks from
+    its first row, so both take the same number."""
+    h, m = model.shape[0], model.shape[0] // 2
+    return [_RowBand(model, rows, index, parts, meet)
+            for index, (rows, meet) in enumerate(zip((slice(0, m), slice(m, h)), meets))]

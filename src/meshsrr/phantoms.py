@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, MeshError
 from .flow import FlowField
 from .grid import GridImage, pixel_centers
-from .mesh import FemImage, FemMesh, PixelAssignment, downsample
+from .mesh import FemImage, FemMesh, PixelAssignment
 from .operators import Kernel
 
 T_SHAPE = "T_SHAPE"
@@ -240,33 +240,29 @@ def degrade(x_hr: GridImage, assignment: PixelAssignment, kernel: Kernel,
     """Produce the observed image on ``assignment.mesh`` for one frame: blur,
     average onto the mesh, then add noise with an exact per-realization SNR
     over element values. The noise stream is keyed by (seed, frame) so frames
-    can be generated in any order with identical results. ConfigError when
-    the scene values or the SNR overflow double precision on the way."""
+    can be generated in any order with identical results. Elements without
+    a pixel center get 0, without a warning. ConfigError when the scene
+    values or the SNR overflow double precision on the way."""
     ratio = snr_power_ratio(snr_db)
-    blurred = kernel.apply(x_hr.data)
-    blurred.flags.writeable = False
-    try:
-        # GridImage refuses a blurred frame that overflowed, FemImage element
-        # sums that did; on a matching grid nothing else raises.
-        s = downsample(GridImage(blurred), assignment).values
-    except ValueError:
-        if blurred.shape != (assignment.height, assignment.width):
-            raise
-    else:
-        rng = _rng(seed, _NOISE_STREAM + frame)
+    if (x_hr.height, x_hr.width) != (assignment.height, assignment.width):
+        raise MeshError(f"image {x_hr.width}x{x_hr.height} does not match assignment grid "
+                        f"{assignment.width}x{assignment.height}")
+    rng = _rng(seed, _NOISE_STREAM + frame)
+    # Numpy arrays and scalars, so that an overflow in the blur, the element
+    # sums or the noise, or a zero divisor, gives a non-finite frame, which
+    # the check below refuses.
+    with np.errstate(all="ignore"):
+        s = assignment.means(kernel.apply(x_hr.data))[:-1]
         e = rng.standard_normal(s.shape[0])
-        # Numpy scalars, so that an overflow or a zero divisor gives a
-        # non-finite frame, which the check below refuses.
-        with np.errstate(all="ignore"):
-            ps = s @ s
-            pe = e @ e
-            if ps > 0.0 and pe > 0.0:
-                noise = e * np.sqrt(ps / (pe * ratio))
-            else:
-                noise = np.zeros_like(s)
-            observed = s + noise
-        if np.isfinite(observed).all():
-            return FemImage(assignment.mesh, observed)
+        ps = s @ s
+        pe = e @ e
+        if ps > 0.0 and pe > 0.0:
+            noise = e * np.sqrt(ps / (pe * ratio))
+        else:
+            noise = np.zeros_like(s)
+        observed = s + noise
+    if np.isfinite(observed).all():
+        return FemImage(assignment.mesh, observed)
     raise ConfigError(f"scene values up to {np.abs(x_hr.data).max():g} at snr_db = "
                       f"{snr_db:g} give a degraded frame that is not finite")
 

@@ -17,9 +17,18 @@ alpha; ``srr_init`` and ``srr_step`` take it, the step with the step size
 and iteration count of ``SrrConfig``. ``experiment.run_experiment`` folds
 the steps over a sequence: frame 0 starts the estimate and takes its step
 with zero flow.
+
+A run on a grid of at least ``_TWO_BAND_ROWS`` rows, in a process that can
+fork and may use two CPUs, takes each correction in two row bands on two
+processes: ``run_experiment`` forks one ``_bandworker.BandWorker`` for the
+bottom band, and ``srr_step`` runs the top band itself. The bands add their
+parts of each cost in band order, so both stop at the same iteration. One
+band, on smaller grids and outside a run, is the arithmetic above.
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +39,12 @@ from .grid import GridImage
 from .operators import ObservationModel, convolve_neumann, warp_image
 
 _DIVERGENCE_FACTOR = 10.0
+
+# Grid rows from which a run takes its corrections in two row bands. On a
+# 2-core Xeon VM, two bands took 0.63-0.82 of one band's step time at grids
+# 128-200 and 0.70-0.94 at grids 96-112 (medians of 12 alternating steps of
+# `ex1b` and `ex2a`).
+_TWO_BAND_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -83,11 +98,28 @@ def srr_step(state: SrrState, y_up_t: GridImage, flow_t: FlowField,
         h, w = model.shape
         raise MeshError(f"observation {y_up_t.width}x{y_up_t.height} does not "
                         f"match the model grid {w}x{h}")
-    x = warp_image(state.x_hat, flow_t).data * model.inside
+    worker = model._worker
+    x = np.multiply(warp_image(state.x_hat, flow_t).data, model.inside,
+                    out=None if worker is None else worker.x)
     y_means, y_rest = model.reduce(y_up_t.data)
+    if worker is None:
+        costs = _correct(model, x, y_means, y_rest, cfg)
+    else:
+        costs = worker.correct(y_means, y_rest, cfg)
+        x = x.copy()
+    x.flags.writeable = False
+    return SrrState(x_hat=GridImage(x), costs=tuple(costs))
+
+
+def _correct(band, x: np.ndarray, y_means: np.ndarray, y_rest: float,
+             cfg: SrrConfig) -> list[float]:
+    """The K correction iterations of ``band``'s rows of x, in place; returns
+    the costs. ``band`` is the model, or one of its two ``_RowBand``s, which
+    share x and meet after each update."""
+    own, inside, meet = x[band._rows], band.inside[band._rows], band._meet
     costs: list[float] = []
     for it in range(cfg.k_iters + 1):
-        cost, smooth, residual = model.terms(x, y_means, y_rest)
+        cost, smooth, residual = band.terms(x, y_means, y_rest)
         if not np.isfinite(cost):
             raise DivergenceError(f"non-finite cost {cost} at iteration {it}")
         costs.append(cost)
@@ -97,9 +129,25 @@ def srr_step(state: SrrState, y_up_t: GridImage, flow_t: FlowField,
             raise DivergenceError(
                 f"cost grew beyond {_DIVERGENCE_FACTOR}x its initial value at "
                 f"iteration {it} ({cost:.3e} vs {costs[0]:.3e}); reduce the step size")
-        step = model.half_gradient(smooth, residual)
+        step = band.half_gradient(smooth, residual)
         step *= cfg.mu
-        x -= step
-        x *= model.inside
-    x.flags.writeable = False
-    return SrrState(x_hat=GridImage(x), costs=tuple(costs))
+        own -= step
+        own *= inside
+        if meet is not None:
+            meet()
+    return costs
+
+
+def _band_worker(model: ObservationModel):
+    """The ``_bandworker.BandWorker`` that takes the bottom row band of a
+    run's corrections on ``model``, when its grid has at least
+    ``_TWO_BAND_ROWS`` rows, ``os.fork`` exists, the process may run on two
+    CPUs or more and runs no other thread, and ``_bandworker.start`` finds an
+    OpenBLAS it can hold to one thread and can fork; else None."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if (model.shape[0] < _TWO_BAND_ROWS or not hasattr(os, "fork")
+            or affinity is None or len(affinity(0)) < 2
+            or threading.active_count() > 1):  # a fork copies only this thread
+        return None
+    from . import _bandworker  # imported only by a run that may take two bands
+    return _bandworker.start(model)

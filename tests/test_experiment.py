@@ -1,6 +1,7 @@
 import gc
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -145,9 +146,9 @@ class TestRunExperiment:
         sides = []
         original = operators._band_blocks
 
-        def counted(taps, n):
+        def counted(taps, n, *rows):
             sides.append(n)
-            return original(taps, n)
+            return original(taps, n, *rows)
 
         monkeypatch.setattr(operators, "_band_blocks", counted)
         return sides
@@ -176,6 +177,18 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         assert len(result.srr_frames) == 20
         assert sorted(sides) == [25, 50, 100, 100]
+
+    def test_empty_elements_warn_once_per_run_naming_its_caller(self):
+        """Grid 16 leaves FINE elements without a pixel center; the run says
+        so once, not once per degraded frame from inside the package."""
+        cfg = replace(preset("ex2a"), grid=16, known_motion=True,
+                      scene=replace(preset("ex2a").scene, frames=3))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_experiment(cfg)
+        empty = [w for w in caught if "contain no pixel center" in str(w.message)]
+        assert len(empty) == 1
+        assert empty[0].filename == __file__
 
     def test_degrade_error_carries_frame_context(self, monkeypatch):
         import meshsrr.experiment as exp

@@ -221,9 +221,10 @@ class TestDownsample:
         mesh = FemMesh(nodes, np.array([[0, 1, 2], [3, 0, 4]]))
         asg = build_pixel_assignment(mesh, 4, 4)
         assert list(np.flatnonzero(asg.element_counts == 0)) == [1]
-        with pytest.warns(UserWarning, match="no pixel center"):
+        with pytest.warns(UserWarning, match="no pixel center") as record:
             fem = downsample(GridImage(np.full((4, 4), 5.0)), asg)
         assert fem.values[1] == 0.0
+        assert record[0].filename == __file__  # names downsample's caller
 
     def test_dimension_mismatch_rejected(self, square_mesh):
         asg = build_pixel_assignment(square_mesh, 4, 4)
