@@ -1,6 +1,6 @@
-"""The second process of a run that takes its SRR corrections in two row
-bands (see ``srr``): a forked worker for the bottom band, and how the two
-processes meet. Imported only by a run that may take two bands."""
+"""A forked worker for the bottom of a run's two SRR row bands, and how
+the two processes meet (see ``srr``): it changes a run's speed, not its
+bits. Imported only by a run that may fork."""
 from __future__ import annotations
 
 import ctypes
@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from . import srr
-from .operators import ObservationModel, _row_bands
+from .operators import ObservationModel
 
 # Non-blocking polls of a meeting of the bands before it blocks, every 64th
 # followed by a yield: bands that share one CPU then still progress, and
@@ -32,7 +32,7 @@ def start(model: ObservationModel) -> BandWorker | None:
         return None
     try:
         return BandWorker(model, blas)
-    except OSError:  # no process could be forked: one band
+    except OSError:  # no process could be forked: the parent takes both bands
         return None
 
 
@@ -94,7 +94,8 @@ def _await(semaphore, check) -> None:
 
 class BandWorker:
     """A forked process that takes the bottom row band of every correction
-    of one run on ``model`` while it is attached as ``model._worker``.
+    of one run on ``model`` while it is attached as ``model._worker``, bit
+    for bit as ``srr_step`` takes both bands without it.
 
     x and the bands' parts of the cost live in anonymous shared memory made
     before the fork. Each step's target goes down a command pipe, and the
@@ -126,7 +127,7 @@ class BandWorker:
             self._waits.release()
             _await(self._posts, check)
 
-        self._top, bottom = _row_bands(model, parts, (self._meet, meet))
+        self._top, self._bottom = model.bands(parts)
         self._threads = [(put, get()) for get, put in blas]
         with warnings.catch_warnings():
             # Python 3.12 warns of a fork beside OpenBLAS's pool threads; the
@@ -143,7 +144,7 @@ class BandWorker:
                 _leave_cpu_of(parent)
                 self._commands.close()
                 self._results.close()
-                self._serve(bottom, commands, results, parent)
+                self._serve(meet, commands, results, parent)
                 status = 0
             finally:
                 os._exit(status)
@@ -151,7 +152,7 @@ class BandWorker:
         results.close()
         model._worker = self
 
-    def _serve(self, band, commands, results, parent: int) -> None:
+    def _serve(self, meet, commands, results, parent: int) -> None:
         """The worker's loop: a step per command, until EOF or a new parent."""
         while True:
             while not commands.poll(_WAIT_S):
@@ -162,7 +163,7 @@ class BandWorker:
             except EOFError:
                 return
             try:
-                srr._correct(band, self.x, y_means, y_rest, cfg)
+                srr._correct([self._bottom], self.x, y_means, y_rest, cfg, meet)
                 report = None
             except Exception as exc:
                 report = f"{type(exc).__name__}: {exc}"
@@ -171,10 +172,10 @@ class BandWorker:
     def correct(self, y_means: np.ndarray, y_rest: float, cfg: srr.SrrConfig) -> list[float]:
         """One step's corrections of the shared x, the top band here and the
         bottom one in the worker; returns the costs. Any exception closes
-        the worker, so the model goes back to one band."""
+        the worker, so the parent takes both bands of later steps."""
         try:
             self._commands.send((y_means, y_rest, cfg))
-            costs = srr._correct(self._top, self.x, y_means, y_rest, cfg)
+            costs = srr._correct([self._top], self.x, y_means, y_rest, cfg, self._meet)
             report = self._report()
             if report is not None:
                 raise RuntimeError(f"the band worker failed: {report}")
@@ -200,9 +201,8 @@ class BandWorker:
             return "it exited"
 
     def close(self) -> None:
-        """Kill and reap the worker, once, and detach it from the model and
-        from the top band, whose meetings refer back to it."""
-        self._model._worker = self._top = None
+        """Kill and reap the worker, once, and detach it from the model."""
+        self._model._worker = None
         pid, self._pid = self._pid, None
         if pid is not None:
             os.kill(pid, signal.SIGKILL)

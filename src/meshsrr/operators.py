@@ -215,6 +215,13 @@ def _stencil_eigenvalues(height: int, width: int) -> np.ndarray:
     return rows[:, None] + cols
 
 
+# Grid rows from which the SRR correction takes two row bands. On a 2-core
+# Xeon VM, two bands on two processes took 0.63-0.82 of one band's step time
+# at grids 128-200 and 0.70-0.94 at grids 96-112 (medians of 12 alternating
+# steps of `ex1b` and `ex2a`).
+_TWO_BAND_ROWS = 128
+
+
 class ObservationModel:
     """The reconstruction cost ``||y - P B x||^2 + alpha ||S x||^2`` (misfit
     over assigned pixels) and its gradient, on plain (height, width) arrays.
@@ -227,15 +234,10 @@ class ObservationModel:
     the assignment's ``means`` and ``lift`` apply P. Built once per
     (assignment, kernel, alpha); the solver also reads its
     ``kernel``, grid ``shape`` and float ``inside`` mask (1 on assigned
-    pixels, else 0).
-
-    A model is the one band of its correction: it works all ``_rows`` and
-    meets no other band. ``_worker`` holds the second process of a run that
-    takes the correction in two ``_RowBand``s (see ``srr``), else None.
+    pixels, else 0). Its ``bands`` compute the cost and the gradient.
+    ``_worker`` holds a run's process for the bottom band (see ``srr``).
     """
 
-    _rows = slice(None)
-    _meet = None
     _worker = None
 
     def __init__(self, assignment: PixelAssignment, kernel: Kernel, alpha: float):
@@ -254,22 +256,16 @@ class ObservationModel:
         rest = (y - self._assignment.lift(means)) * self.inside
         return means, float((rest * rest).sum())
 
-    def terms(self, x: np.ndarray, y_means: np.ndarray,
-              y_rest: float) -> tuple[float, np.ndarray, np.ndarray]:
-        """Cost at x against ``reduce(y)``, plus ``S x`` and the element
-        residual r, which ``half_gradient`` reuses."""
-        residual = self._assignment.means(self.kernel.apply(x)) - y_means
-        smooth = _laplacian(x)
-        cost = (float(self._counts @ (residual * residual)) + y_rest
-                + self.alpha * float(np.vdot(smooth, smooth)))
-        return cost, smooth, residual
-
-    def half_gradient(self, smooth: np.ndarray, residual: np.ndarray) -> np.ndarray:
-        """``B' P (P B x - y) + alpha S' S x`` from the intermediates of
-        ``terms``: the lifted residual is ``P B x - P y``."""
-        grad = self.kernel.apply(self._assignment.lift(residual))
-        grad += self.alpha * _laplacian(smooth)
-        return grad
+    def bands(self, parts: np.ndarray | None = None) -> list[_RowBand]:
+        """The row bands of a correction, which the grid rows h alone fix:
+        [0, h) below ``_TWO_BAND_ROWS`` rows, else [0, h // 2) and
+        [h // 2, h), whose row passes take the same number of blocks. Band i
+        writes into ``parts[i]``, made here when None."""
+        h = self.shape[0]
+        rows = [slice(0, h)] if h < _TWO_BAND_ROWS else [slice(0, h // 2), slice(h // 2, h)]
+        if parts is None:
+            parts = np.empty((len(rows), self._counts.size + 1))
+        return [_RowBand(self, band, parts, index) for index, band in enumerate(rows)]
 
     def norm_bound(self) -> float:
         """Upper bound on the largest eigenvalue L of B' P B + alpha * S' S.
@@ -288,55 +284,48 @@ class ObservationModel:
 
 
 class _RowBand:
-    """Rows ``rows`` of the correction of ``model``: one of two row bands
-    that take it together on one shared x, in two processes (see ``srr``).
+    """Rows ``rows`` of the correction of ``model``, one of the bands that
+    share x and ``parts`` (see ``srr``).
 
-    ``terms`` writes the band's part of a cost into row ``index`` of the
-    shared ``parts``: its element sums of B x (read within ``kernel.size //
-    2`` rows of the band) over whole element pixel counts, then ``||S x||^2``
-    over its rows. It then calls ``meet``, which returns once the other band
-    has written its row, and adds the rows in band order, so both bands
-    compute the same cost. S x is taken from a two-row halo of x and kept on
-    the band's rows and a one-row halo, from which ``half_gradient`` gives
-    the band's rows of the gradient.
+    ``write`` puts the band's part of a cost into row ``index`` of
+    ``parts``: its element sums of B x (read within ``kernel.size // 2``
+    rows of the band) over whole element pixel counts, then ``||S x||^2``
+    over its rows, with S x taken from a two-row halo of x and kept. ``cost``
+    adds the parts in band order, with numpy's own sums, which no BLAS
+    thread count changes. ``gradient`` gives the band's rows of
+    ``B' P (P B x - y) + alpha S' S x`` from the ``lift`` of its residual.
     """
 
-    def __init__(self, model: ObservationModel, rows: slice, index: int,
-                 parts: np.ndarray, meet):
+    def __init__(self, model: ObservationModel, rows: slice, parts: np.ndarray, index: int):
         (h, w), start, stop = model.shape, rows.start, rows.stop
-        self.kernel, self.inside, self.alpha = model.kernel, model.inside, model.alpha
+        self.kernel, self.alpha, self.rows = model.kernel, model.alpha, rows
+        self.inside, self.lift = model.inside[rows], model._assignment.lift
         self._assignment, self._counts = model._assignment, model._counts
-        self._rows, self._index, self._parts, self._meet = rows, index, parts, meet
+        self._parts, self._part = parts, parts[index]
         lo, top = max(start - 2, 0), max(start - 1, 0)
         self._halo = slice(lo, min(stop + 2, h))
-        self._smooth = slice(top - lo, min(stop + 1, h) - lo)
+        self._kept = slice(top - lo, min(stop + 1, h) - lo)
         self._own = slice(start - top, stop - top)
         self.kernel._bands(h, w, rows)  # built once, before a fork shares it
 
-    def terms(self, x: np.ndarray, y_means: np.ndarray,
-              y_rest: float) -> tuple[float, np.ndarray, np.ndarray]:
-        mine, rows = self._parts[self._index], self._rows
-        mine[:-1] = self._assignment.means(self.kernel.apply(x, rows), rows)
-        smooth = _laplacian(x[self._halo])[self._smooth]
-        own = smooth[self._own]
-        mine[-1] = np.vdot(own, own)
-        self._meet()
-        total = self._parts[0] + self._parts[1]
+    def write(self, x: np.ndarray) -> None:
+        """The band's part of the cost at x."""
+        self._part[:-1] = self._assignment.means(self.kernel.apply(x, self.rows), self.rows)
+        self._smooth = _laplacian(x[self._halo])[self._kept]
+        self._part[-1] = np.square(self._smooth[self._own]).sum()
+
+    def cost(self, y_means: np.ndarray, y_rest: float) -> tuple[float, np.ndarray]:
+        """The cost against ``ObservationModel.reduce(y)`` from the parts
+        every band has written, and the element residual r."""
+        total = self._parts.sum(axis=0)
         residual = total[:-1] - y_means
-        cost = (float(self._counts @ (residual * residual)) + y_rest
+        cost = (float((self._counts * np.square(residual)).sum()) + y_rest
                 + self.alpha * float(total[-1]))
-        return cost, smooth, residual
+        return cost, residual
 
-    def half_gradient(self, smooth: np.ndarray, residual: np.ndarray) -> np.ndarray:
-        grad = self.kernel.apply(self._assignment.lift(residual), self._rows)
-        grad += self.alpha * _laplacian(smooth)[self._own]
+    def gradient(self, lifted: np.ndarray) -> np.ndarray:
+        """The band's rows of the half gradient at the x of the last
+        ``write``, from ``lift(r)``, which is ``P B x - P y``."""
+        grad = self.kernel.apply(lifted, self.rows)
+        grad += self.alpha * _laplacian(self._smooth)[self._own]
         return grad
-
-
-def _row_bands(model: ObservationModel, parts: np.ndarray, meets) -> list[_RowBand]:
-    """The two ``_RowBand``s of ``model``, rows [0, h // 2) and [h // 2, h),
-    whose ``meet``s are ``meets``. Each band's row pass takes blocks from
-    its first row, so both take the same number."""
-    h, m = model.shape[0], model.shape[0] // 2
-    return [_RowBand(model, rows, index, parts, meet)
-            for index, (rows, meet) in enumerate(zip((slice(0, m), slice(m, h)), meets))]

@@ -18,12 +18,12 @@ and iteration count of ``SrrConfig``. ``experiment.run_experiment`` folds
 the steps over a sequence: frame 0 starts the estimate and takes its step
 with zero flow.
 
-A run on a grid of at least ``_TWO_BAND_ROWS`` rows, in a process that can
-fork and may use two CPUs, takes each correction in two row bands on two
-processes: ``run_experiment`` forks one ``_bandworker.BandWorker`` for the
-bottom band, and ``srr_step`` runs the top band itself. The bands add their
-parts of each cost in band order, so both stop at the same iteration. One
-band, on smaller grids and outside a run, is the arithmetic above.
+The grid rows alone fix the row bands of a correction
+(``ObservationModel.bands``): two from ``operators._TWO_BAND_ROWS`` rows,
+else one. A run that can fork, may use two CPUs and runs no other thread
+hands the bottom band to a forked ``_bandworker.BandWorker``. Otherwise
+``srr_step`` takes the bands in sequence, so outside a run it takes two
+from ``_TWO_BAND_ROWS`` rows up. The worker changes speed, not bits.
 """
 from __future__ import annotations
 
@@ -39,12 +39,6 @@ from .grid import GridImage
 from .operators import ObservationModel, convolve_neumann, warp_image
 
 _DIVERGENCE_FACTOR = 10.0
-
-# Grid rows from which a run takes its corrections in two row bands. On a
-# 2-core Xeon VM, two bands took 0.63-0.82 of one band's step time at grids
-# 128-200 and 0.70-0.94 at grids 96-112 (medians of 12 alternating steps of
-# `ex1b` and `ex2a`).
-_TWO_BAND_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -103,7 +97,7 @@ def srr_step(state: SrrState, y_up_t: GridImage, flow_t: FlowField,
                     out=None if worker is None else worker.x)
     y_means, y_rest = model.reduce(y_up_t.data)
     if worker is None:
-        costs = _correct(model, x, y_means, y_rest, cfg)
+        costs = _correct(model.bands(), x, y_means, y_rest, cfg)
     else:
         costs = worker.correct(y_means, y_rest, cfg)
         x = x.copy()
@@ -111,15 +105,20 @@ def srr_step(state: SrrState, y_up_t: GridImage, flow_t: FlowField,
     return SrrState(x_hat=GridImage(x), costs=tuple(costs))
 
 
-def _correct(band, x: np.ndarray, y_means: np.ndarray, y_rest: float,
-             cfg: SrrConfig) -> list[float]:
-    """The K correction iterations of ``band``'s rows of x, in place; returns
-    the costs. ``band`` is the model, or one of its two ``_RowBand``s, which
-    share x and meet after each update."""
-    own, inside, meet = x[band._rows], band.inside[band._rows], band._meet
+def _correct(bands, x: np.ndarray, y_means: np.ndarray, y_rest: float,
+             cfg: SrrConfig, meet=None) -> list[float]:
+    """The K correction iterations of the rows of x that ``bands`` cover, in
+    place; returns the costs. Each writes its part, one cost is assembled
+    from all parts, and each updates its rows. ``meet``, given when a worker
+    takes the other band, returns once both processes have reached it; the
+    bits are those of one process taking the grid's bands in sequence."""
     costs: list[float] = []
     for it in range(cfg.k_iters + 1):
-        cost, smooth, residual = band.terms(x, y_means, y_rest)
+        for band in bands:
+            band.write(x)
+        if meet is not None:
+            meet()
+        cost, residual = bands[0].cost(y_means, y_rest)
         if not np.isfinite(cost):
             raise DivergenceError(f"non-finite cost {cost} at iteration {it}")
         costs.append(cost)
@@ -129,25 +128,28 @@ def _correct(band, x: np.ndarray, y_means: np.ndarray, y_rest: float,
             raise DivergenceError(
                 f"cost grew beyond {_DIVERGENCE_FACTOR}x its initial value at "
                 f"iteration {it} ({cost:.3e} vs {costs[0]:.3e}); reduce the step size")
-        step = band.half_gradient(smooth, residual)
-        step *= cfg.mu
-        own -= step
-        own *= inside
+        lifted = bands[0].lift(residual)
+        for band in bands:
+            step = band.gradient(lifted)
+            step *= cfg.mu
+            own = x[band.rows]
+            own -= step
+            own *= band.inside
         if meet is not None:
             meet()
     return costs
 
 
 def _band_worker(model: ObservationModel):
-    """The ``_bandworker.BandWorker`` that takes the bottom row band of a
-    run's corrections on ``model``, when its grid has at least
-    ``_TWO_BAND_ROWS`` rows, ``os.fork`` exists, the process may run on two
-    CPUs or more and runs no other thread, and ``_bandworker.start`` finds an
-    OpenBLAS it can hold to one thread and can fork; else None."""
+    """The ``_bandworker.BandWorker`` that takes the bottom of two row bands
+    of a run's corrections on ``model``, when ``os.fork`` exists, the process
+    may run on two CPUs or more and runs no other thread, and
+    ``_bandworker.start`` finds an OpenBLAS it can hold to one thread and
+    can fork; else None, and ``srr_step`` takes both bands."""
     affinity = getattr(os, "sched_getaffinity", None)
-    if (model.shape[0] < _TWO_BAND_ROWS or not hasattr(os, "fork")
+    if (len(model.bands()) < 2 or not hasattr(os, "fork")
             or affinity is None or len(affinity(0)) < 2
             or threading.active_count() > 1):  # a fork copies only this thread
         return None
-    from . import _bandworker  # imported only by a run that may take two bands
+    from . import _bandworker  # imported only by a run that may fork
     return _bandworker.start(model)

@@ -7,8 +7,9 @@ nodes and elements, ``pixel_to_element``, flow components). The exceptions
 are test-only helpers built on the package: ``boundary`` (the boundary
 points of ``metrics._edge``), ``random_mask_pair`` (which returns
 ``BinaryMask`` pairs), ``compose_flows`` (which samples through
-the warp's bilinear gather), ``power_iteration_norm`` (which applies the
-operator through ``ObservationModel``), ``dct_diagonal`` (the DCT-II form
+the warp's bilinear gather), ``band_terms`` (the SRR correction's cost and
+gradient as one row band over the whole grid), ``power_iteration_norm``
+(which applies the operator through it), ``dct_diagonal`` (the DCT-II form
 of the blur and the Laplacian, fed the package's eigenvalues) and the
 pixel-level SRR reference (``PixelObservationModel``,
 ``pixel_run_sequence``), which shares those eigenvalues, the warp and the
@@ -268,6 +269,17 @@ def dense_flow_solve(ix: np.ndarray, iy: np.ndarray, c: np.ndarray,
     return x[:n].reshape(h, w), x[n:].reshape(h, w)
 
 
+def band_terms(model, x: np.ndarray, y_means: np.ndarray, y_rest: float):
+    """The cost at x against ``model.reduce(y)``, the element residual r and
+    the model's correction as one row band over the whole grid, whose
+    ``gradient(lift(r))`` is ``B' P r + alpha S' S x`` on every pixel."""
+    from meshsrr.operators import _RowBand
+    band = _RowBand(model, slice(0, model.shape[0]), np.empty((1, model._counts.size + 1)), 0)
+    band.write(x)
+    cost, residual = band.cost(y_means, y_rest)
+    return cost, residual, band
+
+
 def power_iteration_norm(assignment, kernel, alpha: float, iterations: int = 30,
                          seed: int = 0) -> float:
     """Largest eigenvalue of B' P B + alpha * S' S on the assignment's grid by
@@ -280,8 +292,8 @@ def power_iteration_norm(assignment, kernel, alpha: float, iterations: int = 30,
     x /= np.linalg.norm(x)
     lam = 0.0
     for _ in range(iterations):
-        _, smooth, residual = model.terms(x, *target)
-        y = model.half_gradient(smooth, residual)
+        _, residual, band = band_terms(model, x, *target)
+        y = band.gradient(band.lift(residual))
         lam = float(np.linalg.norm(y))
         if lam == 0:
             return 0.0

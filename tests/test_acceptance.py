@@ -21,7 +21,7 @@ from meshsrr.operators import (ObservationModel, convolve_neumann,
                                gaussian_kernel, warp_image)
 from meshsrr.phantoms import COARSE, FINE, disc_mesh
 
-from oracles import (boundary, brute_force_hausdorff, brute_force_masd,
+from oracles import (band_terms, boundary, brute_force_hausdorff, brute_force_masd,
                      dense_blur_matrix, dense_laplacian_matrix,
                      dense_projection_matrix, dense_warp_matrix,
                      random_mask_pair)
@@ -139,12 +139,12 @@ def test_criterion_2_dense_matrix_equivalence(square_mesh_session):
                 B = dense_blur_matrix(mask(k), n, n)
                 checks.append((project(asg, x), P @ x.ravel()))
                 model = ObservationModel(asg, k, alpha)
-                _, smooth, residual = model.terms(x, *model.reduce(y))
+                _, residual, band = band_terms(model, x, *model.reduce(y))
                 r = np.where(inside, P @ (B @ x.ravel()) - y.ravel(), 0.0)
                 checks.append((asg.lift(residual), P @ r))
-                checks.append((model.half_gradient(smooth, residual),
+                checks.append((band.gradient(band.lift(residual)),
                                B.T @ (P.T @ r) + alpha * (S.T @ (S @ x.ravel()))))
-                checks.append((model.half_gradient(smooth, np.zeros_like(residual)),
+                checks.append((band.gradient(band.lift(np.zeros_like(residual))),
                                alpha * (S.T @ (S @ x.ravel()))))
             for got, want in checks:
                 assert np.abs(got.ravel() - want.ravel()).max() <= 1e-12
@@ -202,15 +202,15 @@ def test_criterion_5_gradient_check(square_mesh_session):
             alpha = float(rng.uniform(0.0, 0.5))
             model = ObservationModel(asg, kernel, alpha)
             target = model.reduce(y)
-            _, smooth, residual = model.terms(x, *target)
-            g = 2.0 * model.half_gradient(smooth, residual)
+            _, residual, band = band_terms(model, x, *target)
+            g = 2.0 * band.gradient(band.lift(residual))
             fd = np.zeros_like(x)
             for j in range(n):
                 for i in range(n):
                     xp = x.copy(); xp[j, i] += eps
                     xm = x.copy(); xm[j, i] -= eps
-                    fd[j, i] = (model.terms(xp, *target)[0]
-                                - model.terms(xm, *target)[0]) / (2 * eps)
+                    fd[j, i] = (band_terms(model, xp, *target)[0]
+                                - band_terms(model, xm, *target)[0]) / (2 * eps)
             assert np.linalg.norm(fd - g) / np.linalg.norm(g) <= 1e-5
 
 

@@ -1,5 +1,6 @@
-"""The SRR correction in two row bands on two processes: the bands agree
-with one band, and no worker outlives the run that forked it."""
+"""The SRR correction in two row bands: the bands agree with one band, a
+forked worker gives the same bytes as the parent taking both bands, and no
+worker outlives the run that forked it."""
 import gc
 import os
 import subprocess
@@ -13,12 +14,13 @@ import numpy as np
 import pytest
 
 import meshsrr._bandworker as _bandworker
+import meshsrr.operators as operators
 import meshsrr.srr as srr
 from meshsrr.config import preset
 from meshsrr.errors import DivergenceError
 from meshsrr.experiment import run_experiment
 from meshsrr.mesh import build_pixel_assignment
-from meshsrr.operators import ObservationModel, _RowBand, _row_bands
+from meshsrr.operators import ObservationModel, _RowBand
 from meshsrr.phantoms import disc_mesh
 
 SRC = Path(srr.__file__).resolve().parents[1]
@@ -40,7 +42,7 @@ def small_cfg(**kw):
 @pytest.fixture
 def workers(monkeypatch):
     """Two bands on any grid; the pids of the workers forked."""
-    monkeypatch.setattr(srr, "_TWO_BAND_ROWS", 1)
+    monkeypatch.setattr(operators, "_TWO_BAND_ROWS", 1)
     pids = []
     original = srr._band_worker
 
@@ -66,28 +68,33 @@ def model_on(grid: int, name: str = "ex1b") -> ObservationModel:
 
 
 def fail_gradient(monkeypatch, in_worker: bool, fail):
-    """Make a band's ``half_gradient`` call ``fail`` in the worker, or in
-    this process."""
-    parent, original = os.getpid(), _RowBand.half_gradient
+    """Make a band's ``gradient`` call ``fail`` in the worker, or in this
+    process."""
+    parent, original = os.getpid(), _RowBand.gradient
 
-    def half_gradient(self, smooth, residual):
+    def gradient(self, lifted):
         if (os.getpid() != parent) == in_worker:
             fail()
-        return original(self, smooth, residual)
+        return original(self, lifted)
 
-    monkeypatch.setattr(_RowBand, "half_gradient", half_gradient)
+    monkeypatch.setattr(_RowBand, "gradient", gradient)
 
 
 def test_grid_100_keeps_one_band():
-    assert srr._TWO_BAND_ROWS > 100
+    """The grid rows alone fix the bands."""
+    assert [band.rows for band in model_on(100).bands()] == [slice(0, 100)]
+    rows = operators._TWO_BAND_ROWS
+    assert [band.rows for band in model_on(rows).bands()] == [slice(0, rows // 2),
+                                                              slice(rows // 2, rows)]
 
 
 @pytest.mark.parametrize("grid", [64, 200, 201])
-def test_bands_split_the_rows_in_half_with_equal_block_counts(grid):
+def test_bands_split_the_rows_in_half_with_equal_block_counts(grid, monkeypatch):
+    monkeypatch.setattr(operators, "_TWO_BAND_ROWS", 1)
     model = model_on(grid)
-    top, bottom = _row_bands(model, np.zeros((2, model._counts.size + 1)), (None, None))
-    assert (top._rows, bottom._rows) == (slice(0, grid // 2), slice(grid // 2, grid))
-    blocks = [[dst.stop - dst.start for dst, _, _ in model.kernel._bands(grid, grid, band._rows)[0]]
+    top, bottom = model.bands()
+    assert (top.rows, bottom.rows) == (slice(0, grid // 2), slice(grid // 2, grid))
+    blocks = [[dst.stop - dst.start for dst, _, _ in model.kernel._bands(grid, grid, band.rows)[0]]
               for band in (top, bottom)]
     assert len(blocks[0]) == len(blocks[1])
     assert sum(blocks[0]) == grid // 2 and sum(blocks[1]) == grid - grid // 2
@@ -101,7 +108,7 @@ def test_band_blurs_are_rows_of_the_whole_blur():
         assert np.allclose(model.kernel.apply(x, rows), whole[rows], rtol=0, atol=1e-14)
 
 
-def test_one_cpu_keeps_one_band(workers, monkeypatch):
+def test_one_cpu_forks_no_worker(workers, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     run_experiment(small_cfg(k_iters=2))
     assert workers == []
@@ -111,7 +118,7 @@ def test_two_bands_match_one_band(workers, monkeypatch):
     two = run_experiment(small_cfg())
     assert len(workers) == 1
     assert_reaped(workers[0])
-    monkeypatch.setattr(srr, "_TWO_BAND_ROWS", 10 ** 9)
+    monkeypatch.setattr(operators, "_TWO_BAND_ROWS", 10 ** 9)
     one = run_experiment(small_cfg())
     assert len(workers) == 1
     for a, b in zip(two.srr_frames, one.srr_frames):
@@ -122,10 +129,38 @@ def test_two_bands_match_one_band(workers, monkeypatch):
     assert two.srr_metrics.avg_overlap == pytest.approx(one.srr_metrics.avg_overlap, abs=1e-12)
 
 
+def test_a_worker_changes_no_bytes(workers, monkeypatch, tmp_path):
+    """A run whose bottom band a forked worker takes, the same run on one
+    CPU and the same run in a process with another thread alive, where the
+    parent takes both bands, write the same bytes and costs."""
+    import threading
+    cfg = small_cfg(grid=200)  # where one band and two differ by rounding
+    runs = {"worker": run_experiment(replace(cfg, output_dir=str(tmp_path / "worker")))}
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        runs["one_cpu"] = run_experiment(replace(cfg, output_dir=str(tmp_path / "one_cpu")))
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(30.0,))
+    thread.start()
+    try:
+        runs["thread"] = run_experiment(replace(cfg, output_dir=str(tmp_path / "thread")))
+    finally:
+        release.set()
+        thread.join(30.0)
+    assert len(workers) == 1
+    files = sorted(p.name for p in (tmp_path / "worker").iterdir())
+    for name in ("one_cpu", "thread"):
+        assert runs[name].cost_histories == runs["worker"].cost_histories
+        assert sorted(p.name for p in (tmp_path / name).iterdir()) == files
+        for file in files:
+            assert ((tmp_path / name / file).read_bytes()
+                    == (tmp_path / "worker" / file).read_bytes()), (name, file)
+
+
 def test_a_run_frees_its_worker_without_the_cycle_collector(monkeypatch):
     """Peak memory stays flat over runs: nothing keeps a closed worker, its
     shared memory or the model it holds alive in a reference cycle."""
-    monkeypatch.setattr(srr, "_TWO_BAND_ROWS", 1)
+    monkeypatch.setattr(operators, "_TWO_BAND_ROWS", 1)
     refs, original = [], _bandworker.start
 
     def start(model):
@@ -142,7 +177,7 @@ def test_a_run_frees_its_worker_without_the_cycle_collector(monkeypatch):
         gc.enable()
 
 
-def test_a_process_with_threads_keeps_one_band(workers):
+def test_a_process_with_threads_forks_no_worker(workers):
     import threading
     release = threading.Event()
     thread = threading.Thread(target=release.wait, args=(30.0,))
@@ -186,7 +221,7 @@ def test_two_bands_raise_the_same_divergence(workers, monkeypatch):
     cfg = small_cfg(mu=5.0)
     messages = []
     for rows in (1, 10 ** 9):
-        monkeypatch.setattr(srr, "_TWO_BAND_ROWS", rows)
+        monkeypatch.setattr(operators, "_TWO_BAND_ROWS", rows)
         with pytest.raises(DivergenceError) as err:
             run_experiment(cfg)
         messages.append(str(err.value))
@@ -251,7 +286,8 @@ def test_leaving_a_cpu_keeps_the_affinity():
     assert os.sched_getaffinity(0) == allowed
 
 
-def test_worker_exits_on_eof_of_its_commands():
+def test_worker_exits_on_eof_of_its_commands(monkeypatch):
+    monkeypatch.setattr(operators, "_TWO_BAND_ROWS", 1)
     model = model_on(64)
     worker = _bandworker.BandWorker(model, _bandworker.openblas_threads())
     pid = worker._pid
@@ -279,10 +315,11 @@ def run_python(code: str, timeout: float = 60.0) -> subprocess.CompletedProcess:
 PREAMBLE = """
 import os, signal
 from dataclasses import replace
+import meshsrr.operators as operators
 import meshsrr.srr as srr
 from meshsrr.config import preset
 from meshsrr.experiment import run_experiment
-srr._TWO_BAND_ROWS = 1
+operators._TWO_BAND_ROWS = 1
 base = preset("ex1b")
 cfg = replace(base, grid=64, k_iters=5, known_motion=True, scene=replace(base.scene, frames=2))
 """

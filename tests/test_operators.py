@@ -16,7 +16,7 @@ from meshsrr.operators import (Kernel, ObservationModel, _bilinear_gather, _blur
                                convolve_neumann, gaussian_kernel, warp_image)
 from meshsrr.phantoms import COARSE, FINE, disc_mesh
 
-from oracles import (brute_force_convolve, dct_diagonal, dense_blur_matrix,
+from oracles import (band_terms, brute_force_convolve, dct_diagonal, dense_blur_matrix,
                      dense_laplacian_matrix, dense_projection_matrix,
                      dense_warp_matrix, traced_peak)
 
@@ -43,7 +43,7 @@ def observe(asg, k: Kernel, x: np.ndarray) -> np.ndarray:
     """P B x on the whole grid (zero off the mesh): the model's element
     residual against y = 0, lifted to the pixels."""
     model = ObservationModel(asg, k, 0.0)
-    _, _, residual = model.terms(x, *model.reduce(np.zeros_like(x)))
+    _, residual, _ = band_terms(model, x, *model.reduce(np.zeros_like(x)))
     return asg.lift(residual)
 
 
@@ -63,14 +63,16 @@ def observe_adjoint(asg, k: Kernel, z: np.ndarray) -> np.ndarray:
     """B' P z: the model's half gradient with the element means of z as the
     residual and no smoothness term."""
     model = ObservationModel(asg, k, 0.0)
-    return model.half_gradient(np.zeros_like(z), model.reduce(z)[0])
+    z_means, z_rest = model.reduce(z)
+    _, _, band = band_terms(model, np.zeros_like(z), z_means, z_rest)
+    return band.gradient(band.lift(z_means))
 
 
 def stencil_normal(asg, x: np.ndarray) -> np.ndarray:
     """S' S x: the model's half gradient with alpha = 1 and a zero residual."""
     model = ObservationModel(asg, gaussian_kernel(1, 1.0), 1.0)
-    _, smooth, residual = model.terms(x, *model.reduce(np.zeros_like(x)))
-    return model.half_gradient(smooth, np.zeros_like(residual))
+    _, residual, band = band_terms(model, x, *model.reduce(np.zeros_like(x)))
+    return band.gradient(band.lift(np.zeros_like(residual)))
 
 
 class TestKernel:
@@ -480,7 +482,7 @@ class TestObservationModel:
         assert asg.inside_mask().all() and asg.element_counts.max() == 1
         x = np.random.default_rng(size).standard_normal((height, width))
         model = ObservationModel(asg, k, 0.3)
-        _, _, residual = model.terms(x, *model.reduce(np.zeros_like(x)))
+        _, residual, _ = band_terms(model, x, *model.reduce(np.zeros_like(x)))
         expected = convolve_neumann(GridImage(x), k).data
         assert np.abs(asg.lift(residual) - expected).max() <= 1e-12
 
@@ -515,11 +517,11 @@ class TestObservationModel:
         P = dense_projection_matrix(asg)
         S = dense_laplacian_matrix(width, height)
         y_means, y_rest = model.reduce(y)
-        cost, smooth, residual = model.terms(x, y_means, y_rest)
+        cost, residual, band = band_terms(model, x, y_means, y_rest)
 
         # P B x on the whole grid (y = 0 leaves the bare prediction).
         pbx = P @ (B @ x.ravel())
-        _, _, predicted = model.terms(x, *model.reduce(np.zeros_like(y)))
+        _, predicted, _ = band_terms(model, x, *model.reduce(np.zeros_like(y)))
         assert np.abs(asg.lift(predicted).ravel() - pbx).max() <= 1e-12
 
         # The lifted element residual is P r = P B x - P y.
@@ -538,11 +540,11 @@ class TestObservationModel:
 
         # Gradient: B' P' (P B x - y) + alpha S' S x.
         sts = S.T @ sx
-        got = model.half_gradient(smooth, residual)
+        got = band.gradient(band.lift(residual))
         assert np.abs(got.ravel() - (B.T @ (P.T @ r) + alpha * sts)).max() <= 1e-12
 
         # S' S x alone: a zero residual leaves only the smoothness term.
-        alone = model.half_gradient(smooth, np.zeros_like(residual))
+        alone = band.gradient(band.lift(np.zeros_like(residual)))
         assert np.abs(alone.ravel() - alpha * sts).max() <= 1e-12
 
     def test_kernel_must_be_symmetric_in_each_axis(self):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +11,11 @@ from meshsrr.errors import DivergenceError
 from meshsrr.flow import FlowField
 from meshsrr.grid import GridImage
 from meshsrr.mesh import FemImage, build_pixel_assignment, upsample
-from meshsrr.operators import ObservationModel, gaussian_kernel
+from meshsrr.operators import ObservationModel, _RowBand, gaussian_kernel
 from meshsrr.phantoms import COARSE, disc_mesh
 from meshsrr.srr import SrrConfig, srr_init, srr_step
 
-from oracles import (dense_blur_matrix, dense_laplacian_matrix,
+from oracles import (band_terms, dense_blur_matrix, dense_laplacian_matrix,
                      dense_projection_matrix, pixel_run_sequence,
                      power_iteration_norm)
 from test_operators import mask, observe
@@ -52,14 +56,14 @@ def tiny_run_cfg(frames=3, k_iters=2):
 def cost(x: GridImage, y: GridImage, asg, kernel, alpha) -> float:
     """The reconstruction cost at x, as ``srr_step`` evaluates it."""
     model = ObservationModel(asg, kernel, alpha)
-    return model.terms(x.data, *model.reduce(y.data))[0]
+    return band_terms(model, x.data, *model.reduce(y.data))[0]
 
 
 def cost_gradient(x: GridImage, y: GridImage, asg, kernel, alpha) -> np.ndarray:
     """Twice the model's half gradient: the analytic gradient of ``cost``."""
     model = ObservationModel(asg, kernel, alpha)
-    _, smooth, residual = model.terms(x.data, *model.reduce(y.data))
-    return 2.0 * model.half_gradient(smooth, residual)
+    _, residual, band = band_terms(model, x.data, *model.reduce(y.data))
+    return 2.0 * band.gradient(band.lift(residual))
 
 
 class TestInit:
@@ -216,10 +220,10 @@ class TestStep:
         model = ObservationModel(asg, kernel, 0.1)
         y = GridImage(np.random.default_rng(21).standard_normal((8, 8)))
 
-        def broken(self, smooth, residual):
+        def broken(self, lifted):
             raise ValueError("not a divergence")
 
-        monkeypatch.setattr(ObservationModel, "half_gradient", broken)
+        monkeypatch.setattr(_RowBand, "gradient", broken)
         with pytest.raises(ValueError, match="not a divergence") as err:
             srr_step(srr_init(y, model), y, FlowField.zeros(8, 8), cfg_for(k_iters=5), model)
         assert not isinstance(err.value, DivergenceError)
@@ -471,3 +475,39 @@ def test_srr_step_takes_2k_plus_1_blurs_and_laplacians(monkeypatch, k_iters):
     monkeypatch.setattr(operators, "_laplacian", counted("laplacian", operators._laplacian))
     srr_step(state, y, FlowField.constant(32, 32, 0.4, -0.3), cfg_for(k_iters=k_iters), model)
     assert calls == {"blur": 2 * k_iters + 1, "laplacian": 2 * k_iters + 1}
+
+
+BLAS_PROBE = """
+from dataclasses import replace
+from meshsrr.config import preset
+from meshsrr.flow import FlowField
+from meshsrr.mesh import build_pixel_assignment
+from meshsrr.operators import ObservationModel
+from meshsrr.phantoms import disc_mesh, render_scene
+from meshsrr.srr import SrrConfig, srr_init, srr_step
+cfg = replace(preset("ex1b"), grid=200)
+model = ObservationModel(build_pixel_assignment(disc_mesh(cfg.mesh_density), 200, 200),
+                         cfg.resolved_kernel(), cfg.alpha_srr)
+print(len(model.bands()))
+frames = [render_scene(cfg.scene, t, 200, 200) for t in range(3)]
+state = srr_init(frames[0], model)
+for y in frames:
+    state = srr_step(state, y, FlowField.zeros(200, 200), SrrConfig(cfg.mu, 5), model)
+    print(*map(float.hex, state.costs))
+"""
+
+
+def test_costs_do_not_follow_the_blas_thread_count():
+    """Grid 200 outside a run takes two bands in sequence; its cost
+    histories are the same bits on one OpenBLAS thread and on two."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH", "")) if p)
+        outs.append(subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env, check=True,
+                                   capture_output=True, text=True, timeout=120).stdout)
+    assert outs[0].splitlines()[0] == "2"
+    assert len(outs[0].splitlines()) == 4
+    assert outs[0] == outs[1]
