@@ -1,6 +1,6 @@
-"""A forked worker for the bottom of a run's two SRR row bands, and how
-the two processes meet (see ``srr``): it changes a run's speed, not its
-bits. Imported only by a run that may fork."""
+"""A forked worker for the bottom of a run's two SRR row bands, which the
+run hands to each ``srr.srr_step``, and how the two processes meet: it
+changes a run's speed, not its bits. Imported only by a run that may fork."""
 from __future__ import annotations
 
 import ctypes
@@ -93,17 +93,17 @@ def _await(semaphore, check) -> None:
 
 
 class BandWorker:
-    """A forked process that takes the bottom row band of every correction
-    of one run on ``model`` while it is attached as ``model._worker``, bit
-    for bit as ``srr_step`` takes both bands without it.
+    """A forked process that takes the bottom row band of the correction of
+    each ``srr.srr_step`` on ``model`` that a run hands it to, bit for bit
+    as the step takes both bands without it. It holds no model.
 
-    x and the bands' parts of the cost live in anonymous shared memory made
-    before the fork. Each step's target goes down a command pipe, and the
-    worker reports on a result pipe when it has left the step. The processes
-    meet at two semaphores, whose operations also order the shared memory.
-    The worker starts on a CPU other than its parent's, ignores SIGINT,
-    collects no garbage cycles and leaves only through ``os._exit``: on EOF
-    of its command pipe, or when its parent changes.
+    A copy of x and the bands' parts of the cost live in anonymous shared
+    memory made before the fork. Each step's target goes down a command
+    pipe, and the worker reports on a result pipe when it has left the step.
+    The processes meet at two semaphores, whose operations also order the
+    shared memory. The worker starts on a CPU other than its parent's,
+    ignores SIGINT, collects no garbage cycles and leaves only through
+    ``os._exit``: on EOF of its command pipe, or when its parent changes.
     """
 
     def __init__(self, model: ObservationModel, blas):
@@ -111,9 +111,8 @@ class BandWorker:
         h, w = model.shape
         width = model._counts.size + 1  # a band's element means, then its ||S x||^2
         buffer = mmap.mmap(-1, 8 * (h * w + 2 * width))
-        self.x = np.frombuffer(buffer, count=h * w).reshape(h, w)
+        self._x = np.frombuffer(buffer, count=h * w).reshape(h, w)
         parts = np.frombuffer(buffer, offset=8 * h * w).reshape(2, width)
-        self._model = model
         self._posts, self._waits = ctx.Semaphore(0), ctx.Semaphore(0)
         commands, self._commands = ctx.Pipe(duplex=False)
         self._results, results = ctx.Pipe(duplex=False)
@@ -150,7 +149,6 @@ class BandWorker:
                 os._exit(status)
         commands.close()
         results.close()
-        model._worker = self
 
     def _serve(self, meet, commands, results, parent: int) -> None:
         """The worker's loop: a step per command, until EOF or a new parent."""
@@ -163,25 +161,28 @@ class BandWorker:
             except EOFError:
                 return
             try:
-                srr._correct([self._bottom], self.x, y_means, y_rest, cfg, meet)
+                srr._correct([self._bottom], self._x, y_means, y_rest, cfg, meet)
                 report = None
             except Exception as exc:
                 report = f"{type(exc).__name__}: {exc}"
             results.send(report)
 
-    def correct(self, y_means: np.ndarray, y_rest: float, cfg: srr.SrrConfig) -> list[float]:
-        """One step's corrections of the shared x, the top band here and the
-        bottom one in the worker; returns the costs. Any exception closes
-        the worker, so the parent takes both bands of later steps."""
+    def correct(self, x: np.ndarray, y_means: np.ndarray, y_rest: float,
+                cfg: srr.SrrConfig) -> list[float]:
+        """One step's corrections of x in place, the top band here and the
+        bottom one in the worker, on a copy of x in the shared memory;
+        returns the costs. Any exception closes the worker."""
+        self._x[...] = x
         try:
             self._commands.send((y_means, y_rest, cfg))
-            costs = srr._correct([self._top], self.x, y_means, y_rest, cfg, self._meet)
+            costs = srr._correct([self._top], self._x, y_means, y_rest, cfg, self._meet)
             report = self._report()
             if report is not None:
                 raise RuntimeError(f"the band worker failed: {report}")
         except BaseException:
             self.close()
             raise
+        x[...] = self._x
         return costs
 
     def _meet(self) -> None:
@@ -201,8 +202,7 @@ class BandWorker:
             return "it exited"
 
     def close(self) -> None:
-        """Kill and reap the worker, once, and detach it from the model."""
-        self._model._worker = None
+        """Kill and reap the worker, once, as its run does before it ends."""
         pid, self._pid = self._pid, None
         if pid is not None:
             os.kill(pid, signal.SIGKILL)

@@ -47,8 +47,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     frame t's files when the config's ``output_dir`` is set. So a frame is
     rendered and lifted once, and a run holds per frame only its observation
     and outputs, plus the previous lifted observation for registration. On a
-    large grid the SRR steps of the run share a forked worker process (see
-    ``srr``), which is killed and reaped before the run returns or raises.
+    large grid the run forks one worker (see ``srr``), hands it to each SRR
+    step and kills and reaps it before it returns or raises.
     Mesh elements that hold no pixel center are reported by one warning, when
     frame 0 is degraded.
 
@@ -121,7 +121,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 y_prev = y
                 lap("flow")
                 state = srr.srr_step(states[-1] if states else srr.srr_init(y, model),
-                                     y, flow, srr_cfg, model)
+                                     y, flow, srr_cfg, model, worker)
                 states.append(state)
                 lap("srr")
                 lr_scores.append(_score("LR", x_hr, y))

@@ -234,11 +234,9 @@ class ObservationModel:
     the assignment's ``means`` and ``lift`` apply P. Built once per
     (assignment, kernel, alpha); the solver also reads its
     ``kernel``, grid ``shape`` and float ``inside`` mask (1 on assigned
-    pixels, else 0). Its ``bands`` compute the cost and the gradient.
-    ``_worker`` holds a run's process for the bottom band (see ``srr``).
+    pixels, else 0). Its ``bands`` compute the cost and the gradient; a run
+    hands the bottom one to the worker it passes to each ``srr_step``.
     """
-
-    _worker = None
 
     def __init__(self, assignment: PixelAssignment, kernel: Kernel, alpha: float):
         h, w = assignment.height, assignment.width

@@ -21,9 +21,9 @@ with zero flow.
 The grid rows alone fix the row bands of a correction
 (``ObservationModel.bands``): two from ``operators._TWO_BAND_ROWS`` rows,
 else one. A run that can fork, may use two CPUs and runs no other thread
-hands the bottom band to a forked ``_bandworker.BandWorker``. Otherwise
-``srr_step`` takes the bands in sequence, so outside a run it takes two
-from ``_TWO_BAND_ROWS`` rows up. The worker changes speed, not bits.
+forks one ``_bandworker.BandWorker`` (``_band_worker``) and hands it to
+each ``srr_step``, which then gives it the bottom band. A step given no
+worker takes the bands in sequence. The worker changes speed, not bits.
 """
 from __future__ import annotations
 
@@ -80,27 +80,25 @@ def srr_init(y_up0: GridImage, model: ObservationModel) -> SrrState:
 
 
 def srr_step(state: SrrState, y_up_t: GridImage, flow_t: FlowField,
-             cfg: SrrConfig, model: ObservationModel) -> SrrState:
+             cfg: SrrConfig, model: ObservationModel, worker=None) -> SrrState:
     """Process one frame: predict by warping, then K correction iterations.
 
     ``flow_t`` must register the previous frame onto the current one, i.e.
-    ``warp_image(x_hat, flow_t)`` tracks frame t. Raises DivergenceError,
-    naming the iteration, when a cost is non-finite or exceeds 10x its
-    initial value.
+    ``warp_image(x_hat, flow_t)`` tracks frame t; ``worker``, from
+    ``_band_worker(model)``, takes the bottom band, bits unchanged. Raises
+    DivergenceError, naming the iteration, when a cost is non-finite or
+    exceeds 10x its initial value.
     """
     if y_up_t.data.shape != model.shape:
         h, w = model.shape
         raise MeshError(f"observation {y_up_t.width}x{y_up_t.height} does not "
                         f"match the model grid {w}x{h}")
-    worker = model._worker
-    x = np.multiply(warp_image(state.x_hat, flow_t).data, model.inside,
-                    out=None if worker is None else worker.x)
+    x = warp_image(state.x_hat, flow_t).data * model.inside
     y_means, y_rest = model.reduce(y_up_t.data)
     if worker is None:
         costs = _correct(model.bands(), x, y_means, y_rest, cfg)
     else:
-        costs = worker.correct(y_means, y_rest, cfg)
-        x = x.copy()
+        costs = worker.correct(x, y_means, y_rest, cfg)
     x.flags.writeable = False
     return SrrState(x_hat=GridImage(x), costs=tuple(costs))
 
@@ -141,11 +139,11 @@ def _correct(bands, x: np.ndarray, y_means: np.ndarray, y_rest: float,
 
 
 def _band_worker(model: ObservationModel):
-    """The ``_bandworker.BandWorker`` that takes the bottom of two row bands
-    of a run's corrections on ``model``, when ``os.fork`` exists, the process
-    may run on two CPUs or more and runs no other thread, and
-    ``_bandworker.start`` finds an OpenBLAS it can hold to one thread and
-    can fork; else None, and ``srr_step`` takes both bands."""
+    """The ``_bandworker.BandWorker`` that a run hands to each ``srr_step``
+    on ``model`` to take the bottom of two row bands, when ``os.fork``
+    exists, the process may run on two CPUs or more and runs no other
+    thread, and ``_bandworker.start`` finds an OpenBLAS it can hold to one
+    thread and can fork; else None, and each step takes both bands."""
     affinity = getattr(os, "sched_getaffinity", None)
     if (len(model.bands()) < 2 or not hasattr(os, "fork")
             or affinity is None or len(affinity(0)) < 2

@@ -19,9 +19,10 @@ import meshsrr.srr as srr
 from meshsrr.config import preset
 from meshsrr.errors import DivergenceError
 from meshsrr.experiment import run_experiment
+from meshsrr.flow import FlowField
 from meshsrr.mesh import build_pixel_assignment
 from meshsrr.operators import ObservationModel, _RowBand
-from meshsrr.phantoms import disc_mesh
+from meshsrr.phantoms import disc_mesh, render_scene
 
 SRC = Path(srr.__file__).resolve().parents[1]
 
@@ -292,7 +293,6 @@ def test_worker_exits_on_eof_of_its_commands(monkeypatch):
     worker = _bandworker.BandWorker(model, _bandworker.openblas_threads())
     pid = worker._pid
     try:
-        assert model._worker is worker
         worker._commands.close()
         deadline = time.monotonic() + 10.0
         while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
@@ -301,7 +301,54 @@ def test_worker_exits_on_eof_of_its_commands(monkeypatch):
         worker._pid = None
     finally:
         worker.close()
-    assert model._worker is None
+
+
+def step_inputs(monkeypatch):
+    """Two bands on grid 64: a model, its first frame, zero flow and the
+    step's settings."""
+    monkeypatch.setattr(operators, "_TWO_BAND_ROWS", 1)
+    cfg = small_cfg()
+    return (model_on(64), render_scene(cfg.scene, 0, 64, 64), FlowField.zeros(64, 64),
+            cfg.srr_config())
+
+
+def test_a_step_not_handed_the_worker_does_not_use_it(monkeypatch):
+    """A worker open on a model takes no band of a step that was not given
+    it, and the step has the costs of the same step on a fresh model."""
+    model, y, flow, cfg = step_inputs(monkeypatch)
+    calls, original = [], _bandworker.BandWorker.correct
+
+    def correct(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(_bandworker.BandWorker, "correct", correct)
+    worker = _bandworker.BandWorker(model, _bandworker.openblas_threads())
+    try:
+        step = srr.srr_step(srr.srr_init(y, model), y, flow, cfg, model)
+    finally:
+        worker.close()
+    assert calls == []
+    fresh = model_on(64)
+    assert step.costs == srr.srr_step(srr.srr_init(y, fresh), y, flow, cfg, fresh).costs
+
+
+def test_a_step_handed_the_worker_keeps_the_bits_and_its_state(monkeypatch):
+    """A step given the worker returns the bits of the step without it, in
+    an array that the worker's later steps leave alone."""
+    model, y, flow, cfg = step_inputs(monkeypatch)
+    worker = _bandworker.BandWorker(model, _bandworker.openblas_threads())
+    try:
+        first = srr.srr_step(srr.srr_init(y, model), y, flow, cfg, model, worker)
+        kept = first.x_hat.data.copy()
+        second = srr.srr_step(first, y, flow, cfg, model, worker)
+    finally:
+        worker.close()
+    alone = srr.srr_step(srr.srr_init(y, model), y, flow, cfg, model)
+    assert first.costs == alone.costs
+    assert np.array_equal(first.x_hat.data, alone.x_hat.data)
+    assert np.array_equal(first.x_hat.data, kept)
+    assert second.costs == srr.srr_step(alone, y, flow, cfg, model).costs
 
 
 def run_python(code: str, timeout: float = 60.0) -> subprocess.CompletedProcess:
