@@ -14,7 +14,9 @@ import warnings
 import numpy as np
 
 from . import srr
-from .operators import ObservationModel
+from .flow import FlowField
+from .grid import GridImage
+from .operators import ObservationModel, warp_image
 
 # Non-blocking polls of a meeting of the bands before it blocks, every 64th
 # followed by a yield: bands that share one CPU then still progress, and
@@ -97,13 +99,14 @@ class BandWorker:
     each ``srr.srr_step`` on ``model`` that a run hands it to, bit for bit
     as the step takes both bands without it. It holds no model.
 
-    A copy of x and the bands' parts of the cost live in anonymous shared
-    memory made before the fork. Each step's target goes down a command
-    pipe, and the worker reports on a result pipe when it has left the step.
-    The processes meet at two semaphores, whose operations also order the
-    shared memory. The worker starts on a CPU other than its parent's,
-    ignores SIGINT, collects no garbage cycles and leaves only through
-    ``os._exit``: on EOF of its command pipe, or when its parent changes.
+    The one x of a step's correction and the bands' parts of the cost live
+    in anonymous shared memory made before the fork. Each step's target goes
+    down a command pipe, and the worker reports on a result pipe when it has
+    left the step. The processes meet at two semaphores, whose operations
+    also order the shared memory. The worker starts on a CPU other than its
+    parent's, ignores SIGINT, collects no garbage cycles and leaves only
+    through ``os._exit``: on EOF of its command pipe, or when its parent
+    changes.
     """
 
     def __init__(self, model: ObservationModel, blas):
@@ -127,6 +130,7 @@ class BandWorker:
             _await(self._posts, check)
 
         self._top, self._bottom = model.bands(parts)
+        self._inside = model.inside
         self._threads = [(put, get()) for get, put in blas]
         with warnings.catch_warnings():
             # Python 3.12 warns of a fork beside OpenBLAS's pool threads; the
@@ -167,12 +171,13 @@ class BandWorker:
                 report = f"{type(exc).__name__}: {exc}"
             results.send(report)
 
-    def correct(self, x: np.ndarray, y_means: np.ndarray, y_rest: float,
-                cfg: srr.SrrConfig) -> list[float]:
-        """One step's corrections of x in place, the top band here and the
-        bottom one in the worker, on a copy of x in the shared memory;
-        returns the costs. Any exception closes the worker."""
-        self._x[...] = x
+    def correct(self, x_hat: GridImage, flow_t: FlowField, y_means: np.ndarray,
+                y_rest: float, cfg: srr.SrrConfig) -> tuple[np.ndarray, list[float]]:
+        """One step's prediction, the masked warp of ``x_hat``, written into
+        the shared memory, and its corrections there, the top band here and
+        the bottom one in the worker; returns a copy of the corrected x and
+        the costs. Any exception of the corrections closes the worker."""
+        np.multiply(warp_image(x_hat, flow_t).data, self._inside, out=self._x)
         try:
             self._commands.send((y_means, y_rest, cfg))
             costs = srr._correct([self._top], self._x, y_means, y_rest, cfg, self._meet)
@@ -182,8 +187,7 @@ class BandWorker:
         except BaseException:
             self.close()
             raise
-        x[...] = self._x
-        return costs
+        return self._x.copy(), costs
 
     def _meet(self) -> None:
         self._posts.release()

@@ -105,23 +105,20 @@ class PixelAssignment:
     """Precomputed pixel-to-element map for one (mesh, grid) pair, and the
     mesh-averaging projection P = ``lift(means(x))`` on it.
 
-    ``pixel_to_element[j, i]`` holds the element index circumscribing pixel
-    (i, j), or OUTSIDE, and ``element_counts[e]`` the number of member pixels
-    of element e; element values carry an extra last bin for OUTSIDE pixels.
-    Element sums are ``bincount`` reductions over the pixels in row-major
-    order, which fixes the reduction order of every average. Instances are
-    immutable and safe to share across threads.
+    It holds one int64 bin per pixel: its element, else ``n_elements``, the
+    extra last bin of element values. ``pixel_to_element[j, i]`` (built on
+    access) is the element of pixel (i, j) or OUTSIDE, ``element_counts[e]``
+    the number of member pixels of element e. Element sums are ``bincount``
+    reductions over the pixels in row-major order, which fixes the reduction
+    order of every average. Instances are immutable and thread-safe.
     """
 
-    def __init__(self, mesh: FemMesh, pixel_to_element: np.ndarray):
-        """Takes ownership of the int64 ``pixel_to_element`` and freezes it."""
+    def __init__(self, mesh: FemMesh, bins: np.ndarray):
+        """Takes ownership of the (height, width) int64 ``bins``, left
+        writeable: ``np.bincount`` copies a read-only array."""
         self.mesh = mesh
-        pixel_to_element.flags.writeable = False
-        self.pixel_to_element = pixel_to_element
-        self.height, self.width = pixel_to_element.shape
-        self._inside = pixel_to_element >= 0
-        self._inside.flags.writeable = False
-        self._bins = np.where(self._inside, pixel_to_element, mesh.n_elements).ravel()
+        self.height, self.width = bins.shape
+        self._bins = bins.ravel()
         counts = np.bincount(self._bins, minlength=mesh.n_elements + 1)
         counts[-1] = 0
         counts.flags.writeable = False
@@ -130,9 +127,16 @@ class PixelAssignment:
         self._divisors = np.maximum(counts, 1.0)
         self._empty = np.flatnonzero(counts == 0)
 
+    @property
+    def pixel_to_element(self) -> np.ndarray:
+        """The (height, width) element of each pixel, OUTSIDE for none; read-only."""
+        out = np.where(self.inside_mask(), self._bins.reshape(self.height, self.width), OUTSIDE)
+        out.flags.writeable = False
+        return out
+
     def inside_mask(self) -> np.ndarray:
         """Boolean (height, width) mask of pixels assigned to some element."""
-        return self._inside
+        return (self._bins < self.mesh.n_elements).reshape(self.height, self.width)
 
     def means(self, values: np.ndarray, rows: slice | None = None) -> np.ndarray:
         """Element means of a (height, width) array, then 0 for the outside
@@ -140,16 +144,20 @@ class PixelAssignment:
         with a start and a stop, ``values`` holds only those rows of the grid
         and each element's sum over them is divided by its whole pixel count,
         so the means of disjoint row bands add up to the means of the grid."""
-        bins = self._bins if rows is None else self._bins[rows.start * self.width:
-                                                          rows.stop * self.width]
-        means = np.bincount(bins, values.ravel(), self._divisors.size)
+        means = np.bincount(self._row_bins(rows), values.ravel(), self._divisors.size)
         means /= self._divisors
         means[self._empty] = 0.0
         return means
 
-    def lift(self, values: np.ndarray) -> np.ndarray:
-        """Element values (outside bin last) on their (height, width) pixels."""
-        return values[self._bins].reshape(self.height, self.width)
+    def lift(self, values: np.ndarray, rows: slice | None = None) -> np.ndarray:
+        """Element values (outside bin last) on their (height, width) pixels,
+        or on rows ``rows`` only, a slice with a start and a stop."""
+        return values[self._row_bins(rows)].reshape(-1, self.width)
+
+    def _row_bins(self, rows: slice | None) -> np.ndarray:
+        """The bins of rows ``rows``, all rows when None."""
+        return self._bins if rows is None else self._bins[rows.start * self.width:
+                                                          rows.stop * self.width]
 
 
 # Candidate centers per pass of ``build_pixel_assignment``: the bounding boxes
@@ -221,8 +229,7 @@ def build_pixel_assignment(mesh: FemMesh, width: int, height: int) -> PixelAssig
             j, i = divmod(int(pixel[overlap[0]]), width)
             raise MeshError(f"element {el[overlap[0]]} overlaps an earlier element: the pixel "
                             f"center ({xs[i]:.6g}, {ys[j]:.6g}) lies inside both")
-    del strict  # freed before the assignment builds its bins
-    closed[closed == n] = OUTSIDE
+    del strict  # freed before the assignment counts its bins
     return PixelAssignment(mesh, closed.reshape(height, width))
 
 

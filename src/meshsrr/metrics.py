@@ -83,7 +83,7 @@ def _edge(mask: BinaryMask) -> np.ndarray:
     return b & ~interior
 
 
-# Table entries per block of queries: each of its two buffers is 0.1 MB.
+# Table entries per block of queries or of columns: each buffer is 0.1 MB.
 _QUERY_BLOCK = 12_500
 
 
@@ -98,7 +98,8 @@ def _nearest_d2(query: np.ndarray, target: np.ndarray) -> np.ndarray:
     (``inf`` in a column without target pixels), and a query pixel (r, c)
     takes the least ``dx * dx + g[r, j]`` over all columns. Pixel centers are
     monotone, and so is rounding, so this equals the all-pairs minimum of
-    ``dx * dx + dy * dy`` bit for bit.
+    ``dx * dx + dy * dy`` bit for bit. The pass from below takes column
+    blocks, each merged into ``g`` by an elementwise minimum.
     """
     h, w = target.shape
     xs = pixel_centers(w)
@@ -110,20 +111,26 @@ def _nearest_d2(query: np.ndarray, target: np.ndarray) -> np.ndarray:
     np.maximum.accumulate(g, axis=0, out=g)
     np.subtract(ys, g, out=g)
     g *= g
-    below = np.where(target, ys, np.inf)[::-1]
-    np.minimum.accumulate(below, axis=0, out=below)
-    below = below[::-1]
-    np.subtract(below, ys, out=below)
-    below *= below
-    np.minimum(g, below, out=g)
-    del below  # free the scratch before the query buffers
+    step = max(1, _QUERY_BLOCK // h)
+    for c in range(0, w, step):
+        cols = slice(c, c + step)
+        below = np.where(target[:, cols], ys, np.inf)
+        np.minimum.accumulate(below[::-1], axis=0, out=below[::-1])
+        np.subtract(below, ys, out=below)
+        below *= below
+        np.minimum(below, g[:, cols], out=below)  # numpy buffers a strided out
+        g[:, cols] = below
+        del below  # freed before the next block and the query buffers
     qr, qc = np.nonzero(query)
     out = np.empty(qr.size)
     step = max(1, _QUERY_BLOCK // w)
     work = np.empty((2, min(step, qr.size), w))
     for s in range(0, qr.size, step):
         r, c = qr[s:s + step], qc[s:s + step]
-        d2 = np.subtract.outer(xs[c], xs, out=work[0, :r.size])
+        # xs - xs[c] is -dx exactly; numpy buffers each operand it broadcasts.
+        d2 = work[0, :r.size]
+        d2[...] = xs
+        d2 -= xs[c, None]
         d2 *= d2
         # In range by construction; mode "raise" would gather into a copy.
         d2 += np.take(g, r, axis=0, out=work[1, :r.size], mode="clip")

@@ -53,17 +53,19 @@ class Kernel:
     def size(self) -> int:
         return self.taps.size
 
-    def apply(self, data: np.ndarray, rows: slice | None = None) -> np.ndarray:
+    def apply(self, data: np.ndarray, rows: slice | None = None, first: int = 0) -> np.ndarray:
         """The reflecting-boundary blur ``A_h x A_w'`` of every image in the
         last two axes of ``data``: a row pass, then a column pass. With
         ``rows``, a slice with a start and a stop, only those output rows,
-        which read ``data`` within ``size // 2`` rows of them."""
-        row_blocks, col_blocks = self._bands(*data.shape[-2:], rows)
+        which read the grid within ``size // 2`` rows of them: ``data`` may
+        hold just those, from grid row ``first``, for the same bits."""
+        row_blocks, col_blocks = self._bands(first + data.shape[-2], data.shape[-1], rows)
         shape = data.shape if rows is None else (*data.shape[:-2], rows.stop - rows.start,
                                                  data.shape[-1])
         rowpass, out = np.empty(shape), np.empty(shape)
         for dst, src, block in row_blocks:
-            np.matmul(block, data[..., src, :], out=rowpass[..., dst, :])
+            np.matmul(block, data[..., src.start - first:src.stop - first, :],
+                      out=rowpass[..., dst, :])
         for dst, src, block in col_blocks:
             np.matmul(rowpass[..., src], block.T, out=out[..., dst])
         return out
@@ -72,12 +74,13 @@ class Kernel:
                rows: slice | None = None) -> tuple[list, list]:
         """The ``_band_blocks`` of the row pass over ``rows`` (all rows when
         None) and of the column pass on a (height, width) grid, each built on
-        first use and kept."""
+        first use and kept. Rows read no grid row more than ``size // 2``
+        past them, so their blocks are those of a grid cut there."""
         if self.size > 2 * min(width, height) - 1:
             raise ValueError(f"kernel size {self.size} exceeds limit {2 * min(width, height) - 1} "
                              f"for a {width}x{height} image")
         start, stop = (0, height) if rows is None else (rows.start, rows.stop)
-        keys = (height, start, stop), (width, 0, width)
+        keys = (min(height, stop + self.size // 2), start, stop), (width, 0, width)
         for key in keys:
             if key not in self._band_lists:
                 self._band_lists[key] = _band_blocks(self.taps, *key)
@@ -249,10 +252,14 @@ class ObservationModel:
         self._counts = np.append(assignment.element_counts, 0.0)  # the outside bin weighs 0
 
     def reduce(self, y: np.ndarray) -> tuple[np.ndarray, float]:
-        """Element means of y and ``||y - P y||^2``: the per-frame part of a cost."""
+        """Element means of y and ``||y - P y||^2``: the per-frame part of a
+        cost. ``y - P y`` is masked and squared in the array of ``P y``."""
         means = self._assignment.means(y)
-        rest = (y - self._assignment.lift(means)) * self.inside
-        return means, float((rest * rest).sum())
+        rest = self._assignment.lift(means)
+        np.subtract(y, rest, out=rest)
+        rest *= self.inside
+        rest *= rest
+        return means, float(rest.sum())
 
     def bands(self, parts: np.ndarray | None = None) -> list[_RowBand]:
         """The row bands of a correction, which the grid rows h alone fix:
@@ -291,7 +298,8 @@ class _RowBand:
     over its rows, with S x taken from a two-row halo of x and kept. ``cost``
     adds the parts in band order, with numpy's own sums, which no BLAS
     thread count changes. ``gradient`` gives the band's rows of
-    ``B' P (P B x - y) + alpha S' S x`` from the ``lift`` of its residual.
+    ``B' P (P B x - y) + alpha S' S x`` from the ``lift`` of its residual
+    over its ``window``, the grid rows within ``kernel.size // 2`` of it.
     """
 
     def __init__(self, model: ObservationModel, rows: slice, parts: np.ndarray, index: int):
@@ -300,6 +308,8 @@ class _RowBand:
         self.inside, self.lift = model.inside[rows], model._assignment.lift
         self._assignment, self._counts = model._assignment, model._counts
         self._parts, self._part = parts, parts[index]
+        p = self.kernel.size // 2
+        self.window = slice(max(start - p, 0), min(stop + p, h))
         lo, top = max(start - 2, 0), max(start - 1, 0)
         self._halo = slice(lo, min(stop + 2, h))
         self._kept = slice(top - lo, min(stop + 1, h) - lo)
@@ -321,9 +331,9 @@ class _RowBand:
                 + self.alpha * float(total[-1]))
         return cost, residual
 
-    def gradient(self, lifted: np.ndarray) -> np.ndarray:
-        """The band's rows of the half gradient at the x of the last
-        ``write``, from ``lift(r)``, which is ``P B x - P y``."""
-        grad = self.kernel.apply(lifted, self.rows)
+    def gradient(self, lifted: np.ndarray, first: int = 0) -> np.ndarray:
+        """The band's rows of the half gradient at the x of the last ``write``,
+        from ``lift(r)`` (``P B x - P y``) on the grid rows from ``first`` on."""
+        grad = self.kernel.apply(lifted, self.rows, first)
         grad += self.alpha * _laplacian(self._smooth)[self._own]
         return grad

@@ -85,20 +85,20 @@ def srr_step(state: SrrState, y_up_t: GridImage, flow_t: FlowField,
 
     ``flow_t`` must register the previous frame onto the current one, i.e.
     ``warp_image(x_hat, flow_t)`` tracks frame t; ``worker``, from
-    ``_band_worker(model)``, takes the bottom band, bits unchanged. Raises
-    DivergenceError, naming the iteration, when a cost is non-finite or
-    exceeds 10x its initial value.
+    ``_band_worker(model)``, predicts and takes the bottom band in its shared
+    memory, bits unchanged. Raises DivergenceError, naming the iteration,
+    when a cost is non-finite or exceeds 10x its initial value.
     """
     if y_up_t.data.shape != model.shape:
         h, w = model.shape
         raise MeshError(f"observation {y_up_t.width}x{y_up_t.height} does not "
                         f"match the model grid {w}x{h}")
-    x = warp_image(state.x_hat, flow_t).data * model.inside
     y_means, y_rest = model.reduce(y_up_t.data)
     if worker is None:
+        x = warp_image(state.x_hat, flow_t).data * model.inside
         costs = _correct(model.bands(), x, y_means, y_rest, cfg)
     else:
-        costs = worker.correct(x, y_means, y_rest, cfg)
+        x, costs = worker.correct(state.x_hat, flow_t, y_means, y_rest, cfg)
     x.flags.writeable = False
     return SrrState(x_hat=GridImage(x), costs=tuple(costs))
 
@@ -107,10 +107,12 @@ def _correct(bands, x: np.ndarray, y_means: np.ndarray, y_rest: float,
              cfg: SrrConfig, meet=None) -> list[float]:
     """The K correction iterations of the rows of x that ``bands`` cover, in
     place; returns the costs. Each writes its part, one cost is assembled
-    from all parts, and each updates its rows. ``meet``, given when a worker
+    from all parts, the residual is lifted once over the union of the bands'
+    ``window``s, and each updates its rows. ``meet``, given when a worker
     takes the other band, returns once both processes have reached it; the
     bits are those of one process taking the grid's bands in sequence."""
     costs: list[float] = []
+    window = slice(bands[0].window.start, bands[-1].window.stop)
     for it in range(cfg.k_iters + 1):
         for band in bands:
             band.write(x)
@@ -126,9 +128,9 @@ def _correct(bands, x: np.ndarray, y_means: np.ndarray, y_rest: float,
             raise DivergenceError(
                 f"cost grew beyond {_DIVERGENCE_FACTOR}x its initial value at "
                 f"iteration {it} ({cost:.3e} vs {costs[0]:.3e}); reduce the step size")
-        lifted = bands[0].lift(residual)
+        lifted = bands[0].lift(residual, window)
         for band in bands:
-            step = band.gradient(lifted)
+            step = band.gradient(lifted, window.start)
             step *= cfg.mu
             own = x[band.rows]
             own -= step

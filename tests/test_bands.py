@@ -24,6 +24,8 @@ from meshsrr.mesh import build_pixel_assignment
 from meshsrr.operators import ObservationModel, _RowBand
 from meshsrr.phantoms import disc_mesh, render_scene
 
+from oracles import traced_peak
+
 SRC = Path(srr.__file__).resolve().parents[1]
 
 pytestmark = pytest.mark.skipif(
@@ -73,10 +75,10 @@ def fail_gradient(monkeypatch, in_worker: bool, fail):
     process."""
     parent, original = os.getpid(), _RowBand.gradient
 
-    def gradient(self, lifted):
+    def gradient(self, *args):
         if (os.getpid() != parent) == in_worker:
             fail()
-        return original(self, lifted)
+        return original(self, *args)
 
     monkeypatch.setattr(_RowBand, "gradient", gradient)
 
@@ -349,6 +351,24 @@ def test_a_step_handed_the_worker_keeps_the_bits_and_its_state(monkeypatch):
     assert np.array_equal(first.x_hat.data, alone.x_hat.data)
     assert np.array_equal(first.x_hat.data, kept)
     assert second.costs == srr.srr_step(alone, y, flow, cfg, model).costs
+
+
+def test_a_step_handed_the_worker_holds_one_estimate():
+    """At grid 200 (two bands) a step given the worker predicts into the
+    worker's shared memory and holds no private estimate through the
+    correction: its traced peak stays under 4 grids (4.55 when it corrected
+    a private copy)."""
+    model = model_on(200)
+    cfg = replace(small_cfg(), grid=200)
+    y = render_scene(cfg.scene, 0, 200, 200)
+    flow, srr_cfg = FlowField.zeros(200, 200), cfg.srr_config()
+    worker = _bandworker.BandWorker(model, _bandworker.openblas_threads())
+    try:
+        state = srr.srr_step(srr.srr_init(y, model), y, flow, srr_cfg, model, worker)
+        _, peak = traced_peak(lambda: srr.srr_step(state, y, flow, srr_cfg, model, worker))
+    finally:
+        worker.close()
+    assert peak <= 4.0 * 200 * 200 * 8
 
 
 def run_python(code: str, timeout: float = 60.0) -> subprocess.CompletedProcess:

@@ -220,7 +220,7 @@ class TestStep:
         model = ObservationModel(asg, kernel, 0.1)
         y = GridImage(np.random.default_rng(21).standard_normal((8, 8)))
 
-        def broken(self, lifted):
+        def broken(self, *args):
             raise ValueError("not a divergence")
 
         monkeypatch.setattr(_RowBand, "gradient", broken)
