@@ -1,6 +1,7 @@
-"""A forked worker for the bottom of a run's two SRR row bands, which the
-run hands to each ``srr.srr_step``, and how the two processes meet: it
-changes a run's speed, not its bits. Imported only by a run that may fork."""
+"""A forked worker for the bottom of a run's two SRR row bands, which
+``srr._band_worker`` forks and the run hands to each ``srr.srr_step``, and
+how the two processes meet: it changes a run's speed, not its bits.
+Imported only by a run that may fork."""
 from __future__ import annotations
 
 import ctypes
@@ -24,18 +25,6 @@ from .operators import ObservationModel, warp_image
 # of ``_WAIT_S`` seconds, between which the other process is checked.
 _POLLS = 100_000
 _WAIT_S = 0.05
-
-
-def start(model: ObservationModel) -> BandWorker | None:
-    """Fork the worker of the bottom row band of ``model``; None when no
-    OpenBLAS thread count can be set or the fork fails."""
-    blas = openblas_threads()
-    if not blas:
-        return None
-    try:
-        return BandWorker(model, blas)
-    except OSError:  # no process could be forked: the parent takes both bands
-        return None
 
 
 def openblas_threads() -> list:

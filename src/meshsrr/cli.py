@@ -24,7 +24,7 @@ from .fileio import (read_fem_image, read_grid_image, read_mesh, write_flow,
                      write_pgm16, write_values)
 from .flow import FlowParams, horn_schunck
 from .mesh import build_pixel_assignment, downsample, upsample
-from .metrics import evaluate_sequence
+from .metrics import THRESHOLD_FRACTION, evaluate_sequence
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     met = sub.add_parser("metrics", help="compare two image sets")
     met.add_argument("--reference", required=True, help="directory of reference .pgm images")
     met.add_argument("--candidate", required=True, help="directory of candidate .pgm images")
-    met.add_argument("--fraction", type=float, default=0.25,
+    met.add_argument("--fraction", type=float, default=THRESHOLD_FRACTION,
                      help="binarization threshold as a fraction of each image maximum")
     met.add_argument("-o", "--output", help="write the CSV here instead of stdout")
 

@@ -31,7 +31,7 @@ from functools import cache
 
 import numpy as np
 
-from .grid import GridImage, read_only, require_same_shape
+from .grid import GridImage, read_only
 from .operators import gaussian_kernel, _bilinear_gather, _laplacian, _stencil_eigenvalues
 
 _MIN_TOP_SIZE = 8
@@ -324,7 +324,9 @@ def horn_schunck(prev: GridImage, nxt: GridImage, params: FlowParams,
     on which it is nearest 5 pixels are not solved, the flow being
     resampled up to them. At 0 every level is solved.
     """
-    require_same_shape(prev, nxt, "flow input images")
+    if prev.data.shape != nxt.data.shape:
+        raise ValueError(f"flow input images have mismatched shapes "
+                         f"{prev.data.shape} vs {nxt.data.shape}")
     levels = _pyramid_levels(prev.width, prev.height, params, 2)
     u, v = _coarse_to_fine(prev.data, nxt.data, params, levels, blur_sigma)
     u.flags.writeable = v.flags.writeable = False

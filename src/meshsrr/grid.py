@@ -52,8 +52,3 @@ def pixel_centers(n: int) -> np.ndarray:
     """Centers of ``n`` equal pixels spanning [-1, 1], in index order; the
     one pixel-center rule of every grid in the package."""
     return -1.0 + (np.arange(n) + 0.5) * (2.0 / n)
-
-
-def require_same_shape(a: GridImage, b: GridImage, what: str = "images") -> None:
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"{what} have mismatched shapes {a.data.shape} vs {b.data.shape}")

@@ -106,11 +106,12 @@ class PixelAssignment:
     mesh-averaging projection P = ``lift(means(x))`` on it.
 
     It holds one int64 bin per pixel: its element, else ``n_elements``, the
-    extra last bin of element values. ``pixel_to_element[j, i]`` (built on
-    access) is the element of pixel (i, j) or OUTSIDE, ``element_counts[e]``
-    the number of member pixels of element e. Element sums are ``bincount``
-    reductions over the pixels in row-major order, which fixes the reduction
-    order of every average. Instances are immutable and thread-safe.
+    extra last bin of element values, so ``lift(np.append(np.arange(
+    n_elements), OUTSIDE))`` maps each pixel to its element or OUTSIDE.
+    ``element_counts[e]`` is the number of member pixels of element e.
+    Element sums are ``bincount`` reductions over the pixels in row-major
+    order, which fixes the reduction order of every average. Instances are
+    immutable and thread-safe.
     """
 
     def __init__(self, mesh: FemMesh, bins: np.ndarray):
@@ -126,13 +127,6 @@ class PixelAssignment:
         # Empty bins (the outside one too) divide by 1, then read 0 whatever their sum.
         self._divisors = np.maximum(counts, 1.0)
         self._empty = np.flatnonzero(counts == 0)
-
-    @property
-    def pixel_to_element(self) -> np.ndarray:
-        """The (height, width) element of each pixel, OUTSIDE for none; read-only."""
-        out = np.where(self.inside_mask(), self._bins.reshape(self.height, self.width), OUTSIDE)
-        out.flags.writeable = False
-        return out
 
     def inside_mask(self) -> np.ndarray:
         """Boolean (height, width) mask of pixels assigned to some element."""

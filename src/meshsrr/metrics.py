@@ -1,9 +1,11 @@
 """Shape-agreement metrics between binarized images.
 
-Images are thresholded at a fraction of their maximum, boundaries are
-extracted as inner 4-connectivity contours, and distances are reported in
-normalized domain units (pixel pitch 2 / width) so values are comparable
-across grid sizes.
+Images are thresholded at a fraction of their maximum, a quarter by default
+(the GREIT convention: Adler et al., Physiol. Meas. 30 (2009) S35), into
+boolean arrays. Boundaries are extracted as inner 4-connectivity contours,
+and distances are reported in normalized domain units (pixel pitch
+2 / width) so values are comparable across grid sizes. ``evaluate_pair``
+scores one frame and ``evaluate_sequence`` a sequence of them.
 """
 from __future__ import annotations
 
@@ -15,31 +17,12 @@ import numpy as np
 from .errors import EmptyBoundaryError
 from .grid import GridImage, pixel_centers
 
-
-@dataclass(frozen=True, eq=False)
-class BinaryMask:
-    """Boolean raster with the same geometry conventions as GridImage."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        bits = np.array(self.bits, dtype=bool, copy=True)
-        if bits.ndim != 2:
-            raise ValueError(f"mask must be 2-D, got shape {bits.shape}")
-        bits.flags.writeable = False
-        object.__setattr__(self, "bits", bits)
-
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
+# The binarization threshold, as a fraction of each image's maximum.
+THRESHOLD_FRACTION = 0.25
 
 
-def binarize(img: GridImage, fraction: float = 0.25) -> BinaryMask:
-    """Threshold at ``fraction * max(img)``.
+def binarize(img: GridImage, fraction: float = THRESHOLD_FRACTION) -> np.ndarray:
+    """The boolean (height, width) array of ``img >= fraction * max(img)``.
 
     A non-positive maximum yields an empty mask and a warning, since the
     threshold is undefined for such images.
@@ -50,33 +33,32 @@ def binarize(img: GridImage, fraction: float = 0.25) -> BinaryMask:
     if m <= 0.0:
         warnings.warn("image maximum is not positive; binarized mask is empty",
                       stacklevel=2)
-        return BinaryMask(np.zeros(img.data.shape, dtype=bool))
-    return BinaryMask(img.data >= fraction * m)
+        return np.zeros(img.data.shape, dtype=bool)
+    return img.data >= fraction * m
 
 
-def _check_same_grid(a: BinaryMask, b: BinaryMask) -> None:
-    if a.bits.shape != b.bits.shape:
-        raise ValueError(f"masks have mismatched shapes {a.bits.shape} vs {b.bits.shape}")
+def _check_same_grid(a: np.ndarray, b: np.ndarray) -> None:
+    if a.shape != b.shape:
+        raise ValueError(f"masks have mismatched shapes {a.shape} vs {b.shape}")
 
 
-def overlap(a: BinaryMask, b: BinaryMask) -> float:
+def overlap(a: np.ndarray, b: np.ndarray) -> float:
     """Volume overlap fraction |a and b| / |a or b|.
 
     Two empty masks compare as 1 (with a warning); if exactly one is empty
     the overlap is 0.
     """
     _check_same_grid(a, b)
-    union = int((a.bits | b.bits).sum())
+    union = int((a | b).sum())
     if union == 0:
         warnings.warn("both masks are empty; overlap defined as 1", stacklevel=2)
         return 1.0
-    return int((a.bits & b.bits).sum()) / union
+    return int((a & b).sum()) / union
 
 
-def _edge(mask: BinaryMask) -> np.ndarray:
-    """Boolean raster of the boundary pixels: set pixels with an unset
-    4-neighbor or on the image border."""
-    b = mask.bits
+def _edge(b: np.ndarray) -> np.ndarray:
+    """Boolean raster of the boundary pixels of the mask ``b``: set pixels
+    with an unset 4-neighbor or on the image border."""
     padded = np.pad(b, 1, mode="constant", constant_values=False)
     interior = (padded[:-2, 1:-1] & padded[2:, 1:-1]
                 & padded[1:-1, :-2] & padded[1:-1, 2:])
@@ -138,7 +120,7 @@ def _nearest_d2(query: np.ndarray, target: np.ndarray) -> np.ndarray:
     return out
 
 
-def _directed_d2(a: BinaryMask, b: BinaryMask) -> tuple[np.ndarray, np.ndarray]:
+def _directed_d2(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Squared nearest-point distances from the boundary of ``a`` to that of
     ``b`` and back, from one extraction of each boundary."""
     _check_same_grid(a, b)
@@ -147,25 +129,6 @@ def _directed_d2(a: BinaryMask, b: BinaryMask) -> tuple[np.ndarray, np.ndarray]:
     if not (ea.any() and eb.any()):
         raise EmptyBoundaryError("boundary distances are undefined for an empty mask boundary")
     return _nearest_d2(ea, eb), _nearest_d2(eb, ea)
-
-
-def _hausdorff(d_ab: np.ndarray, d_ba: np.ndarray) -> float:
-    return float(np.sqrt(max(d_ab.max(), d_ba.max())))
-
-
-def _masd(d_ab: np.ndarray, d_ba: np.ndarray) -> float:
-    return float(0.5 * (np.mean(np.sqrt(d_ab)) + np.mean(np.sqrt(d_ba))))
-
-
-def hausdorff(a: BinaryMask, b: BinaryMask) -> float:
-    """Symmetric Hausdorff distance between the two boundaries."""
-    return _hausdorff(*_directed_d2(a, b))
-
-
-def masd(a: BinaryMask, b: BinaryMask) -> float:
-    """Mean absolute surface distance: the symmetric average of per-point
-    minimal boundary distances."""
-    return _masd(*_directed_d2(a, b))
 
 
 @dataclass(frozen=True)
@@ -202,16 +165,22 @@ class MetricsReport:
 
 
 def evaluate_pair(truth: GridImage, estimate: GridImage,
-                  fraction: float = 0.25) -> FrameMetrics:
-    """Binarize both images at the same fraction and score the estimate."""
+                  fraction: float = THRESHOLD_FRACTION) -> FrameMetrics:
+    """Binarize both images at the same fraction and score the estimate: the
+    overlap, the symmetric Hausdorff distance between the two boundaries and
+    the mean absolute surface distance (MASD), the symmetric average of
+    per-point minimal boundary distances."""
     tm = binarize(truth, fraction)
     em = binarize(estimate, fraction)
     share = overlap(em, tm)
-    d2 = _directed_d2(em, tm)
-    return FrameMetrics(overlap=share, hausdorff=_hausdorff(*d2), masd=_masd(*d2))
+    d_ab, d_ba = _directed_d2(em, tm)
+    return FrameMetrics(overlap=share,
+                        hausdorff=float(np.sqrt(max(d_ab.max(), d_ba.max()))),
+                        masd=float(0.5 * (np.mean(np.sqrt(d_ab)) + np.mean(np.sqrt(d_ba)))))
 
 
-def evaluate_sequence(truths, estimates, fraction: float = 0.25) -> MetricsReport:
+def evaluate_sequence(truths, estimates,
+                      fraction: float = THRESHOLD_FRACTION) -> MetricsReport:
     """Score estimate t against truth t. Both are iterated once, one pair at
     a time; ValueError when one ends before the other. An error raised by a
     frame, or while reading it, gains the note "frame t"."""

@@ -117,18 +117,6 @@ def _blur_eigenvalues(k: Kernel, height: int, width: int) -> np.ndarray:
     return np.outer(rows, cols)
 
 
-def convolve_neumann(img: GridImage, k: Kernel) -> GridImage:
-    """2-D correlation with symmetric boundary extension.
-
-    The extension reflects about the array edge without skipping the border
-    sample (pad(-1) = pixel(0)), which preserves constants and, the profile
-    being mirror-symmetric, makes the operator self-adjoint.
-    """
-    out = k.apply(img.data)
-    out.flags.writeable = False
-    return GridImage(out)
-
-
 def _band_blocks(taps: np.ndarray, n: int, start: int = 0,
                  stop: int | None = None) -> list[tuple[slice, slice, np.ndarray]]:
     """Rows [start, stop) (all by default) of the n x n matrix of 1-D

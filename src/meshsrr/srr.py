@@ -36,7 +36,7 @@ import numpy as np
 from .errors import DivergenceError, MeshError
 from .flow import FlowField
 from .grid import GridImage
-from .operators import ObservationModel, convolve_neumann, warp_image
+from .operators import ObservationModel, warp_image
 
 _DIVERGENCE_FACTOR = 10.0
 
@@ -69,14 +69,16 @@ class SrrState:
 
 
 def srr_init(y_up0: GridImage, model: ObservationModel) -> SrrState:
-    """Start from a blur-matched smoothing of the first observation.
+    """Start from ``model.kernel.apply`` of the first observation.
 
     Applying the acquisition blur to the first upsampled observation keeps
     smooth inputs unchanged (constants are preserved) while suppressing
     observation noise that the fixed-step correction iterations would
     otherwise carry across many frames.
     """
-    return SrrState(x_hat=convolve_neumann(y_up0, model.kernel), costs=())
+    x = model.kernel.apply(y_up0.data)
+    x.flags.writeable = False
+    return SrrState(x_hat=GridImage(x), costs=())
 
 
 def srr_step(state: SrrState, y_up_t: GridImage, flow_t: FlowField,
@@ -143,13 +145,19 @@ def _correct(bands, x: np.ndarray, y_means: np.ndarray, y_rest: float,
 def _band_worker(model: ObservationModel):
     """The ``_bandworker.BandWorker`` that a run hands to each ``srr_step``
     on ``model`` to take the bottom of two row bands, when ``os.fork``
-    exists, the process may run on two CPUs or more and runs no other
-    thread, and ``_bandworker.start`` finds an OpenBLAS it can hold to one
-    thread and can fork; else None, and each step takes both bands."""
+    exists, the process may run on two CPUs or more, runs no other thread,
+    loads an OpenBLAS whose thread count can be held to one and can fork;
+    else None, and each step takes both bands."""
     affinity = getattr(os, "sched_getaffinity", None)
     if (len(model.bands()) < 2 or not hasattr(os, "fork")
             or affinity is None or len(affinity(0)) < 2
             or threading.active_count() > 1):  # a fork copies only this thread
         return None
     from . import _bandworker  # imported only by a run that may fork
-    return _bandworker.start(model)
+    blas = _bandworker.openblas_threads()
+    if not blas:
+        return None
+    try:
+        return _bandworker.BandWorker(model, blas)
+    except OSError:  # no process could be forked: the parent takes both bands
+        return None

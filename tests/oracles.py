@@ -3,10 +3,10 @@
 Everything here is written against the operator definitions directly (index
 loops, explicit reflection maps, dense matrices) and deliberately avoids the
 code paths of the package under test; the oracles read only its data (mesh
-nodes and elements, ``pixel_to_element``, flow components). The exceptions
-are test-only helpers built on the package: ``boundary`` (the boundary
-points of ``metrics._edge``), ``random_mask_pair`` (which returns
-``BinaryMask`` pairs), ``compose_flows`` (which samples through
+nodes and elements, ``pixel_map``, flow components). The exceptions
+are test-only helpers built on the package: ``pixel_map`` (each pixel's
+element, from the assignment's ``lift``), ``boundary`` (the boundary
+points of ``metrics._edge``), ``compose_flows`` (which samples through
 the warp's bilinear gather), ``band_terms`` (the SRR correction's cost and
 gradient as one row band over the whole grid), ``power_iteration_norm``
 (which applies the operator through it), ``dct_diagonal`` (the DCT-II form
@@ -115,7 +115,7 @@ def dense_projection_matrix(assignment) -> np.ndarray:
     h, w = assignment.height, assignment.width
     n = w * h
     mat = np.zeros((n, n))
-    pe = assignment.pixel_to_element.ravel()
+    pe = pixel_map(assignment).ravel()
     for row in range(n):
         e = pe[row]
         if e < 0:
@@ -123,6 +123,13 @@ def dense_projection_matrix(assignment) -> np.ndarray:
         members = np.flatnonzero(pe == e)
         mat[row, members] = 1.0 / len(members)
     return mat
+
+
+def pixel_map(assignment) -> np.ndarray:
+    """The (height, width) element of each pixel, ``mesh.OUTSIDE`` for none:
+    the element indices, then OUTSIDE for the outside bin, lifted."""
+    from meshsrr.mesh import OUTSIDE
+    return assignment.lift(np.append(np.arange(assignment.mesh.n_elements), OUTSIDE))
 
 
 def overlapping_points(mesh, samples: int = 4096, seed: int = 0,
@@ -166,15 +173,15 @@ def dense_warp_matrix(flow, width: int, height: int) -> np.ndarray:
     return mat
 
 
-def boundary(mask) -> np.ndarray:
-    """Boundary point set of a ``BinaryMask`` in normalized coordinates,
+def boundary(mask: np.ndarray) -> np.ndarray:
+    """Boundary point set of a boolean mask in normalized coordinates,
     shape (n, 2): the centers of the pixels of ``metrics._edge``, the set
     pixels with an unset 4-neighbor or on the image border."""
     from meshsrr.grid import pixel_centers
     from meshsrr.metrics import _edge
     js, iis = np.nonzero(_edge(mask))
-    return np.column_stack([pixel_centers(mask.width)[iis],
-                            pixel_centers(mask.height)[js]])
+    h, w = mask.shape
+    return np.column_stack([pixel_centers(w)[iis], pixel_centers(h)[js]])
 
 
 def directed_boundary_distances(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
@@ -205,15 +212,14 @@ def brute_force_masd(pa: np.ndarray, pb: np.ndarray) -> float:
 
 
 def random_mask_pair(rng: np.random.Generator, max_side: int = 32):
-    """Two random non-empty masks on a shared grid up to max_side."""
-    from meshsrr.metrics import BinaryMask
+    """Two random non-empty boolean masks on a shared grid up to max_side."""
     w = int(rng.integers(4, max_side + 1))
     h = int(rng.integers(4, max_side + 1))
     while True:
         a = rng.random((h, w)) < rng.uniform(0.05, 0.6)
         b = rng.random((h, w)) < rng.uniform(0.05, 0.6)
         if a.any() and b.any():
-            return BinaryMask(a), BinaryMask(b)
+            return a, b
 
 
 def compose_flows(f_ab, f_bc):
@@ -314,7 +320,7 @@ class PixelObservationModel:
         self._blur = _blur_eigenvalues(kernel, h, w)
         stencil = _stencil_eigenvalues(h, w)
         self._smooth = alpha * stencil * stencil
-        pe = assignment.pixel_to_element.ravel()
+        pe = pixel_map(assignment).ravel()
         self._pixels = np.flatnonzero(pe >= 0)
         self._elements = pe[self._pixels]
         counts = assignment.element_counts
@@ -346,9 +352,9 @@ def pixel_run_sequence(y_ups, flows, cfg, assignment, kernel, alpha: float):
     divergence guards: the final estimate and cost history of every frame."""
     from meshsrr.flow import FlowField
     from meshsrr.grid import GridImage
-    from meshsrr.operators import convolve_neumann, warp_image
+    from meshsrr.operators import warp_image
     model = PixelObservationModel(assignment, kernel, alpha)
-    x_hat = convolve_neumann(y_ups[0], kernel)
+    x_hat = GridImage(kernel.apply(y_ups[0].data))
     zero = FlowField.zeros(assignment.width, assignment.height)
     out = []
     for y, flow in zip(y_ups, [zero, *flows]):

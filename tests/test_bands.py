@@ -117,6 +117,18 @@ def test_one_cpu_forks_no_worker(workers, monkeypatch):
     assert workers == []
 
 
+@pytest.mark.parametrize("fault", ["no OpenBLAS", "fork fails"])
+def test_no_openblas_or_a_failed_fork_gives_no_worker(monkeypatch, fault):
+    """Each step then takes both bands in the parent."""
+    if fault == "no OpenBLAS":
+        monkeypatch.setattr(_bandworker, "openblas_threads", lambda: [])
+    else:
+        def refuse(model, blas):
+            raise OSError("no process could be forked")
+        monkeypatch.setattr(_bandworker, "BandWorker", refuse)
+    assert srr._band_worker(model_on(200)) is None
+
+
 def test_two_bands_match_one_band(workers, monkeypatch):
     two = run_experiment(small_cfg())
     assert len(workers) == 1
@@ -164,14 +176,14 @@ def test_a_run_frees_its_worker_without_the_cycle_collector(monkeypatch):
     """Peak memory stays flat over runs: nothing keeps a closed worker, its
     shared memory or the model it holds alive in a reference cycle."""
     monkeypatch.setattr(operators, "_TWO_BAND_ROWS", 1)
-    refs, original = [], _bandworker.start
+    refs, original = [], srr._band_worker
 
-    def start(model):
+    def band_worker(model):
         worker = original(model)
         refs.append(weakref.ref(worker))
         return worker
 
-    monkeypatch.setattr(_bandworker, "start", start)
+    monkeypatch.setattr(srr, "_band_worker", band_worker)
     gc.disable()
     try:
         run_experiment(small_cfg(k_iters=2))

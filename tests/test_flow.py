@@ -79,9 +79,9 @@ class TestFlowField:
         from meshsrr.config import preset
         from meshsrr.fileio import read_grid_image, write_pgm16
         from meshsrr.mesh import build_pixel_assignment, upsample
-        from meshsrr.operators import ObservationModel, convolve_neumann, gaussian_kernel
+        from meshsrr.operators import ObservationModel, gaussian_kernel
         from meshsrr.phantoms import COARSE, degrade, disc_mesh, render_scene
-        from meshsrr.srr import SrrConfig, SrrState, srr_step
+        from meshsrr.srr import SrrConfig, srr_init, srr_step
 
         copies = []
 
@@ -110,12 +110,13 @@ class TestFlowField:
         frame = render_scene(cfg.scene, 1, 32, 32)
         obs = degrade(frame, asg, kernel, 10.0, 5)
         y = upsample(obs, asg)
-        smooth = convolve_neumann(y, kernel)
+        model = ObservationModel(asg, kernel, 0.1)
+        start = srr_init(y, model)  # the blur of y, frozen and kept
         motion = horn_schunck(frame, render_scene(cfg.scene, 0, 32, 32),
                               FlowParams(pyramid_levels=1))
         warped = warp_image(frame, motion)
-        state = srr_step(SrrState(smooth, ()), y, FlowField.zeros(32, 32),
-                         SrrConfig(mu=0.01, k_iters=1), ObservationModel(asg, kernel, 0.1))
+        state = srr_step(start, y, FlowField.zeros(32, 32), SrrConfig(mu=0.01, k_iters=1),
+                         model)
         write_pgm16(state.x_hat, tmp_path / "x.pgm")
         read_grid_image(tmp_path / "x.pgm")
         (tmp_path / "x.scale.txt").unlink()  # raw levels, no sidecar

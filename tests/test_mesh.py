@@ -8,7 +8,7 @@ from meshsrr.mesh import (_PASS_PIXELS, FemImage, FemMesh, OUTSIDE,
                           build_pixel_assignment, downsample, upsample)
 from meshsrr.phantoms import disc_mesh
 
-from oracles import brute_force_assignment, overlapping_points
+from oracles import brute_force_assignment, overlapping_points, pixel_map
 from test_operators import project
 
 # Frozen from the brute-force point-in-triangle oracle on the diagonal-split
@@ -92,14 +92,14 @@ class TestBuildPixelAssignment:
     def test_single_element_cover(self, one_triangle_mesh):
         # 2x1 grid: both centers (+-0.5, 0) sit inside the one triangle.
         asg = build_pixel_assignment(one_triangle_mesh, 2, 1)
-        assert (asg.pixel_to_element == 0).all()
+        assert (pixel_map(asg) == 0).all()
         assert asg.inside_mask().all()
         assert np.array_equal(asg.element_counts, [2])
 
     def test_diagonal_split_matches_frozen_oracle(self, square_mesh):
         asg = build_pixel_assignment(square_mesh, 4, 4)
-        assert np.array_equal(asg.pixel_to_element, DIAG_4X4_MAP)
-        flat = asg.pixel_to_element.ravel()
+        assert np.array_equal(pixel_map(asg), DIAG_4X4_MAP)
+        flat = pixel_map(asg).ravel()
         assert list(np.flatnonzero(flat == 0)) == DIAG_ELEM0_PIXELS
         assert list(np.flatnonzero(flat == 1)) == DIAG_ELEM1_PIXELS
         assert np.array_equal(asg.element_counts, [10, 6])
@@ -107,7 +107,7 @@ class TestBuildPixelAssignment:
     def test_matches_brute_force_on_disc(self):
         mesh = disc_mesh("COARSE")
         asg = build_pixel_assignment(mesh, 24, 24)
-        assert np.array_equal(asg.pixel_to_element,
+        assert np.array_equal(pixel_map(asg),
                               brute_force_assignment(mesh, 24, 24))
 
     @pytest.mark.parametrize("size", [(1, 1), (2, 7), (37, 23), (64, 64)])
@@ -115,19 +115,19 @@ class TestBuildPixelAssignment:
     def test_matches_brute_force_on_both_discs(self, density, size):
         mesh = disc_mesh(density)
         asg = build_pixel_assignment(mesh, *size)
-        assert np.array_equal(asg.pixel_to_element, brute_force_assignment(mesh, *size))
+        assert np.array_equal(pixel_map(asg), brute_force_assignment(mesh, *size))
 
     def test_disc_corners_outside(self):
         mesh = disc_mesh("COARSE")
         asg = build_pixel_assignment(mesh, 200, 200)
-        pe = asg.pixel_to_element
+        pe = pixel_map(asg)
         assert pe[0, 0] == OUTSIDE and pe[0, -1] == OUTSIDE
         assert pe[-1, 0] == OUTSIDE and pe[-1, -1] == OUTSIDE
         assert not asg.inside_mask().all()
 
     def test_partition_property(self, square_mesh):
         asg = build_pixel_assignment(square_mesh, 7, 5)
-        pe = asg.pixel_to_element
+        pe = pixel_map(asg)
         outside = int((pe == OUTSIDE).sum())
         assert asg.element_counts.sum() + outside == 7 * 5
         assert np.array_equal(asg.element_counts, [(pe == e).sum() for e in range(2)])
@@ -158,7 +158,7 @@ class TestBuildPixelAssignment:
         the passes split the elements."""
         monkeypatch.setattr(mesh_module, "_PASS_PIXELS", pass_pixels)
         disc = disc_mesh("COARSE")
-        assert np.array_equal(build_pixel_assignment(disc, 24, 24).pixel_to_element,
+        assert np.array_equal(pixel_map(build_pixel_assignment(disc, 24, 24)),
                               brute_force_assignment(disc, 24, 24))
         for extra, size, message in OVERLAPS:
             assert overlap_message(fine_with_repeats(extra), size) == message
@@ -170,8 +170,6 @@ class TestBuildPixelAssignment:
 
     def test_assignment_arrays_frozen(self, square_mesh):
         asg = build_pixel_assignment(square_mesh, 4, 4)
-        with pytest.raises(ValueError):
-            asg.pixel_to_element[0, 0] = 5
         with pytest.raises(ValueError):
             asg.element_counts[0] = 5
 

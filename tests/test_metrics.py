@@ -8,8 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from meshsrr import metrics
 from meshsrr.grid import GridImage
-from meshsrr.metrics import (BinaryMask, MetricsReport, binarize, evaluate_pair,
-                             evaluate_sequence, hausdorff, masd, overlap, FrameMetrics)
+from meshsrr.metrics import (MetricsReport, binarize, evaluate_pair,
+                             evaluate_sequence, overlap, FrameMetrics)
 
 from oracles import (boundary, brute_force_hausdorff, brute_force_masd,
                      directed_boundary_distances, random_mask_pair, traced_peak)
@@ -19,30 +19,37 @@ def mask_from_pixels(w, h, pixels):
     bits = np.zeros((h, w), dtype=bool)
     for i, j in pixels:
         bits[j, i] = True
-    return BinaryMask(bits)
+    return bits
+
+
+def distances(a, b):
+    """(Hausdorff, MASD) of mask a against mask b through ``evaluate_pair``,
+    on 0/1 images that binarize back to the same masks."""
+    fm = evaluate_pair(GridImage(b.astype(float)), GridImage(a.astype(float)))
+    return fm.hausdorff, fm.masd
 
 
 class TestBinarize:
     def test_constant_positive_all_set(self):
         m = binarize(GridImage(np.full((5, 5), 2.0)))
-        assert m.bits.sum() == 25
+        assert m.sum() == 25
 
     def test_single_positive_pixel(self):
         img = np.zeros((4, 4))
         img[1, 2] = 1.0
         m = binarize(GridImage(img))
-        assert m.bits.sum() == 1 and m.bits[1, 2]
+        assert m.sum() == 1 and m[1, 2]
 
     def test_threshold_arithmetic_two_levels(self):
         img = np.full((3, 3), 0.2)
         img[1, 1] = 1.0
         m = binarize(GridImage(img), fraction=0.25)
-        assert m.bits.sum() == 1 and m.bits[1, 1]
+        assert m.sum() == 1 and m[1, 1]
 
     def test_nonpositive_max_warns_empty(self):
         with pytest.warns(UserWarning, match="empty"):
             m = binarize(GridImage(np.full((3, 3), -1.0)))
-        assert m.bits.sum() == 0
+        assert m.sum() == 0
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):
@@ -65,12 +72,12 @@ class TestOverlap:
         assert overlap(a, b) == pytest.approx(1.0 / 5.0)
 
     def test_both_empty_defined_as_one(self):
-        a = BinaryMask(np.zeros((3, 3), dtype=bool))
+        a = np.zeros((3, 3), dtype=bool)
         with pytest.warns(UserWarning, match="empty"):
             assert overlap(a, a) == 1.0
 
     def test_one_empty_is_zero(self):
-        a = BinaryMask(np.zeros((3, 3), dtype=bool))
+        a = np.zeros((3, 3), dtype=bool)
         b = mask_from_pixels(3, 3, [(1, 1)])
         assert overlap(a, b) == 0.0
 
@@ -78,15 +85,14 @@ class TestOverlap:
         rng = np.random.default_rng(0)
         bits_a = rng.random((12, 12)) < 0.4
         bits_b = rng.random((12, 12)) < 0.4
-        base = overlap(BinaryMask(bits_a), BinaryMask(bits_b))
-        shifted = overlap(BinaryMask(np.roll(bits_a, (2, 3), (0, 1))),
-                          BinaryMask(np.roll(bits_b, (2, 3), (0, 1))))
+        base = overlap(bits_a, bits_b)
+        shifted = overlap(np.roll(bits_a, (2, 3), (0, 1)), np.roll(bits_b, (2, 3), (0, 1)))
         assert base == shifted
 
 
 class TestBoundary:
     def test_full_mask_border_ring(self):
-        m = BinaryMask(np.ones((5, 5), dtype=bool))
+        m = np.ones((5, 5), dtype=bool)
         pts = boundary(m)
         assert pts.shape[0] == 16
 
@@ -117,7 +123,7 @@ def _all_pairs_d2(pa, pb):
 
 
 def _pair(w, h, pixels_a, pixels_b):
-    return mask_from_pixels(w, h, pixels_a).bits, mask_from_pixels(w, h, pixels_b).bits
+    return mask_from_pixels(w, h, pixels_a), mask_from_pixels(w, h, pixels_b)
 
 
 _mask_pairs = st.tuples(st.integers(1, 12), st.integers(1, 12)).flatmap(
@@ -128,42 +134,43 @@ _mask_pairs = st.tuples(st.integers(1, 12), st.integers(1, 12)).flatmap(
 class TestDistances:
     def test_self_distance_zero(self):
         m = mask_from_pixels(8, 8, [(2, 2), (3, 2), (3, 3)])
-        assert hausdorff(m, m) == 0.0
-        assert masd(m, m) == 0.0
+        assert distances(m, m) == (0.0, 0.0)
 
     def test_two_single_pixels_exact(self):
         a = mask_from_pixels(16, 16, [(3, 5)])
         b = mask_from_pixels(16, 16, [(9, 5)])
-        assert hausdorff(a, b) == pytest.approx(6 * 2 / 16, abs=0)
-        assert masd(a, b) == pytest.approx(6 * 2 / 16, abs=0)
+        h, d = distances(a, b)
+        assert h == pytest.approx(6 * 2 / 16, abs=0)
+        assert d == pytest.approx(6 * 2 / 16, abs=0)
 
     def test_parallel_segments(self):
         a = mask_from_pixels(16, 16, [(4, j) for j in range(5, 10)])
         b = mask_from_pixels(16, 16, [(8, j) for j in range(5, 10)])
-        d = 4 * 2 / 16
-        assert masd(a, b) == pytest.approx(d)
-        assert hausdorff(a, b) == pytest.approx(d)
+        h, d = distances(a, b)
+        assert d == pytest.approx(4 * 2 / 16)
+        assert h == pytest.approx(4 * 2 / 16)
 
     def test_matches_brute_force_exactly(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
             a, b = random_mask_pair(rng, max_side=16)
             pa, pb = boundary(a), boundary(b)
-            assert hausdorff(a, b) == brute_force_hausdorff(pa, pb)
-            assert masd(a, b) == pytest.approx(brute_force_masd(pa, pb), abs=1e-12)
+            h, d = distances(a, b)
+            assert h == brute_force_hausdorff(pa, pb)
+            assert d == pytest.approx(brute_force_masd(pa, pb), abs=1e-12)
 
     def test_symmetry(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
             a, b = random_mask_pair(rng, max_side=20)
-            assert hausdorff(a, b) == hausdorff(b, a)
-            assert masd(a, b) == masd(b, a)
+            assert distances(a, b) == distances(b, a)
 
     def test_masd_bounded_by_hausdorff(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             a, b = random_mask_pair(rng, max_side=24)
-            assert masd(a, b) <= hausdorff(a, b) + 1e-15
+            h, d = distances(a, b)
+            assert d <= h + 1e-15
 
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(pair=_mask_pairs, block=st.sampled_from([1, 50_000]))
@@ -177,7 +184,7 @@ class TestDistances:
     def test_directed_d2_equals_all_pairs_minimum_bitwise(self, pair, block):
         """The grid search equals the vectorized all-pairs minimum of
         ``dx * dx + dy * dy`` bit for bit, whatever the query block."""
-        a, b = BinaryMask(pair[0]), BinaryMask(pair[1])
+        a, b = pair
         pa, pb = boundary(a), boundary(b)
         with mock.patch.object(metrics, "_QUERY_BLOCK", block):
             d_ab, d_ba = metrics._directed_d2(a, b)
@@ -188,9 +195,9 @@ class TestDistances:
         """Smooth shapes on a 64 x 48 grid, with several query blocks per
         direction, against the explicit double loop."""
         ys, xs = np.mgrid[0:48, 0:64]
-        a = BinaryMask(((xs - 30) / 20.0) ** 2 + ((ys - 22) / 14.0) ** 2 <= 1.0)
-        b = BinaryMask((np.abs(xs - 36) <= 12) & (ys >= 8) & (ys < 40)
-                       | (np.abs(ys - 14) <= 4) & (xs >= 10) & (xs < 60))
+        a = ((xs - 30) / 20.0) ** 2 + ((ys - 22) / 14.0) ** 2 <= 1.0
+        b = ((np.abs(xs - 36) <= 12) & (ys >= 8) & (ys < 40)
+             | (np.abs(ys - 14) <= 4) & (xs >= 10) & (xs < 60))
         pa, pb = boundary(a), boundary(b)
         with mock.patch.object(metrics, "_QUERY_BLOCK", 64 * 7):
             d_ab, d_ba = metrics._directed_d2(a, b)
@@ -199,18 +206,18 @@ class TestDistances:
         assert np.array_equal(np.sqrt(d_ba), directed_boundary_distances(pb, pa))
 
     def test_empty_boundary_rejected(self):
-        empty = BinaryMask(np.zeros((4, 4), dtype=bool))
-        full = BinaryMask(np.ones((4, 4), dtype=bool))
+        empty = np.zeros((4, 4), dtype=bool)
+        full = np.ones((4, 4), dtype=bool)
         with pytest.raises(ValueError, match="empty"):
-            hausdorff(empty, full)
+            metrics._directed_d2(empty, full)
         with pytest.raises(ValueError, match="empty"):
-            masd(full, empty)
+            metrics._directed_d2(full, empty)
 
     def test_mismatched_masks_rejected(self):
-        a = BinaryMask(np.ones((4, 4), dtype=bool))
-        b = BinaryMask(np.ones((4, 5), dtype=bool))
+        a = np.ones((4, 4), dtype=bool)
+        b = np.ones((4, 5), dtype=bool)
         with pytest.raises(ValueError, match="mismatch"):
-            hausdorff(a, b)
+            metrics._directed_d2(a, b)
 
 
 class TestReport:
@@ -243,9 +250,10 @@ class TestReport:
         estimate = np.roll(truth, 2, axis=1)
         fm = evaluate_pair(GridImage(truth), GridImage(estimate))
         assert len(calls) == 2
-        em = binarize(GridImage(estimate))
-        tm = binarize(GridImage(truth))
-        assert (fm.hausdorff, fm.masd) == (hausdorff(em, tm), masd(em, tm))
+        pe = boundary(binarize(GridImage(estimate)))
+        pt = boundary(binarize(GridImage(truth)))
+        assert fm.hausdorff == brute_force_hausdorff(pe, pt)
+        assert fm.masd == brute_force_masd(pe, pt)
 
     def test_evaluate_pair_peak_memory_is_a_few_frames(self):
         """At 200x200, scoring holds one row-offset table, its scratch and

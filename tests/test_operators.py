@@ -13,7 +13,7 @@ from meshsrr.grid import GridImage
 from meshsrr.mesh import FemMesh, build_pixel_assignment, downsample
 from meshsrr.operators import (Kernel, ObservationModel, _bilinear_gather, _blur_eigenvalues,
                                _band_blocks, _laplacian, _stencil_eigenvalues,
-                               convolve_neumann, gaussian_kernel, warp_image)
+                               gaussian_kernel, warp_image)
 from meshsrr.phantoms import COARSE, FINE, disc_mesh
 
 from oracles import (band_terms, brute_force_convolve, dct_diagonal, dense_blur_matrix,
@@ -136,41 +136,40 @@ class TestKernel:
 
 
 class TestConvolveNeumann:
+    """The Neumann-boundary blur ``Kernel.apply``."""
+
     def test_constant_preserved(self):
-        img = GridImage(np.full((7, 9), 3.25))
-        out = convolve_neumann(img, gaussian_kernel(5, 2.0))
-        assert np.abs(out.data - 3.25).max() <= 1e-12
+        out = gaussian_kernel(5, 2.0).apply(np.full((7, 9), 3.25))
+        assert np.abs(out - 3.25).max() <= 1e-12
 
     def test_identity_kernel_bit_exact(self):
         rng = np.random.default_rng(0)
-        img = GridImage(rng.standard_normal((6, 8)))
-        out = convolve_neumann(img, gaussian_kernel(1, 1.0))
-        assert np.array_equal(out.data, img.data)
+        img = rng.standard_normal((6, 8))
+        out = gaussian_kernel(1, 1.0).apply(img)
+        assert np.array_equal(out, img)
 
     def test_ramp_flat_kernel_matches_brute_force(self):
-        img = GridImage(np.arange(16, dtype=float).reshape(4, 4))
-        k = Kernel(np.full(3, 1.0 / 3.0))
-        out = convolve_neumann(img, k)
-        expected = brute_force_convolve(img.data, np.full((3, 3), 1.0 / 9.0))
-        assert np.abs(out.data - expected).max() <= 1e-9
+        img = np.arange(16, dtype=float).reshape(4, 4)
+        out = Kernel(np.full(3, 1.0 / 3.0)).apply(img)
+        expected = brute_force_convolve(img, np.full((3, 3), 1.0 / 9.0))
+        assert np.abs(out - expected).max() <= 1e-9
 
     def test_separable_path_matches_brute_force(self):
         """A Gaussian, whose taps are an outer product of 1-D masks."""
         rng = np.random.default_rng(1)
-        img = GridImage(rng.standard_normal((10, 12)))
+        img = rng.standard_normal((10, 12))
         k = gaussian_kernel(7, 1.7)
-        out = convolve_neumann(img, k)
-        expected = brute_force_convolve(img.data, mask(k))
-        assert np.abs(out.data - expected).max() <= 1e-9
+        out = k.apply(img)
+        expected = brute_force_convolve(img, mask(k))
+        assert np.abs(out - expected).max() <= 1e-9
 
     def test_oversized_kernel_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
-            convolve_neumann(GridImage(np.zeros((4, 4))), gaussian_kernel(9, 2.0))
+            gaussian_kernel(9, 2.0).apply(np.zeros((4, 4)))
 
     def test_large_kernel_fits_up_to_limit(self):
-        img = GridImage(np.full((4, 4), 1.0))
-        out = convolve_neumann(img, gaussian_kernel(7, 2.0))
-        assert np.abs(out.data - 1.0).max() <= 1e-12
+        out = gaussian_kernel(7, 2.0).apply(np.full((4, 4), 1.0))
+        assert np.abs(out - 1.0).max() <= 1e-12
 
     @pytest.mark.parametrize("width,height", [(4, 4), (4, 6), (7, 5)])
     def test_largest_kernel_matches_dense_matrix(self, width, height):
@@ -179,8 +178,8 @@ class TestConvolveNeumann:
         x = rng.standard_normal((height, width))
         k = gaussian_kernel(size, 2.0)
         dense = dense_blur_matrix(mask(k), width, height)
-        out = convolve_neumann(GridImage(x), k)
-        assert np.abs(out.data.ravel() - dense @ x.ravel()).max() <= 1e-12
+        out = k.apply(x)
+        assert np.abs(out.ravel() - dense @ x.ravel()).max() <= 1e-12
 
 
 def column_mask(taps: np.ndarray) -> np.ndarray:
@@ -251,18 +250,18 @@ class TestBandedBlur:
 
 class TestBlurAdjoint:
     """B' = B: a mirror-symmetric profile makes the blur its own
-    transpose, so ``convolve_neumann`` also serves as the adjoint."""
+    transpose, so ``Kernel.apply`` also serves as the adjoint."""
 
     def test_adjoint_identity_random_probes(self):
         rng = np.random.default_rng(4)
         k = gaussian_kernel(5, 1.3)
         for shape in ((16, 16), (11, 16)):
             for _ in range(10):
-                x = GridImage(rng.standard_normal(shape))
-                y = GridImage(rng.standard_normal(shape))
-                lhs = float((convolve_neumann(x, k).data * y.data).sum())
-                rhs = float((x.data * convolve_neumann(y, k).data).sum())
-                assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(x.data) * np.linalg.norm(y.data)
+                x = rng.standard_normal(shape)
+                y = rng.standard_normal(shape)
+                lhs = float((k.apply(x) * y).sum())
+                rhs = float((x * k.apply(y)).sum())
+                assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(y)
 
     def test_dense_transpose_small_grid(self):
         rng = np.random.default_rng(5)
@@ -271,8 +270,8 @@ class TestBlurAdjoint:
             dense = dense_blur_matrix(mask(k), w, h)
             z = rng.standard_normal((h, w))
             expected = (dense.T @ z.ravel()).reshape(h, w)
-            out = convolve_neumann(GridImage(z), k)
-            assert np.abs(out.data - expected).max() <= 1e-12
+            out = k.apply(z)
+            assert np.abs(out - expected).max() <= 1e-12
 
     def test_symmetric_kernel_adjoint_equals_forward(self):
         """The dense oracle itself is symmetric for such masks."""
@@ -423,7 +422,7 @@ class TestLinearOpSuite:
         flow = random_flow(rng, 12, 12)
 
         def blur(k):
-            return lambda x: convolve_neumann(GridImage(x), k).data
+            return k.apply
 
         k3 = gaussian_kernel(3, 1.0)
         ops = {
@@ -498,7 +497,7 @@ class TestObservationModel:
         x = np.random.default_rng(size).standard_normal((height, width))
         model = ObservationModel(asg, k, 0.3)
         _, residual, _ = band_terms(model, x, *model.reduce(np.zeros_like(x)))
-        expected = convolve_neumann(GridImage(x), k).data
+        expected = k.apply(x)
         assert np.abs(asg.lift(residual) - expected).max() <= 1e-12
 
     @pytest.mark.parametrize("density,grid", [(FINE, 100), (COARSE, 200)])
