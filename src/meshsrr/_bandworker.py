@@ -15,9 +15,7 @@ import warnings
 import numpy as np
 
 from . import srr
-from .flow import FlowField
-from .grid import GridImage
-from .operators import ObservationModel, warp_image
+from .operators import ObservationModel
 
 # Non-blocking polls of a meeting of the bands before it blocks, every 64th
 # followed by a yield: bands that share one CPU then still progress, and
@@ -88,14 +86,14 @@ class BandWorker:
     each ``srr.srr_step`` on ``model`` that a run hands it to, bit for bit
     as the step takes both bands without it. It holds no model.
 
-    The one x of a step's correction and the bands' parts of the cost live
-    in anonymous shared memory made before the fork. Each step's target goes
-    down a command pipe, and the worker reports on a result pipe when it has
-    left the step. The processes meet at two semaphores, whose operations
-    also order the shared memory. The worker starts on a CPU other than its
-    parent's, ignores SIGINT, collects no garbage cycles and leaves only
-    through ``os._exit``: on EOF of its command pipe, or when its parent
-    changes.
+    The one x of a step's correction, ``x``, into which the step predicts,
+    and the bands' parts of the cost live in anonymous shared memory made
+    before the fork. Each step's target goes down one pipe, on which the
+    worker reports when it has left the step. The processes meet at two
+    semaphores, whose operations also order the shared memory. The worker
+    starts on a CPU other than its parent's, ignores SIGINT, collects no
+    garbage cycles and leaves only through ``os._exit``: on EOF of its pipe,
+    or when its parent changes.
     """
 
     def __init__(self, model: ObservationModel, blas):
@@ -103,11 +101,10 @@ class BandWorker:
         h, w = model.shape
         width = model._counts.size + 1  # a band's element means, then its ||S x||^2
         buffer = mmap.mmap(-1, 8 * (h * w + 2 * width))
-        self._x = np.frombuffer(buffer, count=h * w).reshape(h, w)
+        self.x = np.frombuffer(buffer, count=h * w).reshape(h, w)
         parts = np.frombuffer(buffer, offset=8 * h * w).reshape(2, width)
         self._posts, self._waits = ctx.Semaphore(0), ctx.Semaphore(0)
-        commands, self._commands = ctx.Pipe(duplex=False)
-        self._results, results = ctx.Pipe(duplex=False)
+        self._conn, conn = ctx.Pipe()
         parent = os.getpid()
 
         def check():  # in the worker
@@ -119,7 +116,6 @@ class BandWorker:
             _await(self._posts, check)
 
         self._top, self._bottom = model.bands(parts)
-        self._inside = model.inside
         self._threads = [(put, get()) for get, put in blas]
         with warnings.catch_warnings():
             # Python 3.12 warns of a fork beside OpenBLAS's pool threads; the
@@ -134,49 +130,46 @@ class BandWorker:
                 gc.disable()  # no finalizer of the parent's garbage runs here
                 signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops it
                 _leave_cpu_of(parent)
-                self._commands.close()
-                self._results.close()
-                self._serve(meet, commands, results, parent)
+                self._conn.close()
+                self._serve(meet, conn, parent)
                 status = 0
             finally:
                 os._exit(status)
-        commands.close()
-        results.close()
+        conn.close()
 
-    def _serve(self, meet, commands, results, parent: int) -> None:
+    def _serve(self, meet, conn, parent: int) -> None:
         """The worker's loop: a step per command, until EOF or a new parent."""
         while True:
-            while not commands.poll(_WAIT_S):
+            while not conn.poll(_WAIT_S):
                 if os.getppid() != parent:
                     return
             try:
-                y_means, y_rest, cfg = commands.recv()
+                y_means, y_rest, cfg = conn.recv()
             except EOFError:
                 return
             try:
-                srr._correct([self._bottom], self._x, y_means, y_rest, cfg, meet)
+                srr._correct([self._bottom], self.x, y_means, y_rest, cfg, meet)
                 report = None
             except Exception as exc:
                 report = f"{type(exc).__name__}: {exc}"
-            results.send(report)
+            conn.send(report)
 
-    def correct(self, x_hat: GridImage, flow_t: FlowField, y_means: np.ndarray,
-                y_rest: float, cfg: srr.SrrConfig) -> tuple[np.ndarray, list[float]]:
-        """One step's prediction, the masked warp of ``x_hat``, written into
-        the shared memory, and its corrections there, the top band here and
-        the bottom one in the worker; returns a copy of the corrected x and
-        the costs. Any exception of the corrections closes the worker."""
-        np.multiply(warp_image(x_hat, flow_t).data, self._inside, out=self._x)
+    def correct(self, y_means: np.ndarray, y_rest: float,
+                cfg: srr.SrrConfig) -> tuple[np.ndarray, list[float]]:
+        """The corrections of the step's prediction in ``x``, the top band
+        here and the bottom one in the worker; returns a copy of the
+        corrected x and the costs. Any exception of the corrections closes
+        the worker."""
         try:
-            self._commands.send((y_means, y_rest, cfg))
-            costs = srr._correct([self._top], self._x, y_means, y_rest, cfg, self._meet)
+            self._conn.send((y_means, y_rest, cfg))
+            costs = srr._correct([self._top], self.x, y_means, y_rest, cfg, self._meet)
             report = self._report()
             if report is not None:
                 raise RuntimeError(f"the band worker failed: {report}")
         except BaseException:
             self.close()
             raise
-        return self._x.copy(), costs
+        return self.x.copy(), costs
 
     def _meet(self) -> None:
         self._posts.release()
@@ -184,13 +177,13 @@ class BandWorker:
 
     def _check(self) -> None:
         """Raise when the worker has left the step it shares."""
-        if self._results.poll():
+        if self._conn.poll():
             raise RuntimeError(f"the band worker left the step: {self._report()}")
 
     def _report(self):
         """The worker's report on its step: None, or the error it raised."""
         try:
-            return self._results.recv()
+            return self._conn.recv()
         except EOFError:
             return "it exited"
 
@@ -200,7 +193,6 @@ class BandWorker:
         if pid is not None:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        self._commands.close()
-        self._results.close()
+        self._conn.close()
         for put, threads in self._threads:
             put(threads)

@@ -120,7 +120,15 @@ def _resample(data: np.ndarray, new_w: int, new_h: int) -> np.ndarray:
     return _bilinear_gather(data, sx, sy[:, None])
 
 
-def _pyramid_sizes(width: int, height: int, levels: int, spacing: float) -> list[tuple[int, int]]:
+def _pyramid_sizes(width: int, height: int, params: FlowParams,
+                   stacklevel: int) -> list[tuple[int, int]]:
+    """The (width, height) of each level of ``horn_schunck``'s pyramid on a
+    width x height pair, each ``pyramid_spacing`` times smaller until one does
+    not shrink, dropping with a warning those below 8x8; ``stacklevel`` makes
+    the warning name the caller of the public function."""
+    if min(width, height) < 2:
+        raise ValueError("flow estimation needs at least a 2x2 image")
+    levels, spacing = params.pyramid_levels, params.pyramid_spacing
     sizes = [(width, height)]
     for _ in range(1, levels):
         w, h = sizes[-1]
@@ -129,6 +137,12 @@ def _pyramid_sizes(width: int, height: int, levels: int, spacing: float) -> list
         if (nw, nh) == (w, h):
             break
         sizes.append((nw, nh))
+    while len(sizes) > 1 and min(sizes[-1]) < _MIN_TOP_SIZE:
+        sizes.pop()
+    if len(sizes) < levels:
+        warnings.warn(
+            f"pyramid reduced from {levels} to {len(sizes)} level(s) so the top "
+            f"stays at least {_MIN_TOP_SIZE} pixels on a side", stacklevel=stacklevel + 1)
     return sizes
 
 
@@ -137,18 +151,14 @@ def _pyramid_sizes(width: int, height: int, levels: int, spacing: float) -> list
 _pyramid_kernel = cache(gaussian_kernel)
 
 
-def build_pyramid(data: np.ndarray, levels: int, spacing: float) -> list[np.ndarray]:
-    """Coarse-to-fine pyramid of the (h, w) image ``data``: level 0 is the
-    input, each next level is Gaussian-smoothed (sigma = 0.8 * spacing) and
-    bilinearly subsampled."""
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels}")
-    if spacing <= 1:
-        raise ValueError(f"spacing must be > 1, got {spacing}")
+def build_pyramid(data: np.ndarray, sizes: list[tuple[int, int]],
+                  spacing: float) -> list[np.ndarray]:
+    """Coarse-to-fine pyramid of the image ``data`` on the level ``sizes``
+    of ``_pyramid_sizes``: level 0 is the input, each next level is
+    Gaussian-smoothed (sigma = 0.8 * spacing) and bilinearly subsampled."""
     sigma = 0.8 * spacing
-    h, w = data.shape
     out = [data]
-    for nw, nh in _pyramid_sizes(w, h, levels, spacing)[1:]:
+    for nw, nh in sizes[1:]:
         prev = out[-1]
         size = min(2 * int(np.ceil(2.5 * sigma)) + 1, 2 * min(prev.shape) - 1)
         out.append(_resample(_pyramid_kernel(size, sigma).apply(prev), nw, nh))
@@ -249,51 +259,35 @@ def _derivatives(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return ix, iy, it
 
 
-def _pyramid_levels(width: int, height: int, params: FlowParams, stacklevel: int) -> int:
-    """Levels to use, dropping with a warning those whose top is below 8x8;
-    ``stacklevel`` makes the warning name the caller of the public function."""
-    if min(width, height) < 2:
-        raise ValueError("flow estimation needs at least a 2x2 image")
-    levels = params.pyramid_levels
-    sizes = _pyramid_sizes(width, height, levels, params.pyramid_spacing)
-    while len(sizes) > 1 and min(sizes[-1]) < _MIN_TOP_SIZE:
-        sizes = sizes[:-1]
-    if len(sizes) < levels:
-        warnings.warn(
-            f"pyramid reduced from {levels} to {len(sizes)} level(s) so the top "
-            f"stays at least {_MIN_TOP_SIZE} pixels on a side", stacklevel=stacklevel + 1)
-    return len(sizes)
-
-
 def fit_pyramid(params: FlowParams, width: int, height: int) -> FlowParams:
     """``params`` with as many pyramid levels as ``horn_schunck`` uses on a
     width x height pair, warning once, naming the caller, when levels are
     dropped; a run that registers many pairs fits its params once."""
-    return replace(params, pyramid_levels=_pyramid_levels(width, height, params, 2))
+    return replace(params, pyramid_levels=len(_pyramid_sizes(width, height, params, 2)))
 
 
-def _finest_solved_level(pyramid: list[np.ndarray], blur_sigma: float) -> int:
+def _finest_solved_level(sizes: list[tuple[int, int]], blur_sigma: float) -> int:
     """The level on which a blur of ``blur_sigma`` pixels at level 0 is nearest
     ``_MIN_BLUR_PX`` wide by ratio, or level 0 without a blur. Finer levels add
     little motion detail that it lacks, so the flow is only resampled up through them."""
-    width = pyramid[0].shape[-1]
-    ratios = [blur_sigma * a.shape[-1] / (width * _MIN_BLUR_PX) for a in pyramid]
+    width = sizes[0][0]
+    ratios = [blur_sigma * w / (width * _MIN_BLUR_PX) for w, _ in sizes]
     return int(np.argmin(np.abs(np.log(ratios)))) if blur_sigma > 0 else 0
 
 
 def _coarse_to_fine(prev: np.ndarray, nxt: np.ndarray, params: FlowParams,
-                    levels: int, blur_sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Flow ``(u, v)`` from ``prev`` to ``nxt``, solved from the top of the
-    pyramid down to ``_finest_solved_level``."""
+                    sizes: list[tuple[int, int]], blur_sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Flow ``(u, v)`` from ``prev`` to ``nxt`` on the pyramid of level
+    ``sizes``, solved from its top down to ``_finest_solved_level``."""
     lo = min(prev.min(), nxt.min())
     hi = max(prev.max(), nxt.max())
     scale = hi - lo if hi > lo else 1.0  # a constant pair stays at 0
-    pa = build_pyramid((prev - lo) / scale, levels, params.pyramid_spacing)
-    pb = build_pyramid((nxt - lo) / scale, levels, params.pyramid_spacing)
-    finest = _finest_solved_level(pa, blur_sigma)
+    pa = build_pyramid((prev - lo) / scale, sizes, params.pyramid_spacing)
+    pb = build_pyramid((nxt - lo) / scale, sizes, params.pyramid_spacing)
+    finest = _finest_solved_level(sizes, blur_sigma)
 
     u, v = np.zeros((2, *pa[-1].shape))
-    for level in range(levels - 1, -1, -1):
+    for level in range(len(sizes) - 1, -1, -1):
         a = pa[level]
         b = pb[level]
         h, w = a.shape
@@ -327,7 +321,7 @@ def horn_schunck(prev: GridImage, nxt: GridImage, params: FlowParams,
     if prev.data.shape != nxt.data.shape:
         raise ValueError(f"flow input images have mismatched shapes "
                          f"{prev.data.shape} vs {nxt.data.shape}")
-    levels = _pyramid_levels(prev.width, prev.height, params, 2)
-    u, v = _coarse_to_fine(prev.data, nxt.data, params, levels, blur_sigma)
+    sizes = _pyramid_sizes(prev.width, prev.height, params, 2)
+    u, v = _coarse_to_fine(prev.data, nxt.data, params, sizes, blur_sigma)
     u.flags.writeable = v.flags.writeable = False
     return FlowField(u, v)

@@ -86,21 +86,22 @@ def srr_step(state: SrrState, y_up_t: GridImage, flow_t: FlowField,
     """Process one frame: predict by warping, then K correction iterations.
 
     ``flow_t`` must register the previous frame onto the current one, i.e.
-    ``warp_image(x_hat, flow_t)`` tracks frame t; ``worker``, from
-    ``_band_worker(model)``, predicts and takes the bottom band in its shared
-    memory, bits unchanged. Raises DivergenceError, naming the iteration,
-    when a cost is non-finite or exceeds 10x its initial value.
+    ``warp_image(x_hat, flow_t)`` tracks frame t. Given ``worker``, from
+    ``_band_worker(model)``, the step predicts into its shared ``x``, where
+    it takes the bottom band, bits unchanged. Raises DivergenceError, naming
+    the iteration, when a cost is non-finite or exceeds 10x its initial value.
     """
     if y_up_t.data.shape != model.shape:
         h, w = model.shape
         raise MeshError(f"observation {y_up_t.width}x{y_up_t.height} does not "
                         f"match the model grid {w}x{h}")
     y_means, y_rest = model.reduce(y_up_t.data)
+    x = np.multiply(warp_image(state.x_hat, flow_t).data, model.inside,
+                    out=None if worker is None else worker.x)
     if worker is None:
-        x = warp_image(state.x_hat, flow_t).data * model.inside
         costs = _correct(model.bands(), x, y_means, y_rest, cfg)
     else:
-        x, costs = worker.correct(state.x_hat, flow_t, y_means, y_rest, cfg)
+        x, costs = worker.correct(y_means, y_rest, cfg)
     x.flags.writeable = False
     return SrrState(x_hat=GridImage(x), costs=tuple(costs))
 

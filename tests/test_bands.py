@@ -307,7 +307,7 @@ def test_worker_exits_on_eof_of_its_commands(monkeypatch):
     worker = _bandworker.BandWorker(model, _bandworker.openblas_threads())
     pid = worker._pid
     try:
-        worker._commands.close()
+        worker._conn.close()
         deadline = time.monotonic() + 10.0
         while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
             time.sleep(0.01)
@@ -363,6 +363,28 @@ def test_a_step_handed_the_worker_keeps_the_bits_and_its_state(monkeypatch):
     assert np.array_equal(first.x_hat.data, alone.x_hat.data)
     assert np.array_equal(first.x_hat.data, kept)
     assert second.costs == srr.srr_step(alone, y, flow, cfg, model).costs
+
+
+def test_a_step_warps_once_with_or_without_the_worker(monkeypatch):
+    """``srr_step`` makes the prediction of both band paths: one call of
+    ``meshsrr.srr.warp_image`` per step, whether a worker takes a band."""
+    model, y, flow, cfg = step_inputs(monkeypatch)
+    calls, original = [], srr.warp_image
+
+    def warp(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(srr, "warp_image", warp)
+    state = srr.srr_init(y, model)
+    srr.srr_step(state, y, flow, cfg, model)
+    alone = len(calls)
+    worker = _bandworker.BandWorker(model, _bandworker.openblas_threads())
+    try:
+        srr.srr_step(state, y, flow, cfg, model, worker)
+    finally:
+        worker.close()
+    assert (alone, len(calls) - alone) == (1, 1)
 
 
 def test_a_step_handed_the_worker_holds_one_estimate():

@@ -61,7 +61,8 @@ class TestRunCommand:
         assert (out / "estimated" / "metrics_srr.csv").exists()
         assert (out / "known" / "metrics_srr.csv").exists()
         stdout = capsys.readouterr().out
-        assert "[estimated motion]" in stdout and "[known motion]" in stdout
+        # The estimated sequence runs and reports first.
+        assert 0 <= stdout.index("[estimated motion]") < stdout.index("[known motion]")
 
     def test_rerun_byte_identical(self, tmp_path):
         argv = ["run", "--preset", "ex1b",

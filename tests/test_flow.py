@@ -167,17 +167,56 @@ class TestFlowParams:
 class TestBuildPyramid:
     def test_single_level_is_input(self):
         img = np.random.default_rng(0).standard_normal((16, 16))
-        pyr = build_pyramid(img, 1, 2.0)
+        pyr = build_pyramid(img, [(16, 16)], 2.0)
         assert len(pyr) == 1
         assert np.array_equal(pyr[0], img)
 
     def test_sizes_halve(self):
-        pyr = build_pyramid(np.zeros((64, 64)), 3, 2.0)
+        sizes = flow._pyramid_sizes(64, 64, FlowParams(pyramid_levels=3), 1)
+        pyr = build_pyramid(np.zeros((64, 64)), sizes, 2.0)
         assert [p.shape for p in pyr] == [(64, 64), (32, 32), (16, 16)]
 
     def test_constant_preserved_across_levels(self):
-        for level in build_pyramid(np.full((32, 32), 2.5), 3, 2.0):
+        sizes = flow._pyramid_sizes(32, 32, FlowParams(pyramid_levels=3), 1)
+        for level in build_pyramid(np.full((32, 32), 2.5), sizes, 2.0):
             assert np.abs(level - 2.5).max() <= 1e-12
+
+
+class TestPyramidSizes:
+    @pytest.mark.parametrize("width, height, sizes", [
+        (64, 64, [(64, 64), (32, 32), (16, 16), (8, 8)]),
+        (100, 100, [(100, 100), (50, 50), (25, 25), (12, 12)]),
+        (200, 200, [(200, 200), (100, 100), (50, 50), (25, 25)]),
+        (100, 64, [(100, 64), (50, 32), (25, 16), (12, 8)]),
+    ])
+    def test_plan_of_the_default_params(self, width, height, sizes):
+        assert flow._pyramid_sizes(width, height, FlowParams(), 1) == sizes
+
+    @pytest.mark.parametrize("grid, sizes", [(9, [9]), (32, [32, 16, 8])])
+    def test_levels_below_8_are_dropped_with_one_warning(self, grid, sizes):
+        with pytest.warns(UserWarning, match=f"from 4 to {len(sizes)} level") as record:
+            got = flow._pyramid_sizes(grid, grid, FlowParams(), 1)
+        assert got == [(s, s) for s in sizes]
+        assert len(record) == 1
+
+    def test_stops_at_a_level_that_does_not_shrink(self):
+        params = FlowParams(pyramid_spacing=1.05)
+        assert flow._pyramid_sizes(32, 32, params, 1) == [(32, 32), (30, 30), (29, 29), (28, 28)]
+        with pytest.warns(UserWarning, match="from 4 to 1 level"):
+            assert flow._pyramid_sizes(9, 9, params, 1) == [(9, 9)]
+
+    def test_horn_schunck_plans_once_per_pair(self, monkeypatch):
+        calls, original = [], flow._pyramid_sizes
+
+        def counted(*args):
+            calls.append(args[:2])
+            return original(*args)
+
+        monkeypatch.setattr(flow, "_pyramid_sizes", counted)
+        prev, nxt = blob_pair((1.0, 0.0))
+        horn_schunck(prev, nxt, FlowParams(), blur_sigma=2.0)
+        horn_schunck(nxt, prev, FlowParams())
+        assert calls == [(64, 64), (64, 64)]
 
 
 class TestHornSchunck:
