@@ -87,22 +87,22 @@ class BandWorker:
     as the step takes both bands without it. It holds no model.
 
     The one x of a step's correction, ``x``, into which the step predicts,
-    and the bands' parts of the cost live in anonymous shared memory made
+    and the parts of ``model.bands()`` live in anonymous shared memory made
     before the fork. Each step's target goes down one pipe, on which the
     worker reports when it has left the step. The processes meet at two
-    semaphores, whose operations also order the shared memory. The worker
-    starts on a CPU other than its parent's, ignores SIGINT, collects no
-    garbage cycles and leaves only through ``os._exit``: on EOF of its pipe,
-    or when its parent changes.
+    semaphores, whose operations also order the shared memory. OSError
+    comes before any of these is made when no loaded OpenBLAS's thread count
+    can be held to one. The worker starts on a CPU other than its parent's,
+    ignores SIGINT, collects no garbage cycles and leaves only through
+    ``os._exit``: on EOF of its pipe, or when its parent changes.
     """
 
-    def __init__(self, model: ObservationModel, blas):
+    def __init__(self, model: ObservationModel):
+        if not (blas := openblas_threads()):
+            raise OSError("no OpenBLAS whose thread count can be held to one")
         ctx = multiprocessing.get_context("fork")
         h, w = model.shape
-        width = model._counts.size + 1  # a band's element means, then its ||S x||^2
-        buffer = mmap.mmap(-1, 8 * (h * w + 2 * width))
-        self.x = np.frombuffer(buffer, count=h * w).reshape(h, w)
-        parts = np.frombuffer(buffer, offset=8 * h * w).reshape(2, width)
+        self.x = np.frombuffer(mmap.mmap(-1, 8 * h * w)).reshape(h, w)
         self._posts, self._waits = ctx.Semaphore(0), ctx.Semaphore(0)
         self._conn, conn = ctx.Pipe()
         parent = os.getpid()
@@ -115,7 +115,7 @@ class BandWorker:
             self._waits.release()
             _await(self._posts, check)
 
-        self._top, self._bottom = model.bands(parts)
+        self._top, self._bottom = model.bands()
         self._threads = [(put, get()) for get, put in blas]
         with warnings.catch_warnings():
             # Python 3.12 warns of a fork beside OpenBLAS's pool threads; the

@@ -7,7 +7,8 @@ Subcommands:
   flow      register a pair of grid images and dump the flow field
 
 Exit codes: 0 success, 2 configuration error (also a run too large for
-memory), 3 numerical divergence, 4 file or format error.
+memory), 3 numerical divergence, 4 file or format error. A warning raised
+as an error (-W error) exits 2 from run, else 4.
 """
 from __future__ import annotations
 
@@ -84,17 +85,14 @@ def _load_run_config(args) -> ExperimentConfig:
         except (OSError, UnicodeDecodeError) as exc:
             raise FileFormatError(f"{args.config}: {exc}") from exc
         base = parse_config(text, base=base)
-    if args.set:
-        lines: dict[str, list[str]] = {}
-        for item in args.set:
-            key, sep, value = item.partition("=")
-            if not sep or "." not in key:
-                raise ConfigError(f"--set expects SECTION.KEY=VALUE, got {item!r}")
-            section, _, name = key.strip().partition(".")
-            lines.setdefault(section, []).append(f"{name} = {value}")
-        text = "\n".join(f"[{sec}]\n" + "\n".join(vals) for sec, vals in lines.items())
-        base = parse_config(text, base=base)
-    return base
+    lines = []
+    for item in args.set:
+        key, sep, value = item.partition("=")
+        if not sep or "." not in key:
+            raise ConfigError(f"--set expects SECTION.KEY=VALUE, got {item!r}")
+        section, _, name = key.strip().partition(".")
+        lines.append(f"[{section}]\n{name} = {value}")
+    return parse_config("\n".join(lines), base=base)
 
 
 def _cmd_run(args) -> int:
@@ -216,6 +214,10 @@ def main(argv=None) -> int:
     except (FileFormatError, OSError) as exc:
         print(f"i/o error: {_describe(exc)}", file=sys.stderr)
         return 4
+    except Warning as exc:  # about the run's configuration, or else an input file
+        config = args.command == "run"
+        print(f"{'configuration' if config else 'i/o'} error: {_describe(exc)}", file=sys.stderr)
+        return 2 if config else 4
 
 
 if __name__ == "__main__":

@@ -49,8 +49,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     and outputs, plus the previous lifted observation for registration. On a
     large grid the run forks one worker (see ``srr``), hands it to each SRR
     step and kills and reaps it before it returns or raises.
-    Mesh elements that hold no pixel center are reported by one warning, when
-    frame 0 is degraded.
+    Mesh elements that hold no pixel center are reported by one warning
+    after the step-size check, before any output directory or worker.
 
     An error while frame t is made, registered, stepped, scored or written
     gains the note "frame t", so errors surface in frame order. A frame whose
@@ -83,6 +83,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if not mu_l < 1.0:
         raise ConfigError(f"step size mu = {cfg.mu:g} gives mu * L = {mu_l:.4g}; "
                           "it must be below 1 for the cost to decrease")
+    _warn_empty_elements(assignment, stacklevel=2)  # averaging sets their values to 0
     srr_cfg = cfg.srr_config()
     lap("assignment")
 
@@ -106,8 +107,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 x_hr = render_scene(scene, t, n, n)
                 lap("render")
                 obs = degrade(x_hr, assignment, kernel, cfg.snr_db, cfg.degrade_seed, frame=t)
-                if t == 0:  # averaging sets elements without a pixel center to 0
-                    _warn_empty_elements(assignment, stacklevel=2)
                 lr.append(obs)
                 lap("degrade")
                 y = upsample(obs, assignment)

@@ -249,15 +249,16 @@ class ObservationModel:
         rest *= rest
         return means, float(rest.sum())
 
-    def bands(self, parts: np.ndarray | None = None) -> list[_RowBand]:
+    def bands(self) -> list[_RowBand]:
         """The row bands of a correction, which the grid rows h alone fix:
         [0, h) below ``_TWO_BAND_ROWS`` rows, else [0, h // 2) and
-        [h // 2, h), whose row passes take the same number of blocks. Band i
-        writes into ``parts[i]``, made here when None."""
-        h = self.shape[0]
+        [h // 2, h), with equal row-pass block counts. Band i writes row i of
+        parts in anonymous shared memory made here, so a process forked after
+        this call writes the same parts; the band worker is the only one."""
+        import mmap  # paid by a correction, not by every import of the package
+        h, width = self.shape[0], self._counts.size + 1  # element means, then ||S x||^2
         rows = [slice(0, h)] if h < _TWO_BAND_ROWS else [slice(0, h // 2), slice(h // 2, h)]
-        if parts is None:
-            parts = np.empty((len(rows), self._counts.size + 1))
+        parts = np.frombuffer(mmap.mmap(-1, 8 * len(rows) * width)).reshape(len(rows), width)
         return [_RowBand(self, band, parts, index) for index, band in enumerate(rows)]
 
     def norm_bound(self) -> float:
@@ -286,8 +287,8 @@ class _RowBand:
     over its rows, with S x taken from a two-row halo of x and kept. ``cost``
     adds the parts in band order, with numpy's own sums, which no BLAS
     thread count changes. ``gradient`` gives the band's rows of
-    ``B' P (P B x - y) + alpha S' S x`` from the ``lift`` of its residual
-    over its ``window``, the grid rows within ``kernel.size // 2`` of it.
+    ``B' P (P B x - y) + alpha S' S x`` from the element residual, lifted
+    over its ``window``: the grid rows within ``kernel.size // 2`` of it.
     """
 
     def __init__(self, model: ObservationModel, rows: slice, parts: np.ndarray, index: int):
@@ -319,9 +320,9 @@ class _RowBand:
                 + self.alpha * float(total[-1]))
         return cost, residual
 
-    def gradient(self, lifted: np.ndarray, first: int = 0) -> np.ndarray:
+    def gradient(self, residual: np.ndarray) -> np.ndarray:
         """The band's rows of the half gradient at the x of the last ``write``,
-        from ``lift(r)`` (``P B x - P y``) on the grid rows from ``first`` on."""
-        grad = self.kernel.apply(lifted, self.rows, first)
+        from the element residual r of ``cost`` (``P B x - P y`` lifted)."""
+        grad = self.kernel.apply(self.lift(residual, self.window), self.rows, self.window.start)
         grad += self.alpha * _laplacian(self._smooth)[self._own]
         return grad

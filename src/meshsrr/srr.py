@@ -20,10 +20,11 @@ with zero flow.
 
 The grid rows alone fix the row bands of a correction
 (``ObservationModel.bands``): two from ``operators._TWO_BAND_ROWS`` rows,
-else one. A run that can fork, may use two CPUs and runs no other thread
-forks one ``_bandworker.BandWorker`` (``_band_worker``) and hands it to
-each ``srr_step``, which then gives it the bottom band. A step given no
-worker takes the bands in sequence. The worker changes speed, not bits.
+else one. Each band lifts the residual over just the rows its blur reads.
+A run that can fork, may use two CPUs and runs no other thread forks one
+``_bandworker.BandWorker`` (``_band_worker``) and hands it to each
+``srr_step``, which then gives it the bottom band. A step given no worker
+takes the bands in sequence. The worker changes speed, not bits.
 """
 from __future__ import annotations
 
@@ -109,13 +110,13 @@ def srr_step(state: SrrState, y_up_t: GridImage, flow_t: FlowField,
 def _correct(bands, x: np.ndarray, y_means: np.ndarray, y_rest: float,
              cfg: SrrConfig, meet=None) -> list[float]:
     """The K correction iterations of the rows of x that ``bands`` cover, in
-    place; returns the costs. Each writes its part, one cost is assembled
-    from all parts, the residual is lifted once over the union of the bands'
-    ``window``s, and each updates its rows. ``meet``, given when a worker
-    takes the other band, returns once both processes have reached it; the
+    place; returns the costs. Each iteration orders the bands' phases: each
+    writes its part, one cost and element residual are assembled from all
+    parts, and each updates its rows by its gradient from that residual.
+    ``meet``, given when a worker takes the other band, returns once both
+    processes have reached it, after the parts and after the updates; the
     bits are those of one process taking the grid's bands in sequence."""
     costs: list[float] = []
-    window = slice(bands[0].window.start, bands[-1].window.stop)
     for it in range(cfg.k_iters + 1):
         for band in bands:
             band.write(x)
@@ -131,9 +132,8 @@ def _correct(bands, x: np.ndarray, y_means: np.ndarray, y_rest: float,
             raise DivergenceError(
                 f"cost grew beyond {_DIVERGENCE_FACTOR}x its initial value at "
                 f"iteration {it} ({cost:.3e} vs {costs[0]:.3e}); reduce the step size")
-        lifted = bands[0].lift(residual, window)
         for band in bands:
-            step = band.gradient(lifted, window.start)
+            step = band.gradient(residual)
             step *= cfg.mu
             own = x[band.rows]
             own -= step
@@ -146,8 +146,8 @@ def _correct(bands, x: np.ndarray, y_means: np.ndarray, y_rest: float,
 def _band_worker(model: ObservationModel):
     """The ``_bandworker.BandWorker`` that a run hands to each ``srr_step``
     on ``model`` to take the bottom of two row bands, when ``os.fork``
-    exists, the process may run on two CPUs or more, runs no other thread,
-    loads an OpenBLAS whose thread count can be held to one and can fork;
+    exists and the process may run on two CPUs or more, runs no other thread
+    and can start the worker, which holds OpenBLAS to one thread itself;
     else None, and each step takes both bands."""
     affinity = getattr(os, "sched_getaffinity", None)
     if (len(model.bands()) < 2 or not hasattr(os, "fork")
@@ -155,10 +155,7 @@ def _band_worker(model: ObservationModel):
             or threading.active_count() > 1):  # a fork copies only this thread
         return None
     from . import _bandworker  # imported only by a run that may fork
-    blas = _bandworker.openblas_threads()
-    if not blas:
-        return None
     try:
-        return _bandworker.BandWorker(model, blas)
-    except OSError:  # no process could be forked: the parent takes both bands
+        return _bandworker.BandWorker(model)
+    except OSError:  # no OpenBLAS to hold or no fork: the parent takes both bands
         return None

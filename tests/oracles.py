@@ -278,7 +278,7 @@ def dense_flow_solve(ix: np.ndarray, iy: np.ndarray, c: np.ndarray,
 def band_terms(model, x: np.ndarray, y_means: np.ndarray, y_rest: float):
     """The cost at x against ``model.reduce(y)``, the element residual r and
     the model's correction as one row band over the whole grid, whose
-    ``gradient(lift(r))`` is ``B' P r + alpha S' S x`` on every pixel."""
+    ``gradient(r)`` is ``B' P r + alpha S' S x`` on every pixel."""
     from meshsrr.operators import _RowBand
     band = _RowBand(model, slice(0, model.shape[0]), np.empty((1, model._counts.size + 1)), 0)
     band.write(x)
@@ -299,7 +299,7 @@ def power_iteration_norm(assignment, kernel, alpha: float, iterations: int = 30,
     lam = 0.0
     for _ in range(iterations):
         _, residual, band = band_terms(model, x, *target)
-        y = band.gradient(band.lift(residual))
+        y = band.gradient(residual)
         lam = float(np.linalg.norm(y))
         if lam == 0:
             return 0.0

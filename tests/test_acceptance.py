@@ -140,9 +140,9 @@ def test_criterion_2_dense_matrix_equivalence(square_mesh_session):
                 _, residual, band = band_terms(model, x, *model.reduce(y))
                 r = np.where(inside, P @ (B @ x.ravel()) - y.ravel(), 0.0)
                 checks.append((asg.lift(residual), P @ r))
-                checks.append((band.gradient(band.lift(residual)),
+                checks.append((band.gradient(residual),
                                B.T @ (P.T @ r) + alpha * (S.T @ (S @ x.ravel()))))
-                checks.append((band.gradient(band.lift(np.zeros_like(residual))),
+                checks.append((band.gradient(np.zeros_like(residual)),
                                alpha * (S.T @ (S @ x.ravel()))))
             for got, want in checks:
                 assert np.abs(got.ravel() - want.ravel()).max() <= 1e-12
@@ -201,7 +201,7 @@ def test_criterion_5_gradient_check(square_mesh_session):
             model = ObservationModel(asg, kernel, alpha)
             target = model.reduce(y)
             _, residual, band = band_terms(model, x, *target)
-            g = 2.0 * band.gradient(band.lift(residual))
+            g = 2.0 * band.gradient(residual)
             fd = np.zeros_like(x)
             for j in range(n):
                 for i in range(n):

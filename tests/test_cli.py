@@ -146,7 +146,11 @@ class TestRunCommand:
     def test_config_too_large_for_memory_exits_2(self, setting, size, capsys):
         argv = ["run", "--preset", "ex1a", "--motion", "known", "--set", "srr.grid=16",
                 "--set", "scene.frames=2", "--set", setting]
-        assert main(argv) == 2
+        with warnings.catch_warnings():
+            # The fine mesh has elements without a pixel centre at grid 16,
+            # which a run reports before frame 0.
+            warnings.filterwarnings("ignore", ".*contain no pixel center", UserWarning)
+            assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: too large for memory: ")
         assert f" {size} " in err and err.count("\n") == 1
@@ -535,3 +539,33 @@ def test_argument_errors_exit_with_documented_code(cli_inputs, monkeypatch, caps
         assert main(args.split()) == code
     prefix = "configuration error" if code == 2 else "i/o error"
     assert capsys.readouterr().err.startswith(prefix)
+
+
+@pytest.mark.parametrize("args,code,text", [
+    ("run --set srr.grid=32 --set scene.frames=2 --motion known -o out", 2,
+     "276 mesh element(s) contain no pixel center at 32x32"),
+    ("run --set srr.grid=32 --set scene.frames=2 --motion estimated -o out", 2,
+     "276 mesh element(s) contain no pixel center at 32x32"),
+    ("metrics --reference ref --candidate empty", 4, "image maximum is not positive"),
+    ("resample down --mesh mesh.txt --image square.pgm -o back.vals", 4,
+     "contain no pixel center at 16x16"),
+], ids=["run-known", "run-estimated", "metrics", "resample"])
+def test_a_warning_raised_as_an_error_exits_with_the_documented_code(
+        cli_inputs, monkeypatch, capsys, args, code, text):
+    """Under ``-W error`` a warning ends the command with the code of what
+    it is about, the run's configuration or an input file, and one line on
+    stderr. A run refused this way forks no worker and leaves no directory."""
+    import meshsrr.srr as srr
+
+    def unreachable(model):
+        raise AssertionError("a worker was asked for after the warning")
+
+    monkeypatch.setattr(srr, "_band_worker", unreachable)
+    monkeypatch.chdir(cli_inputs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args.split()) == code
+    err = capsys.readouterr().err
+    prefix = "configuration error: " if code == 2 else "i/o error: "
+    assert err.startswith(prefix) and text in err and err.count("\n") == 1
+    assert not list(cli_inputs.glob("out*")) and not (cli_inputs / "back.vals").exists()

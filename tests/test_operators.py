@@ -65,14 +65,14 @@ def observe_adjoint(asg, k: Kernel, z: np.ndarray) -> np.ndarray:
     model = ObservationModel(asg, k, 0.0)
     z_means, z_rest = model.reduce(z)
     _, _, band = band_terms(model, np.zeros_like(z), z_means, z_rest)
-    return band.gradient(band.lift(z_means))
+    return band.gradient(z_means)
 
 
 def stencil_normal(asg, x: np.ndarray) -> np.ndarray:
     """S' S x: the model's half gradient with alpha = 1 and a zero residual."""
     model = ObservationModel(asg, gaussian_kernel(1, 1.0), 1.0)
     _, residual, band = band_terms(model, x, *model.reduce(np.zeros_like(x)))
-    return band.gradient(band.lift(np.zeros_like(residual)))
+    return band.gradient(np.zeros_like(residual))
 
 
 class TestKernel:
@@ -520,6 +520,31 @@ class TestObservationModel:
         _, peak = traced_peak(lambda: model.reduce(y))
         assert peak <= 1.5 * 200 * 200 * 8
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_process_forked_after_bands_writes_the_same_parts(self):
+        """``bands()`` makes its parts in shared memory: the part that a
+        child forked after the call writes is the one the parent reads."""
+        asg = build_pixel_assignment(disc_mesh(COARSE), 32, 32)
+        model = ObservationModel(asg, gaussian_kernel(5, 1.0), 0.3)
+        rng = np.random.default_rng(7)
+        x, target = rng.standard_normal((32, 32)), model.reduce(rng.standard_normal((32, 32)))
+        (band,) = model.bands()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # a fork beside threads
+            pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                band.write(x)
+                status = 0
+            finally:
+                os._exit(status)
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        (alone,) = model.bands()
+        alone.write(x)
+        (cost, residual), (want, want_residual) = band.cost(*target), alone.cost(*target)
+        assert cost == want and np.array_equal(residual, want_residual)
+
     @pytest.mark.parametrize("width,height", [(17, 24), (24, 17)])
     @pytest.mark.parametrize("density", [FINE, COARSE])
     @pytest.mark.parametrize("size", [5, "largest"])
@@ -564,11 +589,11 @@ class TestObservationModel:
 
         # Gradient: B' P' (P B x - y) + alpha S' S x.
         sts = S.T @ sx
-        got = band.gradient(band.lift(residual))
+        got = band.gradient(residual)
         assert np.abs(got.ravel() - (B.T @ (P.T @ r) + alpha * sts)).max() <= 1e-12
 
         # S' S x alone: a zero residual leaves only the smoothness term.
-        alone = band.gradient(band.lift(np.zeros_like(residual)))
+        alone = band.gradient(np.zeros_like(residual))
         assert np.abs(alone.ravel() - alpha * sts).max() <= 1e-12
 
     def test_kernel_must_be_symmetric_in_each_axis(self):
