@@ -82,12 +82,12 @@ def _await(semaphore, check) -> None:
 
 
 class BandWorker:
-    """A forked process that takes the bottom row band of the correction of
-    each ``srr.srr_step`` on ``model`` that a run hands it to, bit for bit
-    as the step takes both bands without it. It holds no model.
+    """A forked process that takes ``model.bands[1:]``, the bottom row band
+    of the correction of each ``srr.srr_step`` on ``model`` that a run hands
+    it to, bit for bit as the step takes both bands without it.
 
     The one x of a step's correction, ``x``, into which the step predicts,
-    and the parts of ``model.bands()`` live in anonymous shared memory made
+    and the parts of ``model.bands`` live in anonymous shared memory made
     before the fork. Each step's target goes down one pipe, on which the
     worker reports when it has left the step. The processes meet at two
     semaphores, whose operations also order the shared memory. OSError
@@ -115,7 +115,7 @@ class BandWorker:
             self._waits.release()
             _await(self._posts, check)
 
-        self._top, self._bottom = model.bands()
+        self._model = model  # which holds no worker: no reference cycle
         self._threads = [(put, get()) for get, put in blas]
         with warnings.catch_warnings():
             # Python 3.12 warns of a fork beside OpenBLAS's pool threads; the
@@ -144,11 +144,11 @@ class BandWorker:
                 if os.getppid() != parent:
                     return
             try:
-                y_means, y_rest, cfg = conn.recv()
+                target = conn.recv()  # y_means, y_rest and cfg of the step
             except EOFError:
                 return
             try:
-                srr._correct([self._bottom], self.x, y_means, y_rest, cfg, meet)
+                srr._correct(self._model, self._model.bands[1:], self.x, *target, meet)
                 report = None
             except Exception as exc:
                 report = f"{type(exc).__name__}: {exc}"
@@ -162,7 +162,8 @@ class BandWorker:
         the worker."""
         try:
             self._conn.send((y_means, y_rest, cfg))
-            costs = srr._correct([self._top], self.x, y_means, y_rest, cfg, self._meet)
+            costs = srr._correct(self._model, self._model.bands[:1], self.x, y_means, y_rest,
+                                 cfg, self._meet)
             report = self._report()
             if report is not None:
                 raise RuntimeError(f"the band worker failed: {report}")

@@ -18,7 +18,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import (ExperimentConfig, PRESET_NAMES, default_config_text,
-                     parse_config, preset)
+                     parse_config, parse_sets, preset)
 from .errors import ConfigError, DivergenceError, FileFormatError, MeshError
 from .experiment import run_experiment
 from .fileio import (read_fem_image, read_grid_image, read_mesh, write_flow,
@@ -85,14 +85,7 @@ def _load_run_config(args) -> ExperimentConfig:
         except (OSError, UnicodeDecodeError) as exc:
             raise FileFormatError(f"{args.config}: {exc}") from exc
         base = parse_config(text, base=base)
-    lines = []
-    for item in args.set:
-        key, sep, value = item.partition("=")
-        if not sep or "." not in key:
-            raise ConfigError(f"--set expects SECTION.KEY=VALUE, got {item!r}")
-        section, _, name = key.strip().partition(".")
-        lines.append(f"[{section}]\n{name} = {value}")
-    return parse_config("\n".join(lines), base=base)
+    return parse_sets(args.set, base)
 
 
 def _cmd_run(args) -> int:

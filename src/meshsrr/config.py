@@ -133,6 +133,7 @@ _SCHEMA = {
     ("flow", "warps_per_level"): (int, "warps_per_level", ""),
     ("run", "output_dir"): (str.strip, "output_dir", "empty: no artifacts written"),
 }
+_SECTIONS = {section for section, _ in _SCHEMA}
 
 
 def default_config_text() -> str:
@@ -155,39 +156,53 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
     Raises ConfigError with a line number for malformed lines and names any
     unknown section or key.
     """
-    values: dict[tuple[str, str], object] = {}
-    section = None
-    known_sections = {s for s, _ in _SCHEMA}
+    entries, section = [], None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in known_sections:
+            if section not in _SECTIONS:
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
         if section is None:
             raise ConfigError(f"line {lineno}: key outside any [section]")
-        key, _, value = line.partition("=")
+        entries.append((f"line {lineno}", section, *line.partition("=")[::2]))
+    return _apply(base or _DEFAULTS, entries)
+
+
+def parse_sets(items, base: ExperimentConfig) -> ExperimentConfig:
+    """Apply ``mesh-srr run --set`` items, each ``SECTION.KEY=VALUE``, over
+    ``base`` as configuration text does; an error names the item as typed."""
+    entries = []
+    for item in items:
+        key, sep, value = item.partition("=")
+        if not sep or "." not in key:
+            raise ConfigError(f"--set expects SECTION.KEY=VALUE, got {item!r}")
+        section, _, key = key.strip().partition(".")
+        if section not in _SECTIONS:
+            raise ConfigError(f"--set {item}: unknown section [{section}]")
+        entries.append((f"--set {item}", section, key, value))
+    return _apply(base, entries)
+
+
+def _apply(base: ExperimentConfig, entries: list) -> ExperimentConfig:
+    """``base`` with each (where, section, key, value) in order; a key's error names where."""
+    fields: dict[str, dict] = {s: {} for s in ("", *_PARTS)}
+    for where, section, key, value in entries:
         key = key.strip()
         if (section, key) not in _SCHEMA:
-            raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{section}]")
+            raise ConfigError(f"{where}: unknown key {key!r} in section [{section}]")
+        parse, field, _ = _SCHEMA[(section, key)]
         try:
-            values[(section, key)] = _SCHEMA[(section, key)][0](value.strip())
+            fields[section if section in _PARTS else ""][field] = parse(value.strip())
         except ConfigError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from None
+            raise ConfigError(f"{where}: {exc}") from None
         except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
-    return _apply(base or _DEFAULTS, values)
-
-
-def _apply(base: ExperimentConfig, values: dict) -> ExperimentConfig:
-    fields: dict[str, dict] = {s: {} for s in ("", *_PARTS)}
-    for (section, key), value in values.items():
-        fields[section if section in _PARTS else ""][_SCHEMA[(section, key)][1]] = value
+            raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from None
     try:
         parts = {s: replace(getattr(base, s), **fields[s]) for s in _PARTS}
         return replace(base, **parts, **fields[""])

@@ -50,7 +50,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     large grid the run forks one worker (see ``srr``), hands it to each SRR
     step and kills and reaps it before it returns or raises.
     Mesh elements that hold no pixel center are reported by one warning
-    after the step-size check, before any output directory or worker.
+    after the step-size check; then a non-empty ``output_dir`` is refused
+    with OSError and left as it is, before any directory or worker is made.
 
     An error while frame t is made, registered, stepped, scored or written
     gains the note "frame t", so errors surface in frame order. A frame whose
@@ -84,6 +85,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         raise ConfigError(f"step size mu = {cfg.mu:g} gives mu * L = {mu_l:.4g}; "
                           "it must be below 1 for the cost to decrease")
     _warn_empty_elements(assignment, stacklevel=2)  # averaging sets their values to 0
+    if out is not None and out.exists() and any(out.iterdir()):  # not marked .partial below
+        raise OSError(f"artifact directory {out} is not empty")
     srr_cfg = cfg.srr_config()
     lap("assignment")
 

@@ -225,8 +225,11 @@ class ObservationModel:
     the assignment's ``means`` and ``lift`` apply P. Built once per
     (assignment, kernel, alpha); the solver also reads its
     ``kernel``, grid ``shape`` and float ``inside`` mask (1 on assigned
-    pixels, else 0). Its ``bands`` compute the cost and the gradient; a run
-    hands the bottom one to the worker it passes to each ``srr_step``.
+    pixels, else 0). Its ``bands`` are [0, h) below ``_TWO_BAND_ROWS``
+    grid rows h, else [0, h // 2) and [h // 2, h), with equal row-pass block
+    counts. Band i writes row i of parts in anonymous shared memory made
+    here, so a process forked after the model (the band worker) writes the
+    same parts; ``cost`` adds them up. It serves one correction at a time.
     """
 
     def __init__(self, assignment: PixelAssignment, kernel: Kernel, alpha: float):
@@ -235,9 +238,13 @@ class ObservationModel:
         self.shape = (h, w)
         self.inside = assignment.inside_mask().astype(np.float64)
         self.alpha = alpha
-        kernel._bands(h, w)  # refuses a kernel too large for the grid
         self._assignment = assignment
         self._counts = np.append(assignment.element_counts, 0.0)  # the outside bin weighs 0
+        import mmap  # paid by a model, not by every import of the package
+        rows = [slice(0, h)] if h < _TWO_BAND_ROWS else [slice(0, h // 2), slice(h // 2, h)]
+        width = self._counts.size + 1  # element means, then ||S x||^2
+        self._parts = np.frombuffer(mmap.mmap(-1, 8 * len(rows) * width)).reshape(len(rows), width)
+        self.bands = tuple(_RowBand(self, band, part) for band, part in zip(rows, self._parts))
 
     def reduce(self, y: np.ndarray) -> tuple[np.ndarray, float]:
         """Element means of y and ``||y - P y||^2``: the per-frame part of a
@@ -249,17 +256,15 @@ class ObservationModel:
         rest *= rest
         return means, float(rest.sum())
 
-    def bands(self) -> list[_RowBand]:
-        """The row bands of a correction, which the grid rows h alone fix:
-        [0, h) below ``_TWO_BAND_ROWS`` rows, else [0, h // 2) and
-        [h // 2, h), with equal row-pass block counts. Band i writes row i of
-        parts in anonymous shared memory made here, so a process forked after
-        this call writes the same parts; the band worker is the only one."""
-        import mmap  # paid by a correction, not by every import of the package
-        h, width = self.shape[0], self._counts.size + 1  # element means, then ||S x||^2
-        rows = [slice(0, h)] if h < _TWO_BAND_ROWS else [slice(0, h // 2), slice(h // 2, h)]
-        parts = np.frombuffer(mmap.mmap(-1, 8 * len(rows) * width)).reshape(len(rows), width)
-        return [_RowBand(self, band, parts, index) for index, band in enumerate(rows)]
+    def cost(self, y_means: np.ndarray, y_rest: float) -> tuple[float, np.ndarray]:
+        """The cost against ``reduce(y)`` from the parts every band has
+        written, added in band order with numpy's own sums, which no BLAS
+        thread count changes, and the element residual r."""
+        total = self._parts.sum(axis=0)
+        residual = total[:-1] - y_means
+        cost = (float((self._counts * np.square(residual)).sum()) + y_rest
+                + self.alpha * float(total[-1]))
+        return cost, residual
 
     def norm_bound(self) -> float:
         """Upper bound on the largest eigenvalue L of B' P B + alpha * S' S.
@@ -278,32 +283,30 @@ class ObservationModel:
 
 
 class _RowBand:
-    """Rows ``rows`` of the correction of ``model``, one of the bands that
-    share x and ``parts`` (see ``srr``).
+    """Rows ``rows`` of the correction of ``model``, one of its ``bands``,
+    which share x (see ``srr``).
 
-    ``write`` puts the band's part of a cost into row ``index`` of
-    ``parts``: its element sums of B x (read within ``kernel.size // 2``
+    ``write`` puts the band's part of a cost into ``part``, its row of the
+    model's parts: its element sums of B x (read within ``kernel.size // 2``
     rows of the band) over whole element pixel counts, then ``||S x||^2``
-    over its rows, with S x taken from a two-row halo of x and kept. ``cost``
-    adds the parts in band order, with numpy's own sums, which no BLAS
-    thread count changes. ``gradient`` gives the band's rows of
+    over its rows, with S x taken from a two-row halo of x and kept.
+    ``gradient`` gives the band's rows of
     ``B' P (P B x - y) + alpha S' S x`` from the element residual, lifted
     over its ``window``: the grid rows within ``kernel.size // 2`` of it.
     """
 
-    def __init__(self, model: ObservationModel, rows: slice, parts: np.ndarray, index: int):
+    def __init__(self, model: ObservationModel, rows: slice, part: np.ndarray):
         (h, w), start, stop = model.shape, rows.start, rows.stop
         self.kernel, self.alpha, self.rows = model.kernel, model.alpha, rows
         self.inside, self.lift = model.inside[rows], model._assignment.lift
-        self._assignment, self._counts = model._assignment, model._counts
-        self._parts, self._part = parts, parts[index]
+        self._assignment, self._part = model._assignment, part
         p = self.kernel.size // 2
         self.window = slice(max(start - p, 0), min(stop + p, h))
         lo, top = max(start - 2, 0), max(start - 1, 0)
         self._halo = slice(lo, min(stop + 2, h))
         self._kept = slice(top - lo, min(stop + 1, h) - lo)
         self._own = slice(start - top, stop - top)
-        self.kernel._bands(h, w, rows)  # built once, before a fork shares it
+        self.kernel._bands(h, w, rows)  # refuses a kernel too large; built before a fork
 
     def write(self, x: np.ndarray) -> None:
         """The band's part of the cost at x."""
@@ -311,18 +314,10 @@ class _RowBand:
         self._smooth = _laplacian(x[self._halo])[self._kept]
         self._part[-1] = np.square(self._smooth[self._own]).sum()
 
-    def cost(self, y_means: np.ndarray, y_rest: float) -> tuple[float, np.ndarray]:
-        """The cost against ``ObservationModel.reduce(y)`` from the parts
-        every band has written, and the element residual r."""
-        total = self._parts.sum(axis=0)
-        residual = total[:-1] - y_means
-        cost = (float((self._counts * np.square(residual)).sum()) + y_rest
-                + self.alpha * float(total[-1]))
-        return cost, residual
-
     def gradient(self, residual: np.ndarray) -> np.ndarray:
         """The band's rows of the half gradient at the x of the last ``write``,
-        from the element residual r of ``cost`` (``P B x - P y`` lifted)."""
+        from the element residual r of ``ObservationModel.cost`` (``P B x - P y``
+        lifted)."""
         grad = self.kernel.apply(self.lift(residual, self.window), self.rows, self.window.start)
         grad += self.alpha * _laplacian(self._smooth)[self._own]
         return grad

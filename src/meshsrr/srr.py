@@ -18,9 +18,9 @@ and iteration count of ``SrrConfig``. ``experiment.run_experiment`` folds
 the steps over a sequence: frame 0 starts the estimate and takes its step
 with zero flow.
 
-The grid rows alone fix the row bands of a correction
-(``ObservationModel.bands``): two from ``operators._TWO_BAND_ROWS`` rows,
-else one. Each band lifts the residual over just the rows its blur reads.
+The model plans the row bands of a correction and adds up its cost: two
+bands from ``operators._TWO_BAND_ROWS`` grid rows, else one. Each band
+lifts the residual over just the rows its blur reads.
 A run that can fork, may use two CPUs and runs no other thread forks one
 ``_bandworker.BandWorker`` (``_band_worker``) and hands it to each
 ``srr_step``, which then gives it the bottom band. A step given no worker
@@ -100,19 +100,19 @@ def srr_step(state: SrrState, y_up_t: GridImage, flow_t: FlowField,
     x = np.multiply(warp_image(state.x_hat, flow_t).data, model.inside,
                     out=None if worker is None else worker.x)
     if worker is None:
-        costs = _correct(model.bands(), x, y_means, y_rest, cfg)
+        costs = _correct(model, model.bands, x, y_means, y_rest, cfg)
     else:
         x, costs = worker.correct(y_means, y_rest, cfg)
     x.flags.writeable = False
     return SrrState(x_hat=GridImage(x), costs=tuple(costs))
 
 
-def _correct(bands, x: np.ndarray, y_means: np.ndarray, y_rest: float,
-             cfg: SrrConfig, meet=None) -> list[float]:
-    """The K correction iterations of the rows of x that ``bands`` cover, in
-    place; returns the costs. Each iteration orders the bands' phases: each
-    writes its part, one cost and element residual are assembled from all
-    parts, and each updates its rows by its gradient from that residual.
+def _correct(model: ObservationModel, bands, x: np.ndarray, y_means: np.ndarray,
+             y_rest: float, cfg: SrrConfig, meet=None) -> list[float]:
+    """The K correction iterations of the rows of x that ``bands`` (of
+    ``model.bands``) cover, in place; returns the costs. Each iteration: each
+    band writes its part, ``model.cost`` adds all parts, and each band updates
+    its rows by its gradient from the element residual of that cost.
     ``meet``, given when a worker takes the other band, returns once both
     processes have reached it, after the parts and after the updates; the
     bits are those of one process taking the grid's bands in sequence."""
@@ -122,7 +122,7 @@ def _correct(bands, x: np.ndarray, y_means: np.ndarray, y_rest: float,
             band.write(x)
         if meet is not None:
             meet()
-        cost, residual = bands[0].cost(y_means, y_rest)
+        cost, residual = model.cost(y_means, y_rest)
         if not np.isfinite(cost):
             raise DivergenceError(f"non-finite cost {cost} at iteration {it}")
         costs.append(cost)
@@ -150,7 +150,7 @@ def _band_worker(model: ObservationModel):
     and can start the worker, which holds OpenBLAS to one thread itself;
     else None, and each step takes both bands."""
     affinity = getattr(os, "sched_getaffinity", None)
-    if (len(model.bands()) < 2 or not hasattr(os, "fork")
+    if (len(model.bands) < 2 or not hasattr(os, "fork")
             or affinity is None or len(affinity(0)) < 2
             or threading.active_count() > 1):  # a fork copies only this thread
         return None

@@ -278,11 +278,15 @@ def dense_flow_solve(ix: np.ndarray, iy: np.ndarray, c: np.ndarray,
 def band_terms(model, x: np.ndarray, y_means: np.ndarray, y_rest: float):
     """The cost at x against ``model.reduce(y)``, the element residual r and
     the model's correction as one row band over the whole grid, whose
-    ``gradient(r)`` is ``B' P r + alpha S' S x`` on every pixel."""
+    ``gradient(r)`` is ``B' P r + alpha S' S x`` on every pixel. The cost is
+    that of the band's one part: ``counts . r^2 + rest + alpha ||S x||^2``."""
     from meshsrr.operators import _RowBand
-    band = _RowBand(model, slice(0, model.shape[0]), np.empty((1, model._counts.size + 1)), 0)
+    counts = np.append(model._assignment.element_counts, 0.0)  # the outside bin weighs 0
+    part = np.empty(counts.size + 1)
+    band = _RowBand(model, slice(0, model.shape[0]), part)
     band.write(x)
-    cost, residual = band.cost(y_means, y_rest)
+    residual = part[:-1] - y_means
+    cost = float((counts * np.square(residual)).sum()) + y_rest + model.alpha * float(part[-1])
     return cost, residual, band
 
 

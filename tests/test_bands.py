@@ -85,9 +85,9 @@ def fail_gradient(monkeypatch, in_worker: bool, fail):
 
 def test_grid_100_keeps_one_band():
     """The grid rows alone fix the bands."""
-    assert [band.rows for band in model_on(100).bands()] == [slice(0, 100)]
+    assert [band.rows for band in model_on(100).bands] == [slice(0, 100)]
     rows = operators._TWO_BAND_ROWS
-    assert [band.rows for band in model_on(rows).bands()] == [slice(0, rows // 2),
+    assert [band.rows for band in model_on(rows).bands] == [slice(0, rows // 2),
                                                               slice(rows // 2, rows)]
 
 
@@ -95,7 +95,7 @@ def test_grid_100_keeps_one_band():
 def test_bands_split_the_rows_in_half_with_equal_block_counts(grid, monkeypatch):
     monkeypatch.setattr(operators, "_TWO_BAND_ROWS", 1)
     model = model_on(grid)
-    top, bottom = model.bands()
+    top, bottom = model.bands
     assert (top.rows, bottom.rows) == (slice(0, grid // 2), slice(grid // 2, grid))
     blocks = [[dst.stop - dst.start for dst, _, _ in model.kernel._bands(grid, grid, band.rows)[0]]
               for band in (top, bottom)]

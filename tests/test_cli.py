@@ -44,6 +44,44 @@ class TestRunCommand:
     def test_bad_set_syntax_exits_2(self, capsys):
         assert main(["run", "--set", "frames=3"]) == 2
 
+    @pytest.mark.parametrize("item,text", [
+        ("srr.grid=abc", "bad value for 'grid'"),
+        ("srx.grid=64", "unknown section [srx]"),
+        ("srr.size=64", "unknown key 'size' in section [srr]"),
+        ("scene.kind=DISC", "expected one of T_SHAPE/LUNG, got 'DISC'"),
+    ])
+    def test_a_bad_set_item_is_named_as_typed(self, item, text, capsys):
+        """A ``--set`` error starts with the item, not with a line number of
+        text that the user never wrote."""
+        assert main(["run", "--set", "srr.mu=0.1", "--set", item]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: --set {item}: {text}")
+        assert "line" not in err and err.count("\n") == 1
+
+    def test_a_run_into_a_non_empty_directory_is_refused(self, tmp_path, monkeypatch, capsys):
+        """A run is refused, with exit code 4, one line on stderr and no
+        worker, when its artifact directory holds files: the first run's
+        frames are left as they were and not renamed ``.partial``. An empty
+        directory is taken."""
+        import meshsrr.srr as srr
+        out = tmp_path / "s"
+        (out / "known").mkdir(parents=True)
+        argv = ["run", "--preset", "ex1b", "--set", "srr.grid=32", "--set", "srr.k_iters=2",
+                "--motion", "known", "-o", str(out), "--set"]
+        assert main(argv + ["scene.frames=3"]) == 0
+        first = {p.name: p.read_bytes() for p in (out / "known").iterdir()}
+
+        def unreachable(model):
+            raise AssertionError("a worker was asked for before the refusal")
+
+        monkeypatch.setattr(srr, "_band_worker", unreachable)
+        capsys.readouterr()
+        assert main(argv + ["scene.frames=2"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and "not empty" in err and err.count("\n") == 1
+        assert {p.name: p.read_bytes() for p in (out / "known").iterdir()} == first
+        assert sorted(p.name for p in out.iterdir()) == ["known"]
+
     def test_small_experiment_writes_artifacts(self, small_run_args, capsys):
         args, out = small_run_args
         assert main(args + ["--motion", "estimated"]) == 0

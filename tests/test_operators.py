@@ -522,27 +522,27 @@ class TestObservationModel:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_process_forked_after_bands_writes_the_same_parts(self):
-        """``bands()`` makes its parts in shared memory: the part that a
-        child forked after the call writes is the one the parent reads."""
+        """The model makes its bands' parts in shared memory: the part that a
+        child forked after the model is built writes is the one the parent's
+        ``cost`` reads."""
         asg = build_pixel_assignment(disc_mesh(COARSE), 32, 32)
         model = ObservationModel(asg, gaussian_kernel(5, 1.0), 0.3)
         rng = np.random.default_rng(7)
         x, target = rng.standard_normal((32, 32)), model.reduce(rng.standard_normal((32, 32)))
-        (band,) = model.bands()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)  # a fork beside threads
             pid = os.fork()
         if pid == 0:
             status = 1
             try:
-                band.write(x)
+                model.bands[0].write(x)
                 status = 0
             finally:
                 os._exit(status)
         assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-        (alone,) = model.bands()
-        alone.write(x)
-        (cost, residual), (want, want_residual) = band.cost(*target), alone.cost(*target)
+        alone = ObservationModel(asg, model.kernel, model.alpha)
+        alone.bands[0].write(x)
+        (cost, residual), (want, want_residual) = model.cost(*target), alone.cost(*target)
         assert cost == want and np.array_equal(residual, want_residual)
 
     @pytest.mark.parametrize("width,height", [(17, 24), (24, 17)])

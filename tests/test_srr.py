@@ -1,3 +1,4 @@
+import mmap
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from meshsrr.grid import GridImage
 from meshsrr.mesh import FemImage, build_pixel_assignment, upsample
 from meshsrr.operators import ObservationModel, _RowBand, gaussian_kernel
 from meshsrr.phantoms import COARSE, disc_mesh, render_scene
-from meshsrr.srr import SrrConfig, srr_init, srr_step
+from meshsrr.srr import SrrConfig, _band_worker, srr_init, srr_step
 
 from oracles import (band_terms, dense_blur_matrix, dense_laplacian_matrix,
                      dense_projection_matrix, pixel_run_sequence,
@@ -491,9 +492,25 @@ def test_a_step_without_a_worker_lifts_each_band_over_its_window():
     flow, srr_cfg = FlowField.zeros(200, 200), SrrConfig(cfg.mu, 5)
     state = srr_step(srr_init(y, model), y, flow, srr_cfg, model)
     _, peak = traced_peak(lambda: srr_step(state, y, flow, srr_cfg, model))
-    assert len(model.bands()) == 2
+    assert len(model.bands) == 2
     assert peak <= 4.6 * 200 * 200 * 8
 
+
+def test_a_model_plans_its_bands_once(monkeypatch):
+    """The model makes its bands and their shared parts when it is built: a
+    grid-200 step given no worker and ``_band_worker`` on a one-band model
+    map no memory, and the step leaves the model's bands as they were."""
+    cfg = replace(preset("ex1b"), grid=200)
+    model = ObservationModel(build_pixel_assignment(disc_mesh(cfg.mesh_density), 200, 200),
+                             cfg.resolved_kernel(), cfg.alpha_srr)
+    one_band = ObservationModel(*make_problem(n=32)[1:], 0.3)
+    y = render_scene(cfg.scene, 0, 200, 200)
+    state, bands, maps = srr_init(y, model), model.bands, []
+    real = mmap.mmap
+    monkeypatch.setattr(mmap, "mmap", lambda *args: maps.append(args) or real(*args))
+    srr_step(state, y, FlowField.zeros(200, 200), SrrConfig(cfg.mu, 2), model)
+    assert _band_worker(one_band) is None
+    assert maps == [] and model.bands is bands and len(bands) == 2
 
 BLAS_PROBE = """
 from dataclasses import replace
@@ -506,7 +523,7 @@ from meshsrr.srr import SrrConfig, srr_init, srr_step
 cfg = replace(preset("ex1b"), grid=200)
 model = ObservationModel(build_pixel_assignment(disc_mesh(cfg.mesh_density), 200, 200),
                          cfg.resolved_kernel(), cfg.alpha_srr)
-print(len(model.bands()))
+print(len(model.bands))
 frames = [render_scene(cfg.scene, t, 200, 200) for t in range(3)]
 state = srr_init(frames[0], model)
 for y in frames:
