@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration error (also a run too large for
 memory), 3 numerical divergence, 4 file or format error. A warning raised
-as an error (-W error) exits 2 from run, else 4.
+as an error (-W error) exits 2 from run, else 4. run writes OUT/MODE.partial,
+renamed OUT/MODE once complete; a full one of either exits 4 before any mode.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from pathlib import Path
 from .config import (ExperimentConfig, PRESET_NAMES, default_config_text,
                      parse_config, parse_sets, preset)
 from .errors import ConfigError, DivergenceError, FileFormatError, MeshError
-from .experiment import run_experiment
+from .experiment import artifact_dirs, run_experiment
 from .fileio import (read_fem_image, read_grid_image, read_mesh, write_flow,
                      write_pgm16, write_values)
 from .flow import FlowParams, horn_schunck
@@ -94,11 +95,12 @@ def _cmd_run(args) -> int:
         return 0
     cfg = _load_run_config(args)
     root = args.output or cfg.output_dir
-    modes = {"both": (False, True), "estimated": (False,), "known": (True,)}[args.motion]
-    for known in modes:
-        label = "known" if known else "estimated"
-        out = str(Path(root) / label) if root else ""
-        result = run_experiment(replace(cfg, known_motion=known, output_dir=out))
+    labels = ("estimated", "known") if args.motion == "both" else (args.motion,)
+    outs = {label: str(Path(root) / label) if root else "" for label in labels}
+    for out in filter(None, outs.values()):  # refuse the run before any mode runs
+        artifact_dirs(out)
+    for label, out in outs.items():
+        result = run_experiment(replace(cfg, known_motion=label == "known", output_dir=out))
         print(f"[{label} motion] frames={cfg.scene.frames} grid={cfg.grid} "
               f"elapsed={result.elapsed_seconds:.1f}s")
         print("  time: " + " ".join(f"{stage}={s:.2f}s"

@@ -50,14 +50,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     large grid the run forks one worker (see ``srr``), hands it to each SRR
     step and kills and reaps it before it returns or raises.
     Mesh elements that hold no pixel center are reported by one warning
-    after the step-size check; then a non-empty ``output_dir`` is refused
-    with OSError and left as it is, before any directory or worker is made.
+    after the step-size check; then ``artifact_dirs`` may refuse
+    ``output_dir``, before any directory or worker is made.
 
-    An error while frame t is made, registered, stepped, scored or written
-    gains the note "frame t", so errors surface in frame order. A frame whose
-    binarized image is empty is refused with ConfigError naming the sequence
-    (LR or SRR). On a failure after the output directory is made, it is
-    renamed with a ``.partial`` suffix and keeps the frames written so far.
+    The files go to ``output_dir`` + ``.partial``, which one rename after the
+    metric tables makes ``output_dir``, so a run ended in any way before then
+    leaves its frames under ``.partial`` only. An error while frame t is made,
+    registered, stepped, scored or written gains the note "frame t", so errors
+    surface in frame order. A frame whose binarized image is empty is refused
+    with ConfigError naming the sequence (LR or SRR).
 
     ``stage_seconds`` holds the wall time of each stage's own calls:
     assignment, render, degrade, flow, srr (with the lift), metrics and write.
@@ -72,8 +73,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         stages[stage] += now - clock
         clock = now
 
-    out = Path(cfg.output_dir) if cfg.output_dir else None
-
     n = cfg.grid
     scene = cfg.scene
     mesh = disc_mesh(cfg.mesh_density)
@@ -85,8 +84,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         raise ConfigError(f"step size mu = {cfg.mu:g} gives mu * L = {mu_l:.4g}; "
                           "it must be below 1 for the cost to decrease")
     _warn_empty_elements(assignment, stacklevel=2)  # averaging sets their values to 0
-    if out is not None and out.exists() and any(out.iterdir()):  # not marked .partial below
-        raise OSError(f"artifact directory {out} is not empty")
+    out, partial = artifact_dirs(cfg.output_dir) if cfg.output_dir else (None, None)
     srr_cfg = cfg.srr_config()
     lap("assignment")
 
@@ -102,8 +100,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     lap("srr")
     try:
         if out is not None:
-            out.mkdir(parents=True, exist_ok=True)
-            write_mesh(mesh, out / "mesh.txt")
+            partial.mkdir(parents=True, exist_ok=True)
+            write_mesh(mesh, partial / "mesh.txt")
             lap("write")
         try:
             for t in range(scene.frames):
@@ -131,24 +129,21 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 lap("metrics")
                 if out is not None:
                     for prefix, img in (("hr", x_hr), ("up", y), ("srr", state.x_hat)):
-                        write_pgm16(img, out / f"{prefix}_t{t:03d}.pgm")
-                    write_values(obs.values, out / f"lr_t{t:03d}.vals")
+                        write_pgm16(img, partial / f"{prefix}_t{t:03d}.pgm")
+                    write_values(obs.values, partial / f"lr_t{t:03d}.vals")
                     lap("write")
         except Exception as exc:
             exc.add_note(f"frame {t}")
             raise
-        lr_metrics = MetricsReport(tuple(lr_scores))
-        srr_metrics = MetricsReport(tuple(srr_scores))
-        if out is not None:
-            (out / "metrics_lr.csv").write_text(lr_metrics.to_csv())
-            (out / "metrics_srr.csv").write_text(srr_metrics.to_csv())
-    except Exception:
-        if out is not None:
-            _mark_partial(out)
-        raise
     finally:
         if worker is not None:
             worker.close()
+    lr_metrics = MetricsReport(tuple(lr_scores))
+    srr_metrics = MetricsReport(tuple(srr_scores))
+    if out is not None:
+        (partial / "metrics_lr.csv").write_text(lr_metrics.to_csv())
+        (partial / "metrics_srr.csv").write_text(srr_metrics.to_csv())
+        partial.replace(out)  # rename(2) also takes the place of an empty directory
     lap("write")
 
     return ExperimentResult(
@@ -162,22 +157,23 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     )
 
 
+def artifact_dirs(output_dir: str) -> tuple[Path, Path]:
+    """``output_dir`` and the ``.partial`` sibling that a run writes into.
+    OSError refuses a path with no name of its own (``.``, ``..``, ``/``)
+    and either directory when it holds files."""
+    out = Path(output_dir)
+    if out.name in ("", ".."):
+        raise OSError(f"artifact directory {output_dir!r} has no name of its own")
+    dirs = out, out.with_name(out.name + ".partial")
+    for path in dirs:
+        if path.exists() and any(path.iterdir()):
+            raise OSError(f"artifact directory {path} is not empty")
+    return dirs
+
+
 def _score(label: str, truth: GridImage, estimate: GridImage) -> FrameMetrics:
     try:
         return evaluate_pair(truth, estimate)
     except EmptyBoundaryError as exc:
         raise ConfigError(f"{label} sequence cannot be scored: {exc}") from exc
 
-
-def _mark_partial(out: Path) -> None:
-    if not out.exists():
-        return
-    target = out.with_name(out.name + ".partial")
-    try:
-        if target.exists():
-            marker = out / "PARTIAL"
-            marker.write_text("experiment failed before completion\n")
-        else:
-            out.rename(target)
-    except OSError:
-        pass

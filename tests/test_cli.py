@@ -82,6 +82,47 @@ class TestRunCommand:
         assert {p.name: p.read_bytes() for p in (out / "known").iterdir()} == first
         assert sorted(p.name for p in out.iterdir()) == ["known"]
 
+    def test_a_run_over_an_unfinished_one_is_refused(self, tmp_path, monkeypatch, capsys):
+        """A ``DIR.partial`` that holds an earlier unfinished run is refused
+        like a full ``DIR``: exit code 4, one line on stderr, no worker, and
+        both directories left as they were."""
+        import meshsrr.srr as srr
+        out = tmp_path / "s"
+        (out / "known").mkdir(parents=True)
+        (out / "known.partial").mkdir()
+        (out / "known.partial" / "hr_t000.pgm").write_bytes(b"earlier")
+
+        def unreachable(model):
+            raise AssertionError("a worker was asked for before the refusal")
+
+        monkeypatch.setattr(srr, "_band_worker", unreachable)
+        argv = ["run", "--preset", "ex1b", "--set", "srr.grid=32", "--set", "scene.frames=2",
+                "--set", "srr.k_iters=2", "--motion", "known", "-o", str(out)]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert "known.partial is not empty" in err
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
+            "known", "known.partial", "known.partial/hr_t000.pgm"]
+        assert (out / "known.partial" / "hr_t000.pgm").read_bytes() == b"earlier"
+
+    def test_motion_both_is_refused_before_either_mode_runs(self, tmp_path, capsys):
+        """Every mode's directory is checked before the first mode runs: a
+        full ``known/`` stops ``--motion both`` before the estimated run."""
+        out = tmp_path / "s"
+        argv = ["run", "--preset", "ex1b", "--set", "srr.grid=32", "--set", "scene.frames=2",
+                "--set", "srr.k_iters=2", "--set", "flow.pyramid_levels=2", "-o", str(out)]
+        assert main(argv + ["--motion", "known"]) == 0
+        first = {p.name: p.read_bytes() for p in (out / "known").iterdir()}
+        capsys.readouterr()
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("i/o error: ") and captured.err.count("\n") == 1
+        assert "known is not empty" in captured.err
+        assert [p.name for p in out.iterdir()] == ["known"]
+        assert {p.name: p.read_bytes() for p in (out / "known").iterdir()} == first
+
     def test_small_experiment_writes_artifacts(self, small_run_args, capsys):
         args, out = small_run_args
         assert main(args + ["--motion", "estimated"]) == 0

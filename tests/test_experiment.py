@@ -123,6 +123,61 @@ class TestRunExperiment:
         assert {"hr_t000.pgm", "hr_t001.pgm"} <= names and "hr_t002.pgm" not in names
         assert not any(name.startswith("metrics_") for name in names)
 
+    def test_a_run_is_published_by_one_rename_when_it_completes(self, tmp_path, monkeypatch):
+        """While frame 1's files are written the run exists only as
+        ``run.partial``; once it returns, only ``run`` does."""
+        import meshsrr.experiment as exp
+
+        out = tmp_path / "run"
+        original = exp.write_pgm16
+        seen = []
+
+        def watched(img, path):
+            if path.name.endswith("_t001.pgm"):
+                seen.append((out.exists(), (tmp_path / "run.partial").is_dir()))
+            original(img, path)
+
+        monkeypatch.setattr(exp, "write_pgm16", watched)
+        run_experiment(tiny_cfg(output_dir=str(out)))
+        assert seen == [(False, True)] * 3
+        assert [p.name for p in tmp_path.iterdir()] == ["run"]
+        assert (out / "metrics_srr.csv").exists()
+
+    def test_an_interrupt_leaves_the_frames_written_so_far_as_partial(self, tmp_path,
+                                                                      monkeypatch):
+        """An exception that no ``except Exception`` catches still leaves the
+        run under ``.partial`` only, holding every file written before it."""
+        import meshsrr.experiment as exp
+
+        original = exp.write_values
+        written = []
+
+        def interrupted(values, path):
+            if path.name == "lr_t001.vals":
+                raise KeyboardInterrupt
+            original(values, path)
+            written.append(path.name)
+
+        monkeypatch.setattr(exp, "write_values", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(tiny_cfg(output_dir=str(tmp_path / "run")))
+        assert [p.name for p in tmp_path.iterdir()] == ["run.partial"]
+        names = {p.name for p in (tmp_path / "run.partial").iterdir()}
+        frames = {f"{prefix}_t00{t}.{ext}" for prefix in ("hr", "up", "srr")
+                  for t in (0, 1) for ext in ("pgm", "scale.txt")}
+        assert written == ["lr_t000.vals"]
+        assert names == {"mesh.txt", "lr_t000.vals", *frames}
+
+    @pytest.mark.parametrize("output_dir", [".", "./", "sub/.."])
+    def test_an_output_dir_with_no_name_of_its_own_is_refused(self, output_dir, tmp_path,
+                                                               monkeypatch):
+        """``.partial`` must be a sibling of the artifact directory, so a path
+        that names none is refused before anything is written."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(OSError, match="has no name of its own"):
+            run_experiment(tiny_cfg(output_dir=output_dir))
+        assert list(tmp_path.iterdir()) == []
+
     def test_one_observation_model_per_run(self, monkeypatch):
         import meshsrr.operators as operators
 
